@@ -62,6 +62,7 @@
 #![warn(missing_docs)]
 
 pub mod executor;
+pub mod json;
 pub mod report;
 pub mod serve;
 pub mod sink;

@@ -1,6 +1,7 @@
 //! Campaign results: per-run records, per-cell aggregation, and
 //! structured CSV/JSON writers.
 
+use crate::json::{write_num, write_str};
 use crate::spec::GridPoint;
 use eend_stats::Series;
 use eend_wireless::RunMetrics;
@@ -150,61 +151,49 @@ pub fn csv_row_into(out: &mut String, campaign: &str, r: &Record) {
 pub fn json_row_into(out: &mut String, campaign: &str, r: &Record) {
     use std::fmt::Write as _;
     let p = &r.point;
-    let _ = write!(
-        out,
-        "{{\"campaign\":{},\"stack\":{},\"rate_kbps\":{},\"nodes\":{},\
-         \"speed_mps\":{},\"traffic\":{},\"radio\":{},\"failure\":{},\"seed\":{}",
-        json_str(campaign),
-        json_str(&p.stack.name),
-        json_num(p.rate_kbps),
-        p.nodes,
-        json_num(p.speed_mps),
-        json_str(&p.traffic),
-        json_str(&p.radio),
-        json_str(&p.failure),
-        p.seed
-    );
+    out.push_str("{\"campaign\":");
+    write_str(out, campaign);
+    out.push_str(",\"stack\":");
+    write_str(out, &p.stack.name);
+    out.push_str(",\"rate_kbps\":");
+    write_num(out, p.rate_kbps);
+    let _ = write!(out, ",\"nodes\":{},\"speed_mps\":", p.nodes);
+    write_num(out, p.speed_mps);
+    out.push_str(",\"traffic\":");
+    write_str(out, &p.traffic);
+    out.push_str(",\"radio\":");
+    write_str(out, &p.radio);
+    out.push_str(",\"failure\":");
+    write_str(out, &p.failure);
+    let _ = write!(out, ",\"seed\":{}", p.seed);
     for (name, f) in metric_columns() {
-        let _ = write!(out, ",\"{}\":{}", name, json_num(f(&r.metrics)));
+        let _ = write!(out, ",\"{name}\":");
+        write_num(out, f(&r.metrics));
     }
     out.push('}');
 }
 
 /// Quotes a CSV field when it contains a delimiter, quote, or newline.
-pub(crate) fn csv_field(s: &str) -> String {
+pub(crate) fn csv_field(s: &str) -> std::borrow::Cow<'_, str> {
     if s.contains([',', '"', '\n']) {
-        format!("\"{}\"", s.replace('"', "\"\""))
+        format!("\"{}\"", s.replace('"', "\"\"")).into()
     } else {
-        s.to_owned()
+        s.into()
     }
 }
 
 /// Escapes a string as a JSON string literal.
 pub(crate) fn json_str(s: &str) -> String {
     let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out.push('"');
+    write_str(&mut out, s);
     out
 }
 
 /// Renders an f64 as JSON (JSON has no Infinity/NaN; map them to null).
 pub(crate) fn json_num(x: f64) -> String {
-    if x.is_finite() {
-        format!("{x}")
-    } else {
-        "null".to_owned()
-    }
+    let mut out = String::new();
+    write_num(&mut out, x);
+    out
 }
 
 #[cfg(test)]

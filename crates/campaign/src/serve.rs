@@ -76,11 +76,12 @@
 //! resumes exactly the missing jobs.
 
 use crate::executor::{panic_cause, Executor, FailurePolicy, JobScheduler, WorkerPool};
+use crate::json::{parse_json, JVal};
 use crate::report::{csv_header_into, csv_row_into, json_num, json_row_into, json_str, Record};
 use crate::spec::{CampaignSpec, GridPoint, Job};
 use crate::store::{
-    fingerprint, merge_stores_streaming, metrics_from_json, parse_json, verify_line_identity,
-    JVal, Manifest, ResultStore, RunOptions, SpecAxes, RECORDS_FILE,
+    fingerprint, merge_shards_streaming, metrics_from_json, read_manifest, verify_line_identity,
+    Manifest, ResultStore, RunOptions, SpecAxes, MANIFEST_FILE, RECORDS_FILE,
 };
 use crate::RecordSink;
 use eend_stats::grouped::StreamingAggregator;
@@ -955,7 +956,9 @@ fn aggregate_impl(state: &ServeState, entry: &CampaignEntry) -> io::Result<Strin
         }
     }
     state.aggregates_computed.fetch_add(1, Ordering::SeqCst);
-    let store = ResultStore::open_existing(&entry.dir)?;
+    // Opening the store would scan every record line before the merge
+    // reads them again; the merge checks each line itself.
+    let manifest = read_manifest(&entry.dir.join(MANIFEST_FILE))?;
     let mut sink = AggSink {
         x: aggregate_x_axis(&entry.spec),
         cols: crate::report::metric_columns()
@@ -963,7 +966,7 @@ fn aggregate_impl(state: &ServeState, entry: &CampaignEntry) -> io::Result<Strin
             .map(|(name, f)| (name, f, StreamingAggregator::new()))
             .collect(),
     };
-    merge_stores_streaming(&[&store], &entry.jobs, &mut sink)?;
+    merge_shards_streaming(&[(&entry.dir, &manifest)], &entry.jobs, &mut sink)?;
     // Restore spec stack order, exactly like CampaignResult::series.
     let order: Vec<&str> = entry.spec.stacks.iter().map(|s| s.name.as_str()).collect();
     let mut out = String::new();

@@ -31,6 +31,7 @@
 //! daemon's aggregate endpoint run on.
 
 use crate::executor::{FailurePolicy, JobFailure, JobScheduler};
+use crate::json::{parse_json, parse_shallow, write_num, write_str, JVal};
 use crate::report::{json_num, json_str, CampaignResult, Record};
 use crate::sink::RecordSink;
 use crate::spec::{BaseScenario, CampaignSpec, FailurePlan, Job};
@@ -45,7 +46,7 @@ use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, Ordering};
 
 /// Manifest file name inside a store directory.
-const MANIFEST_FILE: &str = "manifest.json";
+pub(crate) const MANIFEST_FILE: &str = "manifest.json";
 /// Record shard file name inside a store directory.
 pub(crate) const RECORDS_FILE: &str = "records.jsonl";
 /// Contained-job-failure log inside a store directory.
@@ -665,7 +666,9 @@ impl ResultStore {
                 continue;
             }
             let torn_tail = li + 1 == lines.len(); // no trailing '\n': torn write
-            match parse_json(line).and_then(|v| v.get("job")?.usize()) {
+            // Only the id is needed here: check the whole line, keep
+            // only its top level.
+            match parse_shallow(line).and_then(|v| v.get("job")?.usize()) {
                 Ok(id) if id < self.manifest.total_jobs => {
                     if !self.completed.insert(id) {
                         return Err(bad_data(format!(
@@ -954,7 +957,7 @@ impl ResultStore {
             if line.trim().is_empty() {
                 continue;
             }
-            entries.push((parse_json(line)?.get("job")?.usize()?, line));
+            entries.push((parse_shallow(line)?.get("job")?.usize()?, line));
         }
         entries.sort_by_key(|(id, _)| *id);
         let mut out = String::with_capacity(text.len());
@@ -1062,7 +1065,7 @@ pub struct RunOutcome {
 /// the probably-torn artefact it is rather than a bare parse error.
 /// (New manifests are written via [`write_atomic`], so a torn manifest
 /// means an older writer or a non-atomic filesystem was involved.)
-fn read_manifest(path: &Path) -> io::Result<Manifest> {
+pub(crate) fn read_manifest(path: &Path) -> io::Result<Manifest> {
     let text = std::fs::read_to_string(path).map_err(|e| {
         io::Error::new(e.kind(), format!("no store manifest at {}: {e}", path.display()))
     })?;
@@ -1150,17 +1153,30 @@ pub fn merge_stores_streaming(
     jobs: &[Job],
     sink: &mut dyn RecordSink,
 ) -> io::Result<()> {
-    let first = stores.first().ok_or_else(|| bad_data("no stores to merge"))?;
-    let campaign = first.manifest.campaign.clone();
+    let shards: Vec<(&Path, &Manifest)> =
+        stores.iter().map(|s| (s.dir.as_path(), &s.manifest)).collect();
+    merge_shards_streaming(&shards, jobs, sink)
+}
+
+/// [`merge_stores_streaming`] over store directories and their
+/// manifests, for a caller that has not opened the stores: opening
+/// scans every record line, and the merge reads and checks each line
+/// itself, so a read path that only merges parses each line once.
+pub(crate) fn merge_shards_streaming(
+    shards: &[(&Path, &Manifest)],
+    jobs: &[Job],
+    sink: &mut dyn RecordSink,
+) -> io::Result<()> {
+    let (_, first) = shards.first().ok_or_else(|| bad_data("no stores to merge"))?;
+    let campaign = first.campaign.clone();
     let fp = fingerprint(&campaign, jobs);
-    for store in stores {
-        let m = &store.manifest;
+    for (dir, m) in shards {
         if m.fingerprint != fp || m.total_jobs != jobs.len() || m.campaign != campaign {
             return Err(bad_data(format!(
                 "store at {} (campaign {:?}, fingerprint {:016x}, {} jobs) does not \
                  match the expansion being merged (campaign {:?}, fingerprint {fp:016x}, \
                  {} jobs)",
-                store.dir.display(),
+                dir.display(),
                 m.campaign,
                 m.fingerprint,
                 m.total_jobs,
@@ -1169,16 +1185,16 @@ pub fn merge_stores_streaming(
             )));
         }
     }
-    let mut cursors = Vec::with_capacity(stores.len());
-    for store in stores {
-        let mut c = RecordCursor::open(store)?;
+    let mut cursors = Vec::with_capacity(shards.len());
+    for (dir, _) in shards {
+        let mut c = RecordCursor::open(dir)?;
         c.advance()?;
         cursors.push(c);
     }
     for job in jobs {
         let mut found: Option<usize> = None;
         for (ci, c) in cursors.iter().enumerate() {
-            if c.head.as_ref().map(|(id, _)| *id) == Some(job.index) {
+            if c.head_id() == Some(job.index) {
                 if found.is_some() {
                     return Err(bad_data(format!(
                         "job {} appears in more than one store",
@@ -1195,16 +1211,14 @@ pub fn merge_stores_streaming(
             )));
         };
         let cursor = &mut cursors[ci];
-        let (_, v) = cursor.head.take().expect("head id matched above");
-        verify_line_identity(&v, job)?;
-        let metrics = metrics_from_json(v.get("metrics")?)?;
-        sink.accept(&Record { point: job.point.clone(), metrics })?;
+        let head = cursor.head.take().expect("head id matched above");
+        sink.accept(&head.claim(job)?)?;
         cursor.advance()?;
     }
     // Ascending order means any record the job loop never claimed is
     // still parked at some cursor's head: an out-of-range id.
     for c in &cursors {
-        if let Some((id, _)) = &c.head {
+        if let Some(id) = c.head_id() {
             return Err(bad_data(format!(
                 "record for job {id} in {} is outside the merged expansion ({} jobs)",
                 c.path.display(),
@@ -1216,7 +1230,7 @@ pub fn merge_stores_streaming(
 }
 
 /// A sequential, constant-memory reader over one store's record lines:
-/// holds only the current parsed record, enforcing strictly ascending
+/// holds only the current record, decoded, enforcing strictly ascending
 /// job ids (the order [`ResultStore::run`] appends). A parse failure on
 /// the final, newline-less line is the torn tail of a killed writer and
 /// reads as end-of-file; anywhere else it is an error naming the line.
@@ -1225,15 +1239,38 @@ struct RecordCursor {
     path: PathBuf,
     line_no: usize,
     last_id: Option<usize>,
-    head: Option<(usize, JVal)>,
+    head: Option<CursorHead>,
     buf: String,
 }
 
+/// A record line decoded once, when the cursor reaches it. The line's
+/// identity and metrics are decoded eagerly, but their errors surface
+/// only when the merge claims the record, in the order a claim checks
+/// them.
+struct CursorHead {
+    id: usize,
+    identity: io::Result<(String, u64, String, String)>,
+    metrics: io::Result<RunMetrics>,
+}
+
+impl CursorHead {
+    /// The record for `job`, whose index is this head's id.
+    fn claim(self, job: &Job) -> io::Result<Record> {
+        let (stack, seed, traffic, radio) = self.identity?;
+        check_identity((&stack, seed, &traffic, &radio), job)?;
+        Ok(Record { point: job.point.clone(), metrics: self.metrics? })
+    }
+}
+
 impl RecordCursor {
-    fn open(store: &ResultStore) -> io::Result<RecordCursor> {
-        let path = store.dir.join(RECORDS_FILE);
+    fn open(dir: &Path) -> io::Result<RecordCursor> {
+        let path = dir.join(RECORDS_FILE);
         let reader = if path.exists() { Some(BufReader::new(File::open(&path)?)) } else { None };
         Ok(RecordCursor { reader, path, line_no: 0, last_id: None, head: None, buf: String::new() })
+    }
+
+    fn head_id(&self) -> Option<usize> {
+        self.head.as_ref().map(|h| h.id)
     }
 
     /// Reads the next record line into `head`, or leaves it `None` at
@@ -1276,7 +1313,10 @@ impl RecordCursor {
                 }
             }
             self.last_id = Some(id);
-            self.head = Some((id, v));
+            let identity = line_identity(&v)
+                .map(|(s, seed, t, r)| (s.to_owned(), seed, t.to_owned(), r.to_owned()));
+            let metrics = v.get("metrics").and_then(metrics_from_json);
+            self.head = Some(CursorHead { id, identity, metrics });
             return Ok(());
         }
     }
@@ -1286,16 +1326,17 @@ impl RecordCursor {
 // Record (de)serialization.
 
 fn energy_report_into(out: &mut String, r: &EnergyReport) {
+    out.push('[');
+    let mj = [
+        r.idle_mj, r.sleep_mj, r.switch_mj, r.tx_data_mj, r.tx_ctrl_mj, r.rx_data_mj, r.rx_ctrl_mj,
+    ];
+    for x in mj {
+        write_num(out, x);
+        out.push(',');
+    }
     let _ = write!(
         out,
-        "[{},{},{},{},{},{},{},{},{},{},{},{}]",
-        json_num(r.idle_mj),
-        json_num(r.sleep_mj),
-        json_num(r.switch_mj),
-        json_num(r.tx_data_mj),
-        json_num(r.tx_ctrl_mj),
-        json_num(r.rx_data_mj),
-        json_num(r.rx_ctrl_mj),
+        "{},{},{},{},{}]",
         r.time_tx.as_nanos(),
         r.time_rx.as_nanos(),
         r.time_idle.as_nanos(),
@@ -1330,28 +1371,28 @@ fn energy_report_from(v: &JVal) -> io::Result<EnergyReport> {
 /// Rust's shortest-round-trip formatting, so parsing restores the exact
 /// bit pattern and the reassembled result is byte-identical to an
 /// in-memory run.
-fn record_line_into(out: &mut String, id: usize, record: &Record) {
+pub(crate) fn record_line_into(out: &mut String, id: usize, record: &Record) {
     let p = &record.point;
     let m = &record.metrics;
+    let _ = write!(out, "{{\"job\":{id},\"stack\":");
+    write_str(out, &p.stack.name);
+    let _ = write!(out, ",\"seed\":{},\"traffic\":", p.seed);
+    write_str(out, &p.traffic);
+    out.push_str(",\"radio\":");
+    write_str(out, &p.radio);
     let _ = write!(
         out,
-        "{{\"job\":{id},\"stack\":{},\"seed\":{},\"traffic\":{},\"radio\":{},\"metrics\":{{",
-        json_str(&p.stack.name),
-        p.seed,
-        json_str(&p.traffic),
-        json_str(&p.radio)
+        ",\"metrics\":{{\"data_sent\":{},\"data_delivered\":{},\"delivered_bits\":",
+        m.data_sent, m.data_delivered
     );
+    write_num(out, m.delivered_bits);
     let _ = write!(
         out,
-        "\"data_sent\":{},\"data_delivered\":{},\"delivered_bits\":{},\
-         \"drops_no_route\":{},\"drops_link_failure\":{},\"drops_buffer\":{},\
+        ",\"drops_no_route\":{},\"drops_link_failure\":{},\"drops_buffer\":{},\
          \"drops_ifq\":{},\"rreq_tx\":{},\"rrep_tx\":{},\"rerr_tx\":{},\
          \"dsdv_update_tx\":{},\"atim_tx\":{},\"broadcast_collisions\":{},\
          \"rts_collisions\":{},\"link_failures\":{},\"data_forwarders\":{},\
-         \"duration_s\":{}",
-        m.data_sent,
-        m.data_delivered,
-        json_num(m.delivered_bits),
+         \"duration_s\":",
         m.drops_no_route,
         m.drops_link_failure,
         m.drops_buffer,
@@ -1365,8 +1406,8 @@ fn record_line_into(out: &mut String, id: usize, record: &Record) {
         m.rts_collisions,
         m.link_failures,
         m.data_forwarders,
-        json_num(m.duration_s)
     );
+    write_num(out, m.duration_s);
     out.push_str(",\"energy_total\":");
     energy_report_into(out, &m.energy_total);
     out.push_str(",\"per_node_energy\":[");
@@ -1436,13 +1477,20 @@ pub(crate) fn metrics_from_json(v: &JVal) -> io::Result<RunMetrics> {
     })
 }
 
-/// Cross-checks a stored line's identity against the job it claims to
-/// be (used by the store tests; merge calls it per record).
-pub(crate) fn verify_line_identity(v: &JVal, job: &Job) -> io::Result<()> {
-    let stack = v.get("stack")?.str()?;
-    let seed = v.get("seed")?.u64()?;
-    let traffic = v.get("traffic")?.str()?;
-    let radio = v.get("radio")?.str()?;
+/// The grid point a record line claims to be: stack name, seed,
+/// traffic label and radio label.
+type LineIdentity<'v> = (&'v str, u64, &'v str, &'v str);
+
+fn line_identity<'v>(v: &'v JVal) -> io::Result<LineIdentity<'v>> {
+    Ok((
+        v.get("stack")?.str()?,
+        v.get("seed")?.u64()?,
+        v.get("traffic")?.str()?,
+        v.get("radio")?.str()?,
+    ))
+}
+
+fn check_identity((stack, seed, traffic, radio): LineIdentity<'_>, job: &Job) -> io::Result<()> {
     let p = &job.point;
     if stack != p.stack.name || seed != p.seed || traffic != p.traffic || radio != p.radio {
         return Err(bad_data(format!(
@@ -1454,285 +1502,15 @@ pub(crate) fn verify_line_identity(v: &JVal, job: &Job) -> io::Result<()> {
     Ok(())
 }
 
-// ---------------------------------------------------------------------
-// Minimal JSON.
-
-/// A parsed JSON value. Numbers keep their raw token so u64s round-trip
-/// without an f64 detour and f64s restore their exact bit pattern.
-#[derive(Debug, Clone, PartialEq)]
-pub(crate) enum JVal {
-    Null,
-    Bool(bool),
-    Num(String),
-    Str(String),
-    Arr(Vec<JVal>),
-    Obj(Vec<(String, JVal)>),
-}
-
-impl JVal {
-    fn type_name(&self) -> &'static str {
-        match self {
-            JVal::Null => "null",
-            JVal::Bool(_) => "bool",
-            JVal::Num(_) => "number",
-            JVal::Str(_) => "string",
-            JVal::Arr(_) => "array",
-            JVal::Obj(_) => "object",
-        }
-    }
-
-    pub(crate) fn get(&self, key: &str) -> io::Result<&JVal> {
-        let JVal::Obj(pairs) = self else {
-            return Err(bad_data(format!("expected object with {key:?}, got {}", self.type_name())));
-        };
-        pairs
-            .iter()
-            .find(|(k, _)| k == key)
-            .map(|(_, v)| v)
-            .ok_or_else(|| bad_data(format!("missing key {key:?}")))
-    }
-
-    /// Like [`JVal::get`], but a missing key reads as `None` (for keys
-    /// added after files in the wild were written).
-    pub(crate) fn get_opt(&self, key: &str) -> io::Result<Option<&JVal>> {
-        let JVal::Obj(pairs) = self else {
-            return Err(bad_data(format!("expected object with {key:?}, got {}", self.type_name())));
-        };
-        Ok(pairs.iter().find(|(k, _)| k == key).map(|(_, v)| v))
-    }
-
-    pub(crate) fn str(&self) -> io::Result<&str> {
-        match self {
-            JVal::Str(s) => Ok(s),
-            other => Err(bad_data(format!("expected string, got {}", other.type_name()))),
-        }
-    }
-
-    pub(crate) fn arr(&self) -> io::Result<&[JVal]> {
-        match self {
-            JVal::Arr(a) => Ok(a),
-            other => Err(bad_data(format!("expected array, got {}", other.type_name()))),
-        }
-    }
-
-    pub(crate) fn u64(&self) -> io::Result<u64> {
-        match self {
-            JVal::Num(raw) => {
-                raw.parse().map_err(|_| bad_data(format!("expected u64, got {raw:?}")))
-            }
-            other => Err(bad_data(format!("expected number, got {}", other.type_name()))),
-        }
-    }
-
-    pub(crate) fn usize(&self) -> io::Result<usize> {
-        self.u64().map(|v| v as usize)
-    }
-
-    pub(crate) fn f64(&self) -> io::Result<f64> {
-        match self {
-            JVal::Num(raw) => {
-                raw.parse().map_err(|_| bad_data(format!("expected f64, got {raw:?}")))
-            }
-            other => Err(bad_data(format!("expected number, got {}", other.type_name()))),
-        }
-    }
-}
-
-/// Parses one complete JSON document (with nothing but whitespace
-/// after it).
-pub(crate) fn parse_json(text: &str) -> io::Result<JVal> {
-    let mut p = JsonParser { s: text.as_bytes(), i: 0 };
-    let v = p.value()?;
-    p.skip_ws();
-    if p.i != p.s.len() {
-        return Err(bad_data(format!("trailing garbage at byte {}", p.i)));
-    }
-    Ok(v)
-}
-
-struct JsonParser<'a> {
-    s: &'a [u8],
-    i: usize,
-}
-
-impl JsonParser<'_> {
-    fn skip_ws(&mut self) {
-        while self.i < self.s.len() && matches!(self.s[self.i], b' ' | b'\t' | b'\n' | b'\r') {
-            self.i += 1;
-        }
-    }
-
-    fn peek(&self) -> io::Result<u8> {
-        self.s.get(self.i).copied().ok_or_else(|| bad_data("unexpected end of JSON"))
-    }
-
-    fn eat(&mut self, b: u8) -> io::Result<()> {
-        if self.peek()? == b {
-            self.i += 1;
-            Ok(())
-        } else {
-            Err(bad_data(format!(
-                "expected {:?} at byte {}, got {:?}",
-                b as char, self.i, self.peek()? as char
-            )))
-        }
-    }
-
-    fn lit(&mut self, word: &str, v: JVal) -> io::Result<JVal> {
-        if self.s[self.i..].starts_with(word.as_bytes()) {
-            self.i += word.len();
-            Ok(v)
-        } else {
-            Err(bad_data(format!("bad literal at byte {}", self.i)))
-        }
-    }
-
-    fn value(&mut self) -> io::Result<JVal> {
-        self.skip_ws();
-        match self.peek()? {
-            b'n' => self.lit("null", JVal::Null),
-            b't' => self.lit("true", JVal::Bool(true)),
-            b'f' => self.lit("false", JVal::Bool(false)),
-            b'"' => Ok(JVal::Str(self.string()?)),
-            b'[' => {
-                self.i += 1;
-                let mut items = Vec::new();
-                self.skip_ws();
-                if self.peek()? == b']' {
-                    self.i += 1;
-                    return Ok(JVal::Arr(items));
-                }
-                loop {
-                    items.push(self.value()?);
-                    self.skip_ws();
-                    match self.peek()? {
-                        b',' => self.i += 1,
-                        b']' => {
-                            self.i += 1;
-                            return Ok(JVal::Arr(items));
-                        }
-                        c => return Err(bad_data(format!("bad array separator {:?}", c as char))),
-                    }
-                }
-            }
-            b'{' => {
-                self.i += 1;
-                let mut pairs = Vec::new();
-                self.skip_ws();
-                if self.peek()? == b'}' {
-                    self.i += 1;
-                    return Ok(JVal::Obj(pairs));
-                }
-                loop {
-                    self.skip_ws();
-                    let key = self.string()?;
-                    self.skip_ws();
-                    self.eat(b':')?;
-                    pairs.push((key, self.value()?));
-                    self.skip_ws();
-                    match self.peek()? {
-                        b',' => self.i += 1,
-                        b'}' => {
-                            self.i += 1;
-                            return Ok(JVal::Obj(pairs));
-                        }
-                        c => return Err(bad_data(format!("bad object separator {:?}", c as char))),
-                    }
-                }
-            }
-            c if c == b'-' || c.is_ascii_digit() => {
-                let start = self.i;
-                while self.i < self.s.len()
-                    && matches!(self.s[self.i], b'0'..=b'9' | b'-' | b'+' | b'.' | b'e' | b'E')
-                {
-                    self.i += 1;
-                }
-                let raw = std::str::from_utf8(&self.s[start..self.i])
-                    .map_err(|_| bad_data("non-UTF8 number"))?;
-                // Validate now so accessors can't hit un-number tokens.
-                raw.parse::<f64>().map_err(|_| bad_data(format!("bad number {raw:?}")))?;
-                Ok(JVal::Num(raw.to_owned()))
-            }
-            c => Err(bad_data(format!("unexpected {:?} at byte {}", c as char, self.i))),
-        }
-    }
-
-    fn string(&mut self) -> io::Result<String> {
-        self.eat(b'"')?;
-        let mut out = String::new();
-        loop {
-            let c = self.peek()?;
-            self.i += 1;
-            match c {
-                b'"' => return Ok(out),
-                b'\\' => {
-                    let e = self.peek()?;
-                    self.i += 1;
-                    match e {
-                        b'"' => out.push('"'),
-                        b'\\' => out.push('\\'),
-                        b'/' => out.push('/'),
-                        b'n' => out.push('\n'),
-                        b'r' => out.push('\r'),
-                        b't' => out.push('\t'),
-                        b'b' => out.push('\u{8}'),
-                        b'f' => out.push('\u{c}'),
-                        b'u' => {
-                            if self.i + 4 > self.s.len() {
-                                return Err(bad_data("truncated \\u escape"));
-                            }
-                            let hex = std::str::from_utf8(&self.s[self.i..self.i + 4])
-                                .map_err(|_| bad_data("bad \\u escape"))?;
-                            let code = u32::from_str_radix(hex, 16)
-                                .map_err(|_| bad_data("bad \\u escape"))?;
-                            self.i += 4;
-                            out.push(
-                                char::from_u32(code)
-                                    .ok_or_else(|| bad_data("surrogate \\u escape"))?,
-                            );
-                        }
-                        _ => return Err(bad_data(format!("bad escape \\{}", e as char))),
-                    }
-                }
-                _ => {
-                    // Re-sync on UTF-8: walk back and take the full char.
-                    let rest = std::str::from_utf8(&self.s[self.i - 1..])
-                        .map_err(|_| bad_data("non-UTF8 string"))?;
-                    let ch = rest.chars().next().ok_or_else(|| bad_data("empty char"))?;
-                    self.i = self.i - 1 + ch.len_utf8();
-                    out.push(ch);
-                }
-            }
-        }
-    }
+/// Cross-checks a stored line's identity against the job it claims to
+/// be (used by the store tests and the serve stream).
+pub(crate) fn verify_line_identity(v: &JVal, job: &Job) -> io::Result<()> {
+    check_identity(line_identity(v)?, job)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn json_round_trips_the_writers() {
-        let v = parse_json(r#"{"a":1,"b":[1.5,null,"x\"y\n"],"c":{"d":true}}"#).unwrap();
-        assert_eq!(v.get("a").unwrap().u64().unwrap(), 1);
-        let b = v.get("b").unwrap().arr().unwrap();
-        assert_eq!(b[0].f64().unwrap(), 1.5);
-        assert_eq!(b[1], JVal::Null);
-        assert_eq!(b[2].str().unwrap(), "x\"y\n");
-        assert!(matches!(v.get("c").unwrap().get("d").unwrap(), JVal::Bool(true)));
-        assert!(parse_json("{\"a\":1} junk").is_err());
-        assert!(parse_json("{").is_err());
-    }
-
-    #[test]
-    fn json_numbers_keep_exact_tokens() {
-        // u64 beyond 2^53 and a shortest-round-trip f64 both survive.
-        let v = parse_json("[18446744073709551615,0.1,-2.5e-3]").unwrap();
-        let a = v.arr().unwrap();
-        assert_eq!(a[0].u64().unwrap(), u64::MAX);
-        assert_eq!(a[1].f64().unwrap(), 0.1);
-        assert_eq!(a[2].f64().unwrap(), -2.5e-3);
-    }
 
     #[test]
     fn fingerprint_is_sensitive_to_every_axis() {
@@ -1902,5 +1680,31 @@ mod tests {
         verify_line_identity(&v, &jobs[0]).unwrap();
         let back = metrics_from_json(v.get("metrics").unwrap()).unwrap();
         assert_eq!(back, records[0].metrics, "full RunMetrics must round-trip bit-exactly");
+    }
+
+    #[test]
+    fn a_failure_log_line_with_a_mebibyte_cause_loads_promptly() {
+        use crate::{BaseScenario, CampaignSpec};
+        use eend_wireless::stacks;
+        let spec = CampaignSpec::new("big-cause", BaseScenario::Small)
+            .stacks(vec![stacks::titan_pc()])
+            .rates(vec![4.0])
+            .seeds(2)
+            .secs(20);
+        let dir = std::env::temp_dir()
+            .join(format!("eend-store-big-cause-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        drop(ResultStore::open(&dir, Manifest::for_spec(&spec, 0, 1)).unwrap());
+        let cause = "panic: ".to_owned() + &"é".repeat(1 << 19);
+        let mut line = String::from("{\"job\":1,\"attempts\":3,\"cause\":");
+        crate::json::write_str(&mut line, &cause);
+        line.push_str("}\n");
+        std::fs::write(dir.join(FAILURES_FILE), &line).unwrap();
+        let started = std::time::Instant::now();
+        let store = ResultStore::open_existing(&dir).unwrap();
+        assert!(started.elapsed().as_secs() < 5, "took {:?}", started.elapsed());
+        assert_eq!(store.failures()[&1].cause, cause);
+        assert_eq!(store.failures()[&1].attempts, 3);
+        let _ = std::fs::remove_dir_all(&dir);
     }
 }

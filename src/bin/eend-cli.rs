@@ -127,6 +127,7 @@
 //! the best single-shot heuristic — the loop-closing guarantee CI holds.
 
 use eend::campaign::serve::{serve, ServeConfig};
+use eend::campaign::json;
 use eend::campaign::store::Manifest;
 use eend::campaign::{
     merge_stores, merge_stores_streaming, write_atomic, BaseScenario, CampaignResult,
@@ -1103,30 +1104,19 @@ fn render_bench_json(o: &BenchOpts, executor: &Executor, results: &[PresetResult
     out
 }
 
-/// Extracts `(preset name, runs_per_sec)` pairs from the `"current"`
-/// section of a committed perf record (falling back to the whole file
-/// when no such section exists). The records are emitted by this binary,
-/// so a line-oriented scan is sufficient — no JSON dependency.
-fn parse_record_rates(text: &str) -> Vec<(String, f64)> {
-    let scope = match text.find("\"current\"") {
-        Some(at) => &text[at..],
-        None => text,
-    };
-    let mut out = Vec::new();
-    for chunk in scope.split("\"name\":").skip(1) {
-        let Some(name) = chunk.split('"').nth(1) else { continue };
-        let Some(rate_at) = chunk.find("\"runs_per_sec\":") else { continue };
-        let tail = &chunk[rate_at + "\"runs_per_sec\":".len()..];
-        let num: String = tail
-            .trim_start()
-            .chars()
-            .take_while(|c| c.is_ascii_digit() || *c == '.' || *c == '-')
-            .collect();
-        if let Ok(rate) = num.parse::<f64>() {
-            out.push((name.to_owned(), rate));
-        }
-    }
-    out
+/// Extracts `(preset name, runs_per_sec)` pairs from a perf record:
+/// the `"presets"` of its `"current"` section when it has one (a
+/// committed `eend-bench-record/1` file), else its top-level
+/// `"presets"` (an `eend-bench/1` record from `--json`/`--json-out`).
+fn parse_record_rates(text: &str) -> std::io::Result<Vec<(String, f64)>> {
+    let doc = json::parse_json(text)?;
+    let scope = doc.get_opt("current")?.unwrap_or(&doc);
+    scope
+        .get("presets")?
+        .arr()?
+        .iter()
+        .map(|p| Ok((p.get("name")?.str()?.to_owned(), p.get("runs_per_sec")?.f64()?)))
+        .collect()
 }
 
 fn check_against_record(
@@ -1139,7 +1129,10 @@ fn check_against_record(
         eprintln!("error: cannot read perf record {path}: {e}");
         std::process::exit(2)
     });
-    let recorded = parse_record_rates(&text);
+    let recorded = parse_record_rates(&text).unwrap_or_else(|e| {
+        eprintln!("error: cannot read perf record {path}: {e}");
+        std::process::exit(2)
+    });
     if recorded.is_empty() {
         eprintln!("error: no preset rates found in {path}");
         std::process::exit(2)
@@ -2193,5 +2186,67 @@ fn main() {
                 );
             }
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::parse_record_rates;
+
+    #[test]
+    fn record_rates_read_the_current_section() {
+        let text = r#"{"baseline":{"presets":[{"name":"mobility50","runs_per_sec":1.0}]},
+            "current":{"schema":"eend-bench/1","presets":[
+                {"name":"mobility50","nodes":50,"runs_per_sec":207.99},
+                {"name":"mobility100","nodes":100,"runs_per_sec":66.5}]}}"#;
+        assert_eq!(
+            parse_record_rates(text).unwrap(),
+            vec![("mobility50".to_owned(), 207.99), ("mobility100".to_owned(), 66.5)]
+        );
+    }
+
+    #[test]
+    fn record_rates_survive_reordered_keys() {
+        // A line-oriented scan paired each rate with the *next* name.
+        let text = r#"{"presets":[
+            {"runs_per_sec":10.0,"name":"mobility50"},
+            {"runs_per_sec":20.0,"name":"mobility100"}]}"#;
+        assert_eq!(
+            parse_record_rates(text).unwrap(),
+            vec![("mobility50".to_owned(), 10.0), ("mobility100".to_owned(), 20.0)]
+        );
+    }
+
+    #[test]
+    fn record_rates_read_exponent_forms() {
+        let text = r#"{"presets":[{"name":"mobility50","runs_per_sec":1.5e3},
+            {"name":"mobility100","runs_per_sec":2E-1}]}"#;
+        assert_eq!(
+            parse_record_rates(text).unwrap(),
+            vec![("mobility50".to_owned(), 1500.0), ("mobility100".to_owned(), 0.2)]
+        );
+    }
+
+    #[test]
+    fn record_rates_without_a_current_section_use_the_top_level() {
+        let text = r#"{"schema":"eend-bench/1","workers":1,"presets":[
+            {"name":"mobility50","runs_per_sec":317.0}]}"#;
+        assert_eq!(parse_record_rates(text).unwrap(), vec![("mobility50".to_owned(), 317.0)]);
+    }
+
+    #[test]
+    fn committed_records_parse() {
+        for file in ["BENCH_pr3.json", "BENCH_pr4.json", "BENCH_pr6.json"] {
+            let path = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join(file);
+            let rates = parse_record_rates(&std::fs::read_to_string(path).unwrap()).unwrap();
+            assert!(rates.iter().any(|(n, r)| n == "mobility50" && *r > 0.0), "{file}: {rates:?}");
+        }
+    }
+
+    #[test]
+    fn malformed_records_are_errors_not_empty_gates() {
+        assert!(parse_record_rates("{\"presets\":[{\"name\":\"m\"}]}").is_err());
+        assert!(parse_record_rates("{\"current\":{}}").is_err());
+        assert!(parse_record_rates("not json").is_err());
     }
 }

@@ -20,7 +20,9 @@
 //!    daemon-wide `/status` lists both with the pool's worker count;
 //! 9. a repeat `/aggregate` hit answers from the prefix-keyed cache
 //!    without re-reading the store (the computation counter must not
-//!    move).
+//!    move);
+//! 10. a ~1 MiB submit body holding one long string, or nested a
+//!     million brackets deep, is answered promptly with a 4xx.
 //!
 //! Failpoint-driven daemon tests (poisoned campaigns, injected
 //! disconnects) live in `tests/serve_chaos.rs` — a separate process,
@@ -570,6 +572,41 @@ fn oversized_and_malformed_requests_get_errors_not_a_dead_daemon() {
     wait_done(addr, &fp);
     assert_eq!(handle.jobs_executed(), spec.job_count());
 
+    handle.shutdown();
+    let _ = std::fs::remove_dir_all(&data);
+}
+
+#[test]
+fn mebibyte_bodies_are_answered_promptly() {
+    let data = scratch("mebibyte");
+    let handle = serve(
+        "127.0.0.1:0",
+        ServeConfig { data_dir: data.clone(), executor: Executor::with_workers(1) },
+    )
+    .unwrap();
+    let addr = handle.addr();
+
+    // One string just under the 1 MiB body cap: parsed in linear time,
+    // then refused for its null axes. (A reader that re-scanned the rest
+    // of the body per character spent about a minute of CPU here.)
+    let name = "x".repeat((1 << 20) - 64);
+    let started = Instant::now();
+    let resp = post(addr, "/submit", &format!("{{\"campaign\":\"{name}\",\"axes\":null}}"));
+    assert!(resp.starts_with("HTTP/1.1 400 "), "long string: {}", &resp[..resp.len().min(200)]);
+    assert!(resp.contains("expected object"), "long string: {}", &resp[..resp.len().min(200)]);
+
+    // Brackets nested a million deep are refused, not a stack overflow.
+    let resp = post(addr, "/submit", &"[".repeat(1 << 20));
+    assert!(resp.starts_with("HTTP/1.1 400 "), "deep nesting: {resp}");
+    assert!(resp.contains("nest deeper"), "deep nesting: {resp}");
+    assert!(
+        started.elapsed() < Duration::from_secs(30),
+        "two 1 MiB bodies took {:?}",
+        started.elapsed()
+    );
+
+    assert_eq!(body(&get(addr, "/")), "eend-serve\n", "health after the big bodies");
+    assert_eq!(handle.jobs_executed(), 0, "rejected submits must not run jobs");
     handle.shutdown();
     let _ = std::fs::remove_dir_all(&data);
 }
