@@ -17,16 +17,22 @@
 //! # Performance architecture
 //!
 //! All geometry queries run on a **uniform spatial grid**: node positions
-//! are bucketed into square cells of side `cs_range_m`, so any two nodes
-//! within carrier-sense range (and a fortiori within decoding range) sit
-//! in the same or adjacent cells. Neighbour sets are rebuilt from each
-//! node's 3×3 cell neighbourhood — O(n · k) for k nodes per
-//! neighbourhood instead of the old O(n²) pairwise scan — and
-//! [`Channel::update_positions`] refreshes cell membership incrementally,
-//! only re-bucketing nodes that crossed a cell boundary. Distance
-//! comparisons use squared distances throughout (no `sqrt` on any query
-//! path), and carrier-sense/collision scans reject far-away transmissions
-//! with an integer cell-coordinate comparison before touching f64 math.
+//! are bucketed into square cells a hair wider than the decoding range
+//! `range_m`, so any two nodes within decoding range sit in the same or
+//! adjacent cells, and any two within carrier-sense range at most
+//! `floor(cs_range_m / cell) + 1` = 3 cells apart on each axis (the
+//! carrier-sense reach). Neighbour sets are rebuilt from each node's 3×3
+//! cell neighbourhood — O(n · k) for k nodes per neighbourhood instead of
+//! the old O(n²) pairwise scan. Membership is kept cell-ordered, with a
+//! copy of the positions in the same order, so that scan streams through
+//! three contiguous row slices; [`Channel::update_positions`] re-buckets
+//! every node with one counting sort. Distance comparisons use squared
+//! distances throughout (no `sqrt` on any query path). Carrier-sense and
+//! collision scans reject far-away transmissions by comparing the
+//! `(column, row)` stored for each node against the reach before touching
+//! f64 math — no division on any query path. A broadcast completion
+//! first drops the interferers beyond the reach of its receivers' cell
+//! bounding box, so each receiver tests only the few that remain.
 //!
 //! The collision log is pruned in amortised O(1) per transmission: the
 //! prune floor is the earliest start among live (and just-ended)
@@ -63,22 +69,47 @@ struct Transmission {
     end: SimTime,
 }
 
+/// Relative margin by which a grid cell is wider than the decoding
+/// range. Two nodes within `range_m` of each other are then strictly
+/// less than one cell side apart on each axis, so f64 rounding in the
+/// cell-coordinate division can never push an in-range pair two cells
+/// apart and out of the 3×3 rebuild scan. 2⁻¹⁰ of a cell dwarfs that
+/// rounding for any field under ~2⁴⁰ cells across.
+const CELL_SLACK: f64 = 1.0 + 1.0 / 1024.0;
+
+/// A node's cell as `(column, row)`.
+type Cell = (u32, u32);
+
+/// `true` if cells `a` and `b` are at most `reach` cells apart on both
+/// axes — the necessary condition for their occupants to be within
+/// `reach` cell sides of each other.
+#[inline]
+fn near(a: Cell, b: Cell, reach: u32) -> bool {
+    a.0.abs_diff(b.0) <= reach && a.1.abs_diff(b.1) <= reach
+}
+
 /// Uniform spatial hash: positions bucketed into square cells of side
 /// `cell_m`, sized once from the initial deployment's bounding box.
 /// Positions outside the box map to the border cells — clamping is
-/// non-expansive, so any two nodes within one cell side of each other
-/// still land in the same or adjacent cells.
+/// non-expansive, so any two nodes within `k` cell sides of each other
+/// still land at most `k` cells apart.
+///
+/// Membership is stored cell-ordered (compressed rows): the nodes of
+/// flat cell `c` are `members[start[c]..start[c + 1]]`, ascending, with
+/// their positions alongside in `member_pos`. A run of cells along one
+/// row is one contiguous slice, so a 3×3 neighbourhood is three
+/// streaming scans.
 #[derive(Debug, Clone)]
 struct Grid {
     cell_m: f64,
     origin: (f64, f64),
     cols: usize,
     rows: usize,
-    /// Node ids per cell, row-major; membership order is arbitrary
-    /// (queries re-sort or are order-insensitive predicates).
-    cells: Vec<Vec<NodeId>>,
-    /// Flat cell index of every node.
-    cell_of: Vec<u32>,
+    /// `(column, row)` of every node: cell tests need no division.
+    cell_of: Vec<Cell>,
+    start: Vec<u32>,
+    members: Vec<NodeId>,
+    member_pos: Vec<(f64, f64)>,
 }
 
 impl Grid {
@@ -90,78 +121,61 @@ impl Grid {
         } else {
             (span(min_x, max_x), span(min_y, max_y))
         };
+        let n = positions.len();
         let mut g = Grid {
             cell_m,
             origin: (min_x, min_y),
             cols,
             rows,
-            cells: (0..cols * rows).map(|_| Vec::new()).collect(),
-            cell_of: vec![0; positions.len()],
+            cell_of: vec![(0, 0); n],
+            start: vec![0; cols * rows + 1],
+            members: vec![0; n],
+            member_pos: vec![(0.0, 0.0); n],
         };
-        for (u, &p) in positions.iter().enumerate() {
-            let c = g.cell_index(p);
-            g.cell_of[u] = c as u32;
-            g.cells[c].push(u);
-        }
+        g.refresh(positions);
         g
     }
 
     #[inline]
-    fn cell_coords(&self, p: (f64, f64)) -> (usize, usize) {
+    fn cell_coords(&self, p: (f64, f64)) -> Cell {
         let cx = ((p.0 - self.origin.0) / self.cell_m).floor();
         let cy = ((p.1 - self.origin.1) / self.cell_m).floor();
         // Clamp: mobility never leaves the initial bounding box, but the
         // grid must stay correct for any caller-supplied positions.
         let cx = if cx.is_finite() && cx > 0.0 { (cx as usize).min(self.cols - 1) } else { 0 };
         let cy = if cy.is_finite() && cy > 0.0 { (cy as usize).min(self.rows - 1) } else { 0 };
-        (cx, cy)
+        (cx as u32, cy as u32)
     }
 
     #[inline]
-    fn cell_index(&self, p: (f64, f64)) -> usize {
-        let (cx, cy) = self.cell_coords(p);
-        cy * self.cols + cx
+    fn flat(&self, (cx, cy): Cell) -> usize {
+        cy as usize * self.cols + cx as usize
     }
 
-    /// `true` if cells `a` and `b` (flat indices) are the same or
-    /// adjacent (8-neighbourhood) — the necessary condition for their
-    /// occupants to be within one cell side of each other.
-    #[inline]
-    fn adjacent(&self, a: u32, b: u32) -> bool {
-        let (ax, ay) = (a as usize % self.cols, a as usize / self.cols);
-        let (bx, by) = (b as usize % self.cols, b as usize / self.cols);
-        ax.abs_diff(bx) <= 1 && ay.abs_diff(by) <= 1
-    }
-
-    /// Visits every node in the 3×3 cell neighbourhood around `p`.
-    #[inline]
-    fn for_each_candidate(&self, p: (f64, f64), mut f: impl FnMut(NodeId)) {
-        let (cx, cy) = self.cell_coords(p);
-        let x0 = cx.saturating_sub(1);
-        let y0 = cy.saturating_sub(1);
-        let x1 = (cx + 1).min(self.cols - 1);
-        let y1 = (cy + 1).min(self.rows - 1);
-        for y in y0..=y1 {
-            for x in x0..=x1 {
-                for &v in &self.cells[y * self.cols + x] {
-                    f(v);
-                }
-            }
-        }
-    }
-
-    /// Re-buckets any node whose position crossed a cell boundary.
+    /// Re-buckets every node: one counting sort by cell, stable in node
+    /// id, so each cell's members stay ascending.
     fn refresh(&mut self, positions: &[(f64, f64)]) {
+        let cells = self.cols * self.rows;
+        self.start.fill(0);
         for (u, &p) in positions.iter().enumerate() {
-            let c = self.cell_index(p) as u32;
-            let old = self.cell_of[u];
-            if c != old {
-                let cell = &mut self.cells[old as usize];
-                let at = cell.iter().position(|&w| w == u).expect("node in its cell");
-                cell.swap_remove(at);
-                self.cells[c as usize].push(u);
-                self.cell_of[u] = c;
-            }
+            let c = self.cell_coords(p);
+            self.cell_of[u] = c;
+            let f = self.flat(c);
+            self.start[f] += 1;
+        }
+        // Inclusive prefix sums leave `start[c]` at the end of cell `c`;
+        // the reverse scatter then walks each one back to its cell's
+        // beginning, filling every cell in ascending node order.
+        for c in 1..cells {
+            self.start[c] += self.start[c - 1];
+        }
+        self.start[cells] = positions.len() as u32;
+        for (u, &p) in positions.iter().enumerate().rev() {
+            let c = self.flat(self.cell_of[u]);
+            self.start[c] -= 1;
+            let at = self.start[c] as usize;
+            self.members[at] = u;
+            self.member_pos[at] = p;
         }
     }
 }
@@ -175,6 +189,9 @@ pub struct Channel {
     /// `range_m²` / `cs_range_m²`: query comparisons are sqrt-free.
     range_sq: f64,
     cs_range_sq: f64,
+    /// Carrier-sense reach in grid cells: nodes within `cs_range_m` of
+    /// each other are at most this many cells apart on each axis.
+    cs_reach: u32,
     neighbors: Vec<Vec<NodeId>>,
     grid: Grid,
     live: Vec<Transmission>,
@@ -193,7 +210,8 @@ impl Channel {
     pub fn new(positions: Vec<(f64, f64)>, range_m: f64) -> Channel {
         assert!(range_m > 0.0, "range must be positive");
         let cs_range_m = range_m * CS_RANGE_FACTOR;
-        let grid = Grid::new(&positions, cs_range_m);
+        let grid = Grid::new(&positions, range_m * CELL_SLACK);
+        let cs_reach = (cs_range_m / grid.cell_m).floor() as u32 + 1;
         let n = positions.len();
         let mut c = Channel {
             positions,
@@ -201,6 +219,7 @@ impl Channel {
             cs_range_m,
             range_sq: range_m * range_m,
             cs_range_sq: cs_range_m * cs_range_m,
+            cs_reach,
             neighbors: (0..n).map(|_| Vec::new()).collect(),
             grid,
             live: Vec::new(),
@@ -226,8 +245,8 @@ impl Channel {
     }
 
     /// Mutates the positions in place (the allocation-free mobility
-    /// path), then refreshes the grid incrementally and rebuilds the
-    /// neighbour sets. Equivalent to [`Channel::set_positions`] without
+    /// path), then re-buckets the grid and rebuilds the neighbour
+    /// sets. Equivalent to [`Channel::set_positions`] without
     /// constructing a new position vector.
     pub fn update_positions(&mut self, step: impl FnOnce(&mut [(f64, f64)])) {
         step(&mut self.positions);
@@ -261,14 +280,15 @@ impl Channel {
     }
 
     /// Rebuilds every per-node neighbour list: candidates come from the
-    /// grid's 3×3 cell neighbourhood (cells are `cs_range_m` wide ≥
+    /// grid's 3×3 cell neighbourhood (cells are a little wider than
     /// `range_m`, so no in-range pair is missed), filtered by squared
     /// distance, sorted ascending — the same order the old O(n²)
     /// triangular scan produced, which pins event ordering. Deployments
-    /// too small for the grid to cull anything (≤ 3×3 cells, where every
-    /// 3×3 neighbourhood is the whole grid) take a triangular pairwise
-    /// scan instead: half the distance checks, no per-node sort needed
-    /// (both sides are filled in ascending order).
+    /// of at most 3×3 cells take a triangular pairwise scan instead:
+    /// there a 3×3 neighbourhood spans more than half the grid on
+    /// average (all of it from the centre cell), so culling saves less
+    /// than the triangular scan's halved distance checks and skipped
+    /// per-node sort (both sides are filled in ascending order).
     fn rebuild_neighbors(&mut self) {
         self.rebuild_neighbors_with(|_, _| {});
     }
@@ -297,18 +317,42 @@ impl Channel {
             }
             return;
         }
-        for u in 0..n {
-            let mut nb = std::mem::take(&mut self.neighbors[u]);
-            nb.clear();
-            let pu = self.positions[u];
-            self.grid.for_each_candidate(pu, |v| {
-                if v != u && dist_sq(pu, self.positions[v]) <= self.range_sq {
-                    nb.push(v);
+        // Walk the grid cell by cell: every member of a cell scans the
+        // same three row slices, which stay cache-hot across members.
+        // Hits are compacted without a branch (every candidate is
+        // written, the cursor advances only on a hit): about a third of
+        // the candidates are in range, a rate a branch mispredicts.
+        let g = &self.grid;
+        let mut hits: Vec<NodeId> = Vec::new();
+        for cy in 0..g.rows {
+            let rows = cy.saturating_sub(1)..=(cy + 1).min(g.rows - 1);
+            for cx in 0..g.cols {
+                let c = cy * g.cols + cx;
+                let (x0, x1) = (cx.saturating_sub(1), (cx + 1).min(g.cols - 1));
+                let row_spans = rows.clone().map(|y| {
+                    g.start[y * g.cols + x0] as usize..g.start[y * g.cols + x1 + 1] as usize
+                });
+                let candidates = row_spans.clone().map(|s| s.len()).sum();
+                if hits.len() < candidates {
+                    hits.resize(candidates, 0);
                 }
-            });
-            nb.sort_unstable();
-            note(u, &nb);
-            self.neighbors[u] = nb;
+                for i in g.start[c] as usize..g.start[c + 1] as usize {
+                    let (u, pu) = (g.members[i], g.member_pos[i]);
+                    let mut k = 0;
+                    for span in row_spans.clone() {
+                        for j in span {
+                            let hit = (j != i) & (dist_sq(pu, g.member_pos[j]) <= self.range_sq);
+                            hits[k] = g.members[j];
+                            k += usize::from(hit);
+                        }
+                    }
+                    let nb = &mut self.neighbors[u];
+                    nb.clear();
+                    nb.extend_from_slice(&hits[..k]);
+                    nb.sort_unstable();
+                    note(u, nb);
+                }
+            }
         }
     }
 
@@ -323,7 +367,7 @@ impl Channel {
     }
 
     /// Carrier-sense range, metres ([`CS_RANGE_FACTOR`] × the
-    /// transmission range; also the spatial grid's cell side).
+    /// transmission range).
     pub fn cs_range_m(&self) -> f64 {
         self.cs_range_m
     }
@@ -458,41 +502,61 @@ impl Channel {
         })
     }
 
-    /// Collects the senders of every logged transmission (other than
-    /// `from`'s) overlapping `[start, end)` into `out` — the one-time
-    /// time-window scan a broadcast completion shares across all its
-    /// receivers, so each per-receiver check reduces to
+    /// Collects into `out` the senders of every logged transmission (other
+    /// than `from`'s) overlapping `[start, end)` that could reach any of
+    /// `receivers` — the one-time scan a broadcast completion shares
+    /// across its audience, so each per-receiver check reduces to
     /// [`Channel::any_interferer_covers`] over this (typically tiny) set.
+    /// Senders more than the carrier-sense reach in cells outside the
+    /// receivers' cell bounding box are dropped: the per-receiver cell
+    /// test would reject each of them for every receiver anyway.
     pub fn interferers_into(
         &self,
         from: NodeId,
         start: SimTime,
         end: SimTime,
+        receivers: &[NodeId],
         out: &mut Vec<NodeId>,
     ) {
         out.clear();
+        let Some((&first, rest)) = receivers.split_first() else {
+            return;
+        };
+        // The receivers' cell bounding box.
+        let (mut lo, mut hi) = (self.grid.cell_of[first], self.grid.cell_of[first]);
+        for &r in rest {
+            let (x, y) = self.grid.cell_of[r];
+            lo = (lo.0.min(x), lo.1.min(y));
+            hi = (hi.0.max(x), hi.1.max(y));
+        }
+        let k = self.cs_reach;
         out.extend(
             self.log
                 .iter()
                 .filter(|t| t.sender != from && t.start < end && t.end > start)
-                .map(|t| t.sender),
+                .map(|t| t.sender)
+                .filter(|&s| {
+                    let (x, y) = self.grid.cell_of[s];
+                    x + k >= lo.0 && x <= hi.0 + k && y + k >= lo.1 && y <= hi.1 + k
+                }),
         );
     }
 
     /// `true` if any sender collected by [`Channel::interferers_into`] is
     /// within carrier-sense range of `r`. Together they answer exactly
-    /// [`Channel::reception_corrupted`] for the same interval.
+    /// [`Channel::reception_corrupted`] for the same interval and any
+    /// `r` among the receivers passed there.
     pub fn any_interferer_covers(&self, interferers: &[NodeId], r: NodeId) -> bool {
         let cr = self.grid.cell_of[r];
         interferers.iter().any(|&s| self.within_cs_cell(s, r, cr))
     }
 
     /// `a` within carrier-sense range of `b`, with `b`'s cell given: the
-    /// integer adjacency test culls far-away nodes before any f64 math.
+    /// integer cell-distance test culls far-away nodes before any f64 math.
     #[inline]
-    fn within_cs_cell(&self, a: NodeId, b: NodeId, cell_b: u32) -> bool {
+    fn within_cs_cell(&self, a: NodeId, b: NodeId, cell_b: Cell) -> bool {
         a != b
-            && self.grid.adjacent(self.grid.cell_of[a], cell_b)
+            && near(self.grid.cell_of[a], cell_b, self.cs_reach)
             && dist_sq(self.positions[a], self.positions[b]) <= self.cs_range_sq
     }
 
@@ -711,14 +775,55 @@ mod tests {
     #[test]
     fn within_cs_uses_cell_prefilter_correctly() {
         // Nodes straddling cell boundaries: exact distance decides, the
-        // cell test only culls. cs range = 264 m → cells 264 m wide.
+        // cell test only culls. Range 120 m → cells just over 120 m wide,
+        // cs range 264 m → a reach of 3 cells.
         let c = Channel::new(
             vec![(0.0, 0.0), (263.0, 0.0), (265.0, 0.0), (600.0, 0.0)],
             120.0,
         );
+        assert_eq!(c.cs_reach, 3);
         assert!(c.within_cs(0, 1), "263 m < 264 m cs range");
-        assert!(!c.within_cs(0, 2), "265 m > 264 m cs range, adjacent cells");
-        assert!(!c.within_cs(0, 3), "600 m: culled by cell adjacency");
+        assert!(!c.within_cs(0, 2), "265 m > 264 m cs range, two cells apart");
+        assert!(!c.within_cs(0, 3), "600 m: four cells apart, culled by the cell test");
         assert!(c.within_cs(2, 1), "2 m apart across a cell boundary");
+    }
+
+    #[test]
+    fn pairs_exactly_one_range_apart_are_found_at_every_cell_edge() {
+        // The 3×3 rebuild only finds pairs in the same or adjacent cells.
+        // Put the first node of a pair on, and a few ulps either side of,
+        // a cell edge and its partner one range further along an axis:
+        // whatever the division rounds to, an in-range pair must still
+        // be found (the cells' slack over `range_m` guarantees it).
+        let mut rng = eend_sim::SimRng::new(7);
+        for _ in 0..300 {
+            let range = rng.range_f64(1.0, 500.0);
+            let origin = (rng.range_f64(-1e5, 1e5), rng.range_f64(-1e5, 1e5));
+            let far = (origin.0 + 40.0 * range, origin.1 + 40.0 * range);
+            let m = rng.range_f64(1.0, 38.0).floor();
+            let mid = (origin.0 + 0.5 * range, origin.1 + 0.5 * range);
+            for (axis, o) in [(0, origin.0), (1, origin.1)] {
+                for edge in [m * range, m * range * CELL_SLACK] {
+                    let mut x = o + edge;
+                    for _ in 0..4 {
+                        x = f64::from_bits(x.to_bits() - 1);
+                    }
+                    for _ in 0..9 {
+                        let (a, b) = if axis == 0 {
+                            ((x, mid.1), (x + range, mid.1))
+                        } else {
+                            ((mid.0, x), (mid.0, x + range))
+                        };
+                        let c = Channel::new(vec![origin, far, a, b], range);
+                        assert_eq!(
+                            c.neighbors(2).contains(&3),
+                            c.in_range(2, 3),
+                            "{a:?} {b:?} range {range}"
+                        );
+                        x = f64::from_bits(x.to_bits() + 1);
+                    }
+                }
+            }
+        }
     }
 }

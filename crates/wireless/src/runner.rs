@@ -459,8 +459,8 @@ impl Simulator {
         };
         let (speed_range, pause_s, tick) = (*speed_range, pause.as_secs_f64(), *tick);
         // Step the waypoint model directly on the channel's position
-        // buffer: no per-tick vector is built, and the channel refreshes
-        // its spatial grid incrementally afterwards. The backbone counts
+        // buffer: no per-tick vector is built, and the channel re-buckets
+        // its spatial grid in place afterwards. The backbone counts
         // are derived inside the same rebuild (each fresh neighbour list
         // is counted while cache-hot) rather than in a second full pass.
         let Simulator { channel, waypoints, bounds, mobility_rng, pm_modes, active_neighbors, .. } =
@@ -903,7 +903,7 @@ impl Simulator {
                 // the log once, then test each receiver against the
                 // (typically tiny) overlapping-sender set.
                 let mut interferers = std::mem::take(&mut self.rc_scratch);
-                self.channel.interferers_into(u, start, now, &mut interferers);
+                self.channel.interferers_into(u, start, now, &receivers, &mut interferers);
                 for &r in &receivers {
                     if self.channel.any_interferer_covers(&interferers, r) {
                         self.m.broadcast_collisions += 1;

@@ -9,26 +9,43 @@
 //! ~2.7k (the rest is inherent packet/route traffic). The ceiling below
 //! sits between the two and fails if per-event `Vec<Action>` churn ever
 //! comes back.
+//!
+//! The counter is per thread: the test harness runs these tests
+//! concurrently, and a process-wide count would charge one test's
+//! allocations to another's window.
 
 use eend_sim::SimDuration;
 use eend_wireless::{presets, stacks, Simulator, TrafficModel};
 use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::cell::Cell;
 
 struct CountingAlloc;
 
-static ALLOCS: AtomicU64 = AtomicU64::new(0);
+thread_local! {
+    // Const-initialised and drop-free: touching it never allocates, so
+    // the allocator itself may use it.
+    static ALLOCS: Cell<u64> = const { Cell::new(0) };
+}
+
+fn count_one() {
+    let _ = ALLOCS.try_with(|n| n.set(n.get() + 1));
+}
+
+/// Allocations made so far by the calling thread.
+fn thread_allocs() -> u64 {
+    ALLOCS.with(Cell::get)
+}
 
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCS.fetch_add(1, Ordering::Relaxed);
+        count_one();
         unsafe { System.alloc(layout) }
     }
     unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
         unsafe { System.dealloc(ptr, layout) }
     }
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCS.fetch_add(1, Ordering::Relaxed);
+        count_one();
         unsafe { System.realloc(ptr, layout, new_size) }
     }
 }
@@ -44,9 +61,9 @@ fn steady_state_run_stays_inside_its_allocation_budget() {
     let warm = Simulator::new(&scenario).run();
     assert!(warm.data_sent > 0);
 
-    let before = ALLOCS.load(Ordering::Relaxed);
+    let before = thread_allocs();
     let m = Simulator::new(&scenario).run();
-    let allocs = ALLOCS.load(Ordering::Relaxed) - before;
+    let allocs = thread_allocs() - before;
     assert!(m.data_sent > 0, "run must carry traffic");
     eprintln!("ALLOC_COUNT={allocs}");
 
@@ -76,9 +93,9 @@ fn mobility1k_run_stays_inside_its_allocation_budget() {
     assert!(warm.data_sent > 0);
 
     let sim = Simulator::new(&scenario);
-    let before = ALLOCS.load(Ordering::Relaxed);
+    let before = thread_allocs();
     let (m, stats) = sim.run_with_stats();
-    let allocs = ALLOCS.load(Ordering::Relaxed) - before;
+    let allocs = thread_allocs() - before;
     assert!(stats.is_wheel_backend, "1k nodes must select the timing wheel");
     assert!(m.data_sent > 0, "run must carry traffic");
     eprintln!("ALLOC_COUNT[mobility1k]={allocs}");
@@ -107,9 +124,9 @@ fn stochastic_traffic_models_add_no_per_packet_allocations() {
         let warm = Simulator::new(&scenario).run();
         assert!(warm.data_sent > 0);
 
-        let before = ALLOCS.load(Ordering::Relaxed);
+        let before = thread_allocs();
         let m = Simulator::new(&scenario).run();
-        let allocs = ALLOCS.load(Ordering::Relaxed) - before;
+        let allocs = thread_allocs() - before;
         assert!(m.data_sent > 100, "{model:?} must carry traffic: {}", m.data_sent);
         eprintln!("ALLOC_COUNT[{model:?}]={allocs}");
         assert!(
