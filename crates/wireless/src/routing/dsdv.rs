@@ -9,7 +9,7 @@
 //! cost. That triggered-update load is exactly the overhead the paper
 //! blames for DSDVH-ODPM's poor energy goodput.
 
-use std::collections::{HashMap, VecDeque};
+use std::collections::{BTreeMap, VecDeque};
 
 use crate::frame::{Frame, NodeId, Packet, PacketKind};
 use crate::power::PmMode;
@@ -83,24 +83,41 @@ struct TableRoute {
 }
 
 /// Per-node DSDV state.
+///
+/// Every per-destination and per-neighbour structure is a dense row
+/// indexed by [`NodeId`]. Ids are dense node indices below the network
+/// size, and a converged table holds every reachable destination anyway,
+/// so a row costs the same order of memory as a hash map would while a
+/// lookup is one bounds-checked index instead of a SipHash probe.
 #[derive(Debug, Clone)]
 pub struct DsdvRouting {
     cfg: DsdvConfig,
-    table: HashMap<NodeId, TableRoute>,
-    buffer: HashMap<NodeId, VecDeque<Packet>>,
+    /// Routing table indexed by destination: `None` until the
+    /// destination is first advertised, grown to `dst + 1` on that first
+    /// sighting. A full dump walks it in index order, which is the
+    /// ascending destination order advertisements are sent in.
+    table: Vec<Option<TableRoute>>,
+    /// Number of occupied `table` slots: the size of the table as a
+    /// map. The `via` compaction threshold is measured against it, not
+    /// against the row length.
+    known: usize,
+    /// Packets waiting for a route, by destination. Ordered, so a flush
+    /// sends them in ascending destination order.
+    buffer: BTreeMap<NodeId, VecDeque<Packet>>,
     own_seq: u64,
     last_trigger: Option<SimTime>,
     /// Destinations adopted since the last advertisement; triggered
     /// updates are *incremental* (DSDV's design) and carry only these.
     dirty: Vec<NodeId>,
-    /// Reverse next-hop index: neighbour → destinations routed through
-    /// it at some point. Entries go stale when a destination's next hop
-    /// changes, so consumers re-check `table` while draining; staleness
-    /// never affects the outcome because invalidation is idempotent.
-    /// This is what makes link-failure handling O(routes via the dead
-    /// hop) instead of a full-table scan per MAC-reported failure — the
-    /// per-event cost that used to grow with network size.
-    via: HashMap<NodeId, Vec<NodeId>>,
+    /// Reverse next-hop index, indexed by neighbour: the destinations
+    /// routed through it at some point. Entries go stale when a
+    /// destination's next hop changes, so consumers re-check `table`
+    /// while draining; staleness never affects the outcome because
+    /// invalidation is idempotent. This is what makes link-failure
+    /// handling O(routes via the dead hop) instead of a full-table scan
+    /// per MAC-reported failure — the per-event cost that used to grow
+    /// with network size.
+    via: Vec<Vec<NodeId>>,
     /// Updates broadcast (metrics).
     pub updates_sent: u64,
 }
@@ -110,24 +127,29 @@ impl DsdvRouting {
     pub fn new(cfg: DsdvConfig) -> DsdvRouting {
         DsdvRouting {
             cfg,
-            table: HashMap::new(),
-            buffer: HashMap::new(),
+            table: Vec::new(),
+            known: 0,
+            buffer: BTreeMap::new(),
             own_seq: 0,
             last_trigger: None,
             dirty: Vec::new(),
-            via: HashMap::new(),
+            via: Vec::new(),
             updates_sent: 0,
         }
     }
 
+    fn route(&self, dst: NodeId) -> Option<&TableRoute> {
+        self.table.get(dst).and_then(Option::as_ref)
+    }
+
     /// The current next hop towards `dst`, if a valid route exists.
     pub fn next_hop(&self, dst: NodeId) -> Option<NodeId> {
-        self.table.get(&dst).filter(|r| r.metric.is_finite()).map(|r| r.next)
+        self.route(dst).filter(|r| r.metric.is_finite()).map(|r| r.next)
     }
 
     /// Number of valid table entries.
     pub fn route_count(&self) -> usize {
-        self.table.values().filter(|r| r.metric.is_finite()).count()
+        self.table.iter().flatten().filter(|r| r.metric.is_finite()).count()
     }
 
     fn build_update(&mut self, ctx: &RoutingCtx<'_>, full: bool) -> Frame {
@@ -135,23 +157,27 @@ impl DsdvRouting {
             self.own_seq += 2;
         }
         self.updates_sent += 1;
-        let mut entries = vec![DsdvEntry { dst: ctx.node, metric: 0.0, seq: self.own_seq }];
-        let mut dsts: Vec<NodeId> = if full {
-            self.table.keys().copied().collect()
+        let own = DsdvEntry { dst: ctx.node, metric: 0.0, seq: self.own_seq };
+        let entries = if full {
+            // Index order is ascending destination order.
+            let mut entries = Vec::with_capacity(1 + self.known);
+            entries.push(own);
+            entries.extend(self.table.iter().enumerate().filter_map(|(dst, r)| {
+                r.map(|r| DsdvEntry { dst, metric: r.metric, seq: r.seq })
+            }));
+            entries
         } else {
-            let mut d = std::mem::take(&mut self.dirty);
-            d.sort_unstable();
-            d.dedup();
-            d
+            self.dirty.sort_unstable(); // deterministic advertisement order
+            self.dirty.dedup();
+            let mut entries = Vec::with_capacity(1 + self.dirty.len());
+            entries.push(own);
+            for &dst in &self.dirty {
+                let Some(r) = self.route(dst) else { continue };
+                entries.push(DsdvEntry { dst, metric: r.metric, seq: r.seq });
+            }
+            entries
         };
-        dsts.sort_unstable(); // deterministic advertisement order
-        if full {
-            self.dirty.clear();
-        }
-        for dst in dsts {
-            let Some(r) = self.table.get(&dst) else { continue };
-            entries.push(DsdvEntry { dst, metric: r.metric, seq: r.seq });
-        }
+        self.dirty.clear();
         let size = BYTES_PER_ENTRY * entries.len();
         let packet = Packet {
             uid: 0,
@@ -256,19 +282,23 @@ impl DsdvRouting {
         let link = self.cfg.metric.link_cost(ctx.card, dist, in_psm, 0.0, ctx.bandwidth_bps);
         let mut learned_new_dst = false;
         let mut adopted_newer_seq = false;
+        if from >= self.via.len() {
+            self.via.resize_with(from + 1, Vec::new);
+        }
         for e in entries {
             if e.dst == me {
                 continue;
             }
             let new_metric = if e.metric.is_finite() { e.metric + link } else { f64::INFINITY };
-            let adopt = match self.table.get(&e.dst) {
+            let cur = self.route(e.dst).copied();
+            let adopt = match cur {
                 None => true,
                 Some(cur) => {
                     e.seq > cur.seq || (e.seq == cur.seq && new_metric < cur.metric - 1e-9)
                 }
             };
             if adopt {
-                match self.table.get(&e.dst) {
+                match cur {
                     None if new_metric.is_finite() => {
                         learned_new_dst = true;
                         adopted_newer_seq = true;
@@ -276,25 +306,28 @@ impl DsdvRouting {
                     Some(cur) if e.seq > cur.seq => adopted_newer_seq = true,
                     _ => {}
                 }
-                self.table.insert(e.dst, TableRoute { next: from, metric: new_metric, seq: e.seq });
+                if e.dst >= self.table.len() {
+                    self.table.resize(e.dst + 1, None);
+                }
+                let slot = &mut self.table[e.dst];
+                self.known += usize::from(slot.is_none());
+                *slot = Some(TableRoute { next: from, metric: new_metric, seq: e.seq });
                 self.dirty.push(e.dst);
-                self.via.entry(from).or_default().push(e.dst);
+                self.via[from].push(e.dst);
             }
         }
         // Amortised compaction of the reverse index: once the list for
         // this neighbour outgrows the (deduplicated) routes it could
         // possibly cover, drop the stale entries. Growth back to the
-        // threshold takes at least `table.len()` adoptions, so the cost
-        // is O(1) amortised per adoption.
-        if let Some(list) = self.via.get_mut(&from) {
-            if list.len() > 16 && list.len() > 2 * self.table.len() {
-                list.sort_unstable();
-                list.dedup();
-                let table = &self.table;
-                list.retain(|d| table.get(d).is_some_and(|r| r.next == from));
-            }
+        // threshold takes at least `known` adoptions, so the cost is
+        // O(1) amortised per adoption.
+        let list = &mut self.via[from];
+        if list.len() > 16 && list.len() > 2 * self.known {
+            list.sort_unstable();
+            list.dedup();
+            let table = &self.table;
+            list.retain(|&d| table[d].is_some_and(|r| r.next == from));
         }
-        // Flush buffered packets whose destinations became reachable.
         // Standard DSDV triggered update: propagate newly adopted sequence
         // numbers promptly (rate-limited; own sequence is not bumped, so
         // the cascade settles once every node has seen the new numbers).
@@ -309,6 +342,8 @@ impl DsdvRouting {
             }
         }
         if learned_new_dst {
+            // Flush buffered packets whose destinations became reachable,
+            // in ascending destination order (`buffer` is ordered).
             let reachable: Vec<NodeId> = self
                 .buffer
                 .keys()
@@ -356,9 +391,9 @@ impl DsdvRouting {
         // harmless because the first invalidation flips the metric to
         // infinite and later visits skip on `is_finite`. The table state
         // afterwards is exactly what the full scan produced.
-        if let Some(mut dsts) = self.via.remove(&bad) {
+        if let Some(dsts) = self.via.get_mut(bad) {
             for dst in dsts.drain(..) {
-                if let Some(r) = self.table.get_mut(&dst) {
+                if let Some(r) = &mut self.table[dst] {
                     if r.next == bad && r.metric.is_finite() {
                         r.metric = f64::INFINITY;
                         r.seq += 1;
@@ -439,6 +474,10 @@ impl DsdvRouting {
         out
     }
 }
+
+#[cfg(test)]
+#[path = "dsdv/reference.rs"]
+mod reference;
 
 #[cfg(test)]
 mod tests {
@@ -697,6 +736,43 @@ mod tests {
         let Action::Send(f) = &a[0] else { panic!() };
         assert!(f.packet.size_bytes > empty_size, "full table costs more airtime");
         assert_eq!(f.packet.size_bytes, 12 * 4, "self + 3 destinations");
+    }
+
+    #[test]
+    fn buffered_packets_flush_in_ascending_destination_order() {
+        let mut w = World::new(vec![PmMode::ActiveMode; 4]);
+        let mut n0 = DsdvRouting::new(DsdvConfig::dsdv());
+        let dsts = [9, 4, 12, 7, 5, 11, 6, 10];
+        for dst in dsts {
+            assert!(n0.on_app_packet(&mut w.ctx(0, 0), data(0, dst)).is_empty());
+        }
+        // One advertisement from node 1 makes all eight reachable at once.
+        let entries = dsts.iter().map(|&dst| DsdvEntry { dst, metric: 1.0, seq: 2 }).collect();
+        let update = Frame {
+            tx: 1,
+            rx: None,
+            packet: Packet {
+                uid: 0,
+                kind: PacketKind::DsdvUpdate { entries },
+                src: 1,
+                dst: usize::MAX,
+                size_bytes: 12 * dsts.len(),
+                route: Vec::new(),
+                hop_idx: 0,
+                salvage: 0,
+            },
+        };
+        let a = n0.on_frame(&mut w.ctx(0, 10), update);
+        let flushed: Vec<NodeId> = a
+            .iter()
+            .filter_map(|x| match x {
+                Action::Send(f) if f.packet.kind.is_data() => Some(f.packet.dst),
+                _ => None,
+            })
+            .collect();
+        let mut ascending = dsts.to_vec();
+        ascending.sort_unstable();
+        assert_eq!(flushed, ascending, "flush order must not depend on hashing");
     }
 
     #[test]

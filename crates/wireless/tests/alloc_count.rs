@@ -77,6 +77,35 @@ fn steady_state_run_stays_inside_its_allocation_budget() {
 }
 
 #[test]
+fn dsdvh_steady_state_run_stays_inside_its_allocation_budget() {
+    // The proactive family on the same 60 s small-network scenario. Each
+    // of a run's ~2.2k table advertisements must own its entry list, so
+    // the count sits above TITAN-PC's. Measured on this workload: ~10.4k
+    // allocations per stack with node-indexed DSDV state and entry lists
+    // allocated at their exact size, ~21.9k with the hash-map state that
+    // collected and sorted keys and grew each list by pushing. The
+    // ceiling sits between the two; one allocation per merged entry
+    // (~405k) or per advertisement reception (~30k) blows through it.
+    for stack in [stacks::dsdvh_odpm(), stacks::dsdvh_odpm_span()] {
+        let mut scenario = presets::small_network(stack, 4.0, 1);
+        scenario.duration = SimDuration::from_secs(60);
+        let warm = Simulator::new(&scenario).run();
+        assert!(warm.data_sent > 0);
+
+        let before = thread_allocs();
+        let m = Simulator::new(&scenario).run();
+        let allocs = thread_allocs() - before;
+        let name = &scenario.stack.name;
+        assert!(m.data_sent > 0, "{name} run must carry traffic");
+        eprintln!("ALLOC_COUNT[{name}]={allocs}");
+        assert!(
+            allocs < 16_000,
+            "{name} run allocated {allocs} times — DSDV table or advertisement churn came back?"
+        );
+    }
+}
+
+#[test]
 fn mobility1k_run_stays_inside_its_allocation_budget() {
     // The scale family's smallest member: 1,024 nodes on the timing-wheel
     // queue backend with SoA hot state. Construction (~5k allocations,
