@@ -163,7 +163,7 @@ impl Designer for Heuristic {
 fn route_sequential(
     problem: &DesignProblem,
     g: &Graph,
-    mut edge_cost: impl FnMut(f64, f64) -> f64, // (distance_m, rate_bps) -> cost
+    mut edge_cost: impl FnMut(usize, f64) -> f64, // (edge id, rate_bps) -> cost
     mut wake_cost: impl FnMut(usize) -> f64,
 ) -> Design {
     let n = problem.instance.node_count();
@@ -175,13 +175,14 @@ fn route_sequential(
     let mut routes = Vec::with_capacity(problem.demands.len());
     for demand in &problem.demands {
         let rate = demand.rate_bps;
-        let sp = paths::dijkstra_with(
+        let path = paths::shortest_path_with(
             g,
             demand.source,
-            |eid, _, _| edge_cost(g.edge(eid).w, rate),
+            demand.sink,
+            |eid, _, _| edge_cost(eid, rate),
             |v| if active[v] { 0.0 } else { wake_cost(v) },
-        );
-        let path = sp.path_to(demand.sink);
+        )
+        .map(|(_, p)| p);
         if let Some(p) = &path {
             for &v in p {
                 active[v] = true;
@@ -192,32 +193,35 @@ fn route_sequential(
     Design { routes, active }
 }
 
+/// `f(distance)` for every edge of `g`, by edge id: a link's power cost
+/// is computed once per design, not once per relaxation.
+fn per_edge(g: &Graph, f: impl Fn(f64) -> f64) -> Vec<f64> {
+    g.edges().iter().map(|e| f(e.w)).collect()
+}
+
 fn comm_first(problem: &DesignProblem, metric: CommMetric) -> Design {
     let card = *problem.instance.card();
     let g = problem.instance.connectivity_graph();
-    route_sequential(
-        problem,
-        &g,
-        move |d, _| match metric {
-            CommMetric::RadiatedPower => card.radiated_power_mw(d),
-            CommMetric::TotalPower => card.tx_total_power_mw(d) + card.p_rx_mw,
-        },
-        |_| 0.0,
-    )
+    let cost = per_edge(&g, |d| match metric {
+        CommMetric::RadiatedPower => card.radiated_power_mw(d),
+        CommMetric::TotalPower => card.tx_total_power_mw(d) + card.p_rx_mw,
+    });
+    route_sequential(problem, &g, |eid, _| cost[eid], |_| 0.0)
 }
 
 fn joint(problem: &DesignProblem, use_rate: bool, bandwidth_bps: f64) -> Design {
     assert!(bandwidth_bps > 0.0, "bandwidth must be positive");
     let card = *problem.instance.card();
     let g = problem.instance.connectivity_graph();
+    // Eq 12's c(u,v) = (Ptx + Prx − 2·Pidle) · r/B, clamped at zero for
+    // cards whose short links are cheaper than idling.
+    let surplus = per_edge(&g, |d| card.tx_total_power_mw(d) + card.p_rx_mw - 2.0 * card.p_idle_mw);
     route_sequential(
         problem,
         &g,
-        move |d, rate| {
-            // Eq 12's c(u,v) = (Ptx + Prx − 2·Pidle) · r/B, clamped at zero
-            // for cards whose short links are cheaper than idling.
+        |eid, rate| {
             let util = if use_rate { (rate / bandwidth_bps).min(1.0) } else { 1.0 };
-            ((card.tx_total_power_mw(d) + card.p_rx_mw - 2.0 * card.p_idle_mw) * util).max(0.0)
+            (surplus[eid] * util).max(0.0)
         },
         move |_| card.p_idle_mw,
     )
@@ -247,16 +251,17 @@ fn lifetime_aware(problem: &DesignProblem, bandwidth_bps: f64) -> Design {
     let mut routes = Vec::with_capacity(problem.demands.len());
     for demand in &problem.demands {
         let util = demand.rate_bps / bandwidth_bps;
-        let sp = eend_graph::paths::dijkstra_with(
+        let path = paths::shortest_path_with(
             &g,
             demand.source,
+            demand.sink,
             |_, _, _| 1e-3,
             |v| {
                 let l = load[v] + util;
                 l * l
             },
-        );
-        let path = sp.path_to(demand.sink);
+        )
+        .map(|(_, p)| p);
         if let Some(p) = &path {
             for &v in p {
                 active[v] = true;
@@ -291,8 +296,9 @@ fn mpc_steiner(problem: &DesignProblem) -> Design {
     for demand in &problem.demands {
         active[demand.source] = true;
         active[demand.sink] = true;
-        let sp = paths::dijkstra_with(&sub, demand.source, |_, _, _| 1.0, |_| 0.0);
-        let path = sp.path_to(demand.sink);
+        let path =
+            paths::shortest_path_with(&sub, demand.source, demand.sink, |_, _, _| 1.0, |_| 0.0)
+                .map(|(_, p)| p);
         if let Some(p) = &path {
             for &v in p {
                 active[v] = true;

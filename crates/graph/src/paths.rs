@@ -74,6 +74,45 @@ impl Ord for HeapItem {
 pub fn dijkstra_with(
     g: &Graph,
     src: usize,
+    edge_cost: impl FnMut(usize, usize, usize) -> f64,
+    node_cost: impl FnMut(usize) -> f64,
+) -> ShortestPaths {
+    dijkstra_until(g, src, None, edge_cost, node_cost)
+}
+
+/// The cheapest path from `src` to `dst` under caller-supplied costs, as
+/// `(cost, node_sequence)`, or `None` if `dst` is unreachable.
+///
+/// This is [`dijkstra_with`] stopped once `dst` is popped. At that point
+/// `dst` and every node on its parent chain are settled, and a settled
+/// node's distance and parent never change again, so the result equals
+/// `dijkstra_with(..).path_to(dst)` with `dist[dst]`, bit for bit. Costs
+/// are queried only for the edges scanned before the stop.
+///
+/// # Panics
+///
+/// Panics if `src`/`dst` are out of range or any queried cost is
+/// negative/NaN.
+pub fn shortest_path_with(
+    g: &Graph,
+    src: usize,
+    dst: usize,
+    edge_cost: impl FnMut(usize, usize, usize) -> f64,
+    node_cost: impl FnMut(usize) -> f64,
+) -> Option<(f64, Vec<usize>)> {
+    let n = g.node_count();
+    assert!(dst < n, "target {dst} out of range for {n} nodes");
+    let sp = dijkstra_until(g, src, Some(dst), edge_cost, node_cost);
+    sp.path_to(dst).map(|p| (sp.dist[dst], p))
+}
+
+/// The Dijkstra loop behind [`dijkstra_with`] and [`shortest_path_with`]:
+/// settles nodes in (distance, push order) order, until the heap empties
+/// or `stop` is settled.
+fn dijkstra_until(
+    g: &Graph,
+    src: usize,
+    stop: Option<usize>,
     mut edge_cost: impl FnMut(usize, usize, usize) -> f64,
     mut node_cost: impl FnMut(usize) -> f64,
 ) -> ShortestPaths {
@@ -91,6 +130,9 @@ pub fn dijkstra_with(
             continue;
         }
         done[u] = true;
+        if stop == Some(u) {
+            break;
+        }
         for (v, eid) in g.neighbors(u) {
             if done[v] {
                 continue;
@@ -118,8 +160,7 @@ pub fn dijkstra(g: &Graph, src: usize) -> ShortestPaths {
 /// Cheapest path from `src` to `dst` under the stored edge weights, as
 /// `(cost, node_sequence)`.
 pub fn shortest_path(g: &Graph, src: usize, dst: usize) -> Option<(f64, Vec<usize>)> {
-    let sp = dijkstra(g, src);
-    sp.path_to(dst).map(|p| (sp.dist[dst], p))
+    shortest_path_with(g, src, dst, |e, _, _| g.edge(e).w, |_| 0.0)
 }
 
 /// The `k` cheapest loopless paths from `src` to `dst` under caller-supplied
@@ -128,7 +169,7 @@ pub fn shortest_path(g: &Graph, src: usize, dst: usize) -> Option<(f64, Vec<usiz
 /// deterministic). Returns fewer than `k` entries if the graph does not
 /// contain that many distinct simple paths.
 ///
-/// This is Yen's algorithm layered on [`dijkstra_with`]: deviations are
+/// This is Yen's algorithm layered on [`shortest_path_with`]: deviations are
 /// explored by banning, at each spur node of the previous path, the next
 /// edges of all already-found paths sharing the same prefix, plus every
 /// prefix node. Cost semantics match [`dijkstra_with`]: a path costs
@@ -160,11 +201,10 @@ pub fn k_shortest_paths(
         c
     };
 
-    let sp = dijkstra_with(g, src, &mut edge_cost, &mut node_cost);
-    let Some(first) = sp.path_to(dst) else {
+    let Some(first) = shortest_path_with(g, src, dst, &mut edge_cost, &mut node_cost) else {
         return Vec::new();
     };
-    let mut found: Vec<(f64, Vec<usize>)> = vec![(sp.dist[dst], first)];
+    let mut found: Vec<(f64, Vec<usize>)> = vec![first];
     // Candidate deviations not yet promoted, kept sorted for determinism.
     let mut candidates: Vec<(f64, Vec<usize>)> = Vec::new();
 
@@ -185,9 +225,10 @@ pub fn k_shortest_paths(
                 }
             }
             let banned_nodes = &prev[..i];
-            let spur_sp = dijkstra_with(
+            let spur_path = shortest_path_with(
                 g,
                 spur,
+                dst,
                 |eid, u, v| {
                     if banned_edges.contains(&eid) {
                         f64::INFINITY
@@ -203,7 +244,7 @@ pub fn k_shortest_paths(
                     }
                 },
             );
-            let Some(spur_path) = spur_sp.path_to(dst) else {
+            let Some((_, spur_path)) = spur_path else {
                 continue;
             };
             let mut total: Vec<usize> = root[..i].to_vec();
@@ -445,6 +486,136 @@ mod tests {
         }
     }
 
+    /// Yen's algorithm as it ran before [`shortest_path_with`]: the first
+    /// path and every spur path are read out of a full shortest-path
+    /// tree. [`k_shortest_paths`] must rank exactly as this does.
+    fn k_shortest_paths_full_tree(
+        g: &Graph,
+        src: usize,
+        dst: usize,
+        k: usize,
+        mut edge_cost: impl FnMut(usize, usize, usize) -> f64,
+        mut node_cost: impl FnMut(usize) -> f64,
+    ) -> Vec<(f64, Vec<usize>)> {
+        if k == 0 {
+            return Vec::new();
+        }
+        let path_cost = |path: &[usize], ec: &mut dyn FnMut(usize, usize, usize) -> f64, nc: &mut dyn FnMut(usize) -> f64| {
+            let mut c = 0.0;
+            for w in path.windows(2) {
+                let eid = g.edge_between(w[0], w[1]).expect("path uses real edges");
+                c += ec(eid, w[0], w[1]) + nc(w[1]);
+            }
+            c
+        };
+        let sp = dijkstra_with(g, src, &mut edge_cost, &mut node_cost);
+        let Some(first) = sp.path_to(dst) else {
+            return Vec::new();
+        };
+        let mut found: Vec<(f64, Vec<usize>)> = vec![(sp.dist[dst], first)];
+        let mut candidates: Vec<(f64, Vec<usize>)> = Vec::new();
+        while found.len() < k {
+            let prev = found.last().expect("at least the shortest path").1.clone();
+            for i in 0..prev.len() - 1 {
+                let spur = prev[i];
+                let root = &prev[..=i];
+                let mut banned_edges = Vec::new();
+                for (_, p) in &found {
+                    if p.len() > i + 1 && p[..=i] == *root {
+                        if let Some(eid) = g.edge_between(p[i], p[i + 1]) {
+                            banned_edges.push(eid);
+                        }
+                    }
+                }
+                let banned_nodes = &prev[..i];
+                let spur_sp = dijkstra_with(
+                    g,
+                    spur,
+                    |eid, u, v| {
+                        if banned_edges.contains(&eid) {
+                            f64::INFINITY
+                        } else {
+                            edge_cost(eid, u, v)
+                        }
+                    },
+                    |v| {
+                        if banned_nodes.contains(&v) {
+                            f64::INFINITY
+                        } else {
+                            node_cost(v)
+                        }
+                    },
+                );
+                let Some(spur_path) = spur_sp.path_to(dst) else {
+                    continue;
+                };
+                let mut total: Vec<usize> = root[..i].to_vec();
+                total.extend_from_slice(&spur_path);
+                let cost = path_cost(&total, &mut edge_cost, &mut node_cost);
+                if !cost.is_finite() {
+                    continue;
+                }
+                if found.iter().any(|(_, p)| *p == total)
+                    || candidates.iter().any(|(_, p)| *p == total)
+                {
+                    continue;
+                }
+                candidates.push((cost, total));
+            }
+            candidates.sort_by(|a, b| {
+                a.0.partial_cmp(&b.0).unwrap_or(std::cmp::Ordering::Equal).then_with(|| a.1.cmp(&b.1))
+            });
+            if candidates.is_empty() {
+                break;
+            }
+            found.push(candidates.remove(0));
+        }
+        found
+    }
+
+    /// A random graph on `n` nodes with per-edge and per-node costs drawn
+    /// from small integers, so equal-cost ties are common. Code `INF`
+    /// marks a banned (infinite-cost) edge or node. Returns the graph,
+    /// its edge costs by edge id, and its node costs.
+    fn tied_costs(
+        n: usize,
+        edges: Vec<(usize, usize, u32)>,
+        nodes: Vec<u32>,
+    ) -> (Graph, Vec<f64>, Vec<f64>) {
+        const INF: u32 = 5;
+        let cost = |c: u32| if c == INF { f64::INFINITY } else { f64::from(c) };
+        let mut g = Graph::new(n);
+        let mut edge_costs = Vec::new();
+        for (u, v, c) in edges {
+            let (u, v) = (u % n, v % n);
+            if u != v && g.edge_between(u, v).is_none() {
+                g.add_edge(u, v, 1.0);
+                edge_costs.push(cost(c));
+            }
+        }
+        let node_costs = nodes.into_iter().take(n).map(|c| cost(c.min(INF))).collect();
+        (g, edge_costs, node_costs)
+    }
+
+    #[test]
+    fn shortest_path_with_stops_at_the_target() {
+        // The target is pushed first through the costly direct edge, then
+        // improved through the relay before it is popped.
+        let mut g = Graph::new(3);
+        g.add_edge(0, 2, 5.0);
+        g.add_edge(0, 1, 1.0);
+        g.add_edge(1, 2, 1.0);
+        let mut queried = Vec::new();
+        let got = shortest_path_with(&g, 0, 2, |e, _, _| g.edge(e).w, |v| {
+            queried.push(v);
+            0.0
+        });
+        assert_eq!(got, Some((2.0, vec![0, 1, 2])));
+        assert_eq!(shortest_path_with(&g, 1, 1, |_, _, _| 1.0, |_| 0.0), Some((0.0, vec![1])));
+        let unreachable = Graph::new(2);
+        assert_eq!(shortest_path_with(&unreachable, 0, 1, |_, _, _| 1.0, |_| 0.0), None);
+    }
+
     proptest! {
         /// Dijkstra equals the Bellman–Ford oracle on random graphs.
         #[test]
@@ -502,6 +673,45 @@ mod tests {
                     prop_assert_eq!(uniq.len(), path.len(), "path must be simple");
                 }
             }
+        }
+
+        /// Stopping once the target is popped changes nothing: the path
+        /// and its cost bits equal the full tree's, under tied integer
+        /// costs (zeros included), node costs, banned edges and nodes,
+        /// and unreachable targets.
+        #[test]
+        fn shortest_path_with_matches_the_full_tree(
+            n in 1usize..12,
+            edges in proptest::collection::vec((0usize..12, 0usize..12, 0u32..6), 0..40),
+            nodes in proptest::collection::vec(0u32..7, 12..13),
+            src in 0usize..12
+        ) {
+            let (g, ec, nc) = tied_costs(n, edges, nodes);
+            let src = src % n;
+            let full = dijkstra_with(&g, src, |e, _, _| ec[e], |v| nc[v]);
+            for dst in 0..n {
+                let early = shortest_path_with(&g, src, dst, |e, _, _| ec[e], |v| nc[v]);
+                let want = full.path_to(dst).map(|p| (full.dist[dst].to_bits(), p));
+                prop_assert_eq!(early.map(|(d, p)| (d.to_bits(), p)), want, "{} -> {}", src, dst);
+            }
+        }
+
+        /// Yen's ranking on target-terminated searches equals the ranking
+        /// read out of full trees, costs compared by bits.
+        #[test]
+        fn k_shortest_paths_matches_the_full_tree_ranking(
+            n in 2usize..10,
+            edges in proptest::collection::vec((0usize..10, 0usize..10, 0u32..6), 1..30),
+            nodes in proptest::collection::vec(0u32..7, 10..11),
+            k in 1usize..8
+        ) {
+            let (g, ec, nc) = tied_costs(n, edges, nodes);
+            let bits = |ranking: Vec<(f64, Vec<usize>)>| -> Vec<(u64, Vec<usize>)> {
+                ranking.into_iter().map(|(c, p)| (c.to_bits(), p)).collect()
+            };
+            let early = k_shortest_paths(&g, 0, n - 1, k, |e, _, _| ec[e], |v| nc[v]);
+            let full = k_shortest_paths_full_tree(&g, 0, n - 1, k, |e, _, _| ec[e], |v| nc[v]);
+            prop_assert_eq!(bits(early), bits(full));
         }
 
         /// Yen's ranking is prefix-stable: asking for `j` paths returns the

@@ -153,15 +153,16 @@ pub fn steiner_forest_greedy(g: &Graph, pairs: &[(usize, usize)]) -> (SteinerSol
         if dsu.same(s, d) {
             continue; // already connected by bought edges
         }
-        let sp = paths::dijkstra_with(
+        let sp = paths::shortest_path_with(
             g,
             s,
+            d,
             |e, _, _| if bought[e] { 0.0 } else { g.edge(e).w },
             |_| 0.0,
         );
-        match sp.path_to(d) {
+        match sp {
             None => unrouted.push(idx),
-            Some(path) => {
+            Some((_, path)) => {
                 for w in path.windows(2) {
                     let eid = g.edge_between(w[0], w[1]).expect("path edges exist");
                     if !bought[eid] {

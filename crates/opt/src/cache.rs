@@ -4,9 +4,10 @@
 //! Every score's floats are stored as exact bit patterns (`f64::to_bits`
 //! hex) alongside a human-readable rendering, so a cached search replays
 //! **byte-identically**: the trace a resumed search writes is
-//! indistinguishable from the original's. Like the campaign stores, a torn
-//! final line (crash mid-append) is tolerated; interior corruption is an
-//! error.
+//! indistinguishable from the original's. Lines are read with the
+//! workspace's JSON reader (`eend_campaign::json`). Like the campaign
+//! stores, a torn final line (crash mid-append, so no newline) is
+//! tolerated; a complete line that does not parse is an error naming it.
 
 use std::collections::HashMap;
 use std::fs::{self, File, OpenOptions};
@@ -15,6 +16,7 @@ use std::path::{Path, PathBuf};
 
 use crate::fingerprint::{design_fingerprint_with, ProblemFingerprints};
 use crate::oracle::{EvalOracle, Score};
+use eend_campaign::json;
 use eend_core::design::Design;
 use eend_core::problem::DesignProblem;
 
@@ -33,39 +35,40 @@ fn invalid(msg: String) -> io::Error {
     io::Error::new(io::ErrorKind::InvalidData, msg)
 }
 
-/// Pulls the string value of `"key":"…"` out of a JSON line we wrote
-/// ourselves (no escapes in our fields).
-fn field<'a>(line: &'a str, key: &str) -> Option<&'a str> {
-    let tag = format!("\"{key}\":\"");
-    let start = line.find(&tag)? + tag.len();
-    let end = line[start..].find('"')? + start;
-    Some(&line[start..end])
-}
-
-fn hex_field(line: &str, key: &str) -> Option<u64> {
-    u64::from_str_radix(field(line, key)?, 16).ok()
-}
-
-fn parse_line(line: &str) -> Option<(u64, Score)> {
-    let fp = hex_field(line, "fp")?;
-    let enetwork_j = f64::from_bits(hex_field(line, "enetwork_b")?);
-    let delivered_bits = f64::from_bits(hex_field(line, "delivered_b")?);
-    let ttfd_s = f64::from_bits(hex_field(line, "ttfd_b")?);
-    let overloaded = match field(line, "overloaded")? {
+/// Reads one cache line (its newline included) with the workspace's
+/// JSON reader. The score comes from the hex bit patterns; the
+/// human-readable `enetwork_j` is not read back.
+fn parse_line(line: &str) -> io::Result<(u64, Score)> {
+    let v = json::parse_json(line)?;
+    let text = |key: &str| v.get(key)?.str();
+    let hex = |key: &str| {
+        let s = text(key)?;
+        u64::from_str_radix(s, 16).map_err(|_| invalid(format!("{key}: bad hex {s:?}")))
+    };
+    let fp = hex("fp")?;
+    let enetwork_j = f64::from_bits(hex("enetwork_b")?);
+    let delivered_bits = f64::from_bits(hex("delivered_b")?);
+    let ttfd_s = f64::from_bits(hex("ttfd_b")?);
+    let overloaded = match text("overloaded")? {
         "t" => true,
         "f" => false,
-        _ => return None,
+        other => return Err(invalid(format!("overloaded: expected \"t\" or \"f\", got {other:?}"))),
     };
-    let unrouted: u32 = field(line, "unrouted")?.parse().ok()?;
-    Some((fp, Score { enetwork_j, delivered_bits, ttfd_s, overloaded, unrouted }))
+    let unrouted = text("unrouted")?;
+    let unrouted =
+        unrouted.parse().map_err(|_| invalid(format!("unrouted: bad count {unrouted:?}")))?;
+    Ok((fp, Score { enetwork_j, delivered_bits, ttfd_s, overloaded, unrouted }))
 }
 
+/// One cache line, newline included. `enetwork_j` is written with
+/// [`json::write_num`]: a finite value in Rust's shortest round-trip
+/// form, a non-finite one as `null`.
 fn render_line(fp: u64, s: &Score) -> String {
-    format!(
+    let mut line = format!(
         concat!(
             "{{\"fp\":\"{:016x}\",\"enetwork_b\":\"{:016x}\",\"delivered_b\":\"{:016x}\",",
             "\"ttfd_b\":\"{:016x}\",\"overloaded\":\"{}\",\"unrouted\":\"{}\",",
-            "\"enetwork_j\":{}}}\n"
+            "\"enetwork_j\":"
         ),
         fp,
         s.enetwork_j.to_bits(),
@@ -73,8 +76,10 @@ fn render_line(fp: u64, s: &Score) -> String {
         s.ttfd_s.to_bits(),
         if s.overloaded { "t" } else { "f" },
         s.unrouted,
-        s.enetwork_j,
-    )
+    );
+    json::write_num(&mut line, s.enetwork_j);
+    line.push_str("}\n");
+    line
 }
 
 impl EvalCache {
@@ -85,9 +90,9 @@ impl EvalCache {
     ///
     /// # Errors
     ///
-    /// I/O failures, a manifest mismatch, or interior corruption of the
-    /// eval log (a torn final line is tolerated and truncated away on the
-    /// next append).
+    /// I/O failures, a manifest mismatch, or a corrupt complete line in
+    /// the eval log, named by its number (a torn final line, one without
+    /// its newline, is tolerated and truncated away).
     pub fn open(dir: &Path, oracle_label: &str, problem_fp: u64) -> io::Result<EvalCache> {
         fs::create_dir_all(dir)?;
         let manifest = format!(
@@ -113,26 +118,25 @@ impl EvalCache {
 
         let evals_path = dir.join(EVALS_FILE);
         let mut map = HashMap::new();
-        let mut keep_bytes = 0usize;
-        match fs::read_to_string(&evals_path) {
+        match fs::read(&evals_path) {
             Ok(body) => {
-                let lines: Vec<&str> = body.split_inclusive('\n').collect();
-                for (i, line) in lines.iter().enumerate() {
-                    let complete = line.ends_with('\n');
-                    match parse_line(line) {
-                        Some((fp, score)) if complete => {
-                            map.insert(fp, score);
-                            keep_bytes += line.len();
-                        }
-                        _ if i + 1 == lines.len() => break, // torn tail: drop it
-                        _ => {
-                            return Err(invalid(format!(
-                                "corrupt eval cache {} at line {}",
-                                evals_path.display(),
-                                i + 1
-                            )))
-                        }
+                let mut keep_bytes = 0usize;
+                for (i, line) in body.split_inclusive(|&b| b == b'\n').enumerate() {
+                    if !line.ends_with(b"\n") {
+                        break; // torn tail (only the last piece can lack a newline): drop it
                     }
+                    let parsed = std::str::from_utf8(line)
+                        .map_err(|e| invalid(e.to_string()))
+                        .and_then(parse_line);
+                    let (fp, score) = parsed.map_err(|e| {
+                        invalid(format!(
+                            "corrupt eval cache {} at line {}: {e}",
+                            evals_path.display(),
+                            i + 1
+                        ))
+                    })?;
+                    map.insert(fp, score);
+                    keep_bytes += line.len();
                 }
                 if keep_bytes < body.len() {
                     // Truncate the torn tail so the next append starts clean.
@@ -347,6 +351,116 @@ mod tests {
         // Interior corruption is an error.
         fs::write(&path, format!("garbage\n{}", render_line(3, &score))).unwrap();
         assert!(EvalCache::open(&dir, "o", 1).is_err());
+        fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn round_trips_non_finite_scores_as_json() {
+        let dir = tempdir("nonfinite");
+        let scores = [f64::INFINITY, f64::NEG_INFINITY, f64::NAN, -0.0].map(|e| Score {
+            enetwork_j: e,
+            delivered_bits: f64::NAN,
+            ttfd_s: f64::INFINITY,
+            overloaded: false,
+            unrouted: 1,
+        });
+        {
+            let mut c = EvalCache::open(&dir, "o", 1).unwrap();
+            for (fp, &score) in scores.iter().enumerate() {
+                c.insert(fp as u64, score).unwrap();
+            }
+        }
+        let body = fs::read_to_string(dir.join(EVALS_FILE)).unwrap();
+        for line in body.lines() {
+            assert!(json::parse_json(line).is_ok(), "not JSON: {line}");
+        }
+        let c = EvalCache::open(&dir, "o", 1).unwrap();
+        for (fp, score) in scores.iter().enumerate() {
+            let back = c.get(fp as u64).unwrap();
+            assert_eq!(back.enetwork_j.to_bits(), score.enetwork_j.to_bits());
+            assert_eq!(back.delivered_bits.to_bits(), score.delivered_bits.to_bits());
+            assert_eq!(back.ttfd_s.to_bits(), score.ttfd_s.to_bits());
+        }
+        fs::remove_dir_all(&dir).unwrap();
+    }
+
+    /// Every truncation of a small log loads exactly its complete lines,
+    /// and every single-byte flip either fails naming the flipped line or
+    /// loads a map that differs from the original in that line's entry
+    /// only. Nothing panics.
+    #[test]
+    fn corruption_sweep_over_a_small_log() {
+        let dir = tempdir("sweep");
+        // Fingerprints differ in every hex digit, so no flip of one digit
+        // turns one line's key into another's.
+        let entries: Vec<(u64, Score)> = [
+            (0x0123_4567_89ab_cdef, 1.0 / 3.0, false, 0),
+            (0xfedc_ba98_7654_3210, 19_830.103_199_999_998, true, 2),
+            (0x5a5a_5a5a_5a5a_5a5a, f64::INFINITY, false, 7),
+        ]
+        .into_iter()
+        .map(|(fp, e, overloaded, unrouted)| {
+            (fp, Score { enetwork_j: e, delivered_bits: 8.1e6, ttfd_s: 42.5, overloaded, unrouted })
+        })
+        .collect();
+        let mut log = String::new();
+        let mut line_ends = Vec::new();
+        for (fp, score) in &entries {
+            log.push_str(&render_line(*fp, score));
+            line_ends.push(log.len());
+        }
+        let key = |s: &Score| {
+            let bits = (s.enetwork_j.to_bits(), s.delivered_bits.to_bits(), s.ttfd_s.to_bits());
+            (bits, s.overloaded, s.unrouted)
+        };
+        drop(EvalCache::open(&dir, "o", 1).unwrap());
+        let path = dir.join(EVALS_FILE);
+        let load = |bytes: &[u8]| {
+            fs::write(&path, bytes).unwrap();
+            EvalCache::open(&dir, "o", 1)
+                .map(|c| c.map.iter().map(|(&fp, s)| (fp, key(s))).collect::<HashMap<_, _>>())
+        };
+        let full: HashMap<_, _> = entries.iter().map(|(fp, s)| (*fp, key(s))).collect();
+        assert_eq!(load(log.as_bytes()).unwrap(), full);
+
+        for cut in 0..=log.len() {
+            let complete = line_ends.iter().filter(|&&end| end <= cut).count();
+            let want: HashMap<_, _> =
+                entries[..complete].iter().map(|(fp, s)| (*fp, key(s))).collect();
+            assert_eq!(load(&log.as_bytes()[..cut]).unwrap(), want, "cut at {cut}");
+            let kept = line_ends[..complete].last().copied().unwrap_or(0);
+            assert_eq!(fs::metadata(&path).unwrap().len(), kept as u64, "cut at {cut}");
+        }
+
+        for at in 0..log.len() {
+            let line = line_ends.iter().position(|&end| at < end).unwrap();
+            for flip in [0x01u8, 0x02, 0x08, 0x20, 0x80] {
+                let mut bytes = log.clone().into_bytes();
+                bytes[at] ^= flip;
+                match load(&bytes) {
+                    Err(e) => assert!(
+                        e.to_string().contains(&format!("at line {}:", line + 1)),
+                        "flip {flip:#x} at {at}: {e}"
+                    ),
+                    Ok(map) => {
+                        // Only the flipped line's entry may change: its own
+                        // key may lose or change its score, or give way to
+                        // one key the log never held.
+                        let own = entries[line].0;
+                        let changed: Vec<u64> = map
+                            .keys()
+                            .chain(full.keys())
+                            .filter(|&&fp| fp != own && map.get(&fp) != full.get(&fp))
+                            .copied()
+                            .collect();
+                        assert!(
+                            changed.len() <= 1 && changed.iter().all(|fp| !full.contains_key(fp)),
+                            "flip {flip:#x} at {at} changed {changed:x?}"
+                        );
+                    }
+                }
+            }
+        }
         fs::remove_dir_all(&dir).unwrap();
     }
 

@@ -32,9 +32,10 @@ use crate::fingerprint::{design_fingerprint_with, problem_fingerprint};
 use crate::oracle::{EvalOracle, Objective, Score};
 use eend_core::design::{Design, Designer, Heuristic};
 use eend_core::problem::DesignProblem;
-use eend_graph::paths::{dijkstra, dijkstra_with, k_shortest_paths, ShortestPaths};
+use eend_graph::paths::{dijkstra, k_shortest_paths, shortest_path_with, ShortestPaths};
 use eend_graph::Graph;
 use eend_sim::{mix_seed, SimRng};
+use std::io::Write as _;
 
 /// One line of the JSONL search trace.
 #[derive(Debug, Clone, PartialEq)]
@@ -61,13 +62,36 @@ impl TraceEvent {
     /// written with Rust's shortest-round-trip formatting — deterministic
     /// across runs and platforms for identical bit patterns.
     pub fn jsonl(&self) -> String {
-        format!(
-            concat!(
-                "{{\"iter\":{},\"kind\":\"{}\",\"fp\":\"{:016x}\",\"enetwork_j\":{},",
-                "\"objective\":{},\"accepted\":{},\"best\":{}}}"
-            ),
-            self.iter, self.kind, self.fp, self.enetwork_j, self.objective, self.accepted, self.best
-        )
+        let mut line = Vec::new();
+        self.write_jsonl(&mut line);
+        String::from_utf8(line).expect("trace lines are UTF-8")
+    }
+
+    /// Appends [`TraceEvent::jsonl`]'s line to `out`. An `objective` with
+    /// `enetwork_j`'s bits (the energy objective's) copies the text just
+    /// written for `enetwork_j` rather than formatting it again.
+    fn write_jsonl(&self, out: &mut Vec<u8>) {
+        const HEX: &[u8; 16] = b"0123456789abcdef";
+        out.extend_from_slice(b"{\"iter\":");
+        let _ = write!(out, "{}", self.iter);
+        out.extend_from_slice(b",\"kind\":\"");
+        out.extend_from_slice(self.kind.as_bytes());
+        out.extend_from_slice(b"\",\"fp\":\"");
+        out.extend((0..16).rev().map(|nibble| HEX[(self.fp >> (4 * nibble)) as usize & 0xf]));
+        out.extend_from_slice(b"\",\"enetwork_j\":");
+        let energy = out.len();
+        let _ = write!(out, "{}", self.enetwork_j);
+        let energy = energy..out.len();
+        out.extend_from_slice(b",\"objective\":");
+        if self.objective.to_bits() == self.enetwork_j.to_bits() {
+            out.extend_from_within(energy);
+        } else {
+            let _ = write!(out, "{}", self.objective);
+        }
+        out.extend_from_slice(b",\"accepted\":");
+        out.extend_from_slice(if self.accepted { b"true" } else { b"false" });
+        out.extend_from_slice(b",\"best\":");
+        out.extend_from_slice(if self.best { b"true}" } else { b"false}" });
     }
 }
 
@@ -119,12 +143,12 @@ pub struct SearchResult {
 impl SearchResult {
     /// The full trace as JSONL (one line per evaluation, trailing newline).
     pub fn trace_jsonl(&self) -> String {
-        let mut s = String::new();
+        let mut out = Vec::with_capacity(self.trace.len() * 160);
         for ev in &self.trace {
-            s.push_str(&ev.jsonl());
-            s.push('\n');
+            ev.write_jsonl(&mut out);
+            out.push(b'\n');
         }
-        s
+        String::from_utf8(out).expect("trace lines are UTF-8")
     }
 }
 
@@ -141,11 +165,13 @@ pub fn standard_starts() -> Vec<Heuristic> {
     ]
 }
 
-/// Rebuilds the awake set implied by a route set: demand endpoints plus
-/// every node appearing on a route (the minimal active set — a node an
-/// earlier design woke but no surviving route uses goes back to sleep).
-fn rebuild_active(problem: &DesignProblem, routes: &[Option<Vec<usize>>]) -> Vec<bool> {
-    let mut active = vec![false; problem.instance.node_count()];
+/// Rebuilds the awake set implied by a route set, in place: demand
+/// endpoints plus every node appearing on a route (the minimal active set
+/// — a node an earlier design woke but no surviving route uses goes back
+/// to sleep).
+fn rebuild_active(problem: &DesignProblem, routes: &[Option<Vec<usize>>], active: &mut Vec<bool>) {
+    active.clear();
+    active.resize(problem.instance.node_count(), false);
     for d in &problem.demands {
         active[d.source] = true;
         active[d.sink] = true;
@@ -155,7 +181,6 @@ fn rebuild_active(problem: &DesignProblem, routes: &[Option<Vec<usize>>]) -> Vec
             active[v] = true;
         }
     }
-    active
 }
 
 /// A local move over a design.
@@ -197,6 +222,11 @@ impl Move {
 ///
 /// Each is computed the first time a move asks for it. The memo lives for
 /// one search call: at most D·k paths, n trees and D·n detours.
+///
+/// Moves apply in place: [`Neighbourhood::apply`] turns a design into its
+/// neighbour and keeps what it replaced, and [`Neighbourhood::undo`] puts
+/// it back when the search rejects the candidate, so scoring one costs no
+/// copy of the design.
 struct Neighbourhood<'p> {
     problem: &'p DesignProblem,
     g: Graph,
@@ -210,6 +240,11 @@ struct Neighbourhood<'p> {
     /// `detours[d * n + v]`: demand `d`'s cheapest route avoiding `v`
     /// (`Some(None)` when there is none).
     detours: Vec<Option<Option<Vec<usize>>>>,
+    /// The routes the last applied move replaced, `(demand, old route)`
+    /// in replacement order.
+    undo_routes: Vec<(usize, Option<Vec<usize>>)>,
+    /// The awake set before the last applied move.
+    undo_active: Vec<bool>,
 }
 
 impl<'p> Neighbourhood<'p> {
@@ -229,6 +264,8 @@ impl<'p> Neighbourhood<'p> {
             rankings: vec![None; demands],
             trees: vec![None; n],
             detours: vec![None; demands * n],
+            undo_routes: Vec::new(),
+            undo_active: Vec::new(),
         }
     }
 
@@ -259,13 +296,14 @@ impl<'p> Neighbourhood<'p> {
         let g = &self.g;
         self.detours[demand * n + node]
             .get_or_insert_with(|| {
-                dijkstra_with(
+                shortest_path_with(
                     g,
                     d.source,
+                    d.sink,
                     |e, _, _| g.edge(e).w,
                     |v| if v == node { f64::INFINITY } else { 0.0 },
                 )
-                .path_to(d.sink)
+                .map(|(_, path)| path)
             })
             .as_deref()
     }
@@ -288,20 +326,33 @@ impl<'p> Neighbourhood<'p> {
         moves
     }
 
-    /// Applies `mv` to `design`, returning the neighbour design, or `None`
-    /// when the move is inapplicable (no such alternative path, node not a
-    /// relay, re-route impossible, …). Purely deterministic.
-    fn apply(&mut self, design: &Design, mv: Move) -> Option<Design> {
-        let problem = self.problem;
-        let routes = match mv {
+    /// Turns `design` into its neighbour under `mv`, in place, and
+    /// returns `true`; returns `false` with `design` untouched when the
+    /// move is inapplicable (no such alternative path, node not a relay,
+    /// re-route impossible, …). Purely deterministic.
+    fn apply(&mut self, design: &mut Design, mv: Move) -> bool {
+        self.undo_routes.clear();
+        if self.reroute(design, mv).is_none() {
+            self.restore_routes(design);
+            return false;
+        }
+        self.undo_active.clone_from(&design.active);
+        rebuild_active(self.problem, &design.routes, &mut design.active);
+        true
+    }
+
+    /// Replaces the routes `mv` changes, logging each old one; `None` when
+    /// the move turns out inapplicable, with the routes replaced so far
+    /// still logged.
+    fn reroute(&mut self, design: &mut Design, mv: Move) -> Option<()> {
+        match mv {
             Move::Swap { demand, k } => {
                 let path = self.ranked(demand, k)?;
                 if design.routes[demand].as_deref() == Some(path) {
                     return None; // no-op move
                 }
-                let mut routes = design.routes.clone();
-                routes[demand] = Some(path.to_vec());
-                routes
+                let path = path.to_vec();
+                self.replace_route(design, demand, path);
             }
             Move::Sleep { node } => {
                 if !design.active[node] || self.terminal[node] {
@@ -310,16 +361,15 @@ impl<'p> Neighbourhood<'p> {
                 // Every crossing demand moves off `node` and no other route
                 // uses it, so the rebuilt awake set drops it: the neighbour
                 // always differs from `design`.
-                let mut routes = design.routes.clone();
-                for (i, route) in routes.iter_mut().enumerate() {
-                    if route.as_ref().is_some_and(|r| r.contains(&node)) {
-                        *route = Some(self.detour(i, node)?.to_vec()); // unroutable → move fails
+                for i in 0..design.routes.len() {
+                    if design.routes[i].as_ref().is_some_and(|r| r.contains(&node)) {
+                        let path = self.detour(i, node)?.to_vec(); // unroutable → move fails
+                        self.replace_route(design, i, path);
                     }
                 }
-                routes
             }
             Move::Wake { node, demand } => {
-                let d = problem.demands.get(demand)?;
+                let d = self.problem.demands.get(demand)?;
                 if node == d.source || node == d.sink {
                     return None;
                 }
@@ -338,13 +388,27 @@ impl<'p> Neighbourhood<'p> {
                     }
                     path.push(v);
                 }
-                let mut routes = design.routes.clone();
-                routes[demand] = Some(path);
-                routes
+                self.replace_route(design, demand, path);
             }
-        };
-        let active = rebuild_active(problem, &routes);
-        Some(Design { routes, active })
+        }
+        Some(())
+    }
+
+    /// Restores the design the last applied move started from.
+    fn undo(&mut self, design: &mut Design) {
+        self.restore_routes(design);
+        std::mem::swap(&mut design.active, &mut self.undo_active);
+    }
+
+    fn replace_route(&mut self, design: &mut Design, demand: usize, path: Vec<usize>) {
+        let old = design.routes[demand].replace(path);
+        self.undo_routes.push((demand, old));
+    }
+
+    fn restore_routes(&mut self, design: &mut Design) {
+        while let Some((demand, route)) = self.undo_routes.pop() {
+            design.routes[demand] = route;
+        }
     }
 }
 
@@ -454,17 +518,17 @@ pub fn multistart<O: EvalOracle>(
                 if driver.exhausted() {
                     break 'climb;
                 }
-                let Some(candidate) = hood.apply(&current, mv) else {
+                if !hood.apply(&mut current, mv) {
                     continue;
-                };
-                let (score, objective, _) = driver.score(mv.kind(), &candidate, false);
+                }
+                let (score, objective, _) = driver.score(mv.kind(), &current, false);
                 if objective < current_obj {
                     driver.trace.last_mut().expect("just pushed").accepted = true;
-                    current = candidate;
                     current_score = score;
                     current_obj = objective;
                     continue 'climb; // first improvement: restart the scan
                 }
+                hood.undo(&mut current);
             }
             break; // local optimum
         }
@@ -528,8 +592,7 @@ pub fn anneal<O: EvalOracle>(
                 demand: rng.range_usize(0, demands),
             }),
         };
-        let Some((mv, candidate)) = mv.and_then(|mv| hood.apply(&current, mv).map(|c| (mv, c)))
-        else {
+        let Some(mv) = mv.filter(|&mv| hood.apply(&mut current, mv)) else {
             failed_proposals += 1;
             if failed_proposals >= 256 {
                 break; // neighbourhood exhausted (tiny instances)
@@ -538,16 +601,17 @@ pub fn anneal<O: EvalOracle>(
         };
         failed_proposals = 0;
         let temp = t0 * 0.95f64.powi(driver.evals as i32);
-        let (score, objective, is_best) = driver.score(mv.kind(), &candidate, false);
+        let (score, objective, is_best) = driver.score(mv.kind(), &current, false);
         let delta = objective - current_obj;
         let accept = delta <= 0.0 || rng.chance((-delta / temp.max(1e-12)).exp());
         driver.trace.last_mut().expect("just pushed").accepted = accept;
         if accept {
-            current = candidate;
             current_obj = objective;
             if is_best {
                 best = (current.clone(), score, objective);
             }
+        } else {
+            hood.undo(&mut current);
         }
     }
     let (best_design, best_score, best_objective) = best;
@@ -650,7 +714,11 @@ mod tests {
             Move::Sleep { node: 5 },
             Move::Wake { node: 9, demand: 0 },
         ] {
-            let Some(d) = hood.apply(&start, mv) else { continue };
+            let mut d = start.clone();
+            if !hood.apply(&mut d, mv) {
+                assert_eq!(d, start, "a refused move leaves the design as it was");
+                continue;
+            }
             checked += 1;
             for (demand, route) in p.demands.iter().zip(&d.routes) {
                 let r = route.as_ref().expect("moves keep feasibility");
@@ -667,6 +735,8 @@ mod tests {
                     assert!(d.active[v], "route nodes stay awake");
                 }
             }
+            hood.undo(&mut d);
+            assert_eq!(d, start, "undo restores the design");
         }
         assert!(checked >= 2, "at least some moves must apply");
     }

@@ -3,11 +3,20 @@
 //! [`apply_move`] is the uncached move application the searches ran before
 //! the neighbourhood was memoized, kept verbatim: every call recomputes
 //! its Yen ranking, shortest-path tree or detour from scratch. The memo
-//! must return the identical neighbour (or refusal) for every move.
+//! must return the identical neighbour (or refusal) for every move, and
+//! undoing the move must restore the design it was applied to.
 
 use super::*;
 use crate::instances::random_instance;
+use eend_graph::paths::dijkstra_with;
 use proptest::prelude::*;
+
+/// The awake set implied by `routes` (see the in-place `rebuild_active`).
+fn active_for(problem: &DesignProblem, routes: &[Option<Vec<usize>>]) -> Vec<bool> {
+    let mut active = Vec::new();
+    rebuild_active(problem, routes, &mut active);
+    active
+}
 
 /// Applies `mv` to `design`, returning the neighbour design, or `None`
 /// when the move is inapplicable (no such alternative path, node not a
@@ -35,7 +44,7 @@ fn apply_move(
             }
             let mut routes = design.routes.clone();
             routes[demand] = Some(path);
-            let active = rebuild_active(problem, &routes);
+            let active = active_for(problem, &routes);
             Some(Design { routes, active })
         }
         Move::Sleep { node } => {
@@ -60,7 +69,7 @@ fn apply_move(
                 );
                 routes[i] = Some(sp.path_to(d.sink)?); // unroutable → move fails
             }
-            let active = rebuild_active(problem, &routes);
+            let active = active_for(problem, &routes);
             if active[node] {
                 return None; // another route still pins it awake (cannot happen, but cheap)
             }
@@ -91,7 +100,7 @@ fn apply_move(
             }
             let mut routes = design.routes.clone();
             routes[demand] = Some(path);
-            let active = rebuild_active(problem, &routes);
+            let active = active_for(problem, &routes);
             Some(Design { routes, active })
         }
     }
@@ -139,9 +148,16 @@ fn compare_with_reference(p: &DesignProblem, coverage: &mut Coverage) -> Result<
         for design in &frontier {
             for &mv in &moves {
                 let want = apply_move(p, &g, design, mv);
-                let got = hood.apply(design, mv);
+                let mut work = design.clone();
+                let got = hood.apply(&mut work, mv).then(|| work.clone());
                 if got != want {
                     return Err(format!("{mv:?}: memo {got:?}, reference {want:?}"));
+                }
+                if got.is_some() {
+                    hood.undo(&mut work);
+                }
+                if work != *design {
+                    return Err(format!("{mv:?}: left {work:?} behind, not {design:?}"));
                 }
                 match (mv, want) {
                     (_, Some(next)) => reached.push(next),

@@ -1,8 +1,8 @@
 //! The design search's output, pinned where `cargo test` at the repository
-//! root sees it: the grid7 multistart trace must match the committed
-//! golden byte for byte, and a seeded random30 anneal must keep its pinned
-//! trace digest and trace the same with and without an evaluation cache
-//! in front of its oracle.
+//! root sees it: the grid7 multistart and seeded grid7 anneal traces must
+//! match the committed goldens byte for byte, and a seeded random30 anneal
+//! must keep its pinned trace digest and trace the same with and without
+//! an evaluation cache in front of its oracle.
 
 use eend::opt::{
     anneal, instances, multistart, CachedOracle, EvalOracle, FluidOracle, Fnv1a, SearchOpts,
@@ -22,6 +22,27 @@ fn grid7_multistart_trace_matches_the_golden() {
         include_str!("../crates/opt/tests/golden/design_grid7_multistart.jsonl"),
         "grid7 multistart trace drifted from the committed golden \
          (crates/opt/tests/golden_trace.rs documents how to regenerate it)"
+    );
+}
+
+/// The seeded grid7 anneal proposes all four move kinds (6 starts, 123
+/// swaps, 24 sleeps, 47 wakes), so it pins the sleep detours and wake legs
+/// the multistart golden barely reaches. The golden is the output of
+/// `eend-cli design --instance grid7 --search anneal --seed 4 --budget 200`
+/// and has no regeneration path: a drift is a behaviour change.
+#[test]
+fn grid7_anneal_trace_matches_the_golden() {
+    let p = instances::grid7();
+    let opts = SearchOpts { seed: 4, budget: 200, ..SearchOpts::new() };
+    let r = anneal(&p, &mut FluidOracle::standard(900.0), &opts);
+    let trace = r.trace_jsonl();
+    for kind in ["\"kind\":\"start:", "\"kind\":\"swap:", "\"kind\":\"sleep:", "\"kind\":\"wake:"] {
+        assert!(trace.contains(kind), "the golden run must propose {kind}");
+    }
+    assert_eq!(
+        trace,
+        include_str!("../crates/opt/tests/golden/design_grid7_anneal_s4.jsonl"),
+        "grid7 anneal trace drifted from the committed golden"
     );
 }
 
