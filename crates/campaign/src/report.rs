@@ -18,23 +18,37 @@ pub struct Record {
 /// A named metric column: CSV/JSON field name plus its extractor.
 pub type MetricColumn = (&'static str, fn(&RunMetrics) -> f64);
 
+/// How many metrics a campaign exports per record.
+pub const METRIC_COUNT: usize = 12;
+
+/// One record's exported metric values, in [`metric_columns`] order:
+/// all a CSV/JSON row or an aggregate cell needs of its [`RunMetrics`].
+pub type MetricRow = [f64; METRIC_COUNT];
+
+static METRIC_COLUMNS: [MetricColumn; METRIC_COUNT] = [
+    ("delivery_ratio", |m| m.delivery_ratio()),
+    ("energy_goodput_bit_per_j", |m| m.energy_goodput_bit_per_j()),
+    ("enetwork_j", |m| m.enetwork_j()),
+    ("transmit_j", |m| m.transmit_energy_j()),
+    ("control_j", |m| m.control_energy_j()),
+    ("relays", |m| m.data_forwarders as f64),
+    ("data_sent", |m| m.data_sent as f64),
+    ("data_delivered", |m| m.data_delivered as f64),
+    ("rreq_tx", |m| m.rreq_tx as f64),
+    ("dsdv_update_tx", |m| m.dsdv_update_tx as f64),
+    ("link_failures", |m| m.link_failures as f64),
+    ("lifetime_1kj_s", |m| m.lifetime_to_first_death_s(1000.0)),
+];
+
 /// The named metrics a campaign exports to CSV/JSON, with extractors.
 /// One row of output carries each of these per record.
-pub fn metric_columns() -> Vec<MetricColumn> {
-    vec![
-        ("delivery_ratio", |m| m.delivery_ratio()),
-        ("energy_goodput_bit_per_j", |m| m.energy_goodput_bit_per_j()),
-        ("enetwork_j", |m| m.enetwork_j()),
-        ("transmit_j", |m| m.transmit_energy_j()),
-        ("control_j", |m| m.control_energy_j()),
-        ("relays", |m| m.data_forwarders as f64),
-        ("data_sent", |m| m.data_sent as f64),
-        ("data_delivered", |m| m.data_delivered as f64),
-        ("rreq_tx", |m| m.rreq_tx as f64),
-        ("dsdv_update_tx", |m| m.dsdv_update_tx as f64),
-        ("link_failures", |m| m.link_failures as f64),
-        ("lifetime_1kj_s", |m| m.lifetime_to_first_death_s(1000.0)),
-    ]
+pub fn metric_columns() -> &'static [MetricColumn; METRIC_COUNT] {
+    &METRIC_COLUMNS
+}
+
+/// Evaluates every [`metric_columns`] extractor on `m`.
+pub fn metric_row(m: &RunMetrics) -> MetricRow {
+    METRIC_COLUMNS.map(|(_, f)| f(m))
 }
 
 /// Everything a campaign produced, in job order.
@@ -113,7 +127,7 @@ impl CampaignResult {
 /// [`metric_columns`] name) to `out`.
 pub fn csv_header_into(out: &mut String) {
     out.push_str("campaign,stack,rate_kbps,nodes,speed_mps,traffic,radio,failure,seed");
-    for (name, _) in metric_columns() {
+    for (name, _) in &METRIC_COLUMNS {
         out.push(',');
         out.push_str(name);
     }
@@ -124,8 +138,13 @@ pub fn csv_header_into(out: &mut String) {
 /// `out`. Text fields are quoted per RFC 4180 when they contain a
 /// delimiter, quote, or newline.
 pub fn csv_row_into(out: &mut String, campaign: &str, r: &Record) {
+    csv_values_into(out, campaign, &r.point, &metric_row(&r.metrics));
+}
+
+/// [`csv_row_into`] from a record's grid point and precomputed
+/// [`MetricRow`].
+pub fn csv_values_into(out: &mut String, campaign: &str, p: &GridPoint, row: &MetricRow) {
     use std::fmt::Write as _;
-    let p = &r.point;
     let _ = write!(
         out,
         "{},{},{},{},{},{},{},{},{}",
@@ -139,8 +158,8 @@ pub fn csv_row_into(out: &mut String, campaign: &str, r: &Record) {
         csv_field(&p.failure),
         p.seed
     );
-    for (_, f) in metric_columns() {
-        let _ = write!(out, ",{}", f(&r.metrics));
+    for v in row {
+        let _ = write!(out, ",{v}");
     }
     out.push('\n');
 }
@@ -149,8 +168,13 @@ pub fn csv_row_into(out: &mut String, campaign: &str, r: &Record) {
 /// separator) to `out` — the element type of [`CampaignResult::to_json`]
 /// and the line type of the JSONL streaming sink.
 pub fn json_row_into(out: &mut String, campaign: &str, r: &Record) {
+    json_values_into(out, campaign, &r.point, &metric_row(&r.metrics));
+}
+
+/// [`json_row_into`] from a record's grid point and precomputed
+/// [`MetricRow`].
+pub fn json_values_into(out: &mut String, campaign: &str, p: &GridPoint, row: &MetricRow) {
     use std::fmt::Write as _;
-    let p = &r.point;
     out.push_str("{\"campaign\":");
     write_str(out, campaign);
     out.push_str(",\"stack\":");
@@ -166,9 +190,9 @@ pub fn json_row_into(out: &mut String, campaign: &str, r: &Record) {
     out.push_str(",\"failure\":");
     write_str(out, &p.failure);
     let _ = write!(out, ",\"seed\":{}", p.seed);
-    for (name, f) in metric_columns() {
+    for ((name, _), &v) in METRIC_COLUMNS.iter().zip(row) {
         let _ = write!(out, ",\"{name}\":");
-        write_num(out, f(&r.metrics));
+        write_num(out, v);
     }
     out.push('}');
 }

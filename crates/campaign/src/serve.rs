@@ -31,8 +31,8 @@
 //! | `POST /submit` | `{"campaign": name, "axes": {…}, "on_failure": "abort"\|"skip"\|"retry=N"?}` — the axes use the exact [`SpecAxes::to_json`] schema stored in store manifests; `on_failure` (optional) sets the store's [`FailurePolicy`] | `{"fingerprint","total","done","cached","state"}` |
 //! | `GET /status` | — | daemon-wide listing: `{"workers","executed","campaigns":[{"fingerprint","total","done","failed","state"},…]}` |
 //! | `GET /status/<fp>` | — | `{"fingerprint","total","done","failed","state","error","workers","executed"}` |
-//! | `GET /stream/<fp>` | `?from=N&format=jsonl\|csv` | one record per line as jobs complete, resuming from the store at record `N` (reconnects pick up where they left off) |
-//! | `GET /aggregate/<fp>` | — | one JSONL cell per (metric, stack, x): `{"metric","stack","x","n","mean","ci95"}`; repeat hits are served from a cache keyed on `(fingerprint, contiguous-durable-prefix)`, so they never re-read the store |
+//! | `GET /stream/<fp>` | `?from=N&format=jsonl\|csv` | one record per line as jobs become durable, starting at record `N` (reconnects pick up where they left off) |
+//! | `GET /aggregate/<fp>` | — | one JSONL cell per (metric, stack, x): `{"metric","stack","x","n","mean","ci95"}`, reduced from the campaign's in-memory metric rows; repeat hits are served from a cache keyed on `(fingerprint, contiguous-durable-prefix)`, so they never re-reduce |
 //! | `GET /` | — | health probe (`eend-serve`) |
 //!
 //! `<fp>` is the 16-hex-digit campaign fingerprint returned by submit.
@@ -50,11 +50,23 @@
 //! since the restart rehydrate the campaign from the store's manifest
 //! axes.
 //!
-//! Record lines streamed by `/stream` are rendered through the same row
-//! writers as `eend-cli campaign --csv` / the JSONL sink, and
-//! `/aggregate` drives [`merge_stores_streaming`] into per-metric
-//! [`StreamingAggregator`]s — both byte-identical to the offline CLI
-//! path, pinned by integration tests.
+//! # Metric rows
+//!
+//! Every read endpoint works from one [`MetricRow`] per durable record
+//! — the twelve [`metric_columns`] values, nothing else of the
+//! record's [`RunMetrics`](eend_wireless::RunMetrics). A row is computed
+//! once, by the store's completion observer right after the record's
+//! durable append, and kept in the campaign's progress beside the
+//! durable-prefix count; records already on disk when a campaign
+//! registers (restart, rehydrate, resume) are decoded once, at
+//! registration, with their identity cross-checked against the job
+//! list — a store whose record names another job is refused with a 400
+//! before any response header is sent. `/stream` renders rows through
+//! the same row writers as `eend-cli campaign --csv` / the JSONL sink,
+//! and `/aggregate` feeds them into per-metric
+//! [`StreamingAggregator`]s in job order — both byte-identical to the
+//! offline CLI path, pinned by integration tests. Neither endpoint reads
+//! the store's files.
 //!
 //! # Fault containment
 //!
@@ -64,7 +76,8 @@
 //! cause in `"error"` — while the daemon and its other campaigns keep
 //! serving. Connection handlers are supervised the same way (a handler
 //! panic costs one connection, answered 500). POST bodies are bounded
-//! (413 past 1 MiB), header floods are cut off, and slow, timed-out, or
+//! (413 past 1 MiB), so is each request and header line (431 past
+//! 8 KiB), header floods are cut off, and slow, timed-out, or
 //! malformed clients are logged with their peer address. A campaign
 //! that dies releases its claimed pool slots immediately (its pool
 //! task deregisters during the unwind), so concurrent campaigns keep
@@ -77,18 +90,17 @@
 
 use crate::executor::{panic_cause, Executor, FailurePolicy, JobScheduler, WorkerPool};
 use crate::json::{parse_json, JVal};
-use crate::report::{csv_header_into, csv_row_into, json_num, json_row_into, json_str, Record};
+use crate::report::{
+    csv_header_into, csv_values_into, json_num, json_str, json_values_into, metric_columns,
+    metric_row, MetricRow,
+};
 use crate::spec::{CampaignSpec, GridPoint, Job};
 use crate::store::{
-    fingerprint, merge_shards_streaming, metrics_from_json, read_manifest, verify_line_identity,
-    Manifest, ResultStore, RunOptions, SpecAxes, MANIFEST_FILE, RECORDS_FILE,
+    fingerprint, read_manifest, Manifest, ResultStore, RunOptions, SpecAxes, MANIFEST_FILE,
 };
-use crate::RecordSink;
 use eend_stats::grouped::StreamingAggregator;
-use eend_wireless::RunMetrics;
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeMap;
 use std::fmt::Write as _;
-use std::fs::File;
 use std::io::{self, BufRead, BufReader, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -103,6 +115,9 @@ use std::time::Duration;
 const MAX_BODY_BYTES: usize = 1 << 20;
 /// Header-flood cutoff for one request.
 const MAX_HEADER_LINES: usize = 100;
+/// Longest request line or header line the daemon will buffer,
+/// terminator included.
+const MAX_LINE_BYTES: usize = 8 << 10;
 
 fn bad_req(msg: impl Into<String>) -> io::Error {
     io::Error::new(io::ErrorKind::InvalidData, msg.into())
@@ -132,17 +147,30 @@ enum Phase {
 /// Mutable progress of one campaign, guarded by its entry's mutex.
 struct Progress {
     /// Length of the *contiguous* durable-record prefix — the id of the
-    /// next record a subscriber can tail. Under the default abort
+    /// next record a subscriber can stream. Under the default abort
     /// policy records land strictly in job order and this equals the
     /// completed count; a containing policy can leave gaps, and a gap
-    /// must hold the tail back rather than overstate progress.
+    /// must hold the stream back rather than overstate progress.
     done: usize,
+    /// Each durable record's metric row, indexed by job id (`None`
+    /// until the record is durable). Every row below `done` is set.
+    rows: Vec<Option<MetricRow>>,
     /// Jobs whose last attempt failed under a containing policy —
     /// durable in `failures.jsonl`, re-attempted on the next run.
     failed: usize,
     phase: Phase,
     /// The last run's failure, if it ended early.
     error: Option<String>,
+}
+
+impl Progress {
+    /// Extends `done` over every row now set past it: a skipped job's
+    /// gap holds the prefix back until a later resume fills it.
+    fn advance_done(&mut self) {
+        while self.rows.get(self.done).is_some_and(Option::is_some) {
+            self.done += 1;
+        }
+    }
 }
 
 /// One registered campaign: the immutable expansion plus run progress.
@@ -156,7 +184,7 @@ struct CampaignEntry {
     policy: Mutex<Option<FailurePolicy>>,
     progress: Mutex<Progress>,
     /// Notified on every completed record and phase change, so
-    /// streaming subscribers wake the moment a record is tailable.
+    /// streaming subscribers wake the moment a row is published.
     cv: Condvar,
     /// The last `/aggregate` body, keyed on the contiguous durable
     /// prefix it was computed at — records landing after it advance
@@ -185,8 +213,8 @@ struct ServeState {
     /// Simulation jobs actually executed since the daemon started —
     /// cache hits leave it untouched, which the cache tests assert.
     jobs_executed: AtomicUsize,
-    /// `/aggregate` bodies actually computed (store re-read and
-    /// re-reduced) — repeat hits served from cache leave it untouched,
+    /// `/aggregate` bodies actually computed (the campaign's metric rows
+    /// reduced) — repeat hits served from cache leave it untouched,
     /// which the aggregate-cache test asserts.
     aggregates_computed: AtomicUsize,
     campaigns: Mutex<BTreeMap<u64, Arc<CampaignEntry>>>,
@@ -214,9 +242,9 @@ impl ServerHandle {
         self.state.jobs_executed.load(Ordering::SeqCst)
     }
 
-    /// `/aggregate` bodies actually computed (store re-read and
-    /// re-reduced) since startup. A repeat hit served from the
-    /// aggregate cache does not move this counter.
+    /// `/aggregate` bodies actually computed (the campaign's metric rows
+    /// reduced) since startup. A repeat hit served from the aggregate
+    /// cache does not move this counter.
     pub fn aggregates_computed(&self) -> usize {
         self.state.aggregates_computed.load(Ordering::SeqCst)
     }
@@ -337,16 +365,12 @@ fn run_campaign(
         policy: store.policy(),
         cancel: Some(&state.shutdown),
     };
-    let mut have: BTreeSet<usize> = store.completed().clone();
-    let outcome = store.run_with(&state.pool, &entry.jobs, &opts, |id| {
+    let outcome = store.run_with(&state.pool, &entry.jobs, &opts, |(id, record)| {
         state.jobs_executed.fetch_add(1, Ordering::SeqCst);
-        have.insert(id);
+        let row = metric_row(&record.metrics);
         let mut p = entry.progress.lock().expect("progress lock poisoned");
-        // Publish the contiguous durable prefix: a skipped job's gap
-        // holds the tail back until a later resume fills it.
-        while have.contains(&p.done) {
-            p.done += 1;
-        }
+        p.rows[id] = Some(row);
+        p.advance_done();
         drop(p);
         entry.cv.notify_all();
     })?;
@@ -366,9 +390,11 @@ fn run_campaign(
 // Campaign registry.
 
 /// Registers `spec` (idempotently, by fingerprint), opening — and
-/// thereby resuming — its store under the data directory. A `Some`
-/// policy (from a submit's `on_failure` field) overrides the entry's
-/// policy for subsequent runs; `None` leaves it alone.
+/// thereby resuming — its store under the data directory and decoding
+/// the metric row of every record already durable there, each checked
+/// against the job it claims to be. A `Some` policy (from a submit's
+/// `on_failure` field) overrides the entry's policy for subsequent
+/// runs; `None` leaves it alone.
 fn register(
     state: &ServeState,
     spec: CampaignSpec,
@@ -387,33 +413,25 @@ fn register(
     let mut manifest = Manifest::for_spec(&spec, 0, 1);
     manifest.on_failure = policy.as_ref().map(|p| p.label());
     let store = ResultStore::open(&dir, manifest)?;
-    let done = durable_prefix(store.completed());
-    let failed = store.failures().len();
+    let mut rows = vec![None; jobs.len()];
+    for (id, m) in store.load_metrics(Some(&jobs))? {
+        rows[id] = Some(metric_row(&m));
+    }
+    let mut progress =
+        Progress { done: 0, rows, failed: store.failures().len(), phase: Phase::Idle, error: None };
+    progress.advance_done();
     let entry = Arc::new(CampaignEntry {
         spec,
         jobs,
         fingerprint: fp,
         dir,
         policy: Mutex::new(policy),
-        progress: Mutex::new(Progress { done, failed, phase: Phase::Idle, error: None }),
+        progress: Mutex::new(progress),
         cv: Condvar::new(),
         agg_cache: Mutex::new(None),
     });
     map.insert(fp, Arc::clone(&entry));
     Ok(entry)
-}
-
-/// Length of the contiguous durable prefix `0..n` of `completed` — the
-/// tailable record count (see [`Progress::done`]).
-fn durable_prefix(completed: &BTreeSet<usize>) -> usize {
-    let mut n = 0;
-    for &id in completed {
-        if id != n {
-            break;
-        }
-        n += 1;
-    }
-    n
 }
 
 /// Looks a fingerprint up in the registry, falling back to rehydrating
@@ -424,12 +442,11 @@ fn find_campaign(state: &ServeState, fp: u64) -> io::Result<Option<Arc<CampaignE
         return Ok(Some(Arc::clone(e)));
     }
     let dir = state.data_dir.join(format!("{fp:016x}"));
-    if !dir.join("manifest.json").exists() {
+    let manifest_path = dir.join(MANIFEST_FILE);
+    if !manifest_path.exists() {
         return Ok(None);
     }
-    let store = ResultStore::open_existing(&dir)?;
-    let manifest = store.manifest().clone();
-    drop(store);
+    let manifest = read_manifest(&manifest_path)?;
     let Some(axes) = manifest.axes else {
         return Err(bad_req(format!(
             "store {} records no spec axes; its campaign cannot be rehydrated",
@@ -498,10 +515,41 @@ impl Request {
     }
 }
 
-fn read_request(stream: &TcpStream) -> io::Result<Request> {
+/// A request refused before dispatch: the status code to answer and
+/// why. Read errors map to 408 (timeout) or 400.
+struct Refused {
+    code: u16,
+    cause: String,
+}
+
+impl From<io::Error> for Refused {
+    fn from(e: io::Error) -> Refused {
+        let code = match e.kind() {
+            io::ErrorKind::TimedOut | io::ErrorKind::WouldBlock => 408,
+            _ => 400,
+        };
+        Refused { code, cause: e.to_string() }
+    }
+}
+
+/// Reads one request or header line into `line`, refusing with 431 a
+/// line longer than [`MAX_LINE_BYTES`] before buffering the rest of it.
+/// Returns 0 at end of input.
+fn read_line_bounded(reader: &mut impl BufRead, line: &mut String) -> Result<usize, Refused> {
+    let n = reader.take(MAX_LINE_BYTES as u64).read_line(line)?;
+    if n == MAX_LINE_BYTES && !line.ends_with('\n') {
+        return Err(Refused {
+            code: 431,
+            cause: format!("request line or header longer than {MAX_LINE_BYTES} bytes"),
+        });
+    }
+    Ok(n)
+}
+
+fn read_request(stream: &TcpStream) -> Result<Request, Refused> {
     let mut reader = BufReader::new(stream.try_clone()?);
     let mut line = String::new();
-    reader.read_line(&mut line)?;
+    read_line_bounded(&mut reader, &mut line)?;
     let mut parts = line.split_whitespace();
     let method = parts.next().ok_or_else(|| bad_req("empty request line"))?.to_owned();
     let target = parts.next().ok_or_else(|| bad_req("request line lacks a target"))?.to_owned();
@@ -510,10 +558,10 @@ fn read_request(stream: &TcpStream) -> io::Result<Request> {
     loop {
         header_lines += 1;
         if header_lines > MAX_HEADER_LINES {
-            return Err(bad_req(format!("more than {MAX_HEADER_LINES} request headers")));
+            return Err(bad_req(format!("more than {MAX_HEADER_LINES} request headers")).into());
         }
         let mut header = String::new();
-        if reader.read_line(&mut header)? == 0 {
+        if read_line_bounded(&mut reader, &mut header)? == 0 {
             break;
         }
         let header = header.trim_end();
@@ -530,12 +578,12 @@ fn read_request(stream: &TcpStream) -> io::Result<Request> {
         }
     }
     if content_length > MAX_BODY_BYTES {
-        // InvalidInput is the oversize marker: the connection handler
-        // maps it to 413 instead of a generic 400.
-        return Err(io::Error::new(
-            io::ErrorKind::InvalidInput,
-            format!("request body of {content_length} bytes exceeds the {MAX_BODY_BYTES} byte cap"),
-        ));
+        return Err(Refused {
+            code: 413,
+            cause: format!(
+                "request body of {content_length} bytes exceeds the {MAX_BODY_BYTES} byte cap"
+            ),
+        });
     }
     let mut body = vec![0u8; content_length];
     reader.read_exact(&mut body)?;
@@ -564,6 +612,7 @@ fn status_text(code: u16) -> &'static str {
         408 => "408 Request Timeout",
         409 => "409 Conflict",
         413 => "413 Payload Too Large",
+        431 => "431 Request Header Fields Too Large",
         _ => "500 Internal Server Error",
     }
 }
@@ -578,14 +627,6 @@ fn respond(stream: &mut TcpStream, code: u16, ctype: &str, body: &str) -> io::Re
     stream.write_all(head.as_bytes())?;
     stream.write_all(body.as_bytes())?;
     stream.flush()
-}
-
-/// Starts a close-delimited streaming response (no Content-Length; the
-/// body ends when the daemon closes the connection).
-fn respond_stream_head(stream: &mut TcpStream, ctype: &str) -> io::Result<()> {
-    let head =
-        format!("HTTP/1.1 200 OK\r\nContent-Type: {ctype}\r\nConnection: close\r\n\r\n");
-    stream.write_all(head.as_bytes())
 }
 
 fn accept_loop(listener: &TcpListener, state: &Arc<ServeState>) {
@@ -624,14 +665,15 @@ fn dispatch(stream: &mut TcpStream, state: &Arc<ServeState>, peer: &str) -> io::
     stream.set_read_timeout(Some(Duration::from_secs(30)))?;
     let req = match read_request(stream) {
         Ok(r) => r,
-        Err(e) => {
-            let (code, what) = match e.kind() {
-                io::ErrorKind::TimedOut | io::ErrorKind::WouldBlock => (408, "read timed out"),
-                io::ErrorKind::InvalidInput => (413, "oversized request"),
-                _ => (400, "malformed request"),
+        Err(Refused { code, cause }) => {
+            let what = match code {
+                408 => "read timed out",
+                413 => "oversized request",
+                431 => "oversized request line or header",
+                _ => "malformed request",
             };
-            eprintln!("eend-serve: {peer}: {what}: {e}");
-            return respond(stream, code, "text/plain", &format!("bad request: {e}\n"));
+            eprintln!("eend-serve: {peer}: {what}: {cause}");
+            return respond(stream, code, "text/plain", &format!("bad request: {cause}\n"));
         }
     };
     let segments: Vec<&str> = req.path.split('/').filter(|s| !s.is_empty()).collect();
@@ -798,13 +840,13 @@ fn submit_impl(state: &Arc<ServeState>, body: &str) -> io::Result<String> {
     ))
 }
 
-/// Streams records `from..total` as they become durable, tailing the
-/// campaign's `records.jsonl`. Because the store flushes each record
-/// *before* publishing its id to `Progress::done`, every line this
-/// reader is allowed to reach is complete on disk. If the campaign
-/// stops (error or shutdown) before all jobs are durable, the body ends
-/// early at the last durable record — a reconnect with `?from=` picks
-/// up exactly there.
+/// Streams records `from..total` as they become durable, rendering
+/// each from its published metric row. The store's observer publishes
+/// a row only after its record's durable append, so nothing reaches a
+/// subscriber that a crash could lose. If the campaign stops (error or
+/// shutdown) before all jobs are durable, the body ends early at the
+/// last durable record — a reconnect with `?from=` picks up exactly
+/// there.
 fn stream_records(
     state: &ServeState,
     entry: &CampaignEntry,
@@ -812,24 +854,23 @@ fn stream_records(
     csv: bool,
     stream: &mut TcpStream,
 ) -> io::Result<()> {
-    respond_stream_head(stream, if csv { "text/csv" } else { "application/x-ndjson" })?;
-    let mut row = String::new();
+    let ctype = if csv { "text/csv" } else { "application/x-ndjson" };
+    // Close-delimited: no Content-Length, the body ends when the daemon
+    // closes the connection.
+    let mut out =
+        format!("HTTP/1.1 200 OK\r\nContent-Type: {ctype}\r\nConnection: close\r\n\r\n");
     if csv && from == 0 {
-        csv_header_into(&mut row);
-        stream.write_all(row.as_bytes())?;
-        stream.flush()?;
+        csv_header_into(&mut out);
     }
-    let mut reader: Option<BufReader<File>> = None;
-    let mut line = String::new();
-    for i in from..entry.jobs.len() {
-        // Wait until record i is durable (or the campaign goes idle
-        // short of it, which ends the stream early).
+    stream.write_all(out.as_bytes())?;
+    let mut rows: Vec<MetricRow> = Vec::new();
+    let mut next = from;
+    while next < entry.jobs.len() {
+        // Copy every row durable past `next`, waiting for one if none
+        // is (or ending early if the campaign goes idle short of it).
         {
             let mut p = entry.progress.lock().expect("progress lock poisoned");
-            loop {
-                if p.done > i {
-                    break;
-                }
+            while p.done <= next {
                 if p.phase == Phase::Idle || state.shutdown.load(Ordering::SeqCst) {
                     return stream.flush();
                 }
@@ -839,87 +880,29 @@ fn stream_records(
                     .expect("progress lock poisoned");
                 p = guard;
             }
+            let durable = p.rows[next..p.done].iter();
+            rows.extend(durable.map(|r| r.expect("every row below the durable prefix is set")));
         }
-        if reader.is_none() {
-            reader = Some(BufReader::new(File::open(entry.dir.join(RECORDS_FILE))?));
-        }
-        // A store resuming past contained failures appends gap-filling
-        // records out of id order and compacts afterwards; one rescan
-        // from the top of the (possibly fresh, compacted) file per
-        // wanted record absorbs that window.
-        let mut rescanned = false;
-        loop {
-            line.clear();
-            if reader.as_mut().expect("reader set above").read_line(&mut line)? == 0 {
-                if !rescanned {
-                    rescanned = true;
-                    reader = Some(BufReader::new(File::open(entry.dir.join(RECORDS_FILE))?));
-                    continue;
-                }
-                return Err(io::Error::other(format!(
-                    "record {i} is marked durable but {} ended early",
-                    entry.dir.join(RECORDS_FILE).display()
-                )));
-            }
-            let text = line.trim();
-            if text.is_empty() {
-                continue;
-            }
-            let v = parse_json(text)?;
-            let id = v.get("job")?.usize()?;
-            if id < i {
-                continue; // skipping the prefix a ?from= reconnect already has
-            }
-            if id != i {
-                if !rescanned {
-                    rescanned = true;
-                    reader = Some(BufReader::new(File::open(entry.dir.join(RECORDS_FILE))?));
-                    continue;
-                }
-                return Err(io::Error::other(format!(
-                    "records out of order: wanted job {i}, found job {id}"
-                )));
-            }
-            let job = &entry.jobs[id];
-            verify_line_identity(&v, job)?;
-            let metrics = metrics_from_json(v.get("metrics")?)?;
-            let record = Record { point: job.point.clone(), metrics };
-            row.clear();
+        out.clear();
+        for row in rows.drain(..) {
+            let point = &entry.jobs[next].point;
             if csv {
-                csv_row_into(&mut row, &entry.spec.name, &record);
+                csv_values_into(&mut out, &entry.spec.name, point, &row);
             } else {
-                json_row_into(&mut row, &entry.spec.name, &record);
-                row.push('\n');
+                json_values_into(&mut out, &entry.spec.name, point, &row);
+                out.push('\n');
             }
-            stream.write_all(row.as_bytes())?;
-            stream.flush()?;
+            next += 1;
             // Chaos hook: drop the connection after the Nth streamed
             // row, as if the subscriber's network died mid-stream.
-            eend_fail::io_guard("serve.conn")?;
-            break;
+            if let Err(e) = eend_fail::io_guard("serve.conn") {
+                stream.write_all(out.as_bytes())?;
+                return Err(e);
+            }
         }
+        stream.write_all(out.as_bytes())?;
     }
     stream.flush()
-}
-
-/// One aggregate column: metric name, extractor, running cells.
-type AggCol = (&'static str, fn(&RunMetrics) -> f64, StreamingAggregator);
-
-/// A sink feeding one [`StreamingAggregator`] per exported metric — the
-/// aggregate endpoint holds per-cell scalar samples, never the records.
-struct AggSink {
-    x: fn(&GridPoint) -> f64,
-    cols: Vec<AggCol>,
-}
-
-impl RecordSink for AggSink {
-    fn accept(&mut self, record: &Record) -> io::Result<()> {
-        let x = (self.x)(&record.point);
-        for (_, f, agg) in &mut self.cols {
-            agg.push(&record.point.stack.name, x, f(&record.metrics));
-        }
-        Ok(())
-    }
 }
 
 /// Picks the aggregate x axis the way the CLI's summary view does:
@@ -936,7 +919,7 @@ fn aggregate_x_axis(spec: &CampaignSpec) -> fn(&GridPoint) -> f64 {
 }
 
 fn aggregate_impl(state: &ServeState, entry: &CampaignEntry) -> io::Result<String> {
-    let done = {
+    let (done, rows) = {
         let p = entry.progress.lock().expect("progress lock poisoned");
         if p.done < entry.jobs.len() {
             return Err(bad_req(format!(
@@ -945,32 +928,32 @@ fn aggregate_impl(state: &ServeState, entry: &CampaignEntry) -> io::Result<Strin
                 entry.jobs.len()
             )));
         }
-        p.done
+        // Cache keyed on the contiguous durable prefix the body was
+        // computed at: records landing later advance the prefix, so a
+        // stale entry misses by key and the body is recomputed.
+        if let Some((at, body)) = entry.agg_cache.lock().expect("agg cache poisoned").as_ref() {
+            if *at == p.done {
+                return Ok(body.as_ref().clone());
+            }
+        }
+        let rows: Vec<MetricRow> =
+            p.rows.iter().map(|r| r.expect("a complete campaign has every row")).collect();
+        (p.done, rows)
     };
-    // Cache keyed on the contiguous durable prefix the body was
-    // computed at: records landing later advance the prefix, so a stale
-    // entry misses by key and the body is recomputed from the store.
-    if let Some((at, body)) = entry.agg_cache.lock().expect("agg cache poisoned").as_ref() {
-        if *at == done {
-            return Ok(body.as_ref().clone());
+    state.aggregates_computed.fetch_add(1, Ordering::SeqCst);
+    let x_of = aggregate_x_axis(&entry.spec);
+    let mut aggs: Vec<StreamingAggregator> =
+        metric_columns().iter().map(|_| StreamingAggregator::new()).collect();
+    for (job, row) in entry.jobs.iter().zip(&rows) {
+        let x = x_of(&job.point);
+        for (agg, &v) in aggs.iter_mut().zip(row) {
+            agg.push(&job.point.stack.name, x, v);
         }
     }
-    state.aggregates_computed.fetch_add(1, Ordering::SeqCst);
-    // Opening the store would scan every record line before the merge
-    // reads them again; the merge checks each line itself.
-    let manifest = read_manifest(&entry.dir.join(MANIFEST_FILE))?;
-    let mut sink = AggSink {
-        x: aggregate_x_axis(&entry.spec),
-        cols: crate::report::metric_columns()
-            .into_iter()
-            .map(|(name, f)| (name, f, StreamingAggregator::new()))
-            .collect(),
-    };
-    merge_shards_streaming(&[(&entry.dir, &manifest)], &entry.jobs, &mut sink)?;
     // Restore spec stack order, exactly like CampaignResult::series.
     let order: Vec<&str> = entry.spec.stacks.iter().map(|s| s.name.as_str()).collect();
     let mut out = String::new();
-    for (name, _, agg) in sink.cols {
+    for ((name, _), agg) in metric_columns().iter().zip(aggs) {
         let mut series = agg.finish();
         series.sort_by_key(|s| order.iter().position(|n| *n == s.label).unwrap_or(usize::MAX));
         for s in series {

@@ -27,8 +27,7 @@
 //! verifying the fingerprints agree and every job is covered exactly
 //! once. [`merge_stores_streaming`] does the same merge straight into a
 //! [`RecordSink`], holding one record per store instead of the whole
-//! grid — the path `eend-cli campaign merge --csv` and the serve
-//! daemon's aggregate endpoint run on.
+//! grid — the path `eend-cli campaign merge --csv` runs on.
 
 use crate::executor::{FailurePolicy, JobFailure, JobScheduler};
 use crate::json::{parse_json, parse_shallow, write_num, write_str, JVal};
@@ -797,17 +796,18 @@ impl ResultStore {
         self.run_observed(scheduler, shard_jobs, limit, |_| {})
     }
 
-    /// [`ResultStore::run`] with a completion observer: `observe(id)`
-    /// fires on the scheduling thread immediately after job `id`'s
-    /// record is durable (written and flushed), in job order. The serve
-    /// daemon uses this to wake streaming subscribers the moment a
-    /// record can be tailed from disk, without a second scan.
+    /// [`ResultStore::run`] with a completion observer:
+    /// `observe((id, record))` fires on the scheduling thread
+    /// immediately after job `id`'s record is durable (written and
+    /// flushed), in job order, with the in-memory record that was
+    /// written. The serve daemon computes each record's metric row here,
+    /// so its readers never parse `records.jsonl` back.
     pub fn run_observed<S: JobScheduler + ?Sized>(
         &mut self,
         scheduler: &S,
         shard_jobs: &[Job],
         limit: Option<usize>,
-        observe: impl FnMut(usize),
+        observe: impl FnMut((usize, &Record)),
     ) -> io::Result<usize> {
         let opts = RunOptions { limit, policy: self.policy(), cancel: None };
         let outcome = self.run_with(scheduler, shard_jobs, &opts, observe)?;
@@ -837,7 +837,7 @@ impl ResultStore {
         scheduler: &S,
         shard_jobs: &[Job],
         opts: &RunOptions<'_>,
-        mut observe: impl FnMut(usize),
+        mut observe: impl FnMut((usize, &Record)),
     ) -> io::Result<RunOutcome> {
         let (idx, cnt) = (self.manifest.shard_index, self.manifest.shard_count);
         for j in shard_jobs {
@@ -856,9 +856,9 @@ impl ResultStore {
             return Ok(RunOutcome { ran: 0, failed: 0, cancelled: false });
         }
         // Re-attempting a job that a *previous* session recorded as
-        // failed appends its record after later jobs' records. Readers
-        // (streaming merge, the serve tailer) rely on ascending ids, so
-        // such a run compacts the file back into id order afterwards.
+        // failed appends its record after later jobs' records. The
+        // streaming merge relies on ascending ids, so such a run
+        // compacts the file back into id order afterwards.
         let fills_gap = self
             .completed
             .iter()
@@ -898,7 +898,7 @@ impl ResultStore {
             eend_fail::io_guard_at("store.bookkeep", id as u64)?;
             completed.insert(id);
             ran += 1;
-            observe(id);
+            observe((id, record));
             cancel_after(&cancelled)
         };
         let mut on_failure = |f: &JobFailure| {
@@ -1135,8 +1135,8 @@ pub fn merge_stores(stores: &[&ResultStore], jobs: &[Job]) -> io::Result<Campaig
 }
 
 /// Streams the union of shard stores' records, in job order, into a
-/// [`RecordSink`] — the engine under [`merge_stores`], `eend-cli
-/// campaign merge --csv`, and the serve daemon's aggregate endpoint.
+/// [`RecordSink`] — the engine under [`merge_stores`] and `eend-cli
+/// campaign merge --csv`.
 /// Unlike materializing a [`CampaignResult`], at most one parsed record
 /// per store is held at a time (plus whatever the sink retains), so
 /// grids larger than RAM still merge.
@@ -1153,24 +1153,11 @@ pub fn merge_stores_streaming(
     jobs: &[Job],
     sink: &mut dyn RecordSink,
 ) -> io::Result<()> {
-    let shards: Vec<(&Path, &Manifest)> =
-        stores.iter().map(|s| (s.dir.as_path(), &s.manifest)).collect();
-    merge_shards_streaming(&shards, jobs, sink)
-}
-
-/// [`merge_stores_streaming`] over store directories and their
-/// manifests, for a caller that has not opened the stores: opening
-/// scans every record line, and the merge reads and checks each line
-/// itself, so a read path that only merges parses each line once.
-pub(crate) fn merge_shards_streaming(
-    shards: &[(&Path, &Manifest)],
-    jobs: &[Job],
-    sink: &mut dyn RecordSink,
-) -> io::Result<()> {
-    let (_, first) = shards.first().ok_or_else(|| bad_data("no stores to merge"))?;
-    let campaign = first.campaign.clone();
+    let first = stores.first().ok_or_else(|| bad_data("no stores to merge"))?;
+    let campaign = first.manifest.campaign.clone();
     let fp = fingerprint(&campaign, jobs);
-    for (dir, m) in shards {
+    for s in stores {
+        let (dir, m) = (&s.dir, &s.manifest);
         if m.fingerprint != fp || m.total_jobs != jobs.len() || m.campaign != campaign {
             return Err(bad_data(format!(
                 "store at {} (campaign {:?}, fingerprint {:016x}, {} jobs) does not \
@@ -1185,9 +1172,9 @@ pub(crate) fn merge_shards_streaming(
             )));
         }
     }
-    let mut cursors = Vec::with_capacity(shards.len());
-    for (dir, _) in shards {
-        let mut c = RecordCursor::open(dir)?;
+    let mut cursors = Vec::with_capacity(stores.len());
+    for s in stores {
+        let mut c = RecordCursor::open(&s.dir)?;
         c.advance()?;
         cursors.push(c);
     }
@@ -1503,7 +1490,7 @@ fn check_identity((stack, seed, traffic, radio): LineIdentity<'_>, job: &Job) ->
 }
 
 /// Cross-checks a stored line's identity against the job it claims to
-/// be (used by the store tests and the serve stream).
+/// be (used by [`ResultStore::load_metrics`] and the store tests).
 pub(crate) fn verify_line_identity(v: &JVal, job: &Job) -> io::Result<()> {
     check_identity(line_identity(v)?, job)
 }

@@ -12,8 +12,9 @@
 //! 5. `/aggregate` matches the in-memory aggregation cell for cell;
 //! 6. a graceful shutdown mid-campaign loses nothing: a restarted
 //!    daemon runs only the jobs the first one had not landed durably;
-//! 7. oversized (413) and malformed (400) requests are rejected with
-//!    errors, never by taking the daemon down;
+//! 7. oversized bodies (413), oversized request or header lines (431)
+//!    and malformed requests (400) are rejected with errors, never by
+//!    taking the daemon down;
 //! 8. two campaigns running **concurrently** on the shared pool fan out
 //!    to many `/stream` subscribers each (one reconnecting mid-run),
 //!    all byte-identical, with no cross-campaign bleed — and the
@@ -22,7 +23,12 @@
 //!    without re-reading the store (the computation counter must not
 //!    move);
 //! 10. a ~1 MiB submit body holding one long string, or nested a
-//!     million brackets deep, is answered promptly with a 4xx.
+//!     million brackets deep, is answered promptly with a 4xx;
+//! 11. a daemon started over a complete store serves `/stream` (JSONL
+//!     and CSV) and `/aggregate` byte-identically to the offline run
+//!     without a submit and without executing a job;
+//! 12. a store whose record line names another job than its id is
+//!     refused with a 4xx naming the job, before any header is sent.
 //!
 //! Failpoint-driven daemon tests (poisoned campaigns, injected
 //! disconnects) live in `tests/serve_chaos.rs` — a separate process,
@@ -80,6 +86,21 @@ fn request(addr: SocketAddr, raw: &str) -> String {
 
 fn get(addr: SocketAddr, path: &str) -> String {
     request(addr, &format!("GET {path} HTTP/1.1\r\nHost: t\r\n\r\n"))
+}
+
+/// Sends `raw` from a writer thread and returns whatever response
+/// arrives. The daemon may answer and close before reading all of
+/// `raw`, so write and reset errors are expected and ignored.
+fn request_unread(addr: SocketAddr, raw: String) -> String {
+    let mut s = TcpStream::connect(addr).expect("connect to daemon");
+    let mut w = s.try_clone().unwrap();
+    let writer = std::thread::spawn(move || {
+        let _ = w.write_all(raw.as_bytes());
+    });
+    let mut out = Vec::new();
+    let _ = s.read_to_end(&mut out);
+    let _ = writer.join();
+    String::from_utf8_lossy(&out).into_owned()
 }
 
 fn post(addr: SocketAddr, path: &str, body: &str) -> String {
@@ -542,6 +563,15 @@ fn oversized_and_malformed_requests_get_errors_not_a_dead_daemon() {
     let garbage = request(addr, "\r\n");
     assert!(garbage.starts_with("HTTP/1.1 400 "), "garbage: {garbage}");
 
+    // A 2 MiB request line, and a 2 MiB header after a valid one, are
+    // refused at 8 KiB instead of being buffered whole.
+    let pad = "x".repeat(2 << 20);
+    let long_line = request_unread(addr, format!("GET /{pad} HTTP/1.1\r\nHost: t\r\n\r\n"));
+    assert!(long_line.starts_with("HTTP/1.1 431 "), "long line: {:.200}", long_line);
+    let long_header =
+        request_unread(addr, format!("GET / HTTP/1.1\r\nHost: t\r\nX-Pad: {pad}\r\n\r\n"));
+    assert!(long_header.starts_with("HTTP/1.1 431 "), "long header: {:.200}", long_header);
+
     // A submit with an unknown failure policy is rejected up front.
     let spec = spec();
     let axes = SpecAxes::of(&spec).unwrap();
@@ -607,6 +637,85 @@ fn mebibyte_bodies_are_answered_promptly() {
 
     assert_eq!(body(&get(addr, "/")), "eend-serve\n", "health after the big bodies");
     assert_eq!(handle.jobs_executed(), 0, "rejected submits must not run jobs");
+    handle.shutdown();
+    let _ = std::fs::remove_dir_all(&data);
+}
+
+/// Runs `spec` to completion into the fingerprinted store a daemon over
+/// `data` would use, without a daemon, and returns the fingerprint.
+fn complete_store_offline(data: &std::path::Path, spec: &CampaignSpec) -> String {
+    let jobs = spec.expand();
+    let fp = format!("{:016x}", fingerprint(&spec.name, &jobs));
+    let mut store = ResultStore::open(data.join(&fp), Manifest::for_spec(spec, 0, 1)).unwrap();
+    assert_eq!(store.run(&Executor::with_workers(2), &jobs, None).unwrap(), jobs.len());
+    fp
+}
+
+#[test]
+fn a_restarted_daemon_serves_a_complete_store_without_a_submit() {
+    let spec = spec();
+    let expected = Executor::with_workers(1).run(&spec);
+    let data = scratch("rehydrate");
+    let fp = complete_store_offline(&data, &spec);
+
+    // No submit: every read rehydrates the campaign from disk.
+    let handle = serve(
+        "127.0.0.1:0",
+        ServeConfig { data_dir: data.clone(), executor: Executor::with_workers(2) },
+    )
+    .unwrap();
+    let addr = handle.addr();
+    assert_eq!(body(&get(addr, &format!("/stream/{fp}"))), expected_jsonl(&expected));
+    assert_eq!(body(&get(addr, &format!("/stream/{fp}?format=csv"))), expected.to_csv());
+    assert_eq!(body(&get(addr, &format!("/aggregate/{fp}"))), expected_aggregate(&expected));
+    assert_eq!(handle.jobs_executed(), 0, "a complete store must not run a job");
+
+    handle.shutdown();
+    let _ = std::fs::remove_dir_all(&data);
+}
+
+#[test]
+fn a_record_naming_another_job_is_refused_before_any_header() {
+    let spec = spec();
+    let data = scratch("identity");
+    let fp = complete_store_offline(&data, &spec);
+
+    // Job 1's line still parses, but claims a seed its job does not have.
+    let records = data.join(&fp).join("records.jsonl");
+    let text = std::fs::read_to_string(&records).unwrap();
+    let seed = spec.expand()[1].point.seed;
+    let tampered: String = text
+        .lines()
+        .map(|l| {
+            let l = if l.starts_with("{\"job\":1,") {
+                let forged = format!(",\"seed\":{},", seed + 1000);
+                l.replacen(&format!(",\"seed\":{seed},"), &forged, 1)
+            } else {
+                l.to_owned()
+            };
+            l + "\n"
+        })
+        .collect();
+    assert_ne!(tampered, text, "the tamper must land");
+    std::fs::write(&records, tampered).unwrap();
+
+    let handle = serve(
+        "127.0.0.1:0",
+        ServeConfig { data_dir: data.clone(), executor: Executor::with_workers(2) },
+    )
+    .unwrap();
+    let addr = handle.addr();
+    for path in
+        [format!("/stream/{fp}"), format!("/stream/{fp}?format=csv"), format!("/aggregate/{fp}")]
+    {
+        let resp = get(addr, &path);
+        assert!(resp.starts_with("HTTP/1.1 400 "), "{path}: {resp}");
+        assert!(body(&resp).contains("job 1 "), "{path} must name the job: {resp}");
+    }
+    let resp = post(addr, "/submit", &submit_body(&spec));
+    assert!(resp.starts_with("HTTP/1.1 400 "), "submit: {resp}");
+    assert_eq!(handle.jobs_executed(), 0);
+
     handle.shutdown();
     let _ = std::fs::remove_dir_all(&data);
 }
