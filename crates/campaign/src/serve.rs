@@ -48,7 +48,9 @@
 //! from their durable records (the kill-resume path the store was built
 //! for), and status/stream/aggregate requests for fingerprints not seen
 //! since the restart rehydrate the campaign from the store's manifest
-//! axes.
+//! axes. A spec whose failure plan kills a node at a negative or
+//! non-finite time, or a node beyond its network, is refused with a 400
+//! naming the plan and the kill, before any store directory is created.
 //!
 //! # Metric rows
 //!
@@ -401,6 +403,10 @@ fn register(
     policy: Option<FailurePolicy>,
 ) -> io::Result<Arc<CampaignEntry>> {
     let jobs = spec.expand();
+    // Refused before a store directory exists: every job would panic.
+    if let Some(e) = jobs.iter().find_map(|j| j.check_failures().err()) {
+        return Err(bad_req(e));
+    }
     let fp = fingerprint(&spec.name, &jobs);
     let mut map = state.campaigns.lock().expect("registry lock poisoned");
     if let Some(e) = map.get(&fp) {
@@ -414,9 +420,7 @@ fn register(
     manifest.on_failure = policy.as_ref().map(|p| p.label());
     let store = ResultStore::open(&dir, manifest)?;
     let mut rows = vec![None; jobs.len()];
-    for (id, m) in store.load_metrics(Some(&jobs))? {
-        rows[id] = Some(metric_row(&m));
-    }
+    store.visit_metrics(Some(&jobs), |id, m| rows[id] = Some(metric_row(&m)))?;
     let mut progress =
         Progress { done: 0, rows, failed: store.failures().len(), phase: Phase::Idle, error: None };
     progress.advance_done();

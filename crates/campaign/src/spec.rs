@@ -110,6 +110,23 @@ pub struct Job {
     pub scenario: Scenario,
 }
 
+impl Job {
+    /// Checks that every node this job's failure plan kills exists in its
+    /// network; the error names the plan and the kill. A job that fails
+    /// this check would panic in `Simulator::new`.
+    pub fn check_failures(&self) -> Result<(), String> {
+        let n = self.scenario.placement.node_count();
+        match self.scenario.node_failures.iter().find(|&&(_, node)| node >= n) {
+            Some(&(at, node)) => Err(format!(
+                "failure plan {:?} kills node {node} at {} s, but its network has {n} nodes",
+                self.point.failure,
+                at.as_secs_f64()
+            )),
+            None => Ok(()),
+        }
+    }
+}
+
 /// A declarative scenario-matrix sweep: the cartesian product of every
 /// non-empty axis, expanded in lexicographic order (stacks, then rates,
 /// then node counts, then speeds, then traffic models, then radio
@@ -466,6 +483,14 @@ mod tests {
         assert!(jobs[0].scenario.node_failures.is_empty());
         assert_eq!(jobs[1].scenario.node_failures, vec![(eend_sim::SimTime::from_secs_f64(10.0), 3)]);
         assert_eq!(jobs[1].point.failure, "k");
+        assert!(jobs.iter().all(|j| j.check_failures().is_ok()));
+        let beyond = CampaignSpec::new("t", BaseScenario::Small)
+            .stacks(vec![stacks::titan_pc()])
+            .failures(vec![FailurePlan::kill("far", 10.0, 50)])
+            .expand();
+        let err = beyond[0].check_failures().unwrap_err();
+        assert!(err.contains("\"far\" kills node 50 at 10 s"), "{err}");
+        assert!(err.contains("has 50 nodes"), "{err}");
     }
 
     #[test]

@@ -263,7 +263,11 @@ impl SpecAxes {
         })
     }
 
-    /// Rebuilds the [`CampaignSpec`] these axes describe.
+    /// Rebuilds the [`CampaignSpec`] these axes describe. A failure plan
+    /// whose kill time is not a finite, non-negative number of seconds is
+    /// refused here, naming the plan and the kill, since expanding it
+    /// would panic; kills of nodes beyond the network are caught per job
+    /// by [`crate::spec::Job::check_failures`].
     pub fn to_spec(&self, campaign: &str) -> io::Result<CampaignSpec> {
         let base = BaseScenario::parse(&self.preset)
             .ok_or_else(|| bad_data(format!("manifest names unknown preset {:?}", self.preset)))?;
@@ -284,6 +288,17 @@ impl SpecAxes {
             radio.push(eend_wireless::radio_profiles::by_name(name).ok_or_else(|| {
                 bad_data(format!("manifest names unknown radio profile {name:?}"))
             })?);
+        }
+        for plan in &self.failures {
+            for &(at, node) in &plan.kills {
+                if eend_sim::SimTime::try_from_secs_f64(at).is_none() {
+                    return Err(bad_data(format!(
+                        "failure plan {:?} kills node {node} at {at} s: a kill time must be \
+                         a finite, non-negative number of seconds",
+                        plan.label
+                    )));
+                }
+            }
         }
         let mut spec = CampaignSpec::new(campaign, base)
             .stacks(stack_list)
@@ -968,10 +983,26 @@ impl ResultStore {
         write_atomic(&path, out.as_bytes())
     }
 
-    /// Loads every durable record's metrics, keyed by global job id.
-    /// When `verify_against` is given (the full expansion), each
-    /// record's stored stack name and seed are cross-checked against the
-    /// job it claims to be.
+    /// Loads every durable record's metrics, keyed by global job id: a
+    /// collector over [`ResultStore::visit_metrics`], which documents
+    /// what is accepted and refused.
+    pub fn load_metrics(
+        &self,
+        verify_against: Option<&[Job]>,
+    ) -> io::Result<BTreeMap<usize, RunMetrics>> {
+        let mut out = BTreeMap::new();
+        self.visit_metrics(verify_against, |id, m| {
+            out.insert(id, m);
+        })?;
+        Ok(out)
+    }
+
+    /// Hands every durable record's metrics to `visit` as `(global job
+    /// id, metrics)`, in file order, reading `records.jsonl` one line at
+    /// a time: only the current record is held decoded. When
+    /// `verify_against` is given (the full expansion), each record's
+    /// stored stack name and seed are cross-checked against the job it
+    /// claims to be.
     ///
     /// A parse failure is tolerated only on the file's final line — the
     /// newline-less footprint of a killed writer. Corruption anywhere
@@ -979,31 +1010,39 @@ impl ResultStore {
     /// line would drop a completed job, and a subsequent resume would
     /// re-run it and append a duplicate. Duplicate job ids are refused
     /// for the same reason — last-wins would silently hide whichever
-    /// record lost.
-    pub fn load_metrics(
+    /// record lost. On an error, records visited before it have been
+    /// handed over already; callers discard what they collected.
+    pub fn visit_metrics(
         &self,
         verify_against: Option<&[Job]>,
-    ) -> io::Result<BTreeMap<usize, RunMetrics>> {
-        let mut out = BTreeMap::new();
+        mut visit: impl FnMut(usize, RunMetrics),
+    ) -> io::Result<()> {
         let path = self.dir.join(RECORDS_FILE);
         if !path.exists() {
-            return Ok(out);
+            return Ok(());
         }
-        let text = std::fs::read_to_string(&path)?;
-        let lines: Vec<&str> = text.split('\n').collect();
-        for (li, line) in lines.iter().enumerate() {
+        let mut reader = BufReader::new(File::open(&path)?);
+        let mut seen = BTreeSet::new();
+        let mut buf = String::new();
+        let mut line_no = 0;
+        loop {
+            buf.clear();
+            if reader.read_line(&mut buf)? == 0 {
+                return Ok(());
+            }
+            line_no += 1;
+            let line = buf.strip_suffix('\n');
+            let torn_tail = line.is_none();
+            let line = line.unwrap_or(&buf);
             if line.trim().is_empty() {
                 continue;
             }
             let v = match parse_json(line) {
                 Ok(v) => v,
-                // Only the last element of split('\n') can lack a
-                // trailing newline — the torn tail of a killed writer.
-                Err(_) if li + 1 == lines.len() => continue,
+                Err(_) if torn_tail => return Ok(()),
                 Err(e) => {
                     return Err(bad_data(format!(
-                        "corrupt record line {} in {}: {e}",
-                        li + 1,
+                        "corrupt record line {line_no} in {}: {e}",
                         path.display()
                     )))
                 }
@@ -1016,15 +1055,14 @@ impl ResultStore {
                 verify_line_identity(&v, job)?;
             }
             let metrics = metrics_from_json(v.get("metrics")?)?;
-            if out.insert(id, metrics).is_some() {
+            if !seen.insert(id) {
                 return Err(bad_data(format!(
-                    "job {id} has more than one record in {} (line {})",
-                    path.display(),
-                    li + 1
+                    "job {id} has more than one record in {} (line {line_no})",
+                    path.display()
                 )));
             }
+            visit(id, metrics);
         }
-        Ok(out)
     }
 
     /// Reassembles this (unsharded) store into a [`CampaignResult`] —
@@ -1490,7 +1528,7 @@ fn check_identity((stack, seed, traffic, radio): LineIdentity<'_>, job: &Job) ->
 }
 
 /// Cross-checks a stored line's identity against the job it claims to
-/// be (used by [`ResultStore::load_metrics`] and the store tests).
+/// be (used by [`ResultStore::visit_metrics`] and the store tests).
 pub(crate) fn verify_line_identity(v: &JVal, job: &Job) -> io::Result<()> {
     check_identity(line_identity(v)?, job)
 }

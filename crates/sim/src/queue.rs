@@ -21,9 +21,13 @@
 //!   from paying O(log n) heap churn on every event.
 //!
 //! [`EventQueue::with_capacity`] picks the backend from the expected
-//! event volume: scenarios that pre-size for
+//! event volume: scenarios that estimate
 //! [`WHEEL_CAPACITY_THRESHOLD`] or more pending events get the wheel,
-//! everything below stays on the heap. Both backends deliver the exact
+//! everything below stays on the heap. Only the heap takes the estimate
+//! as a reservation; the wheel starts empty and its `ready` heap, slots
+//! and same-instant FIFO grow to the most they hold at once, so its
+//! memory follows the events actually pending (a 10k-node field holds
+//! ~4k, against an estimate of 262,144). Both backends deliver the exact
 //! same `(time, seq)` order — a property pinned by a reference proptest
 //! (`backends_pop_identical_sequences`) — so the choice is invisible to
 //! behaviour, only to wall clocks.
@@ -40,7 +44,7 @@ use std::collections::{BinaryHeap, VecDeque};
 
 use crate::time::SimTime;
 
-/// Pre-sized capacity at which [`EventQueue::with_capacity`] switches
+/// Estimated capacity at which [`EventQueue::with_capacity`] switches
 /// from the binary-heap backend to the hierarchical timing wheel. The
 /// paper presets (≤ 200 nodes) size their queues well below this, so
 /// they keep the heap — and its exact no-reallocation guarantee — while
@@ -310,9 +314,9 @@ impl<E> WheelLevel<E> {
 }
 
 impl<E> TimingWheel<E> {
-    fn with_capacity(cap: usize) -> Self {
+    fn new() -> Self {
         TimingWheel {
-            ready: BinaryHeap::with_capacity(cap),
+            ready: BinaryHeap::new(),
             levels: std::array::from_fn(|_| WheelLevel::new()),
             far: BinaryHeap::new(),
             cursor: 0,
@@ -466,9 +470,8 @@ impl<E> QueueBackend<E> for TimingWheel<E> {
     }
 
     fn capacity(&self) -> usize {
-        // Slot storage grows with event density, so the exact
-        // no-reallocation accounting the heap backend offers does not
-        // extend to the wheel; report the heap fronts only.
+        // Everything here grows from empty; report the heap fronts, not
+        // the slot storage, which grows with event density.
         self.ready.capacity() + self.far.capacity()
     }
 
@@ -492,39 +495,43 @@ impl<E> EventQueue<E> {
         Self::with_capacity(0)
     }
 
-    /// Creates an empty queue with pre-allocated capacity, selecting the
-    /// backend from the expected event volume: the binary heap below
-    /// [`WHEEL_CAPACITY_THRESHOLD`], the hierarchical timing wheel at or
-    /// above it. Sizing the queue for a scenario's steady state up front
-    /// keeps heap-backend scheduling reallocation-free for the whole run
-    /// ([`EventQueue::capacity`] and [`EventQueue::peak_len`] let
-    /// callers assert that).
+    /// Creates an empty queue, selecting the backend from the expected
+    /// event volume: the binary heap below [`WHEEL_CAPACITY_THRESHOLD`],
+    /// the hierarchical timing wheel at or above it. Only the heap
+    /// backend reserves `cap` slots up front, which keeps its scheduling
+    /// reallocation-free for the whole run ([`EventQueue::capacity`] and
+    /// [`EventQueue::peak_len`] let callers assert that). The wheel
+    /// reserves nothing and grows to what it holds: on a large field the
+    /// pending events are a small fraction of any per-node estimate.
     pub fn with_capacity(cap: usize) -> Self {
         if cap >= WHEEL_CAPACITY_THRESHOLD {
-            Self::with_wheel_backend(cap)
+            Self::with_wheel_backend()
         } else {
             Self::with_heap_backend(cap)
         }
     }
 
-    /// Creates an empty queue explicitly on the binary-heap backend.
+    /// Creates an empty queue explicitly on the binary-heap backend, with
+    /// `cap` slots reserved in the heap and as many in the same-instant
+    /// FIFO: in the worst case every pending event is a same-instant one,
+    /// and the no-reallocation invariant covers both structures (see
+    /// [`EventQueue::capacity`]).
     pub fn with_heap_backend(cap: usize) -> Self {
-        Self::from_backend(Backend::Heap(BinaryHeap::with_capacity(cap)), cap)
+        let heap = BinaryHeap::with_capacity(cap);
+        Self::from_parts(Backend::Heap(heap), VecDeque::with_capacity(cap))
     }
 
-    /// Creates an empty queue explicitly on the timing-wheel backend.
-    pub fn with_wheel_backend(cap: usize) -> Self {
-        Self::from_backend(Backend::Wheel(Box::new(TimingWheel::with_capacity(cap))), cap)
+    /// Creates an empty queue explicitly on the timing-wheel backend. It
+    /// reserves nothing: the `ready` heap, the wheel slots and the
+    /// same-instant FIFO each grow to the most they hold at once.
+    pub fn with_wheel_backend() -> Self {
+        Self::from_parts(Backend::Wheel(Box::new(TimingWheel::new())), VecDeque::new())
     }
 
-    fn from_backend(backend: Backend<E>, cap: usize) -> Self {
+    fn from_parts(backend: Backend<E>, now_fifo: VecDeque<Entry<E>>) -> Self {
         EventQueue {
             backend,
-            // Same headroom as the backend: in the worst case every
-            // pending event is a same-instant one, and the heap-backend
-            // no-reallocation invariant covers both structures (see
-            // `capacity`).
-            now_fifo: VecDeque::with_capacity(cap),
+            now_fifo,
             now_time: None,
             seq: 0,
             scheduled_total: 0,
@@ -609,9 +616,11 @@ impl<E> EventQueue<E> {
 
     /// Combined allocated capacity of the backend and the same-instant
     /// FIFO. For the heap backend growth in either structure changes
-    /// this value, which is what the no-reallocation tests pin; the
-    /// wheel backend's slot storage grows with event density and is not
-    /// included.
+    /// this value, which is what the no-reallocation tests pin. The
+    /// wheel backend reports its `ready` and `far` heaps plus the FIFO;
+    /// all three start empty and grow with use, so a wheel run ends with
+    /// a capacity above its initial one by design. Its slot storage
+    /// grows with event density and is not included.
     pub fn capacity(&self) -> usize {
         self.backend.capacity() + self.now_fifo.capacity()
     }
@@ -638,7 +647,7 @@ mod tests {
     fn both_backends() -> [(&'static str, EventQueue<usize>); 2] {
         [
             ("heap", EventQueue::with_heap_backend(0)),
-            ("wheel", EventQueue::with_wheel_backend(0)),
+            ("wheel", EventQueue::with_wheel_backend()),
         ]
     }
 
@@ -683,7 +692,7 @@ mod tests {
     fn counters_and_clear() {
         for (name, mut q) in [
             ("heap", EventQueue::<()>::with_heap_backend(0)),
-            ("wheel", EventQueue::<()>::with_wheel_backend(0)),
+            ("wheel", EventQueue::<()>::with_wheel_backend()),
         ] {
             assert!(q.is_empty(), "{name}");
             q.schedule(SimTime::ZERO, ());
@@ -706,7 +715,7 @@ mod tests {
 
     #[test]
     fn wheel_handles_far_future_and_sentinel_times() {
-        let mut q = EventQueue::with_wheel_backend(0);
+        let mut q = EventQueue::with_wheel_backend();
         q.schedule(SimTime::MAX, "watchdog");
         q.schedule(SimTime::from_secs(86_400 * 30), "next-month");
         q.schedule(SimTime::from_nanos(1), "soon");
@@ -721,7 +730,7 @@ mod tests {
     fn wheel_cascades_across_level_boundaries() {
         // Times straddling level-1/level-2 windows plus a same-slot
         // burst, popped across interleaved schedules.
-        let mut q = EventQueue::with_wheel_backend(0);
+        let mut q = EventQueue::with_wheel_backend();
         let times: &[u64] = &[
             1 << 30,
             (1 << 30) + 1,
@@ -835,7 +844,7 @@ mod tests {
             ops in proptest::collection::vec((0u64..10_000, 0u8..6), 1..400),
         ) {
             let mut heap = EventQueue::with_heap_backend(0);
-            let mut wheel = EventQueue::with_wheel_backend(0);
+            let mut wheel = EventQueue::with_wheel_backend();
             prop_assert!(!heap.is_wheel_backend());
             prop_assert!(wheel.is_wheel_backend());
             let mut last_pop: u64 = 0;

@@ -59,6 +59,14 @@ impl SimTime {
         SimTime(secs_f64_to_nanos(s))
     }
 
+    /// Creates an instant from fractional seconds, or `None` where
+    /// [`SimTime::from_secs_f64`] would panic: for input that is not a
+    /// finite, non-negative number of seconds the clock can represent.
+    pub fn try_from_secs_f64(s: f64) -> Option<Self> {
+        let ns = s * NANOS_PER_SEC as f64;
+        (s.is_finite() && s >= 0.0 && ns <= u64::MAX as f64).then(|| SimTime(ns.round() as u64))
+    }
+
     /// Raw nanoseconds since time zero.
     pub const fn as_nanos(self) -> u64 {
         self.0
@@ -289,6 +297,15 @@ mod tests {
     fn secs_f64_roundtrip() {
         let t = SimTime::from_secs_f64(123.456_789);
         assert!((t.as_secs_f64() - 123.456_789).abs() < 1e-9);
+    }
+
+    #[test]
+    fn try_from_secs_f64_refuses_what_from_secs_f64_panics_on() {
+        assert_eq!(SimTime::try_from_secs_f64(0.3), Some(SimTime::from_secs_f64(0.3)));
+        assert_eq!(SimTime::try_from_secs_f64(0.0), Some(SimTime::ZERO));
+        for bad in [-1.0, -0.5, f64::NAN, f64::INFINITY, 1e20] {
+            assert_eq!(SimTime::try_from_secs_f64(bad), None, "{bad}");
+        }
     }
 
     #[test]

@@ -93,7 +93,20 @@ impl MacTiming {
     }
 }
 
+/// Spare interface-queue buffers, shared by every node's [`MacState`].
+///
+/// A queue that drains hands its buffer here, and a frame entering an
+/// empty queue takes one back, so the buffers in use follow the queues
+/// holding frames at once rather than every node a flood ever reached.
+#[derive(Debug, Default)]
+pub struct QueuePool {
+    spare: Vec<VecDeque<Frame>>,
+}
+
 /// Per-node MAC state: the interface queue plus the transaction lock.
+///
+/// The queue owns a buffer only while it holds frames (see [`QueuePool`]);
+/// the methods that add or remove frames take the pool for that reason.
 #[derive(Debug, Clone)]
 pub struct MacState {
     queue: VecDeque<Frame>,
@@ -123,13 +136,34 @@ impl MacState {
     }
 
     /// Enqueues a frame; returns `false` (and counts a drop) on overflow.
-    pub fn enqueue(&mut self, frame: Frame) -> bool {
+    pub fn enqueue(&mut self, frame: Frame, pool: &mut QueuePool) -> bool {
         if self.queue.len() >= self.capacity {
             self.drops_overflow += 1;
             return false;
         }
+        self.claim_buffer(pool);
         self.queue.push_back(frame);
         true
+    }
+
+    /// Takes a spare buffer for a queue that has none.
+    fn claim_buffer(&mut self, pool: &mut QueuePool) {
+        if self.queue.capacity() == 0 {
+            if let Some(buf) = pool.spare.pop() {
+                self.queue = buf;
+            }
+        }
+    }
+
+    /// Removes the head-of-line frame, returning the buffer to `pool`
+    /// when that drains the queue.
+    fn take_head(&mut self, pool: &mut QueuePool) -> Option<Frame> {
+        self.retries = 0;
+        let head = self.queue.pop_front();
+        if self.queue.is_empty() && self.queue.capacity() > 0 {
+            pool.spare.push(std::mem::take(&mut self.queue));
+        }
+        head
     }
 
     /// The head-of-line frame, if any.
@@ -138,15 +172,13 @@ impl MacState {
     }
 
     /// Removes and returns the head-of-line frame.
-    pub fn pop_head(&mut self) -> Option<Frame> {
-        self.retries = 0;
-        self.queue.pop_front()
+    pub fn pop_head(&mut self, pool: &mut QueuePool) -> Option<Frame> {
+        self.take_head(pool)
     }
 
     /// Drops the head-of-line frame (retry exhaustion), returning it.
-    pub fn drop_head(&mut self) -> Option<Frame> {
-        self.retries = 0;
-        self.queue.pop_front()
+    pub fn drop_head(&mut self, pool: &mut QueuePool) -> Option<Frame> {
+        self.take_head(pool)
     }
 
     /// Number of queued frames.
@@ -181,7 +213,8 @@ impl MacState {
     /// Returns a frame to the head of the queue (a collided transaction
     /// being retried). Bypasses the capacity check — the frame was
     /// already admitted once.
-    pub fn push_front(&mut self, frame: Frame) {
+    pub fn push_front(&mut self, frame: Frame, pool: &mut QueuePool) {
+        self.claim_buffer(pool);
         self.queue.push_front(frame);
     }
 }
@@ -302,10 +335,10 @@ mod tests {
 
     #[test]
     fn queue_overflow_drops() {
-        let mut m = MacState::new(2);
-        assert!(m.enqueue(frame(1)));
-        assert!(m.enqueue(frame(2)));
-        assert!(!m.enqueue(frame(3)));
+        let (mut m, mut pool) = (MacState::new(2), QueuePool::default());
+        assert!(m.enqueue(frame(1), &mut pool));
+        assert!(m.enqueue(frame(2), &mut pool));
+        assert!(!m.enqueue(frame(3), &mut pool));
         assert_eq!(m.drops_overflow(), 1);
         assert_eq!(m.queue_len(), 2);
         assert_eq!(m.head().unwrap().packet.uid, 1);
@@ -313,10 +346,10 @@ mod tests {
 
     #[test]
     fn pop_resets_retries() {
-        let mut m = MacState::new(10);
-        m.enqueue(frame(1));
+        let (mut m, mut pool) = (MacState::new(10), QueuePool::default());
+        m.enqueue(frame(1), &mut pool);
         m.retries = 5;
-        let f = m.pop_head().unwrap();
+        let f = m.pop_head(&mut pool).unwrap();
         assert_eq!(f.packet.uid, 1);
         assert_eq!(m.retries, 0);
         assert!(m.queue_is_empty());
@@ -324,12 +357,29 @@ mod tests {
 
     #[test]
     fn rotate_head_cycles() {
-        let mut m = MacState::new(10);
-        m.enqueue(frame(1));
-        m.enqueue(frame(2));
+        let (mut m, mut pool) = (MacState::new(10), QueuePool::default());
+        m.enqueue(frame(1), &mut pool);
+        m.enqueue(frame(2), &mut pool);
         m.rotate_head();
         assert_eq!(m.head().unwrap().packet.uid, 2);
         m.rotate_head();
         assert_eq!(m.head().unwrap().packet.uid, 1);
+    }
+
+    #[test]
+    fn drained_queues_share_their_buffers() {
+        let mut pool = QueuePool::default();
+        let (mut a, mut b) = (MacState::new(10), MacState::new(10));
+        a.enqueue(frame(1), &mut pool);
+        a.enqueue(frame(2), &mut pool);
+        assert!(pool.spare.is_empty());
+        a.pop_head(&mut pool);
+        assert!(pool.spare.is_empty(), "a queue holding a frame keeps its buffer");
+        a.drop_head(&mut pool);
+        assert_eq!(pool.spare.len(), 1, "the drained queue returned its buffer");
+        assert_eq!(a.queue.capacity(), 0);
+        b.push_front(frame(3), &mut pool);
+        assert!(pool.spare.is_empty(), "an empty queue reuses the spare buffer");
+        assert_eq!(b.head().unwrap().packet.uid, 3);
     }
 }

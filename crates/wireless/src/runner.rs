@@ -13,7 +13,7 @@
 
 use crate::channel::Channel;
 use crate::frame::{Frame, NodeId, Packet, PacketKind};
-use crate::mac::{plan_at, MacState, MacTiming, UnicastPlan};
+use crate::mac::{plan_at, MacState, MacTiming, QueuePool, UnicastPlan};
 use crate::metrics::RunMetrics;
 use crate::power::{NodePm, PmMode, PowerPolicy};
 use crate::routing::{
@@ -76,26 +76,31 @@ struct Txn {
 }
 
 /// Cold per-node state: the MAC and routing state machines plus the
-/// in-flight transaction. Hot per-node state (position, velocity, radio
-/// power state, card index, energy accumulator) lives in
-/// struct-of-arrays storage owned by [`Simulator`] — positions and
-/// waypoint velocities in the [`Channel`] / waypoint buffers, energy
-/// meters in `Simulator::meters`, card indices in `Simulator::card_idx`
-/// — so mobility stepping, grid re-bucketing and live/log scans stream
-/// through contiguous memory instead of striding across node structs.
+/// in-flight transaction, boxed because only a few nodes transact at
+/// once (an inline `Txn` would be half the row). Hot per-node state
+/// (position, velocity, radio power state, card index, energy
+/// accumulator) lives in struct-of-arrays storage owned by
+/// [`Simulator`] — positions and waypoint velocities in the [`Channel`]
+/// / waypoint buffers, energy meters in `Simulator::meters`, card
+/// indices in `Simulator::card_idx` — so mobility stepping, grid
+/// re-bucketing and live/log scans stream through contiguous memory
+/// instead of striding across node structs.
 struct Node {
     mac: MacState,
     routing: RoutingAgent,
-    txn: Option<Txn>,
+    txn: Option<Box<Txn>>,
 }
 
 /// Event-queue health counters of a completed run, reported by
 /// [`Simulator::run_with_stats`]: throughput accounting for benchmarks
-/// plus the no-reallocation invariant (`capacity == initial_capacity`
-/// proves steady-state scheduling never grew the heap).
+/// plus the heap backend's no-reallocation invariant (`capacity ==
+/// initial_capacity` proves steady-state scheduling never grew the heap).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct QueueStats {
-    /// Queue capacity when the run started (sized from the scenario).
+    /// Queue capacity when the run started: the scenario's estimate on
+    /// the heap backend; on the timing wheel, which reserves nothing and
+    /// grows to what it holds, only what the initial events took (so its
+    /// `capacity` ends above this).
     pub initial_capacity: usize,
     /// Queue capacity when the run finished.
     pub capacity: usize,
@@ -164,6 +169,14 @@ pub struct Simulator {
     /// one and `apply_actions` returns it, so steady-state routing emits
     /// no per-event `Vec<Action>` allocations.
     action_pool: Vec<Vec<Action>>,
+    /// Boxes of finished transactions, reused by the next one to start:
+    /// `Node::txn` stays one pointer wide without a per-transaction
+    /// allocation. The boxes are the point, hence the lint allowance.
+    #[allow(clippy::vec_box)]
+    txn_pool: Vec<Box<Txn>>,
+    /// Interface-queue buffers of drained MAC queues, shared by every
+    /// node (see [`QueuePool`]).
+    mac_pool: QueuePool,
     /// Per-node count of neighbours in active mode (TITAN's backbone
     /// density), kept in lockstep with `pm_modes` and the channel's
     /// neighbour sets so routing reads it in O(1).
@@ -266,10 +279,11 @@ impl Simulator {
             })
             .collect();
 
-        // Size the event queue for the scenario's steady state so the
-        // heap never reallocates mid-run: at most a handful of pending
-        // events per node (MacTick/TxnEnd/SleepCheck/PmKeepalive/timers
-        // plus delayed-forwarding bursts) and one PacketGen per flow.
+        // Estimate the scenario's steady state: at most a handful of
+        // pending events per node (MacTick/TxnEnd/SleepCheck/PmKeepalive/
+        // timers plus delayed-forwarding bursts) and one PacketGen per
+        // flow. The estimate picks the backend; the heap reserves it so it
+        // never reallocates mid-run, the wheel reserves nothing.
         let event_capacity = (16 * n + 4 * flows.len() + 64).next_power_of_two();
         let mut sim = Simulator {
             card_table,
@@ -302,6 +316,8 @@ impl Simulator {
             tick_batch_pool: Vec::new(),
             rc_scratch: Vec::new(),
             action_pool: Vec::new(),
+            txn_pool: Vec::new(),
+            mac_pool: QueuePool::default(),
             active_neighbors: vec![0; n],
             trace_bcast: std::env::var_os("EEND_TRACE_BCAST").is_some(),
             trace_beacons: std::env::var_os("EEND_TRACE_BEACONS").is_some(),
@@ -341,8 +357,9 @@ impl Simulator {
     }
 
     /// Runs to the configured horizon and additionally reports event-queue
-    /// health counters (throughput accounting for benchmarks, and the
-    /// no-reallocation invariant pinned by the queue-capacity test).
+    /// health counters (throughput accounting for benchmarks, the heap
+    /// backend's no-reallocation invariant and the wheel's growth, both
+    /// pinned by the queue-capacity test).
     pub fn run_with_stats(mut self) -> (RunMetrics, QueueStats) {
         let initial_capacity = self.queue.capacity();
         let is_wheel_backend = self.queue.is_wheel_backend();
@@ -491,7 +508,7 @@ impl Simulator {
             return;
         }
         self.alive[u] = false;
-        while self.nodes[u].mac.pop_head().is_some() {}
+        while self.nodes[u].mac.pop_head(&mut self.mac_pool).is_some() {}
         self.pm[u].keepalive.cancel();
         self.pm[u].awake_until = SimTime::ZERO;
         self.pm[u].mode = PmMode::PowerSave;
@@ -636,7 +653,7 @@ impl Simulator {
             self.next_uid += 1;
         }
         let is_data = frame.packet.kind.is_data();
-        if !self.nodes[u].mac.enqueue(frame) {
+        if !self.nodes[u].mac.enqueue(frame, &mut self.mac_pool) {
             if is_data {
                 self.m.drops_ifq += 1;
             }
@@ -720,7 +737,7 @@ impl Simulator {
             Some(v) => {
                 if !self.channel.in_range(u, v) {
                     // Stale route onto a non-link: treat as immediate failure.
-                    let frame = self.nodes[u].mac.drop_head().expect("head");
+                    let frame = self.nodes[u].mac.drop_head(&mut self.mac_pool).expect("head");
                     self.m.link_failures += 1;
                     let actions = self.call_routing(u, |r, ctx, out| r.on_link_failure(ctx, frame, out));
                     self.apply_actions(u, actions);
@@ -740,17 +757,14 @@ impl Simulator {
                         + cts;
                     self.channel.begin_tx(u, None, now, fail_end);
                     self.nodes[u].mac.busy = true;
-                    self.nodes[u].txn = Some(Txn {
-                        kind: TxnKind::RtsFail,
-                        start: now,
-                        plan: UnicastPlan::for_bytes(&self.mac_timing, 0),
-                        data_power_mw: 0.0,
-                    });
+                    let plan = UnicastPlan::for_bytes(&self.mac_timing, 0);
+                    let txn = Txn { kind: TxnKind::RtsFail, start: now, plan, data_power_mw: 0.0 };
+                    self.begin_txn(u, txn);
                     self.queue.schedule(fail_end, Event::TxnEnd(u));
                     return;
                 }
                 // Clean unicast transaction.
-                let frame = self.nodes[u].mac.pop_head().expect("head");
+                let frame = self.nodes[u].mac.pop_head(&mut self.mac_pool).expect("head");
                 let bytes = frame.packet.wire_bytes();
                 let plan = UnicastPlan::for_bytes(&self.mac_timing, bytes);
                 let dist = self.channel.distance(u, v);
@@ -763,12 +777,12 @@ impl Simulator {
                 self.channel.begin_tx(u, Some(v), now, end);
                 self.nodes[u].mac.busy = true;
                 self.nodes[v].mac.busy = true;
-                self.nodes[u].txn =
-                    Some(Txn { kind: TxnKind::Unicast { rx: v, frame }, start: now, plan, data_power_mw });
+                let kind = TxnKind::Unicast { rx: v, frame };
+                self.begin_txn(u, Txn { kind, start: now, plan, data_power_mw });
                 self.queue.schedule(end, Event::TxnEnd(u));
             }
             None => {
-                let frame = self.nodes[u].mac.pop_head().expect("head");
+                let frame = self.nodes[u].mac.pop_head(&mut self.mac_pool).expect("head");
                 let bytes = frame.packet.wire_bytes();
                 let dur = self.mac_timing.broadcast_duration(bytes);
                 let end = now + dur;
@@ -787,31 +801,49 @@ impl Simulator {
                 for &r in &receivers {
                     self.nodes[r].mac.busy = true;
                 }
-                self.nodes[u].txn = Some(Txn {
+                let txn = Txn {
                     kind: TxnKind::Broadcast { receivers, frame },
                     start: now,
                     plan: UnicastPlan::for_bytes(&self.mac_timing, bytes),
                     data_power_mw: self.card(u).max_tx_total_power_mw(),
-                });
+                };
+                self.begin_txn(u, txn);
                 self.queue.schedule(end, Event::TxnEnd(u));
             }
         }
     }
 
+    /// Makes `txn` node `u`'s transaction in flight, in a box from
+    /// `txn_pool` when one is free.
+    fn begin_txn(&mut self, u: NodeId, txn: Txn) {
+        let boxed = match self.txn_pool.pop() {
+            Some(mut spare) => {
+                *spare = txn;
+                spare
+            }
+            None => Box::new(txn),
+        };
+        self.nodes[u].txn = Some(boxed);
+    }
+
     fn on_txn_end(&mut self, u: NodeId) {
-        let txn = self.nodes[u].txn.take().expect("transaction in flight");
+        let mut txn = self.nodes[u].txn.take().expect("transaction in flight");
         let now = self.time;
         self.channel.end_tx(u, now);
         self.nodes[u].mac.busy = false;
-        // The transaction is owned: destructure it instead of cloning the
-        // kind (and with it the frame) on every completion.
-        let Txn { kind, start, plan, data_power_mw } = txn;
+        // Move the kind (and with it the frame) out instead of cloning it,
+        // leaving the payload-free `RtsFail` in the box as it goes back
+        // to the pool.
+        let kind = std::mem::replace(&mut txn.kind, TxnKind::RtsFail);
+        let (start, plan, data_power_mw) = (txn.start, txn.plan, txn.data_power_mw);
+        self.txn_pool.push(txn);
         match kind {
             TxnKind::RtsFail => {
                 self.charge_rts_fail(u, start);
                 self.nodes[u].mac.retries += 1;
                 if self.nodes[u].mac.retries > self.mac_timing.retry_limit {
-                    let frame = self.nodes[u].mac.drop_head().expect("head still queued");
+                    let frame =
+                        self.nodes[u].mac.drop_head(&mut self.mac_pool).expect("head still queued");
                     self.m.link_failures += 1;
                     let actions = self.call_routing(u, |r, ctx, out| r.on_link_failure(ctx, frame, out));
                     self.apply_actions(u, actions);
@@ -833,10 +865,10 @@ impl Simulator {
                     self.charge_rts_fail(u, start);
                     self.nodes[v].mac.busy = false;
                     self.m.rts_collisions += 1;
-                    self.nodes[u].mac.push_front(frame);
+                    self.nodes[u].mac.push_front(frame, &mut self.mac_pool);
                     self.nodes[u].mac.retries += 1;
                     if self.nodes[u].mac.retries > self.mac_timing.retry_limit {
-                        let frame = self.nodes[u].mac.drop_head().expect("head");
+                        let frame = self.nodes[u].mac.drop_head(&mut self.mac_pool).expect("head");
                         self.m.link_failures += 1;
                         let actions =
                             self.call_routing(u, |r, ctx, out| r.on_link_failure(ctx, frame, out));

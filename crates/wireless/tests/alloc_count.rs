@@ -10,7 +10,11 @@
 //! sits between the two and fails if per-event `Vec<Action>` churn ever
 //! comes back.
 //!
-//! The counter is per thread: the test harness runs these tests
+//! The same allocator also counts live bytes (and their high-water
+//! mark), which budgets what a simulator holds, not just how often it
+//! asks for memory.
+//!
+//! The counters are per thread: the test harness runs these tests
 //! concurrently, and a process-wide count would charge one test's
 //! allocations to another's window.
 
@@ -22,13 +26,25 @@ use std::cell::Cell;
 struct CountingAlloc;
 
 thread_local! {
-    // Const-initialised and drop-free: touching it never allocates, so
-    // the allocator itself may use it.
+    // Const-initialised and drop-free: touching them never allocates,
+    // so the allocator itself may use them.
     static ALLOCS: Cell<u64> = const { Cell::new(0) };
+    // Bytes allocated minus bytes freed by this thread (negative when it
+    // frees memory another thread allocated), and the highest value so
+    // far.
+    static LIVE: Cell<i64> = const { Cell::new(0) };
+    static PEAK: Cell<i64> = const { Cell::new(0) };
 }
 
 fn count_one() {
     let _ = ALLOCS.try_with(|n| n.set(n.get() + 1));
+}
+
+fn add_live(delta: i64) {
+    let _ = LIVE.try_with(|live| {
+        live.set(live.get() + delta);
+        let _ = PEAK.try_with(|peak| peak.set(peak.get().max(live.get())));
+    });
 }
 
 /// Allocations made so far by the calling thread.
@@ -36,16 +52,34 @@ fn thread_allocs() -> u64 {
     ALLOCS.with(Cell::get)
 }
 
+/// Bytes the calling thread holds live.
+fn thread_live() -> i64 {
+    LIVE.with(Cell::get)
+}
+
+/// The calling thread's live-byte high-water mark since the last
+/// [`reset_thread_peak`].
+fn thread_peak() -> i64 {
+    PEAK.with(Cell::get)
+}
+
+fn reset_thread_peak() {
+    PEAK.with(|peak| peak.set(thread_live()));
+}
+
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
         count_one();
+        add_live(layout.size() as i64);
         unsafe { System.alloc(layout) }
     }
     unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        add_live(-(layout.size() as i64));
         unsafe { System.dealloc(ptr, layout) }
     }
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
         count_one();
+        add_live(new_size as i64 - layout.size() as i64);
         unsafe { System.realloc(ptr, layout, new_size) }
     }
 }
@@ -132,6 +166,41 @@ fn mobility1k_run_stays_inside_its_allocation_budget() {
     assert!(
         allocs < 80_000,
         "mobility1k run allocated {allocs} times — per-event allocation churn came back at scale?"
+    );
+}
+
+#[test]
+fn mobility1k_live_heap_follows_the_work_in_flight() {
+    // What a built simulator holds and what its run peaks at, counted in
+    // live bytes. Measured on this workload: 927 bytes per node after
+    // `Simulator::new` and a 6.9 MB peak over the run, with the wheel
+    // queue growing from empty, transactions boxed off the node row and
+    // drained MAC queues handing their buffers to a shared pool; 4,263
+    // bytes per node and a 10.7 MB peak when the wheel reserved 16 slots
+    // per node twice over, every node carried an inline transaction and
+    // every MAC queue kept its buffer. Each ceiling sits between the two.
+    let scenario = presets::mobility1k(stacks::titan_pc(), 1);
+    let nodes = scenario.placement.node_count() as i64;
+    let warm = Simulator::new(&scenario).run();
+    assert!(warm.data_sent > 0);
+
+    let base = thread_live();
+    let sim = Simulator::new(&scenario);
+    let built = thread_live() - base;
+    reset_thread_peak();
+    let m = sim.run();
+    let peak = thread_peak() - base;
+    assert!(m.data_sent > 0, "run must carry traffic");
+    let per_node = built / nodes;
+    eprintln!("LIVE_BYTES[mobility1k] built={built} per_node={per_node} run_peak={peak}");
+
+    assert!(
+        per_node < 2_000,
+        "a built simulator holds {per_node} bytes per node — is the queue pre-sized again?"
+    );
+    assert!(
+        peak < 8_500_000,
+        "the run peaked at {peak} live bytes — do idle nodes hold transaction or queue space?"
     );
 }
 

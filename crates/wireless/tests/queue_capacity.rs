@@ -1,9 +1,11 @@
-//! The event queue is sized from the scenario in `Simulator::new` so
-//! steady-state scheduling never reallocates: across representative
-//! stacks, sizes and mobility settings, the heap's capacity after a full
-//! run must equal its capacity before the first event — while
-//! `scheduled_total` confirms the run actually pushed orders of
-//! magnitude more events through it than the queue ever held at once.
+//! The event queue is sized from the scenario in `Simulator::new`. On
+//! the heap backend steady-state scheduling never reallocates: across
+//! representative stacks, sizes and mobility settings, the heap's
+//! capacity after a full run must equal its capacity before the first
+//! event — while `scheduled_total` confirms the run actually pushed
+//! orders of magnitude more events through it than the queue ever held
+//! at once. The timing wheel reserves nothing and grows instead, so its
+//! capacity must end near what the run actually held.
 
 use eend_sim::SimDuration;
 use eend_wireless::{presets, stacks, Simulator};
@@ -39,4 +41,23 @@ fn event_queue_never_reallocates_in_steady_state() {
             stats.peak_len
         );
     }
+}
+
+#[test]
+fn wheel_capacity_follows_the_events_in_flight() {
+    // The estimate (16 slots per node) once pre-sized the wheel too:
+    // 65,536 slots for a run that never held 1,800 events at once. The
+    // wheel's `ready` heap and same-instant FIFO each at most double past
+    // the most they held, and that is at most `peak_len` apiece.
+    let scenario = presets::mobility1k(stacks::titan_pc(), 1);
+    let (metrics, stats) = Simulator::new(&scenario).run_with_stats();
+    assert!(metrics.data_sent > 0, "vacuous run");
+    eprintln!("WHEEL[mobility1k] capacity={} peak_len={}", stats.capacity, stats.peak_len);
+    assert!(stats.is_wheel_backend, "1k nodes must select the timing wheel");
+    assert!(
+        stats.capacity <= 4 * stats.peak_len + 64,
+        "wheel capacity {} is out of proportion to its peak of {} pending events",
+        stats.capacity,
+        stats.peak_len
+    );
 }

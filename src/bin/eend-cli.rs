@@ -547,6 +547,11 @@ fn run_campaign(o: CampaignOpts) {
     if let Some(secs) = o.secs {
         spec = spec.secs(secs);
     }
+    // A kill of a node the network lacks would panic in every job.
+    if let Some(e) = spec.expand().iter().find_map(|j| j.check_failures().err()) {
+        eprintln!("error: {e}");
+        std::process::exit(2)
+    }
 
     let executor = o.workers.map(Executor::with_workers).unwrap_or_else(Executor::bounded);
     eprintln!(

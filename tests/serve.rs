@@ -28,7 +28,10 @@
 //!     and CSV) and `/aggregate` byte-identically to the offline run
 //!     without a submit and without executing a job;
 //! 12. a store whose record line names another job than its id is
-//!     refused with a 4xx naming the job, before any header is sent.
+//!     refused with a 4xx naming the job, before any header is sent;
+//! 13. a submit whose failure plan kills a node beyond the network, or
+//!     at a negative time, is refused with a 400 naming the plan and the
+//!     kill, creating no store and running no job.
 //!
 //! Failpoint-driven daemon tests (poisoned campaigns, injected
 //! disconnects) live in `tests/serve_chaos.rs` — a separate process,
@@ -39,7 +42,7 @@ use eend::campaign::serve::{serve, ServeConfig};
 use eend::campaign::store::Manifest;
 use eend::campaign::{
     fingerprint, metric_columns, BaseScenario, CampaignResult, CampaignSpec, Executor,
-    JsonlSink, RecordSink, ResultStore, SpecAxes,
+    FailurePlan, JsonlSink, RecordSink, ResultStore, SpecAxes,
 };
 use eend::wireless::stacks;
 use std::io::{BufRead, BufReader, Read, Write};
@@ -716,6 +719,36 @@ fn a_record_naming_another_job_is_refused_before_any_header() {
     assert!(resp.starts_with("HTTP/1.1 400 "), "submit: {resp}");
     assert_eq!(handle.jobs_executed(), 0);
 
+    handle.shutdown();
+    let _ = std::fs::remove_dir_all(&data);
+}
+
+#[test]
+fn failure_plans_outside_the_network_are_refused_before_a_store_exists() {
+    let data = scratch("bad-kills");
+    let handle = serve(
+        "127.0.0.1:0",
+        ServeConfig { data_dir: data.clone(), executor: Executor::with_workers(1) },
+    )
+    .unwrap();
+    let addr = handle.addr();
+
+    // The small preset has 50 nodes, 0..=49; the time must be a clock
+    // instant.
+    for (plan, named) in [
+        (FailurePlan::kill("beyond", 10.0, 50), "\"beyond\" kills node 50 at 10 s"),
+        (FailurePlan::kill("early", -1.0, 3), "\"early\" kills node 3 at -1 s"),
+    ] {
+        let spec = spec().failures(vec![FailurePlan::none(), plan]);
+        let resp = post(addr, "/submit", &submit_body(&spec));
+        assert!(resp.starts_with("HTTP/1.1 400 "), "{named}: {resp}");
+        assert!(body(&resp).contains(named), "the error must name the plan and the kill: {resp}");
+    }
+
+    assert_eq!(body(&get(addr, "/")), "eend-serve\n", "health after the refusals");
+    assert_eq!(handle.jobs_executed(), 0, "refused submits must not run jobs");
+    let stores = std::fs::read_dir(&data).map_or(0, |d| d.count());
+    assert_eq!(stores, 0, "refused submits must not create a store directory");
     handle.shutdown();
     let _ = std::fs::remove_dir_all(&data);
 }
