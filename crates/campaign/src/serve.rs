@@ -536,24 +536,25 @@ impl From<io::Error> for Refused {
     }
 }
 
-/// Reads one request or header line into `line`, refusing with 431 a
-/// line longer than [`MAX_LINE_BYTES`] before buffering the rest of it.
-/// Returns 0 at end of input.
-fn read_line_bounded(reader: &mut impl BufRead, line: &mut String) -> Result<usize, Refused> {
-    let n = reader.take(MAX_LINE_BYTES as u64).read_line(line)?;
-    if n == MAX_LINE_BYTES && !line.ends_with('\n') {
+/// Reads one request or header line, refusing with 431 a line longer
+/// than [`MAX_LINE_BYTES`] before buffering the rest of it (whatever
+/// character the cap cuts through). Returns `""` at end of input.
+fn read_line_bounded(reader: &mut impl BufRead) -> Result<String, Refused> {
+    let mut line = Vec::new();
+    let n = reader.take(MAX_LINE_BYTES as u64).read_until(b'\n', &mut line)?;
+    if n == MAX_LINE_BYTES && !line.ends_with(b"\n") {
         return Err(Refused {
             code: 431,
             cause: format!("request line or header longer than {MAX_LINE_BYTES} bytes"),
         });
     }
-    Ok(n)
+    String::from_utf8(line).map_err(|_| bad_req("request line or header is not UTF-8").into())
 }
 
-fn read_request(stream: &TcpStream) -> Result<Request, Refused> {
-    let mut reader = BufReader::new(stream.try_clone()?);
-    let mut line = String::new();
-    read_line_bounded(&mut reader, &mut line)?;
+/// Reads one request: its line, headers and `Content-Length` body.
+/// Every malformed or oversized input is a 4xx [`Refused`].
+fn read_request(reader: &mut impl BufRead) -> Result<Request, Refused> {
+    let line = read_line_bounded(reader)?;
     let mut parts = line.split_whitespace();
     let method = parts.next().ok_or_else(|| bad_req("empty request line"))?.to_owned();
     let target = parts.next().ok_or_else(|| bad_req("request line lacks a target"))?.to_owned();
@@ -564,10 +565,7 @@ fn read_request(stream: &TcpStream) -> Result<Request, Refused> {
         if header_lines > MAX_HEADER_LINES {
             return Err(bad_req(format!("more than {MAX_HEADER_LINES} request headers")).into());
         }
-        let mut header = String::new();
-        if read_line_bounded(&mut reader, &mut header)? == 0 {
-            break;
-        }
+        let header = read_line_bounded(reader)?;
         let header = header.trim_end();
         if header.is_empty() {
             break;
@@ -667,7 +665,8 @@ fn handle_connection(mut stream: TcpStream, state: &Arc<ServeState>) -> io::Resu
 
 fn dispatch(stream: &mut TcpStream, state: &Arc<ServeState>, peer: &str) -> io::Result<()> {
     stream.set_read_timeout(Some(Duration::from_secs(30)))?;
-    let req = match read_request(stream) {
+    let read = stream.try_clone().map_err(Refused::from);
+    let req = match read.and_then(|s| read_request(&mut BufReader::new(s))) {
         Ok(r) => r,
         Err(Refused { code, cause }) => {
             let what = match code {
@@ -977,4 +976,97 @@ fn aggregate_impl(state: &ServeState, entry: &CampaignEntry) -> io::Result<Strin
     }
     *entry.agg_cache.lock().expect("agg cache poisoned") = Some((done, Arc::new(out.clone())));
     Ok(out)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use proptest::prelude::*;
+
+    /// Hands `data` out in chunks of the given sizes, cycled, so a line,
+    /// a UTF-8 sequence or a body can be split anywhere.
+    struct Chunked<'a> {
+        data: &'a [u8],
+        sizes: Vec<usize>,
+        next: usize,
+    }
+
+    impl Read for Chunked<'_> {
+        fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
+            let size = self.sizes[self.next % self.sizes.len()];
+            self.next += 1;
+            let n = size.min(buf.len()).min(self.data.len());
+            buf[..n].copy_from_slice(&self.data[..n]);
+            self.data = &self.data[n..];
+            Ok(n)
+        }
+    }
+
+    fn read_chunked(data: &[u8], sizes: Vec<usize>) -> Result<Request, Refused> {
+        read_request(&mut BufReader::new(Chunked { data, sizes, next: 0 }))
+    }
+
+    /// Pieces of requests, so generated inputs reach past the request
+    /// line: methods, targets, terminators, headers, lengths, non-ASCII
+    /// and invalid UTF-8.
+    const PIECES: &[&[u8]] = &[
+        b"GET ", b"POST ", b"/submit", b"/stream/00ff?from=1&format", b" HTTP/1.1", b"\r\n",
+        b"\n", b"Content-Length: ", b"content-length:", b"0", b"17", b"1048577", b"-1", b": ",
+        b"{\"campaign\":1}", b"\xc3\xa9", b"\xe2\x82", b"\xff", b" ", b"\t",
+    ];
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(512))]
+
+        #[test]
+        fn any_input_is_a_request_or_a_4xx(
+            picks in proptest::collection::vec(0u16..512, 0..48),
+            sizes in proptest::collection::vec(1usize..8, 1..16),
+        ) {
+            // Half the picks are raw bytes, half are request pieces.
+            let mut data = Vec::new();
+            for pick in picks {
+                match u8::try_from(pick) {
+                    Ok(byte) => data.push(byte),
+                    Err(_) => data.extend_from_slice(PIECES[usize::from(pick) % PIECES.len()]),
+                }
+            }
+            if let Err(r) = read_chunked(&data, sizes) {
+                prop_assert!((400..500).contains(&r.code), "{} for {data:?}: {}", r.code, r.cause);
+            }
+        }
+
+        #[test]
+        fn a_line_over_the_cap_is_refused_with_431(
+            len in MAX_LINE_BYTES..3 * MAX_LINE_BYTES,
+            in_header in 0usize..2,
+            fill in proptest::collection::vec(0usize..4, 1..8),
+            sizes in proptest::collection::vec(1usize..8, 1..16),
+        ) {
+            // A line of at least `len` bytes of 1-4 byte characters, so a
+            // character can straddle the cap.
+            let mut long = String::new();
+            while long.len() < len {
+                long.push(['a', '\u{e9}', '\u{20ac}', '\u{1d11e}'][fill[long.len() % fill.len()]]);
+            }
+            let data = if in_header == 1 {
+                format!("GET / HTTP/1.1\r\nX-Long: {long}\r\n\r\n")
+            } else {
+                format!("GET /{long} HTTP/1.1\r\n\r\n")
+            };
+            match read_chunked(data.as_bytes(), sizes) {
+                Ok(_) => prop_assert!(false, "a {len}-byte line was accepted"),
+                Err(r) => prop_assert_eq!(r.code, 431, "{}", r.cause),
+            }
+        }
+    }
+
+    #[test]
+    fn a_chunked_request_reads_whole() {
+        let data = b"POST /submit?a=b&c HTTP/1.1\r\nContent-Length: 4\r\n\r\nbody";
+        let r = read_chunked(data, vec![1, 7, 3]).unwrap_or_else(|r| panic!("{}", r.cause));
+        assert_eq!((r.method.as_str(), r.path.as_str()), ("POST", "/submit"));
+        assert_eq!(r.body, "body");
+        assert_eq!((r.query_get("a"), r.query_get("c")), (Some("b"), Some("")));
+    }
 }

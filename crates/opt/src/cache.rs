@@ -11,7 +11,7 @@
 
 use std::collections::HashMap;
 use std::fs::{self, File, OpenOptions};
-use std::io::{self, Write};
+use std::io::{self, BufRead, BufReader, Write};
 use std::path::{Path, PathBuf};
 
 use crate::fingerprint::{design_fingerprint_with, ProblemFingerprints};
@@ -118,30 +118,36 @@ impl EvalCache {
 
         let evals_path = dir.join(EVALS_FILE);
         let mut map = HashMap::new();
-        match fs::read(&evals_path) {
-            Ok(body) => {
-                let mut keep_bytes = 0usize;
-                for (i, line) in body.split_inclusive(|&b| b == b'\n').enumerate() {
-                    if !line.ends_with(b"\n") {
-                        break; // torn tail (only the last piece can lack a newline): drop it
+        match File::open(&evals_path) {
+            Ok(f) => {
+                let mut reader = BufReader::new(f);
+                let mut line = Vec::new();
+                let (mut keep_bytes, mut line_no) = (0u64, 0);
+                let torn = loop {
+                    line.clear();
+                    if reader.read_until(b'\n', &mut line)? == 0 {
+                        break false;
                     }
-                    let parsed = std::str::from_utf8(line)
+                    if !line.ends_with(b"\n") {
+                        break true; // torn tail (only the last piece can lack a newline): drop it
+                    }
+                    line_no += 1;
+                    let parsed = std::str::from_utf8(&line)
                         .map_err(|e| invalid(e.to_string()))
                         .and_then(parse_line);
                     let (fp, score) = parsed.map_err(|e| {
                         invalid(format!(
-                            "corrupt eval cache {} at line {}: {e}",
-                            evals_path.display(),
-                            i + 1
+                            "corrupt eval cache {} at line {line_no}: {e}",
+                            evals_path.display()
                         ))
                     })?;
                     map.insert(fp, score);
-                    keep_bytes += line.len();
-                }
-                if keep_bytes < body.len() {
+                    keep_bytes += line.len() as u64;
+                };
+                if torn {
                     // Truncate the torn tail so the next append starts clean.
                     let f = OpenOptions::new().write(true).open(&evals_path)?;
-                    f.set_len(keep_bytes as u64)?;
+                    f.set_len(keep_bytes)?;
                 }
             }
             Err(e) if e.kind() == io::ErrorKind::NotFound => {}

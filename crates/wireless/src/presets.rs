@@ -71,8 +71,8 @@ pub fn grid_hypothetical(stack: ProtocolStack, rate_kbps: f64, seed: u64) -> Sce
 /// flows at 4 Kbit/s, random-waypoint mobility at 2.5–5 m/s with 5 s
 /// pauses, 60 s horizon, Cabletron.
 ///
-/// This is the scenario family `BENCH_*.json` perf records and the
-/// `perf-smoke` CI job measure (50/100/200 nodes); identical to an
+/// This is the scenario family the `BENCH_*.json` perf records and
+/// `eend-cli bench` measure (50/100/200 nodes); identical to an
 /// `eend-cli --nodes n --area <scaled> --flows n/5 --rate 4 --secs 60
 /// --speed 5` single run, so any historical build can be timed on the
 /// same workload.

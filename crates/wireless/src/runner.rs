@@ -181,8 +181,6 @@ pub struct Simulator {
     /// density), kept in lockstep with `pm_modes` and the channel's
     /// neighbour sets so routing reads it in O(1).
     active_neighbors: Vec<u32>,
-    trace_bcast: bool,
-    trace_beacons: bool,
     // Measurement.
     m: Counters,
 }
@@ -319,8 +317,6 @@ impl Simulator {
             txn_pool: Vec::new(),
             mac_pool: QueuePool::default(),
             active_neighbors: vec![0; n],
-            trace_bcast: std::env::var_os("EEND_TRACE_BCAST").is_some(),
-            trace_beacons: std::env::var_os("EEND_TRACE_BEACONS").is_some(),
             m: Counters::default(),
         };
         sim.m.routes = vec![None; sim.flows.len()];
@@ -900,22 +896,6 @@ impl Simulator {
             TxnKind::Broadcast { mut receivers, frame } => {
                 self.charge_broadcast(u, &receivers, start, &frame);
                 self.count_tx(u, &frame);
-                if self.trace_bcast {
-                    let psm_rx = receivers
-                        .iter()
-                        .filter(|&&r| self.pm[r].mode == PmMode::PowerSave)
-                        .count();
-                    let neighbors = self.channel.neighbors(u).len();
-                    eprintln!(
-                        "bcast t={} from={} kind={:?} receivers={}/{} psm_rx={}",
-                        now,
-                        u,
-                        std::mem::discriminant(&frame.packet.kind),
-                        receivers.len(),
-                        neighbors,
-                        psm_rx
-                    );
-                }
                 for &r in &receivers {
                     self.nodes[r].mac.busy = false;
                     // Baseline IEEE PSM: a broadcast keeps its PSM
@@ -1142,21 +1122,6 @@ impl Simulator {
         let tb = self.time;
         self.last_beacon = tb;
         let n = self.nodes.len();
-        if self.trace_beacons && tb.as_nanos().is_multiple_of(30_000_000_000)
-        {
-            let am = self.pm.iter().filter(|p| p.mode == PmMode::ActiveMode).count();
-            let awake_psm = (0..n)
-                .filter(|&i| {
-                    self.pm[i].mode == PmMode::PowerSave
-                        && self.meters[i].state() != RadioState::Sleep
-                })
-                .count();
-            let queued: usize = self.nodes.iter().map(|nd| nd.mac.queue_len()).sum();
-            eprintln!(
-                "beacon t={} am={} awake_psm={} queued_frames={}",
-                tb, am, awake_psm, queued
-            );
-        }
         // Everyone alive in PSM wakes for the ATIM window.
         for i in 0..n {
             if self.alive[i] && self.pm[i].mode == PmMode::PowerSave && !self.nodes[i].mac.busy {

@@ -63,24 +63,20 @@
 //! resumed store re-attempts exactly the recorded failures under the
 //! same policy.
 //!
-//! Bench mode — the end-to-end performance measurement behind the
-//! `BENCH_*.json` perf records and the `perf-smoke` CI job. Runs the
+//! Bench mode — the end-to-end measurement behind the `BENCH_*.json`
+//! perf records and the 50→100k scale report. Runs the
 //! [`eend::wireless::presets::mobility_bench`] presets (50/100/200-node
 //! random-waypoint networks) on the campaign executor and reports
 //! runs/sec, events/sec and peak RSS:
 //!
 //! ```text
 //! eend-cli bench [--runs N] [--workers W] [--nodes 50,100,200] [--json]
-//!                [--json-out FILE] [--check BENCH_FILE] [--tolerance 0.30]
+//!                [--scale 1k,10k,100k] [--json-out FILE]
 //! ```
 //!
 //! `--json-out FILE` writes the same JSON record to FILE atomically
 //! (temp sibling + rename) so a crash mid-write never leaves a torn
 //! perf record.
-//!
-//! `--check` compares the measured runs/sec of every preset against the
-//! `"current"` section of a committed perf record and exits non-zero on
-//! a regression beyond the tolerance.
 //!
 //! Loadgen mode — multi-tenant load generation against an in-process
 //! `eend-serve` daemon (the measurement behind `BENCH_pr9.json` and the
@@ -127,7 +123,6 @@
 //! the best single-shot heuristic — the loop-closing guarantee CI holds.
 
 use eend::campaign::serve::{serve, ServeConfig};
-use eend::campaign::json;
 use eend::campaign::store::Manifest;
 use eend::campaign::{
     merge_stores, merge_stores_streaming, write_atomic, BaseScenario, CampaignResult,
@@ -853,23 +848,16 @@ struct BenchOpts {
     scale: Vec<usize>,
     json: bool,
     json_out: Option<String>,
-    check: Option<String>,
-    tolerance: f64,
-    allow_missing_presets: bool,
 }
 
 fn bench_usage() -> ! {
     eprintln!(
         "usage: eend-cli bench [--runs N] [--workers W] [--nodes 50,100,200]\n\
          \u{20}                     [--scale 1k,10k,100k] [--json] [--json-out FILE]\n\
-         \u{20}                     [--check BENCH_FILE]\n\
-         \u{20}                     [--tolerance 0.30] [--allow-missing-presets]\n\
          \u{20}  --json-out writes the --json record to FILE atomically (temp file\n\
          \u{20}  + rename), so a killed bench never leaves a torn record behind\n\
          \u{20}  --scale runs the mobility_scale grid presets (1k/10k/100k, or a\n\
-         \u{20}  bare grid side length); passing it alone skips the default --nodes set\n\
-         \u{20}  --allow-missing-presets lets --check pass when the record gates\n\
-         \u{20}  presets this invocation did not run (a deliberately narrowed sweep)"
+         \u{20}  bare grid side length); passing it alone skips the default --nodes set"
     );
     std::process::exit(2)
 }
@@ -909,9 +897,6 @@ fn parse_bench(args: impl Iterator<Item = String>) -> BenchOpts {
         scale: Vec::new(),
         json: false,
         json_out: None,
-        check: None,
-        tolerance: 0.30,
-        allow_missing_presets: false,
     };
     let mut nodes_given = false;
     let mut args = args.peekable();
@@ -934,11 +919,6 @@ fn parse_bench(args: impl Iterator<Item = String>) -> BenchOpts {
             "--scale" => o.scale = parse_scale_list(&val("--scale")),
             "--json" => o.json = true,
             "--json-out" => o.json_out = Some(val("--json-out")),
-            "--check" => o.check = Some(val("--check")),
-            "--tolerance" => {
-                o.tolerance = val("--tolerance").parse().unwrap_or_else(|_| bench_usage())
-            }
-            "--allow-missing-presets" => o.allow_missing_presets = true,
             "--help" | "-h" => bench_usage(),
             other => {
                 eprintln!("error: unknown bench argument {other}");
@@ -952,13 +932,6 @@ fn parse_bench(args: impl Iterator<Item = String>) -> BenchOpts {
         o.nodes = vec![50, 100, 200];
     }
     if o.runs == 0 || (o.nodes.is_empty() && o.scale.is_empty()) {
-        bench_usage()
-    }
-    if !(0.0..1.0).contains(&o.tolerance) {
-        eprintln!(
-            "error: --tolerance must be a fraction in [0, 1), e.g. 0.30 for 30% (got {})",
-            o.tolerance
-        );
         bench_usage()
     }
     o
@@ -1069,10 +1042,6 @@ fn run_bench(o: BenchOpts) {
         }
         println!("peak RSS: {} kB", peak_rss_kb());
     }
-
-    if let Some(path) = &o.check {
-        check_against_record(path, &results, o.tolerance, o.allow_missing_presets);
-    }
 }
 
 /// Renders the `eend-bench/1` JSON record — one string, so stdout
@@ -1107,96 +1076,6 @@ fn render_bench_json(o: &BenchOpts, executor: &Executor, results: &[PresetResult
     let _ = writeln!(out, "  ]");
     let _ = writeln!(out, "}}");
     out
-}
-
-/// Extracts `(preset name, runs_per_sec)` pairs from a perf record:
-/// the `"presets"` of its `"current"` section when it has one (a
-/// committed `eend-bench-record/1` file), else its top-level
-/// `"presets"` (an `eend-bench/1` record from `--json`/`--json-out`).
-fn parse_record_rates(text: &str) -> std::io::Result<Vec<(String, f64)>> {
-    let doc = json::parse_json(text)?;
-    let scope = doc.get_opt("current")?.unwrap_or(&doc);
-    scope
-        .get("presets")?
-        .arr()?
-        .iter()
-        .map(|p| Ok((p.get("name")?.str()?.to_owned(), p.get("runs_per_sec")?.f64()?)))
-        .collect()
-}
-
-fn check_against_record(
-    path: &str,
-    results: &[PresetResult],
-    tolerance: f64,
-    allow_missing: bool,
-) {
-    let text = std::fs::read_to_string(path).unwrap_or_else(|e| {
-        eprintln!("error: cannot read perf record {path}: {e}");
-        std::process::exit(2)
-    });
-    let recorded = parse_record_rates(&text).unwrap_or_else(|e| {
-        eprintln!("error: cannot read perf record {path}: {e}");
-        std::process::exit(2)
-    });
-    if recorded.is_empty() {
-        eprintln!("error: no preset rates found in {path}");
-        std::process::exit(2)
-    }
-    let mut failed = false;
-    let mut gated = 0usize;
-    let mut skipped = 0usize;
-    for r in results {
-        // A preset missing from the record is tolerated individually —
-        // it was added since the record was written, so there is nothing
-        // to compare against yet. The presets the record does know are
-        // still gated; the gate only goes vacuous when *every* preset is
-        // new, which the summary line below makes visible.
-        let Some((_, rate)) = recorded.iter().find(|(n, _)| *n == r.name) else {
-            eprintln!("check: {:12} not in record — new preset, gated from the next record on", r.name);
-            skipped += 1;
-            continue;
-        };
-        let floor = rate * (1.0 - tolerance);
-        let ok = r.runs_per_sec >= floor;
-        eprintln!(
-            "check: {:12} {:>7.2} runs/s vs recorded {:>7.2} (floor {:>7.2}) {}",
-            r.name,
-            r.runs_per_sec,
-            rate,
-            floor,
-            if ok { "ok" } else { "REGRESSION" }
-        );
-        gated += 1;
-        failed |= !ok;
-    }
-    // The converse gap: presets the record gates that this invocation
-    // never ran. Silently ignoring them would let a narrowed --nodes or
-    // --scale sweep shrink the gate without anyone noticing.
-    let mut unmeasured = 0usize;
-    for (name, _) in &recorded {
-        if results.iter().all(|r| r.name != *name) {
-            eprintln!(
-                "check: {name:12} in record but not measured this run{}",
-                if allow_missing { " (allowed)" } else { "" }
-            );
-            unmeasured += 1;
-        }
-    }
-    eprintln!(
-        "check: {gated} preset(s) gated, {skipped} absent from the record, \
-         {unmeasured} recorded but unmeasured"
-    );
-    if unmeasured > 0 && !allow_missing {
-        eprintln!(
-            "check: the record gates preset(s) this run did not measure; \
-             re-run the full sweep or pass --allow-missing-presets to narrow it deliberately"
-        );
-        failed = true;
-    }
-    if failed {
-        eprintln!("check: perf gate failed (tolerance {:.0}%)", tolerance * 100.0);
-        std::process::exit(1)
-    }
 }
 
 // ---------------------------------------------------------------------
@@ -2191,67 +2070,5 @@ fn main() {
                 );
             }
         }
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::parse_record_rates;
-
-    #[test]
-    fn record_rates_read_the_current_section() {
-        let text = r#"{"baseline":{"presets":[{"name":"mobility50","runs_per_sec":1.0}]},
-            "current":{"schema":"eend-bench/1","presets":[
-                {"name":"mobility50","nodes":50,"runs_per_sec":207.99},
-                {"name":"mobility100","nodes":100,"runs_per_sec":66.5}]}}"#;
-        assert_eq!(
-            parse_record_rates(text).unwrap(),
-            vec![("mobility50".to_owned(), 207.99), ("mobility100".to_owned(), 66.5)]
-        );
-    }
-
-    #[test]
-    fn record_rates_survive_reordered_keys() {
-        // A line-oriented scan paired each rate with the *next* name.
-        let text = r#"{"presets":[
-            {"runs_per_sec":10.0,"name":"mobility50"},
-            {"runs_per_sec":20.0,"name":"mobility100"}]}"#;
-        assert_eq!(
-            parse_record_rates(text).unwrap(),
-            vec![("mobility50".to_owned(), 10.0), ("mobility100".to_owned(), 20.0)]
-        );
-    }
-
-    #[test]
-    fn record_rates_read_exponent_forms() {
-        let text = r#"{"presets":[{"name":"mobility50","runs_per_sec":1.5e3},
-            {"name":"mobility100","runs_per_sec":2E-1}]}"#;
-        assert_eq!(
-            parse_record_rates(text).unwrap(),
-            vec![("mobility50".to_owned(), 1500.0), ("mobility100".to_owned(), 0.2)]
-        );
-    }
-
-    #[test]
-    fn record_rates_without_a_current_section_use_the_top_level() {
-        let text = r#"{"schema":"eend-bench/1","workers":1,"presets":[
-            {"name":"mobility50","runs_per_sec":317.0}]}"#;
-        assert_eq!(parse_record_rates(text).unwrap(), vec![("mobility50".to_owned(), 317.0)]);
-    }
-
-    #[test]
-    fn committed_records_parse() {
-        for file in ["BENCH_pr3.json", "BENCH_pr4.json", "BENCH_pr6.json"] {
-            let path = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join(file);
-            let rates = parse_record_rates(&std::fs::read_to_string(path).unwrap()).unwrap();
-            assert!(rates.iter().any(|(n, r)| n == "mobility50" && *r > 0.0), "{file}: {rates:?}");
-        }
-    }
-
-    #[test]
-    fn malformed_records_are_errors_not_empty_gates() {
-        assert!(parse_record_rates("{\"presets\":[{\"name\":\"m\"}]}").is_err());
-        assert!(parse_record_rates("{\"current\":{}}").is_err());
-        assert!(parse_record_rates("not json").is_err());
     }
 }

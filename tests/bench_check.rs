@@ -1,79 +1,51 @@
-//! The `eend-cli bench --check` perf gate must not silently shrink:
-//! a record preset the current invocation never measured (a narrowed
-//! `--nodes`/`--scale` sweep) has to fail the gate unless the caller
-//! opts in with `--allow-missing-presets`.
+//! The `eend-cli bench` perf record: the `eend-bench/1` file that
+//! `--json-out` writes, and the committed `BENCH_pr*.json` records kept
+//! as frozen history.
 
-use std::path::PathBuf;
+use eend::campaign::json::parse_json;
 use std::process::Command;
 
-fn scratch_record(tag: &str, text: &str) -> PathBuf {
-    let path = std::env::temp_dir().join(format!(
-        "eend-bench-check-{}-{tag}.json",
-        std::process::id()
-    ));
-    std::fs::write(&path, text).unwrap();
-    path
-}
-
-fn bench(args: &[&str]) -> std::process::Output {
-    Command::new(env!("CARGO_BIN_EXE_eend-cli"))
-        .arg("bench")
-        .args(args)
+#[test]
+fn json_out_writes_an_atomic_bench_record() {
+    let dir = std::env::temp_dir().join(format!("eend-bench-record-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    std::fs::create_dir_all(&dir).unwrap();
+    let path = dir.join("bench.json");
+    let out = Command::new(env!("CARGO_BIN_EXE_eend-cli"))
+        .args(["bench", "--runs", "1", "--nodes", "50", "--json-out"])
+        .arg(&path)
         .output()
-        .expect("run eend-cli bench")
+        .expect("run eend-cli bench");
+    assert!(out.status.success(), "{}", String::from_utf8_lossy(&out.stderr));
+
+    let text = std::fs::read_to_string(&path).unwrap();
+    let doc = parse_json(&text).unwrap();
+    assert_eq!(doc.get("schema").unwrap().str().unwrap(), "eend-bench/1");
+    let presets = doc.get("presets").unwrap().arr().unwrap();
+    assert_eq!(presets.len(), 1, "{text}");
+    assert_eq!(presets[0].get("name").unwrap().str().unwrap(), "mobility50");
+    assert!(presets[0].get("runs_per_sec").unwrap().f64().unwrap() > 0.0, "{text}");
+
+    // The write went through a temp sibling and a rename: only the
+    // record itself is left in the directory.
+    let left: Vec<_> = std::fs::read_dir(&dir).unwrap().map(|e| e.unwrap().file_name()).collect();
+    assert_eq!(left, ["bench.json"], "temp sibling left behind");
+    let _ = std::fs::remove_dir_all(&dir);
 }
 
 #[test]
-fn gate_fails_on_recorded_but_unmeasured_presets_unless_allowed() {
-    // mobility50 will be measured (floor ~0 so it always passes);
-    // mobility9000 exists only in the record.
-    let record = scratch_record(
-        "missing",
-        "{\"presets\":[\
-         {\"name\": \"mobility50\", \"runs_per_sec\": 0.0001},\
-         {\"name\": \"mobility9000\", \"runs_per_sec\": 123.0}]}",
-    );
-    let path = record.to_str().unwrap();
-
-    let out = bench(&["--runs", "1", "--nodes", "50", "--check", path]);
-    let stderr = String::from_utf8_lossy(&out.stderr);
-    assert!(
-        !out.status.success(),
-        "a recorded-but-unmeasured preset must fail the gate: {stderr}"
-    );
-    assert!(stderr.contains("mobility9000"), "must name the unmeasured preset: {stderr}");
-    assert!(
-        stderr.contains("--allow-missing-presets"),
-        "must point at the opt-out flag: {stderr}"
-    );
-
-    let out = bench(&[
-        "--runs", "1", "--nodes", "50", "--check", path, "--allow-missing-presets",
-    ]);
-    let stderr = String::from_utf8_lossy(&out.stderr);
-    assert!(out.status.success(), "the flag must let a narrowed sweep pass: {stderr}");
-    assert!(
-        stderr.contains("mobility9000") && stderr.contains("allowed"),
-        "the narrowed gate still reports what it skipped: {stderr}"
-    );
-
-    let _ = std::fs::remove_file(&record);
-}
-
-#[test]
-fn gate_still_catches_regressions_in_measured_presets() {
-    // An impossible floor: the gate must fail on the measured preset
-    // itself, flag or no flag.
-    let record = scratch_record(
-        "regression",
-        "{\"presets\":[{\"name\": \"mobility50\", \"runs_per_sec\": 1000000000000.0}]}",
-    );
-    let path = record.to_str().unwrap();
-    let out = bench(&[
-        "--runs", "1", "--nodes", "50", "--check", path, "--allow-missing-presets",
-    ]);
-    let stderr = String::from_utf8_lossy(&out.stderr);
-    assert!(!out.status.success(), "a real regression must still fail: {stderr}");
-    assert!(stderr.contains("REGRESSION"), "got: {stderr}");
-    let _ = std::fs::remove_file(&record);
+fn committed_records_parse() {
+    for file in ["BENCH_pr3.json", "BENCH_pr4.json", "BENCH_pr6.json"] {
+        let path = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join(file);
+        let text = std::fs::read_to_string(path).unwrap();
+        let doc = parse_json(&text).unwrap();
+        // A committed record keeps its rates under "current".
+        let scope = doc.get_opt("current").unwrap().unwrap_or(&doc);
+        let presets = scope.get("presets").unwrap().arr().unwrap();
+        assert!(
+            presets.iter().any(|p| p.get("name").unwrap().str().unwrap() == "mobility50"
+                && p.get("runs_per_sec").unwrap().f64().unwrap() > 0.0),
+            "{file}"
+        );
+    }
 }
