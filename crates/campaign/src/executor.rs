@@ -1,23 +1,26 @@
-//! Bounded parallel executor with a streaming output path.
+//! Campaign job scheduling: containment, in-order delivery, and the one
+//! claim-gated pool both schedulers share.
 //!
-//! A fixed pool of scoped worker threads — capped at
-//! `std::thread::available_parallelism` — pulls job indices from a shared
-//! atomic counter (self-scheduling, so an unlucky long job never stalls
-//! the queue behind it). Every job is an independent, deterministic
-//! simulation, and results are emitted in job-index order, so the output
-//! is byte-identical for any worker count — the property the
-//! parallel-equals-serial regression test pins.
+//! Every job is an independent, deterministic simulation, and results
+//! reach the caller in job-index order, so the output is byte-identical
+//! for any worker count — the property the parallel-equals-serial
+//! regression tests pin.
 //!
-//! Emission is *streaming*: [`Executor::par_stream`] hands each result
-//! to a consumer callback as soon as it becomes the next in-order index,
-//! holding out-of-order completions in a reorder buffer whose size is
-//! bounded by a claim gate — a worker may only claim job `i` once
-//! `i < emitted + window`, so at most `window + workers` results ever
-//! exist outside the consumer. Peak memory of a streamed campaign is
-//! therefore O(reorder window), not O(jobs). [`Executor::run_streaming`]
-//! layers [`crate::sink::RecordSink`]s on top;
-//! [`Executor::run_jobs`]/[`Executor::par_map`] are the collect-everything
-//! conveniences, built on the same core.
+//! - [`Executor`] runs one call's jobs. At one worker they run in a
+//!   plain loop on the calling thread, the serial reference. At two or
+//!   more it starts a [`WorkerPool`] for the call and joins it before
+//!   returning.
+//! - [`WorkerPool`] threads claim jobs under a claim gate — job `i` only
+//!   once `i < emitted + window` — so out-of-order completions wait in a
+//!   reorder buffer of fewer than `window` results. Peak memory of a
+//!   streamed campaign is O(window), not O(jobs). The daemon shares one
+//!   long-lived pool across every active campaign.
+//! - Both run each job under one containment function (`catch_unwind`,
+//!   retry with backoff per [`FailurePolicy`]) and hand outcomes over
+//!   through one delivery step, so a panic in a job or in a caller's
+//!   callback unwinds the same way at every worker count.
+//! - [`Executor::par_map`] is a plain scoped fork-join for closures that
+//!   are not campaign jobs; it returns every result, in index order.
 
 use crate::report::{CampaignResult, Record};
 use crate::sink::{MemorySink, RecordSink};
@@ -164,7 +167,7 @@ pub struct JobFailure {
 
 /// The outcome of one contained job execution.
 #[derive(Debug)]
-pub enum JobOutcome {
+pub(crate) enum JobOutcome {
     /// The job produced its record (possibly after retries).
     Done(Box<Record>),
     /// The job panicked on every permitted attempt.
@@ -183,11 +186,11 @@ pub fn panic_cause(payload: &(dyn std::any::Any + Send)) -> String {
     }
 }
 
-/// Runs one job under a containment policy: `catch_unwind` around the
-/// simulation, retry loop with deterministic backoff, structured failure
-/// when attempts run out. Under [`FailurePolicy::Abort`] the original
-/// panic is re-raised untouched, preserving the executor's historical
-/// panic-propagation semantics byte for byte.
+/// Runs one job under a containment policy: `catch_unwind` around every
+/// attempt, a retry loop with deterministic backoff, and a structured
+/// failure when the attempts run out ([`FailurePolicy::Abort`] allows
+/// one). A panic never leaves this function, so a pool worker survives
+/// any job; [`deliver`] re-raises it under `Abort`.
 fn run_job_contained(job: &Job, policy: &FailurePolicy) -> JobOutcome {
     let attempts = policy.attempts();
     let mut cause = String::new();
@@ -203,9 +206,6 @@ fn run_job_contained(job: &Job, policy: &FailurePolicy) -> JobOutcome {
         match result {
             Ok(record) => return JobOutcome::Done(Box::new(record)),
             Err(payload) => {
-                if matches!(policy, FailurePolicy::Abort) {
-                    resume_unwind(payload);
-                }
                 cause = panic_cause(payload.as_ref());
                 if attempt < attempts {
                     let delay = policy.backoff_delay(attempt);
@@ -217,6 +217,29 @@ fn run_job_contained(job: &Job, policy: &FailurePolicy) -> JobOutcome {
         }
     }
     JobOutcome::Failed(JobFailure { job_id: job.index, attempts, cause })
+}
+
+/// Hands job `i`'s outcome to the caller — the in-order delivery step of
+/// both the serial loop and the pool's consumer. Under
+/// [`FailurePolicy::Abort`] a failed job re-raises its cause on the
+/// calling thread; `resume_unwind` skips the panic hook, which already
+/// reported the panic where it happened.
+fn deliver(
+    i: usize,
+    outcome: JobOutcome,
+    policy: &FailurePolicy,
+    on_record: &mut dyn FnMut(usize, &Record) -> std::io::Result<()>,
+    on_failure: &mut dyn FnMut(&JobFailure) -> std::io::Result<()>,
+) -> std::io::Result<()> {
+    match outcome {
+        JobOutcome::Done(record) => on_record(i, &record),
+        JobOutcome::Failed(failure) => {
+            if matches!(policy, FailurePolicy::Abort) {
+                resume_unwind(Box::new(failure.cause));
+            }
+            on_failure(&failure)
+        }
+    }
 }
 
 /// A bounded worker pool for campaign jobs.
@@ -252,241 +275,75 @@ impl Executor {
         self.workers * 4
     }
 
-    /// Runs `f(0..n)` across the pool, delivering every result to
-    /// `emit` **in index order**, as soon as it becomes the next index —
-    /// the streaming core everything else builds on.
-    ///
-    /// Out-of-order completions wait in a reorder buffer. Its size is
-    /// bounded by a claim gate: a worker may only *claim* index `i` once
-    /// `i < emitted + window`, so no more than `window + workers`
-    /// results ever exist outside `emit` (claimed-but-unemitted jobs),
-    /// regardless of how slow the job at the emission cursor is. With
-    /// `window >= n` the gate never blocks and the call degenerates to
-    /// the collect-then-sort behaviour.
-    ///
-    /// `emit` runs on the calling thread and returns whether to
-    /// continue: `false` aborts the stream — no new jobs start,
-    /// in-flight ones drain harmlessly, and `par_stream` returns early
-    /// (how a failing sink stops a long campaign immediately). A
-    /// panicking `f` likewise aborts the other workers and re-panics on
-    /// the caller instead of deadlocking the gate.
-    pub fn par_stream<T, F, E>(&self, n: usize, window: usize, f: F, mut emit: E)
-    where
-        T: Send,
-        F: Fn(usize) -> T + Sync,
-        E: FnMut(usize, T) -> bool,
-    {
-        if n == 0 {
-            return;
-        }
-        let workers = self.workers.min(n);
-        if workers == 1 {
-            for i in 0..n {
-                let v = f(i);
-                if !emit(i, v) {
-                    return;
-                }
-            }
-            return;
-        }
-        let window = window.max(1);
-        let next = AtomicUsize::new(0);
-        // (emitted cursor, abort flag) — workers wait on this until their
-        // claimed index enters the reorder window.
-        let gate = Mutex::new((0usize, false));
-        let gate_cv = Condvar::new();
-        let raise_abort = |gate: &Mutex<(usize, bool)>, cv: &Condvar| {
-            if let Ok(mut g) = gate.lock() {
-                g.1 = true;
-            }
-            cv.notify_all();
-        };
-        /// Raises the abort flag if its worker unwinds, so a panicking
-        /// job can never strand siblings in the gate wait: they wake,
-        /// drain, drop their senders, and the consumer's `recv` fails
-        /// over to the propagation path below.
-        struct PanicFuse<'a> {
-            gate: &'a Mutex<(usize, bool)>,
-            cv: &'a Condvar,
-        }
-        impl Drop for PanicFuse<'_> {
-            fn drop(&mut self) {
-                if std::thread::panicking() {
-                    if let Ok(mut g) = self.gate.lock() {
-                        g.1 = true;
-                    }
-                    self.cv.notify_all();
-                }
-            }
-        }
-        let (tx, rx) = mpsc::channel::<(usize, T)>();
-        std::thread::scope(|scope| {
-            for _ in 0..workers {
-                let tx = tx.clone();
-                let (next, gate, gate_cv, f) = (&next, &gate, &gate_cv, &f);
-                scope.spawn(move || {
-                    let _fuse = PanicFuse { gate, cv: gate_cv };
-                    loop {
-                        let i = next.fetch_add(1, Ordering::Relaxed);
-                        if i >= n {
-                            break;
-                        }
-                        {
-                            let mut g = gate.lock().expect("gate poisoned");
-                            while !g.1 && i >= g.0 + window {
-                                g = gate_cv.wait(g).expect("gate poisoned");
-                            }
-                            if g.1 {
-                                break; // aborted
-                            }
-                        }
-                        if tx.send((i, f(i))).is_err() {
-                            break;
-                        }
-                    }
-                });
-            }
-            drop(tx);
-            // Consumer: reassemble job order through the reorder buffer.
-            let mut pending: BTreeMap<usize, T> = BTreeMap::new();
-            let mut next_emit = 0usize;
-            'consume: while next_emit < n {
-                let Ok((i, v)) = rx.recv() else {
-                    // A worker died mid-job (its PanicFuse already woke
-                    // the others). Propagate.
-                    raise_abort(&gate, &gate_cv);
-                    panic!("campaign worker panicked");
-                };
-                pending.insert(i, v);
-                while let Some(v) = pending.remove(&next_emit) {
-                    if !emit(next_emit, v) {
-                        raise_abort(&gate, &gate_cv);
-                        break 'consume;
-                    }
-                    next_emit += 1;
-                }
-                {
-                    let mut g = gate.lock().expect("gate poisoned");
-                    g.0 = next_emit;
-                }
-                gate_cv.notify_all();
-                debug_assert!(
-                    pending.len() <= window + workers,
-                    "reorder buffer exceeded its bound: {} > {}",
-                    pending.len(),
-                    window + workers
-                );
-            }
-        });
-    }
-
-    /// Runs `f(0..n)` across the pool and returns the results in index
-    /// order. The pool never holds more than `min(workers, n)` OS
-    /// threads, however large `n` is. Collects everything — use
-    /// [`Executor::par_stream`] when results should be consumed
-    /// incrementally.
+    /// Runs `f(0..n)` on up to `workers` scoped threads and returns the
+    /// results in index order. Threads claim indices from a shared
+    /// counter, so a slow index never stalls the others; at one worker
+    /// the closure runs inline on the calling thread. A panic in `f`
+    /// re-raises on the caller once every thread has stopped.
     pub fn par_map<T, F>(&self, n: usize, f: F) -> Vec<T>
     where
         T: Send,
         F: Fn(usize) -> T + Sync,
     {
-        let mut out = Vec::with_capacity(n);
-        // window = n: the claim gate never blocks, matching the old
-        // collect-then-sort semantics exactly.
-        self.par_stream(n, n.max(1), f, |i, v| {
-            debug_assert_eq!(i, out.len());
-            out.push(v);
-            true
+        let workers = self.workers.min(n);
+        if workers <= 1 {
+            return (0..n).map(f).collect();
+        }
+        let next = AtomicUsize::new(0);
+        let mut done: Vec<(usize, T)> = std::thread::scope(|scope| {
+            let threads: Vec<_> = (0..workers)
+                .map(|_| {
+                    scope.spawn(|| {
+                        let mut mine = Vec::new();
+                        loop {
+                            let i = next.fetch_add(1, Ordering::Relaxed);
+                            if i >= n {
+                                return mine;
+                            }
+                            mine.push((i, f(i)));
+                        }
+                    })
+                })
+                .collect();
+            threads
+                .into_iter()
+                .flat_map(|t| t.join().unwrap_or_else(|payload| resume_unwind(payload)))
+                .collect()
         });
-        out
+        done.sort_unstable_by_key(|&(i, _)| i);
+        done.into_iter().map(|(_, v)| v).collect()
     }
 
     /// Simulates every job, pushing one [`Record`] per job into `sink`
     /// **in job order** as workers complete. Peak memory is
     /// O([`Executor::default_window`]) records plus whatever the sink
     /// retains — a streaming sink (CSV/JSONL/store) keeps a grid of any
-    /// size out of RAM.
+    /// size out of RAM. A panicking job re-raises on the caller.
     pub fn run_streaming(&self, jobs: &[Job], sink: &mut dyn RecordSink) -> std::io::Result<()> {
-        self.run_streaming_window(jobs, self.default_window(), sink)
-    }
-
-    /// [`Executor::run_streaming`] with an explicit reorder window
-    /// (tests pin the boundedness; callers normally want the default).
-    pub fn run_streaming_window(
-        &self,
-        jobs: &[Job],
-        window: usize,
-        sink: &mut dyn RecordSink,
-    ) -> std::io::Result<()> {
-        // Abort policy: a panicking job still unwinds through the pool
-        // exactly as it always has, so the failure callback is dead code.
-        self.run_streaming_policy(
+        self.run_jobs_streaming(
             jobs,
-            window,
+            self.default_window(),
             &FailurePolicy::Abort,
-            |_, record| sink.accept(record),
-            |f| Err(std::io::Error::other(format!("job {} failed: {}", f.job_id, f.cause))),
+            &mut |_, record| sink.accept(record),
+            &mut |_| unreachable!("`Abort` re-raises a failed job"),
         )?;
         sink.finish()
     }
 
-    /// The policy-aware streaming core: simulates every job under a
-    /// [`FailurePolicy`], delivering results **in job order** on the
-    /// calling thread — `on_record(i, record)` for successes (where `i`
-    /// indexes into `jobs`), `on_failure(failure)` for jobs whose panics
-    /// the policy contained. The first callback error aborts the stream
-    /// (no further jobs are claimed) and is returned.
-    ///
-    /// Unlike the sink-based entry points this hands the caller the
-    /// emission index, so consumers that do their own bookkeeping (the
-    /// result store) stay in sync even when failed jobs leave gaps in
-    /// the record sequence.
-    pub fn run_streaming_policy<R, Fl>(
-        &self,
-        jobs: &[Job],
-        window: usize,
-        policy: &FailurePolicy,
-        mut on_record: R,
-        mut on_failure: Fl,
-    ) -> std::io::Result<()>
-    where
-        R: FnMut(usize, &Record) -> std::io::Result<()>,
-        Fl: FnMut(&JobFailure) -> std::io::Result<()>,
-    {
-        let mut err: Option<std::io::Error> = None;
-        self.par_stream(
-            jobs.len(),
-            window,
-            |i| run_job_contained(&jobs[i], policy),
-            |i, outcome| {
-                let result = match &outcome {
-                    JobOutcome::Done(record) => on_record(i, record),
-                    JobOutcome::Failed(failure) => on_failure(failure),
-                };
-                match result {
-                    Ok(()) => true,
-                    Err(e) => {
-                        // First consumer failure aborts the stream: no
-                        // further jobs are claimed, the error surfaces
-                        // immediately.
-                        err = Some(e);
-                        false
-                    }
-                }
-            },
-        );
-        match err {
-            Some(e) => Err(e),
-            None => Ok(()),
-        }
-    }
-
     /// Simulates every job and returns one [`Record`] per job, in job
-    /// order (a [`MemorySink`] over the streaming path).
+    /// order (a [`MemorySink`] over the streaming path). The window spans
+    /// the whole list: every record is kept anyway, so no worker waits
+    /// on a straggler.
     pub fn run_jobs(&self, jobs: &[Job]) -> Vec<Record> {
         let mut sink = MemorySink::new();
-        self.run_streaming_window(jobs, jobs.len().max(1), &mut sink)
-            .expect("in-memory sink cannot fail");
+        self.run_jobs_streaming(
+            jobs,
+            jobs.len(),
+            &FailurePolicy::Abort,
+            &mut |_, record| sink.accept(record),
+            &mut |_| unreachable!("`Abort` re-raises a failed job"),
+        )
+        .expect("in-memory sink cannot fail");
         sink.into_records()
     }
 
@@ -500,19 +357,18 @@ impl Executor {
 }
 
 // ---------------------------------------------------------------------
-// Shared scheduling: many campaigns, one worker pool.
+// Scheduling: a serial loop, or a claim-gated pool.
 
 /// Anything that can execute a job list with policy-aware, in-order
 /// streaming delivery — the seam between the result store and the two
-/// execution backends: a private scoped pool per call ([`Executor`]) or
-/// one long-lived pool shared by every concurrent campaign
-/// ([`WorkerPool`]).
+/// execution backends: [`Executor`], which runs one call's jobs on its
+/// own pool, and [`WorkerPool`], one long-lived pool shared by every
+/// concurrent campaign.
 ///
 /// Implementations must deliver callbacks **in job-index order on the
-/// calling thread**, exactly like [`Executor::run_streaming_policy`]:
-/// that ordering is what makes every store's `records.jsonl`
-/// byte-identical to a solo serial run no matter how jobs interleave
-/// across campaigns.
+/// calling thread**: that ordering is what makes every store's
+/// `records.jsonl` byte-identical to a solo serial run no matter how
+/// jobs interleave across campaigns.
 pub trait JobScheduler {
     /// The worker bound jobs run under.
     fn workers(&self) -> usize;
@@ -541,13 +397,14 @@ pub trait JobScheduler {
 
 impl JobScheduler for Executor {
     fn workers(&self) -> usize {
-        Executor::workers(self)
+        self.workers
     }
 
-    fn default_window(&self) -> usize {
-        Executor::default_window(self)
-    }
-
+    /// At one worker (or one job) the jobs run in a plain loop on the
+    /// calling thread: the serial reference. Otherwise a [`WorkerPool`]
+    /// of `min(workers, jobs)` threads serves this call alone; it is
+    /// dropped, and its threads joined, before the call returns or
+    /// unwinds.
     fn run_jobs_streaming(
         &self,
         jobs: &[Job],
@@ -556,7 +413,14 @@ impl JobScheduler for Executor {
         on_record: &mut dyn FnMut(usize, &Record) -> std::io::Result<()>,
         on_failure: &mut dyn FnMut(&JobFailure) -> std::io::Result<()>,
     ) -> std::io::Result<()> {
-        self.run_streaming_policy(jobs, window, policy, on_record, on_failure)
+        let workers = self.workers.min(jobs.len());
+        if workers <= 1 {
+            for (i, job) in jobs.iter().enumerate() {
+                deliver(i, run_job_contained(job, policy), policy, on_record, on_failure)?;
+            }
+            return Ok(());
+        }
+        WorkerPool::new(workers).run_jobs_streaming(jobs, window, policy, on_record, on_failure)
     }
 }
 
@@ -602,22 +466,27 @@ struct PoolShared {
     work_cv: Condvar,
 }
 
-/// A long-lived, bounded worker pool that multiplexes **every active
-/// campaign** onto one set of OS threads — the daemon's scheduler.
+/// A bounded worker pool that multiplexes **every active campaign**
+/// onto one set of OS threads — the daemon's long-lived scheduler, and
+/// the per-call pool behind [`Executor`] at two or more workers.
 ///
 /// Each [`WorkerPool::run_jobs_streaming`] call registers a *task* (one
 /// campaign's pending jobs). Idle workers claim jobs round-robin across
 /// runnable tasks — one claim, next task — so K runnable campaigns each
 /// get ~1/K of the pool (fair share) and a lone campaign gets all of it
 /// (work conserving). Every task keeps its own claim-gated reorder
-/// window, and results are reassembled **in job-index order on the
-/// registering thread**, so each campaign's durable output is
-/// byte-identical to a solo serial run regardless of interleaving.
+/// window: a worker may claim job `i` only once `i < emitted + window`,
+/// so fewer than `window` finished results ever wait in the reorder
+/// buffer, however slow the job at the emission cursor. Results are
+/// reassembled **in job-index order on the registering thread**, so
+/// each campaign's durable output is byte-identical to a solo serial
+/// run regardless of interleaving.
 ///
 /// Failure isolation: jobs always run under `catch_unwind` on pool
 /// threads. A campaign whose policy is [`FailurePolicy::Abort`]
-/// re-raises the panic on its *own* consumer thread — and the task
-/// deregisters during that unwind, releasing its claim on the pool
+/// re-raises the panic on its *own* consumer thread. When the consumer
+/// leaves — by a callback error, a job's re-raised panic or a panic in
+/// a callback — its task deregisters, releasing its claim on the pool
 /// immediately (no zombie slots) while other campaigns keep running.
 pub struct WorkerPool {
     shared: Arc<PoolShared>,
@@ -631,8 +500,8 @@ impl std::fmt::Debug for WorkerPool {
 }
 
 /// Deregisters a task when its consumer leaves `run_jobs_streaming` —
-/// normally, on a callback error, or during an abort-policy unwind —
-/// so the pool stops claiming its jobs the moment the campaign dies.
+/// normally, on a callback error, or during an unwind — so the pool
+/// stops claiming its jobs the moment the campaign dies.
 struct TaskGuard<'a> {
     shared: &'a PoolShared,
     id: u64,
@@ -644,21 +513,6 @@ impl Drop for TaskGuard<'_> {
         s.tasks.retain(|t| t.id != self.id);
         drop(s);
         self.shared.work_cv.notify_all();
-    }
-}
-
-/// Runs one job with *unconditional* containment: on a shared pool even
-/// an abort-policy panic must not kill the worker thread, so the unwind
-/// [`run_job_contained`] re-raises is caught here and carried back to
-/// the owning consumer as data (which re-raises it there).
-fn run_job_sandboxed(job: &Job, policy: &FailurePolicy) -> JobOutcome {
-    match catch_unwind(AssertUnwindSafe(|| run_job_contained(job, policy))) {
-        Ok(outcome) => outcome,
-        Err(payload) => JobOutcome::Failed(JobFailure {
-            job_id: job.index,
-            attempts: 1,
-            cause: panic_cause(payload.as_ref()),
-        }),
     }
 }
 
@@ -680,7 +534,7 @@ fn pool_worker_loop(shared: &PoolShared) {
         let (jobs, policy, tx) = (Arc::clone(&t.jobs), t.policy.clone(), t.tx.clone());
         state.rr = (k + 1) % len;
         drop(state);
-        let outcome = run_job_sandboxed(&jobs[i], &policy);
+        let outcome = run_job_contained(&jobs[i], &policy);
         // A send failure means the consumer is gone (cancelled or
         // unwound); the task is already deregistered, drop the result.
         let _ = tx.send((i, outcome));
@@ -764,6 +618,7 @@ impl JobScheduler for WorkerPool {
         if n == 0 {
             return Ok(());
         }
+        let window = window.max(1);
         let (tx, rx) = mpsc::channel::<(usize, JobOutcome)>();
         let id = {
             let mut s = self.shared.state.lock().unwrap_or_else(|p| p.into_inner());
@@ -776,7 +631,7 @@ impl JobScheduler for WorkerPool {
                 id,
                 jobs: Arc::new(jobs.to_vec()),
                 policy: policy.clone(),
-                window: window.max(1),
+                window,
                 next_claim: 0,
                 emitted: 0,
                 tx,
@@ -795,22 +650,20 @@ impl JobScheduler for WorkerPool {
             };
             pending.insert(i, outcome);
             let before = next_emit;
+            // `_guard` releases this task's pool slots if a callback
+            // error, a re-raised job panic or a callback panic leaves here.
             while let Some(outcome) = pending.remove(&next_emit) {
-                let step = match outcome {
-                    JobOutcome::Done(record) => on_record(next_emit, &record),
-                    JobOutcome::Failed(failure) => {
-                        if matches!(policy, FailurePolicy::Abort) {
-                            // Re-raise with the original cause on the
-                            // campaign's own thread; `_guard` releases
-                            // this task's pool slots during the unwind.
-                            std::panic::panic_any(failure.cause);
-                        }
-                        on_failure(&failure)
-                    }
-                };
-                step?;
+                deliver(next_emit, outcome, policy, on_record, on_failure)?;
                 next_emit += 1;
             }
+            // Every claim satisfied `i < emitted + window` with
+            // `emitted <= next_emit`, and `next_emit` itself is not
+            // pending: the buffer holds fewer than `window` results.
+            debug_assert!(
+                pending.len() < window,
+                "reorder buffer exceeded its bound: {} >= {window}",
+                pending.len()
+            );
             if next_emit > before {
                 let mut s = self.shared.state.lock().unwrap_or_else(|p| p.into_inner());
                 if let Some(t) = s.tasks.iter_mut().find(|t| t.id == id) {
@@ -827,7 +680,7 @@ impl JobScheduler for WorkerPool {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::atomic::AtomicUsize;
+    use eend_sim::{SimDuration, SimTime};
 
     #[test]
     fn par_map_preserves_index_order() {
@@ -843,6 +696,20 @@ mod tests {
         assert!(ex.par_map(0, |i| i).is_empty());
         // More workers than jobs: every job still runs exactly once.
         assert_eq!(ex.par_map(3, |i| i + 1), vec![1, 2, 3]);
+    }
+
+    #[test]
+    fn par_map_panic_propagates() {
+        let result = catch_unwind(|| {
+            Executor::with_workers(3).par_map(50, |i| {
+                if i == 7 {
+                    panic!("closure 7 exploded");
+                }
+                i
+            })
+        });
+        let payload = result.expect_err("the closure's panic must reach the caller");
+        assert_eq!(panic_cause(payload.as_ref()), "closure 7 exploded");
     }
 
     #[test]
@@ -869,65 +736,6 @@ mod tests {
     }
 
     #[test]
-    fn par_stream_emits_in_order_under_stragglers() {
-        // Job 0 is the slowest by far: every other job completes first
-        // and must wait in the reorder buffer, yet emission order is
-        // still 0, 1, 2, ...
-        let mut seen = Vec::new();
-        Executor::with_workers(4).par_stream(
-            32,
-            8,
-            |i| {
-                std::thread::sleep(std::time::Duration::from_micros(if i == 0 {
-                    3000
-                } else {
-                    50
-                }));
-                i * 10
-            },
-            |i, v| {
-                seen.push((i, v));
-                true
-            },
-        );
-        assert_eq!(seen, (0..32).map(|i| (i, i * 10)).collect::<Vec<_>>());
-    }
-
-    #[test]
-    fn claim_gate_bounds_how_far_workers_run_ahead() {
-        // With job 0 stuck, no worker may *start* a job outside the
-        // reorder window: every started index i must satisfy
-        // i < emitted + window at its start instant.
-        let window = 4;
-        let workers = 4;
-        let emitted = AtomicUsize::new(0);
-        let max_overrun = AtomicUsize::new(0);
-        Executor::with_workers(workers).par_stream(
-            64,
-            window,
-            |i| {
-                let e = emitted.load(Ordering::SeqCst);
-                max_overrun.fetch_max(i.saturating_sub(e), Ordering::SeqCst);
-                if i == 0 {
-                    std::thread::sleep(std::time::Duration::from_millis(20));
-                }
-                i
-            },
-            |i, _| {
-                emitted.store(i + 1, Ordering::SeqCst);
-                true
-            },
-        );
-        // The emitted counter in this test lags the real cursor by at
-        // most the emit-callback race, so allow one extra slot.
-        assert!(
-            max_overrun.load(Ordering::SeqCst) <= window + 1,
-            "a worker started {} jobs past the emit cursor (window {window})",
-            max_overrun.load(Ordering::SeqCst)
-        );
-    }
-
-    #[test]
     fn streaming_matches_run_jobs_byte_for_byte() {
         use crate::sink::{CsvSink, JsonlSink};
         use crate::{BaseScenario, CampaignSpec};
@@ -946,8 +754,7 @@ mod tests {
         for workers in [1, 2, 5] {
             let ex = Executor::with_workers(workers);
             let mut csv = CsvSink::new(&spec.name, Vec::new());
-            // A tight window forces the reorder machinery to engage.
-            ex.run_streaming_window(&jobs, 2, &mut csv).unwrap();
+            ex.run_streaming(&jobs, &mut csv).unwrap();
             assert_eq!(
                 String::from_utf8(csv.into_inner()).unwrap(),
                 reference.to_csv(),
@@ -984,34 +791,6 @@ mod tests {
     }
 
     #[test]
-    fn sink_error_aborts_the_stream_early() {
-        // An emit that refuses after the first result must stop the pool
-        // from claiming (and running) the whole job list, even with a
-        // tight window keeping the gate active.
-        let started = AtomicUsize::new(0);
-        let mut emitted = 0;
-        Executor::with_workers(3).par_stream(
-            10_000,
-            2,
-            |i| {
-                started.fetch_add(1, Ordering::SeqCst);
-                std::thread::sleep(std::time::Duration::from_micros(100));
-                i
-            },
-            |_, _| {
-                emitted += 1;
-                false // "disk full" on the very first record
-            },
-        );
-        assert_eq!(emitted, 1);
-        let started = started.load(Ordering::SeqCst);
-        assert!(
-            started < 100,
-            "abort must stop the pool promptly; {started} jobs ran out of 10000"
-        );
-    }
-
-    #[test]
     fn failure_policy_labels_round_trip() {
         for policy in [
             FailurePolicy::Abort,
@@ -1042,30 +821,7 @@ mod tests {
         assert_eq!(b.delay(u32::MAX).as_millis() as u64, Backoff::CAP_MS);
     }
 
-    #[test]
-    fn worker_panic_propagates_even_with_a_tight_window() {
-        // Job 0 panics while it is the emission cursor: with the old
-        // gate, the surviving workers would block forever waiting for
-        // the window to move. The PanicFuse must wake them and the
-        // consumer must re-panic instead of deadlocking.
-        let result = std::panic::catch_unwind(|| {
-            Executor::with_workers(4).par_stream(
-                1000,
-                2,
-                |i| {
-                    if i == 0 {
-                        std::thread::sleep(std::time::Duration::from_millis(5));
-                        panic!("job 0 exploded");
-                    }
-                    i
-                },
-                |_, _| true,
-            );
-        });
-        assert!(result.is_err(), "the panic must propagate to the caller");
-    }
-
-    /// A small real job list for the shared-pool tests.
+    /// A small real job list for the scheduler tests.
     fn pool_jobs(name: &str, seeds: u64) -> Vec<Job> {
         use crate::{BaseScenario, CampaignSpec};
         use eend_wireless::stacks;
@@ -1077,9 +833,11 @@ mod tests {
             .expand()
     }
 
-    fn collect_pool_run(pool: &WorkerPool, jobs: &[Job], window: usize) -> Vec<(usize, Record)> {
+    /// Streams `jobs` under `Abort`, collecting `(index, record)` in
+    /// delivery order.
+    fn collect_run(scheduler: &dyn JobScheduler, jobs: &[Job], window: usize) -> Vec<(usize, Record)> {
         let mut got = Vec::new();
-        pool.run_jobs_streaming(
+        scheduler.run_jobs_streaming(
             jobs,
             window,
             &FailurePolicy::Abort,
@@ -1093,6 +851,103 @@ mod tests {
         got
     }
 
+    /// `pool_jobs` with job 0 simulating `secs` seconds instead of 10:
+    /// a straggler that later jobs finish before.
+    fn with_straggler(mut jobs: Vec<Job>, secs: u64) -> Vec<Job> {
+        jobs[0].scenario.duration = SimDuration::from_secs(secs);
+        jobs
+    }
+
+    /// Runs `f` on its own thread and fails the test if no result arrives
+    /// within a minute, so a scheduler that hangs fails instead of
+    /// stalling the test binary. The thread is not joined: a hung one
+    /// never would be.
+    fn within_a_minute<T: Send + 'static>(f: impl FnOnce() -> T + Send + 'static) -> T {
+        let (tx, rx) = mpsc::channel();
+        std::thread::spawn(move || {
+            let _ = tx.send(f());
+        });
+        rx.recv_timeout(Duration::from_secs(60)).unwrap_or_else(|e| panic!("no result: {e}"))
+    }
+
+    #[test]
+    fn executor_emits_in_order_behind_a_straggler() {
+        // Job 0 has the longest horizon by far: later jobs complete first
+        // and wait in the reorder buffer, yet delivery is 0, 1, 2, ...
+        let jobs = with_straggler(pool_jobs("straggler", 12), 300);
+        let reference = Executor::with_workers(1).run_jobs(&jobs);
+        for window in [2, 8] {
+            let got = collect_run(&Executor::with_workers(4), &jobs, window);
+            let order: Vec<usize> = got.iter().map(|(i, _)| *i).collect();
+            assert_eq!(order, (0..jobs.len()).collect::<Vec<_>>(), "window {window}");
+            assert!(got.iter().map(|(_, r)| r).eq(&reference), "records differ (window {window})");
+        }
+    }
+
+    #[test]
+    fn tight_windows_keep_the_reorder_buffer_bounded() {
+        // The pool's consumer asserts (in debug builds, which `cargo
+        // test` uses) that fewer than `window` results ever wait in its
+        // reorder buffer; a straggler at the emission cursor pushes the
+        // buffer against that bound at every worker count.
+        let jobs = with_straggler(pool_jobs("bound", 10), 120);
+        for workers in 2..=4 {
+            for window in 1..=3 {
+                let got = collect_run(&Executor::with_workers(workers), &jobs, window);
+                assert_eq!(got.len(), jobs.len(), "workers {workers}, window {window}");
+            }
+        }
+    }
+
+    #[test]
+    fn consumer_error_stops_claiming_at_once() {
+        // Jobs 0 and 1 fill a window of 2; every later job simulates
+        // 10^7 s, far longer than the watchdog waits. The consumer
+        // refuses the first record, so the emission cursor never moves
+        // past 0, no later job may be claimed, and the call returns
+        // without waiting on one. Job 0 straggles, so every worker is
+        // idle and free to claim before its record arrives.
+        let mut jobs = with_straggler(pool_jobs("consumer-err", 8), 300);
+        for job in &mut jobs[2..] {
+            job.scenario.duration = SimDuration::from_secs(10_000_000);
+        }
+        let err = within_a_minute(move || {
+            Executor::with_workers(3)
+                .run_jobs_streaming(
+                    &jobs,
+                    2,
+                    &FailurePolicy::Abort,
+                    &mut |_, _| Err(std::io::Error::other("disk full")),
+                    &mut |_| Ok(()),
+                )
+                .unwrap_err()
+        });
+        assert_eq!(err.to_string(), "disk full");
+    }
+
+    #[test]
+    fn abort_panic_propagates_under_a_tight_window() {
+        // Job 0 straggles while job 1 panics (its failure plan kills a
+        // node the network lacks): the other workers wait at the claim
+        // gate until the consumer reaches job 1 and re-raises its cause
+        // on the calling thread.
+        let mut jobs = with_straggler(pool_jobs("abort", 8), 300);
+        jobs[1].scenario.node_failures = vec![(SimTime::ZERO, 10_000)];
+        let cause = within_a_minute(move || {
+            let result = catch_unwind(AssertUnwindSafe(|| {
+                Executor::with_workers(4).run_jobs_streaming(
+                    &jobs,
+                    2,
+                    &FailurePolicy::Abort,
+                    &mut |_, _| Ok(()),
+                    &mut |_| Ok(()),
+                )
+            }));
+            panic_cause(result.expect_err("the job's panic must reach the caller").as_ref())
+        });
+        assert!(cause.contains("unknown node 10000"), "cause: {cause}");
+    }
+
     #[test]
     fn pool_emits_in_order_and_matches_a_private_executor() {
         let jobs = pool_jobs("pool-order", 6);
@@ -1101,7 +956,7 @@ mod tests {
             let pool = WorkerPool::new(workers);
             // A tight window forces the claim gate and reorder buffer
             // to engage.
-            let got = collect_pool_run(&pool, &jobs, 2);
+            let got = collect_run(&pool, &jobs, 2);
             assert_eq!(got.len(), jobs.len(), "workers={workers}");
             for (k, (i, record)) in got.iter().enumerate() {
                 assert_eq!(*i, k, "emission order broke at {k} (workers={workers})");
@@ -1147,7 +1002,7 @@ mod tests {
         while big_done.load(Ordering::SeqCst) < 1 {
             std::thread::sleep(Duration::from_micros(200));
         }
-        let n = collect_pool_run(&pool, &small, 4).len();
+        let n = collect_run(&*pool, &small, 4).len();
         big_at_small_finish.store(big_done.load(Ordering::SeqCst), Ordering::SeqCst);
         big_thread.join().unwrap();
         assert_eq!(n, small.len());
@@ -1174,7 +1029,7 @@ mod tests {
         assert_eq!(err.to_string(), "disk full");
         assert_eq!(pool.active_tasks(), 0, "failed consumer must release its task");
         // The same pool keeps serving new campaigns afterwards.
-        assert_eq!(collect_pool_run(&pool, &jobs, 2).len(), jobs.len());
+        assert_eq!(collect_run(&pool, &jobs, 2).len(), jobs.len());
     }
 
     #[test]

@@ -11,12 +11,14 @@
 //!    ([`eend_wireless::TrafficModel`]) and hardware *mix*
 //!    ([`eend_wireless::radio_profiles`]) are sweepable axes, not just
 //!    volume;
-//! 2. [`Executor`] runs the jobs on a worker pool bounded at
-//!    `available_parallelism` (or any explicit worker count) — every run
-//!    is an independent deterministic simulation, and records **stream**
-//!    to a [`RecordSink`] in job order through a bounded reorder window,
-//!    so parallel and serial execution produce byte-identical
-//!    [`Record`]s and peak memory is O(window), not O(jobs);
+//! 2. [`Executor`] runs the jobs — serially on the calling thread at one
+//!    worker, otherwise on a [`WorkerPool`] it starts for the call,
+//!    bounded at `available_parallelism` or any explicit worker count.
+//!    Every run is an independent deterministic simulation, and records
+//!    **stream** to a [`RecordSink`] in job order through the pool's
+//!    claim-gated reorder window, so parallel and serial execution
+//!    produce byte-identical [`Record`]s and peak memory is O(window),
+//!    not O(jobs);
 //! 3. [`CampaignResult`] aggregates cells into
 //!    [`eend_stats::Series`] (mean/stddev/95 % CI, incrementally via
 //!    [`eend_stats::grouped::StreamingAggregator`]) and exports
@@ -69,12 +71,10 @@ pub mod sink;
 pub mod spec;
 pub mod store;
 
-pub use executor::{
-    Backoff, Executor, FailurePolicy, JobFailure, JobOutcome, JobScheduler, WorkerPool,
-};
+pub use executor::{Backoff, Executor, FailurePolicy, JobFailure, JobScheduler, WorkerPool};
 pub use report::{metric_columns, CampaignResult, MetricColumn, Record};
 pub use serve::{ServeConfig, ServerHandle};
-pub use sink::{CsvSink, FanoutSink, JsonlSink, MemorySink, RecordSink};
+pub use sink::{CsvSink, JsonlSink, MemorySink, RecordSink};
 pub use spec::{BaseScenario, CampaignSpec, FailurePlan, GridPoint, Job};
 pub use store::{
     fingerprint, merge_stores, merge_stores_streaming, write_atomic, Manifest, ResultStore,

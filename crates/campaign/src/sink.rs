@@ -5,8 +5,8 @@
 //! [`RecordSink`]. Sinks decide what to keep: everything
 //! ([`MemorySink`] — the old collect-in-RAM behaviour), a CSV or JSONL
 //! byte stream ([`CsvSink`], [`JsonlSink`] — O(1) memory however large
-//! the grid), several of those at once ([`FanoutSink`]), or an
-//! append-only on-disk store ([`crate::store::ResultStore`]).
+//! the grid), or an append-only on-disk store
+//! ([`crate::store::ResultStore`]).
 //!
 //! The CSV/JSONL writers render rows through the exact same functions
 //! as the batch exports ([`crate::CampaignResult::to_csv`] /
@@ -148,57 +148,6 @@ impl<W: Write> RecordSink for JsonlSink<W> {
     }
 }
 
-/// Duplicates every record into several sinks (e.g. an on-disk store
-/// plus a live CSV stream). Sinks are driven in order; on `accept` the
-/// first error aborts the fan-out, but `finish` always reaches every
-/// sink — one sink's failure must not leave the others unflushed — and
-/// reports the first error afterward.
-#[derive(Default)]
-pub struct FanoutSink<'a> {
-    sinks: Vec<&'a mut dyn RecordSink>,
-}
-
-impl std::fmt::Debug for FanoutSink<'_> {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("FanoutSink").field("sinks", &self.sinks.len()).finish()
-    }
-}
-
-impl<'a> FanoutSink<'a> {
-    /// A fan-out over no sinks (records are dropped).
-    pub fn new() -> FanoutSink<'a> {
-        FanoutSink { sinks: Vec::new() }
-    }
-
-    /// Adds a sink to the fan-out.
-    pub fn push(mut self, sink: &'a mut dyn RecordSink) -> FanoutSink<'a> {
-        self.sinks.push(sink);
-        self
-    }
-}
-
-impl RecordSink for FanoutSink<'_> {
-    fn accept(&mut self, record: &Record) -> io::Result<()> {
-        for s in &mut self.sinks {
-            s.accept(record)?;
-        }
-        Ok(())
-    }
-
-    fn finish(&mut self) -> io::Result<()> {
-        let mut first_err = None;
-        for s in &mut self.sinks {
-            if let Err(e) = s.finish() {
-                first_err.get_or_insert(e);
-            }
-        }
-        match first_err {
-            Some(e) => Err(e),
-            None => Ok(()),
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -248,54 +197,5 @@ mod tests {
             assert!(array.contains(line), "line {i} must appear in to_json()");
         }
         assert_eq!(jsonl.lines().count(), res.records.len());
-    }
-
-    #[test]
-    fn fanout_finish_reaches_every_sink_despite_errors() {
-        struct FailingFinish;
-        impl RecordSink for FailingFinish {
-            fn accept(&mut self, _: &Record) -> std::io::Result<()> {
-                Ok(())
-            }
-            fn finish(&mut self) -> std::io::Result<()> {
-                Err(std::io::Error::other("disk full"))
-            }
-        }
-        struct Probe {
-            finished: bool,
-        }
-        impl RecordSink for Probe {
-            fn accept(&mut self, _: &Record) -> std::io::Result<()> {
-                Ok(())
-            }
-            fn finish(&mut self) -> std::io::Result<()> {
-                self.finished = true;
-                Ok(())
-            }
-        }
-        let mut bad = FailingFinish;
-        let mut probe = Probe { finished: false };
-        {
-            let mut fan = FanoutSink::new().push(&mut bad).push(&mut probe);
-            let err = fan.finish().unwrap_err();
-            assert_eq!(err.to_string(), "disk full", "first error is reported");
-        }
-        assert!(probe.finished, "a sink after the failing one must still be flushed");
-    }
-
-    #[test]
-    fn fanout_feeds_every_sink() {
-        let res = tiny();
-        let mut mem = MemorySink::new();
-        let mut csv = CsvSink::new(&res.campaign, Vec::new());
-        {
-            let mut fan = FanoutSink::new().push(&mut mem).push(&mut csv);
-            for r in &res.records {
-                fan.accept(r).unwrap();
-            }
-            fan.finish().unwrap();
-        }
-        assert_eq!(mem.records, res.records);
-        assert_eq!(String::from_utf8(csv.into_inner()).unwrap(), res.to_csv());
     }
 }

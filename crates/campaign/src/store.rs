@@ -808,36 +808,25 @@ impl ResultStore {
         shard_jobs: &[Job],
         limit: Option<usize>,
     ) -> io::Result<usize> {
-        self.run_observed(scheduler, shard_jobs, limit, |_| {})
-    }
-
-    /// [`ResultStore::run`] with a completion observer:
-    /// `observe((id, record))` fires on the scheduling thread
-    /// immediately after job `id`'s record is durable (written and
-    /// flushed), in job order, with the in-memory record that was
-    /// written. The serve daemon computes each record's metric row here,
-    /// so its readers never parse `records.jsonl` back.
-    pub fn run_observed<S: JobScheduler + ?Sized>(
-        &mut self,
-        scheduler: &S,
-        shard_jobs: &[Job],
-        limit: Option<usize>,
-        observe: impl FnMut((usize, &Record)),
-    ) -> io::Result<usize> {
         let opts = RunOptions { limit, policy: self.policy(), cancel: None };
-        let outcome = self.run_with(scheduler, shard_jobs, &opts, observe)?;
+        let outcome = self.run_with(scheduler, shard_jobs, &opts, |_| {})?;
         Ok(outcome.ran + outcome.failed)
     }
 
-    /// The policy-aware run path under [`ResultStore::run`] /
-    /// [`ResultStore::run_observed`]: simulates this shard's missing
-    /// jobs under `opts.policy`, appending each record durably in job
-    /// order, logging contained failures to `failures.jsonl`, and
-    /// honouring a cooperative cancel flag — when `opts.cancel` goes
-    /// high, the in-flight durable record is finished, no further jobs
-    /// are claimed, and the call returns cleanly with
-    /// [`RunOutcome::cancelled`] set (resuming later runs exactly the
-    /// remainder).
+    /// The policy-aware run path under [`ResultStore::run`]: simulates
+    /// this shard's missing jobs under `opts.policy`, appending each
+    /// record durably in job order, logging contained failures to
+    /// `failures.jsonl`, and honouring a cooperative cancel flag — when
+    /// `opts.cancel` goes high, the in-flight durable record is
+    /// finished, no further jobs are claimed, and the call returns
+    /// cleanly with [`RunOutcome::cancelled`] set (resuming later runs
+    /// exactly the remainder).
+    ///
+    /// `observe((id, record))` fires on the calling thread right after
+    /// job `id`'s record is durable (written and flushed), in job order,
+    /// with the in-memory record that was written. The serve daemon
+    /// computes each record's metric row there, so its readers never
+    /// parse `records.jsonl` back.
     ///
     /// A run that re-attempts an earlier session's recorded failures
     /// appends their records out of id order; it compacts

@@ -4,10 +4,10 @@
 //! fault-free run**.
 //!
 //! The failpoint registry is process-global, so every test takes the
-//! same lock and clears the registry on entry; panic-action failpoints
-//! that fire on the *consumer* side of the stream (`store.bookkeep`)
-//! run on one worker, where the serial fast path lets the panic unwind
-//! to the caller instead of deadlocking the worker scope.
+//! same lock and clears the registry on entry. A panic-action failpoint
+//! on the *consumer* side of the stream (`store.bookkeep`) unwinds to
+//! the caller at any worker count: the consumer's task leaves the pool
+//! and the pool's threads are joined on the way out.
 
 use eend_campaign::store::Manifest;
 use eend_campaign::{
@@ -19,7 +19,8 @@ use eend_wireless::stacks;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Mutex, MutexGuard};
+use std::sync::{mpsc, Mutex, MutexGuard};
+use std::time::Duration;
 
 static LOCK: Mutex<()> = Mutex::new(());
 
@@ -196,8 +197,8 @@ fn kill_between_record_flush_and_bookkeeping_resumes_without_duplicates() {
     // The crash-consistency window the store must survive: job 1's
     // record is durable on disk, but the process dies before the
     // in-memory bookkeeping (and any manifest/failure accounting) runs.
-    // One worker: the panic unwinds on the caller thread, modelling the
-    // kill without deadlocking the worker scope.
+    // The panic unwinds on the caller thread, modelling the kill; one
+    // worker here, two in `bookkeep_panic_unwinds_at_two_workers`.
     eend_fail::set("store.bookkeep", FailAction::Panic, 1, false);
     {
         let mut store = ResultStore::open(&dir, Manifest::for_spec(&spec, 0, 1)).unwrap();
@@ -222,6 +223,52 @@ fn kill_between_record_flush_and_bookkeeping_resumes_without_duplicates() {
     assert_eq!(outcome.ran, 2, "resume must run exactly the missing jobs");
     let text = std::fs::read_to_string(dir.join("records.jsonl")).unwrap();
     assert_eq!(text.lines().count(), 4, "no duplicate records after resume");
+    assert_eq!(store.assemble(&jobs).unwrap().to_csv(), reference);
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn bookkeep_panic_unwinds_at_two_workers() {
+    let _g = guard();
+    // 16 jobs: more than the default reorder window of 8 at two
+    // workers, so workers are still claiming when the consumer dies.
+    let spec = CampaignSpec::new("chaos16", BaseScenario::Small)
+        .stacks(vec![stacks::titan_pc(), stacks::dsr_active()])
+        .rates(vec![2.0, 4.0])
+        .seeds(4)
+        .secs(20);
+    let jobs = spec.expand();
+    assert!(jobs.len() >= 16);
+    let reference = fault_free_csv(&spec);
+    let dir = scratch("bookkeep-w2");
+
+    // The run happens on its own thread under a watchdog, so a consumer
+    // panic that strands the workers fails this test instead of hanging it.
+    eend_fail::set("store.bookkeep", FailAction::Panic, 1, false);
+    let (tx, rx) = mpsc::channel();
+    {
+        let (dir, spec, jobs) = (dir.clone(), spec.clone(), jobs.clone());
+        std::thread::spawn(move || {
+            let mut store = ResultStore::open(&dir, Manifest::for_spec(&spec, 0, 1)).unwrap();
+            let opts = RunOptions { limit: None, policy: FailurePolicy::Abort, cancel: None };
+            let result = catch_unwind(AssertUnwindSafe(|| {
+                store.run_with(&Executor::with_workers(2), &jobs, &opts, |_| {})
+            }));
+            let _ = tx.send(result.is_err());
+        });
+    }
+    let unwound = rx
+        .recv_timeout(Duration::from_secs(60))
+        .expect("a bookkeeping panic at two workers must return within 60 s");
+    assert!(unwound, "the injected kill must unwind");
+    eend_fail::clear();
+
+    // A clean resume keeps the durable records and completes the grid.
+    let mut store = ResultStore::open(&dir, Manifest::for_spec(&spec, 0, 1)).unwrap();
+    assert_eq!(store.completed().iter().copied().collect::<Vec<_>>(), [0, 1]);
+    let opts = RunOptions { limit: None, policy: FailurePolicy::Abort, cancel: None };
+    let outcome = store.run_with(&Executor::with_workers(2), &jobs, &opts, |_| {}).unwrap();
+    assert_eq!(outcome.ran, jobs.len() - 2, "resume must run exactly the missing jobs");
     assert_eq!(store.assemble(&jobs).unwrap().to_csv(), reference);
     let _ = std::fs::remove_dir_all(&dir);
 }
