@@ -67,7 +67,10 @@ fn check_snapshots(snapshots: Vec<(String, String)>) {
             continue;
         }
         let golden = std::fs::read_to_string(&path).unwrap_or_else(|e| {
-            panic!("missing golden file {} ({e}); run with EEND_BLESS=1 to create it", path.display())
+            panic!(
+                "missing golden file {} ({e}); run with EEND_BLESS=1 to create it",
+                path.display()
+            )
         });
         if golden != actual {
             failures.push(format!("{name}: {}", first_diff(&golden, &actual)));
@@ -84,24 +87,27 @@ fn check_snapshots(snapshots: Vec<(String, String)>) {
 #[test]
 fn run_metrics_match_golden_snapshots() {
     check_snapshots(
-        families().into_iter().map(|(name, stack)| (name.to_owned(), render(name, &stack))).collect(),
+        families()
+            .into_iter()
+            .map(|(name, stack)| (name.to_owned(), render(name, &stack)))
+            .collect(),
     );
 }
 
 /// The scenario-diversity matrix: {Poisson, on/off burst} × {homogeneous,
 /// mixed-card} cells of the same shortened small-network scenario the
-/// stack-family snapshots pin. Every cell's full `RunMetrics` rendering
-/// is blessed to a committed file, so traffic-model or heterogeneous-
-/// radio behaviour can only drift loudly.
+/// stack-family snapshots pin, plus one DSDV-H × mixed-card CBR cell
+/// (the proactive joint metric prices every link with the receiver's own
+/// card). Every cell's full `RunMetrics` rendering is blessed to a
+/// committed file, so traffic-model or heterogeneous-radio behaviour can
+/// only drift loudly.
 fn diversity_matrix() -> Vec<(String, Scenario)> {
     let models = [
         ("poisson", TrafficModel::Poisson),
         ("onoff", TrafficModel::OnOffBurst { mean_on_s: 5.0, mean_off_s: 5.0 }),
     ];
-    let radios = [
-        ("uniform", CardAssignment::Uniform),
-        ("mixed", radio_profiles::mixed_hypo().assignment),
-    ];
+    let radios =
+        [("uniform", CardAssignment::Uniform), ("mixed", radio_profiles::mixed_hypo().assignment)];
     let mut out = Vec::new();
     for (mname, model) in &models {
         for (rname, assignment) in &radios {
@@ -112,6 +118,10 @@ fn diversity_matrix() -> Vec<(String, Scenario)> {
             out.push((format!("traffic_{mname}_{rname}"), scenario));
         }
     }
+    let mut scenario = presets::small_network(stacks::dsdvh_odpm(), 4.0, 7)
+        .with_card_assignment(radio_profiles::mixed_hypo().assignment);
+    scenario.duration = SimDuration::from_secs(40);
+    out.push(("dsdvh_odpm_psm_mixed".to_owned(), scenario));
     out
 }
 

@@ -13,7 +13,7 @@
 
 use crate::design::Design;
 use crate::problem::DesignProblem;
-use eend_radio::EnergyReport;
+use eend_radio::{CardPowers, EnergyReport};
 use eend_sim::SimDuration;
 
 /// How awake-but-silent time is charged (the two scheduling models of
@@ -104,11 +104,8 @@ impl NetworkEnergy {
     /// no node consumed energy.
     pub fn time_to_first_death_s(&self, battery_j: f64) -> f64 {
         assert!(battery_j > 0.0, "battery must be positive");
-        let max_power_mw = self
-            .per_node
-            .iter()
-            .map(|r| r.total_mj() / self.duration_s)
-            .fold(0.0f64, f64::max);
+        let max_power_mw =
+            self.per_node.iter().map(|r| r.total_mj() / self.duration_s).fold(0.0f64, f64::max);
         if max_power_mw <= 0.0 {
             f64::INFINITY
         } else {
@@ -136,6 +133,8 @@ pub fn evaluate(problem: &DesignProblem, design: &Design, params: &EvalParams) -
     );
     let inst = &problem.instance;
     let card = inst.card();
+    // The card's maximum power, computed once rather than per hop.
+    let powers = CardPowers::new(*card);
     let n = inst.node_count();
     let t = params.duration_s;
 
@@ -149,7 +148,7 @@ pub fn evaluate(problem: &DesignProblem, design: &Design, params: &EvalParams) -
         for hop in route.windows(2) {
             let (u, v) = (hop[0], hop[1]);
             let d = inst.distance(u, v);
-            let ptx = card.data_tx_power_mw(d, params.power_control);
+            let ptx = powers.data_tx_power_mw(d, params.power_control);
             tx_frac[u] += util;
             rx_frac[v] += util;
             tx_energy_mj[u] += t * util * ptx;
@@ -164,10 +163,7 @@ pub fn evaluate(problem: &DesignProblem, design: &Design, params: &EvalParams) -
     let mut delivered_bits = 0.0;
     for (demand, route) in problem.demands.iter().zip(&design.routes) {
         let Some(route) = route else { continue };
-        let bottleneck = route
-            .iter()
-            .map(|&v| tx_frac[v] + rx_frac[v])
-            .fold(0.0f64, f64::max);
+        let bottleneck = route.iter().map(|&v| tx_frac[v] + rx_frac[v]).fold(0.0f64, f64::max);
         let carried = if bottleneck > 1.0 { 1.0 / bottleneck } else { 1.0 };
         delivered_bits += demand.rate_bps * t * carried;
     }
@@ -262,10 +258,7 @@ mod tests {
         let mut idle_params = EvalParams::standard(100.0);
         idle_params.scheduling = SleepScheduling::OdpmIdle;
         let e_idle = evaluate(&p, &d, &idle_params);
-        assert!(
-            e.enetwork_j() < e_idle.enetwork_j(),
-            "perfect scheduling must dominate"
-        );
+        assert!(e.enetwork_j() < e_idle.enetwork_j(), "perfect scheduling must dominate");
     }
 
     #[test]
@@ -295,10 +288,8 @@ mod tests {
     #[test]
     fn sleeping_nodes_charge_sleep_power() {
         // Third node is off every route: it must sleep for the horizon.
-        let inst = WirelessInstance::new(
-            vec![(0.0, 0.0), (200.0, 0.0), (0.0, 200.0)],
-            cards::cabletron(),
-        );
+        let inst =
+            WirelessInstance::new(vec![(0.0, 0.0), (200.0, 0.0), (0.0, 200.0)], cards::cabletron());
         let p = DesignProblem::new(inst, vec![Demand::new(0, 1, 10_000.0)]);
         let d = Heuristic::IdleFirst.design(&p);
         let e = evaluate(&p, &d, &EvalParams::standard(100.0));
@@ -330,10 +321,8 @@ mod tests {
     #[test]
     fn overload_clamps_silent_time() {
         // rate where a relay's tx+rx fractions exceed 1.
-        let inst = WirelessInstance::new(
-            vec![(0.0, 0.0), (200.0, 0.0), (400.0, 0.0)],
-            cards::cabletron(),
-        );
+        let inst =
+            WirelessInstance::new(vec![(0.0, 0.0), (200.0, 0.0), (400.0, 0.0)], cards::cabletron());
         let p = DesignProblem::new(inst, vec![Demand::new(0, 2, 1_500_000.0)]);
         let d = Heuristic::IdleFirst.design(&p);
         let e = evaluate(&p, &d, &EvalParams::standard(10.0));
@@ -344,10 +333,8 @@ mod tests {
 
     #[test]
     fn overload_flags_and_caps_delivered_bits() {
-        let inst = WirelessInstance::new(
-            vec![(0.0, 0.0), (200.0, 0.0), (400.0, 0.0)],
-            cards::cabletron(),
-        );
+        let inst =
+            WirelessInstance::new(vec![(0.0, 0.0), (200.0, 0.0), (400.0, 0.0)], cards::cabletron());
         let p = DesignProblem::new(inst, vec![Demand::new(0, 2, 1_500_000.0)]);
         let d = Heuristic::IdleFirst.design(&p);
         let e = evaluate(&p, &d, &EvalParams::standard(10.0));
@@ -374,10 +361,8 @@ mod tests {
     fn overload_cannot_inflate_goodput() {
         // Pushing the rate beyond channel capacity must not raise
         // energy-goodput past what the channel can actually carry.
-        let inst = WirelessInstance::new(
-            vec![(0.0, 0.0), (200.0, 0.0), (400.0, 0.0)],
-            cards::cabletron(),
-        );
+        let inst =
+            WirelessInstance::new(vec![(0.0, 0.0), (200.0, 0.0), (400.0, 0.0)], cards::cabletron());
         let feasible = {
             let p = DesignProblem::new(inst.clone(), vec![Demand::new(0, 2, 1_000_000.0)]);
             let d = Heuristic::IdleFirst.design(&p);
@@ -416,11 +401,7 @@ mod tests {
     fn time_to_first_death_matches_hand_computation() {
         let (p, d) = two_node_problem(200_000.0);
         let e = evaluate(&p, &d, &EvalParams::standard(100.0));
-        let max_power_mw = e
-            .per_node
-            .iter()
-            .map(|r| r.total_mj() / 100.0)
-            .fold(0.0f64, f64::max);
+        let max_power_mw = e.per_node.iter().map(|r| r.total_mj() / 100.0).fold(0.0f64, f64::max);
         let expect = 1000.0 * 1000.0 / max_power_mw;
         assert!((e.time_to_first_death_s(1000.0) - expect).abs() < 1e-6);
         // Doubling the battery doubles the projection.

@@ -96,6 +96,65 @@ impl RadioCard {
     }
 }
 
+/// A card together with its distance-independent transmit powers,
+/// computed once.
+///
+/// [`RadioCard::max_radiated_power_mw`] and
+/// [`RadioCard::max_tx_total_power_mw`] evaluate `α₂·Dⁿ` with a `powf` on
+/// every call, yet depend on the card alone. Code that charges frames in a
+/// loop builds one `CardPowers` per distinct card and reads them from it.
+/// Every value is the exact `f64` the corresponding [`RadioCard`] method
+/// returns: the fields are filled by those very calls, and
+/// [`CardPowers::data_tx_power_mw`] repeats the method's expression with
+/// the cached maximum in place of its call.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct CardPowers {
+    card: RadioCard,
+    max_radiated_mw: f64,
+    max_tx_total_mw: f64,
+}
+
+impl CardPowers {
+    /// Computes `card`'s maximum powers.
+    pub fn new(card: RadioCard) -> CardPowers {
+        CardPowers {
+            card,
+            max_radiated_mw: card.max_radiated_power_mw(),
+            max_tx_total_mw: card.max_tx_total_power_mw(),
+        }
+    }
+
+    /// The card the powers belong to.
+    #[inline]
+    pub fn card(&self) -> &RadioCard {
+        &self.card
+    }
+
+    /// [`RadioCard::max_radiated_power_mw`].
+    #[inline]
+    pub fn max_radiated_mw(&self) -> f64 {
+        self.max_radiated_mw
+    }
+
+    /// [`RadioCard::max_tx_total_power_mw`]: the level control frames are
+    /// charged at (Eq 2).
+    #[inline]
+    pub fn max_tx_total_mw(&self) -> f64 {
+        self.max_tx_total_mw
+    }
+
+    /// [`RadioCard::data_tx_power_mw`] without recomputing the maximum:
+    /// one `powf` with power control, none without.
+    pub fn data_tx_power_mw(&self, d: f64, power_control: bool) -> f64 {
+        if power_control {
+            let pt = self.card.radiated_power_mw(d).min(self.max_radiated_mw);
+            self.card.p_base_mw + pt
+        } else {
+            self.max_tx_total_mw
+        }
+    }
+}
+
 impl fmt::Display for RadioCard {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(
@@ -114,7 +173,6 @@ impl fmt::Display for RadioCard {
 
 #[cfg(test)]
 mod tests {
-    
     use crate::cards;
 
     #[test]

@@ -59,11 +59,7 @@ pub fn cabletron() -> RadioCard {
 /// R/B = 0.25 — i.e. a card for which relaying *could* pay off. Used in
 /// Section 5.2.3 (Figs 13–16).
 pub fn hypothetical_cabletron() -> RadioCard {
-    RadioCard {
-        name: "Hypothetical Cabletron",
-        alpha2: 5.2e-6,
-        ..cabletron()
-    }
+    RadioCard { name: "Hypothetical Cabletron", alpha2: 5.2e-6, ..cabletron() }
 }
 
 /// Crossbow Mica2 sensor mote (CC1000 radio), fitted from the Pisa

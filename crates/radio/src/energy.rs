@@ -157,7 +157,12 @@ impl EnergyMeter {
     }
 
     fn charge_until(&mut self, now: SimTime) {
-        debug_assert!(now >= self.last, "energy meter time went backwards: {} < {}", now, self.last);
+        debug_assert!(
+            now >= self.last,
+            "energy meter time went backwards: {} < {}",
+            now,
+            self.last
+        );
         let dt = now.saturating_since(self.last);
         let secs = dt.as_secs_f64();
         match self.state {

@@ -12,7 +12,8 @@
 //!   *Hypothetical Cabletron*, Mica2, LEACH with n = 2 and n = 4);
 //! - transmission power as a function of distance,
 //!   `Ptx(d) = Pbase + α₂·dⁿ` (the paper's 1/dⁿ path-loss model), plus
-//!   power-control helpers;
+//!   power-control helpers, and [`CardPowers`], a card's maximum powers
+//!   computed once for loops that charge many frames;
 //! - [`EnergyMeter`]: exact integration of energy over state changes with
 //!   the data/control split of Eqs 1–2 and the switch cost `Esw` of Eq 3.
 //!
@@ -38,5 +39,5 @@ pub mod card;
 pub mod cards;
 pub mod energy;
 
-pub use card::RadioCard;
+pub use card::{CardPowers, RadioCard};
 pub use energy::{EnergyMeter, EnergyReport, RadioState, TrafficClass};

@@ -13,6 +13,9 @@ use crate::frame::Frame;
 use eend_sim::{SimDuration, SimRng, SimTime};
 use std::collections::VecDeque;
 
+/// ATIM frame body size, bytes.
+const ATIM_BYTES: usize = 28;
+
 /// 802.11 (2 Mb/s DSSS) MAC/PHY timing and size constants.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct MacTiming {
@@ -66,7 +69,10 @@ impl MacTiming {
 
     /// Segment durations of a unicast transaction for a data body of
     /// `bytes` bytes: `(rts, cts, data, ack)` airtimes.
-    pub fn unicast_segments(&self, bytes: usize) -> (SimDuration, SimDuration, SimDuration, SimDuration) {
+    pub fn unicast_segments(
+        &self,
+        bytes: usize,
+    ) -> (SimDuration, SimDuration, SimDuration, SimDuration) {
         (
             self.airtime(self.rts_bytes),
             self.airtime(self.cts_bytes),
@@ -81,15 +87,65 @@ impl MacTiming {
         self.difs + rts + self.sifs + cts + self.sifs + data + self.sifs + ack
     }
 
-    /// Total occupancy of a broadcast (DIFS + DATA, no handshake).
-    pub fn broadcast_duration(&self, bytes: usize) -> SimDuration {
-        self.difs + self.airtime(bytes)
-    }
-
     /// A random backoff of `[0, cw]` slots for the given retry stage.
     pub fn backoff(&self, rng: &mut SimRng, stage: u32) -> SimDuration {
         let cw = ((self.cw_min + 1) << stage.min(5)).min(self.cw_max + 1) - 1;
         self.slot.saturating_mul(rng.below(cw as u64 + 1))
+    }
+}
+
+/// The airtimes of the fixed-size frames, computed once per timing.
+///
+/// [`MacTiming::airtime`] divides by the bandwidth and rounds to whole
+/// nanoseconds on every call. RTS, CTS, ACK and ATIM frames never change
+/// size, so their airtimes are constants of the timing; each field is the
+/// exact `SimDuration` `airtime` returns for that frame.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub(crate) struct ControlAirtimes {
+    rts: SimDuration,
+    cts: SimDuration,
+    ack: SimDuration,
+    atim: SimDuration,
+}
+
+impl ControlAirtimes {
+    /// Computes the control-frame airtimes of `t`.
+    pub(crate) fn new(t: &MacTiming) -> ControlAirtimes {
+        ControlAirtimes {
+            rts: t.airtime(t.rts_bytes),
+            cts: t.airtime(t.cts_bytes),
+            ack: t.airtime(t.ack_bytes),
+            atim: t.airtime(ATIM_BYTES),
+        }
+    }
+
+    /// Lays out a unicast transaction whose DATA segment takes `data`
+    /// (an airtime from [`MacTiming::airtime`]), with no control-frame
+    /// airtime recomputed. A broadcast's plan is laid out the same way;
+    /// only its `segments.2`, the broadcast's airtime, is read.
+    pub(crate) fn unicast_plan(&self, t: &MacTiming, data: SimDuration) -> UnicastPlan {
+        let rts_start = t.difs;
+        let cts_start = rts_start + self.rts + t.sifs;
+        let data_start = cts_start + self.cts + t.sifs;
+        let ack_start = data_start + data + t.sifs;
+        let end = ack_start + self.ack;
+        let segments = (self.rts, self.cts, data, self.ack);
+        UnicastPlan { rts_start, cts_start, data_start, ack_start, end, segments }
+    }
+
+    /// Airtime of an RTS.
+    pub(crate) fn rts(&self) -> SimDuration {
+        self.rts
+    }
+
+    /// Airtime of a CTS.
+    pub(crate) fn cts(&self) -> SimDuration {
+        self.cts
+    }
+
+    /// Airtime of an ATIM announcement.
+    pub(crate) fn atim(&self) -> SimDuration {
+        self.atim
     }
 }
 
@@ -237,21 +293,11 @@ pub struct UnicastPlan {
     pub segments: (SimDuration, SimDuration, SimDuration, SimDuration),
 }
 
-impl UnicastPlan {
-    /// Lays out a unicast transaction for a body of `bytes` bytes.
-    pub fn for_bytes(t: &MacTiming, bytes: usize) -> UnicastPlan {
-        let (rts, cts, data, ack) = t.unicast_segments(bytes);
-        let rts_start = t.difs;
-        let cts_start = rts_start + rts + t.sifs;
-        let data_start = cts_start + cts + t.sifs;
-        let ack_start = data_start + data + t.sifs;
-        let end = ack_start + ack;
-        UnicastPlan { rts_start, cts_start, data_start, ack_start, end, segments: (rts, cts, data, ack) }
-    }
-}
-
 /// Absolute instants of a transaction, `plan` offset by `start`.
-pub fn plan_at(plan: &UnicastPlan, start: SimTime) -> (SimTime, SimTime, SimTime, SimTime, SimTime) {
+pub fn plan_at(
+    plan: &UnicastPlan,
+    start: SimTime,
+) -> (SimTime, SimTime, SimTime, SimTime, SimTime) {
     (
         start + plan.rts_start,
         start + plan.cts_start,
@@ -296,13 +342,12 @@ mod tests {
         let (rts, cts, data, ack) = t.unicast_segments(100);
         let total = t.unicast_duration(100);
         assert_eq!(total, t.difs + rts + t.sifs + cts + t.sifs + data + t.sifs + ack);
-        assert!(t.broadcast_duration(100) < total, "no handshake for broadcast");
     }
 
     #[test]
     fn plan_is_internally_consistent() {
         let t = MacTiming::ieee80211_2mbps();
-        let p = UnicastPlan::for_bytes(&t, 164);
+        let p = ControlAirtimes::new(&t).unicast_plan(&t, t.airtime(164));
         assert_eq!(p.end, t.unicast_duration(164));
         assert!(p.rts_start < p.cts_start);
         assert!(p.cts_start < p.data_start);
@@ -314,6 +359,22 @@ mod tests {
         let at = plan_at(&p, SimTime::from_secs(1));
         assert_eq!(at.0, SimTime::from_secs(1) + t.difs);
         assert_eq!(at.4, SimTime::from_secs(1) + p.end);
+    }
+
+    #[test]
+    fn control_airtimes_equal_the_computed_ones() {
+        for t in [
+            MacTiming::ieee80211_2mbps(),
+            MacTiming { bandwidth_bps: 11e6, ..MacTiming::ieee80211_2mbps() },
+        ] {
+            let air = ControlAirtimes::new(&t);
+            assert_eq!(air.atim, t.airtime(ATIM_BYTES));
+            for bytes in [0, 1, 20, 164, 1500] {
+                let p = air.unicast_plan(&t, t.airtime(bytes));
+                assert_eq!(p.segments, t.unicast_segments(bytes));
+                assert_eq!(p.end, t.unicast_duration(bytes));
+            }
+        }
     }
 
     #[test]

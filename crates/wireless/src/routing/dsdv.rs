@@ -82,6 +82,47 @@ struct TableRoute {
     seq: u64,
 }
 
+/// What a node keeps per neighbour that has advertised to it.
+#[derive(Debug, Clone)]
+struct Neighbor {
+    /// Reverse next-hop index: the destinations routed through this
+    /// neighbour at some point. Entries go stale when a destination's
+    /// next hop changes, so consumers re-check `table` while draining;
+    /// staleness never affects the outcome because invalidation is
+    /// idempotent. This is what makes link-failure handling O(routes via
+    /// the dead hop) instead of a full-table scan per MAC-reported
+    /// failure — the per-event cost that used to grow with network size.
+    via: Vec<NodeId>,
+    /// The cost of the link from this neighbour. It depends only on the
+    /// node's own card, its mode and the neighbour's distance, and on a
+    /// static field the distance never changes, so the `powf` behind it
+    /// runs once per neighbour and mode instead of once per
+    /// advertisement received. A distance whose bits differ (a move)
+    /// recomputes it.
+    link: LinkMemo,
+}
+
+impl Neighbor {
+    const UNSEEN: Neighbor = Neighbor { via: Vec::new(), link: LinkMemo::UNSET };
+}
+
+/// The cost of the link from one advertiser, as [`RouteMetric::link_cost`]
+/// returned it at the distance whose bits are `dist_bits`: `active` with
+/// the receiver in active mode, `psm` in power-save mode, each NaN until
+/// first needed at that distance.
+#[derive(Debug, Clone, Copy)]
+struct LinkMemo {
+    dist_bits: u64,
+    active: f64,
+    psm: f64,
+}
+
+impl LinkMemo {
+    /// A memo no distance matches: distances are finite, and these bits
+    /// are a NaN.
+    const UNSET: LinkMemo = LinkMemo { dist_bits: u64::MAX, active: f64::NAN, psm: f64::NAN };
+}
+
 /// Per-node DSDV state.
 ///
 /// Every per-destination and per-neighbour structure is a dense row
@@ -109,15 +150,9 @@ pub struct DsdvRouting {
     /// Destinations adopted since the last advertisement; triggered
     /// updates are *incremental* (DSDV's design) and carry only these.
     dirty: Vec<NodeId>,
-    /// Reverse next-hop index, indexed by neighbour: the destinations
-    /// routed through it at some point. Entries go stale when a
-    /// destination's next hop changes, so consumers re-check `table`
-    /// while draining; staleness never affects the outcome because
-    /// invalidation is idempotent. This is what makes link-failure
-    /// handling O(routes via the dead hop) instead of a full-table scan
-    /// per MAC-reported failure — the per-event cost that used to grow
-    /// with network size.
-    via: Vec<Vec<NodeId>>,
+    /// Reverse next-hop index and link-cost memo, indexed by neighbour
+    /// and grown to `from + 1` on the first advertisement from `from`.
+    neighbors: Vec<Neighbor>,
     /// Updates broadcast (metrics).
     pub updates_sent: u64,
 }
@@ -133,7 +168,7 @@ impl DsdvRouting {
             own_seq: 0,
             last_trigger: None,
             dirty: Vec::new(),
-            via: Vec::new(),
+            neighbors: Vec::new(),
             updates_sent: 0,
         }
     }
@@ -158,25 +193,26 @@ impl DsdvRouting {
         }
         self.updates_sent += 1;
         let own = DsdvEntry { dst: ctx.node, metric: 0.0, seq: self.own_seq };
-        let entries = if full {
-            // Index order is ascending destination order.
-            let mut entries = Vec::with_capacity(1 + self.known);
-            entries.push(own);
-            entries.extend(self.table.iter().enumerate().filter_map(|(dst, r)| {
-                r.map(|r| DsdvEntry { dst, metric: r.metric, seq: r.seq })
-            }));
-            entries
-        } else {
-            self.dirty.sort_unstable(); // deterministic advertisement order
-            self.dirty.dedup();
-            let mut entries = Vec::with_capacity(1 + self.dirty.len());
-            entries.push(own);
-            for &dst in &self.dirty {
-                let Some(r) = self.route(dst) else { continue };
-                entries.push(DsdvEntry { dst, metric: r.metric, seq: r.seq });
-            }
-            entries
-        };
+        let entries =
+            if full {
+                // Index order is ascending destination order.
+                let mut entries = Vec::with_capacity(1 + self.known);
+                entries.push(own);
+                entries.extend(self.table.iter().enumerate().filter_map(|(dst, r)| {
+                    r.map(|r| DsdvEntry { dst, metric: r.metric, seq: r.seq })
+                }));
+                entries
+            } else {
+                self.dirty.sort_unstable(); // deterministic advertisement order
+                self.dirty.dedup();
+                let mut entries = Vec::with_capacity(1 + self.dirty.len());
+                entries.push(own);
+                for &dst in &self.dirty {
+                    let Some(r) = self.route(dst) else { continue };
+                    entries.push(DsdvEntry { dst, metric: r.metric, seq: r.seq });
+                }
+                entries
+            };
         self.dirty.clear();
         let size = BYTES_PER_ENTRY * entries.len();
         let packet = Packet {
@@ -277,14 +313,14 @@ impl DsdvRouting {
         out: &mut Vec<Action>,
     ) {
         let me = ctx.node;
+        if from >= self.neighbors.len() {
+            self.neighbors.resize_with(from + 1, || Neighbor::UNSEEN);
+        }
         let dist = ctx.channel.distance(from, me);
         let in_psm = ctx.pm_modes[me] == PmMode::PowerSave;
-        let link = self.cfg.metric.link_cost(ctx.card, dist, in_psm, 0.0, ctx.bandwidth_bps);
+        let link = self.link_cost(ctx, from, dist, in_psm);
         let mut learned_new_dst = false;
         let mut adopted_newer_seq = false;
-        if from >= self.via.len() {
-            self.via.resize_with(from + 1, Vec::new);
-        }
         for e in entries {
             if e.dst == me {
                 continue;
@@ -313,7 +349,7 @@ impl DsdvRouting {
                 self.known += usize::from(slot.is_none());
                 *slot = Some(TableRoute { next: from, metric: new_metric, seq: e.seq });
                 self.dirty.push(e.dst);
-                self.via[from].push(e.dst);
+                self.neighbors[from].via.push(e.dst);
             }
         }
         // Amortised compaction of the reverse index: once the list for
@@ -321,7 +357,7 @@ impl DsdvRouting {
         // possibly cover, drop the stale entries. Growth back to the
         // threshold takes at least `known` adoptions, so the cost is
         // O(1) amortised per adoption.
-        let list = &mut self.via[from];
+        let list = &mut self.neighbors[from].via;
         if list.len() > 16 && list.len() > 2 * self.known {
             list.sort_unstable();
             list.dedup();
@@ -332,9 +368,8 @@ impl DsdvRouting {
         // numbers promptly (rate-limited; own sequence is not bumped, so
         // the cascade settles once every node has seen the new numbers).
         if adopted_newer_seq && self.cfg.trigger_on_adoption {
-            let gap_ok = self
-                .last_trigger
-                .is_none_or(|last| ctx.now >= last + self.cfg.min_trigger_gap);
+            let gap_ok =
+                self.last_trigger.is_none_or(|last| ctx.now >= last + self.cfg.min_trigger_gap);
             if gap_ok {
                 self.last_trigger = Some(ctx.now);
                 let update = self.build_update(ctx, false);
@@ -344,12 +379,8 @@ impl DsdvRouting {
         if learned_new_dst {
             // Flush buffered packets whose destinations became reachable,
             // in ascending destination order (`buffer` is ordered).
-            let reachable: Vec<NodeId> = self
-                .buffer
-                .keys()
-                .copied()
-                .filter(|d| self.next_hop(*d).is_some())
-                .collect();
+            let reachable: Vec<NodeId> =
+                self.buffer.keys().copied().filter(|d| self.next_hop(*d).is_some()).collect();
             for dst in reachable {
                 let next = self.next_hop(dst).expect("filtered");
                 if let Some(buf) = self.buffer.remove(&dst) {
@@ -363,9 +394,30 @@ impl DsdvRouting {
         }
     }
 
+    /// `self.cfg.metric.link_cost` of the link from `from`, `dist` metres
+    /// away, read from its memo while the distance is unchanged. The card
+    /// and bandwidth `ctx` carries are a node's own and fixed, so the
+    /// distance and mode are the only inputs that vary.
+    fn link_cost(&mut self, ctx: &RoutingCtx<'_>, from: NodeId, dist: f64, in_psm: bool) -> f64 {
+        let memo = &mut self.neighbors[from].link;
+        if memo.dist_bits != dist.to_bits() {
+            *memo = LinkMemo { dist_bits: dist.to_bits(), ..LinkMemo::UNSET };
+        }
+        let slot = if in_psm { &mut memo.psm } else { &mut memo.active };
+        if slot.is_nan() {
+            *slot = self.cfg.metric.link_cost(ctx.card, dist, in_psm, 0.0, ctx.bandwidth_bps);
+        }
+        *slot
+    }
+
     /// Handles a fired timer (periodic advertisement). Allocation-free
     /// entry point (see [`DsdvRouting::on_timer`]).
-    pub fn on_timer_into(&mut self, ctx: &mut RoutingCtx<'_>, kind: TimerKind, out: &mut Vec<Action>) {
+    pub fn on_timer_into(
+        &mut self,
+        ctx: &mut RoutingCtx<'_>,
+        kind: TimerKind,
+        out: &mut Vec<Action>,
+    ) {
         if kind != TimerKind::DsdvPeriodic {
             return;
         }
@@ -386,13 +438,13 @@ impl DsdvRouting {
         let Some(bad) = frame.rx else { return };
         // Drain the reverse index instead of scanning the whole table:
         // every route whose *current* next hop is `bad` was pushed into
-        // `via[bad]` when it was adopted. Stale entries (next hop since
-        // changed) fail the `r.next == bad` re-check; duplicates are
-        // harmless because the first invalidation flips the metric to
+        // `neighbors[bad].via` when it was adopted. Stale entries (next
+        // hop since changed) fail the `r.next == bad` re-check; duplicates
+        // are harmless because the first invalidation flips the metric to
         // infinite and later visits skip on `is_finite`. The table state
         // afterwards is exactly what the full scan produced.
-        if let Some(dsts) = self.via.get_mut(bad) {
-            for dst in dsts.drain(..) {
+        if let Some(nb) = self.neighbors.get_mut(bad) {
+            for dst in nb.via.drain(..) {
                 if let Some(r) = &mut self.table[dst] {
                     if r.next == bad && r.metric.is_finite() {
                         r.metric = f64::INFINITY;
@@ -483,14 +535,13 @@ mod reference;
 mod tests {
     use super::*;
     use crate::channel::Channel;
-    use eend_radio::cards;
+    use crate::scenario::{radio_profiles, CardAssignment};
+    use eend_radio::{cards, CardPowers, RadioCard};
     use eend_sim::SimRng;
+    use proptest::prelude::*;
 
     fn line_channel() -> Channel {
-        Channel::new(
-            vec![(0.0, 0.0), (100.0, 0.0), (200.0, 0.0), (300.0, 0.0)],
-            120.0,
-        )
+        Channel::new(vec![(0.0, 0.0), (100.0, 0.0), (200.0, 0.0), (300.0, 0.0)], 120.0)
     }
 
     struct World {
@@ -556,7 +607,8 @@ mod tests {
     #[test]
     fn tables_converge_on_line() {
         let mut w = World::new(vec![PmMode::ActiveMode; 4]);
-        let mut nodes: Vec<DsdvRouting> = (0..4).map(|_| DsdvRouting::new(DsdvConfig::dsdv())).collect();
+        let mut nodes: Vec<DsdvRouting> =
+            (0..4).map(|_| DsdvRouting::new(DsdvConfig::dsdv())).collect();
         converge(&mut w, &mut nodes);
         assert_eq!(nodes[0].next_hop(3), Some(1));
         assert_eq!(nodes[1].next_hop(3), Some(2));
@@ -568,7 +620,8 @@ mod tests {
     #[test]
     fn data_forwards_along_table() {
         let mut w = World::new(vec![PmMode::ActiveMode; 4]);
-        let mut nodes: Vec<DsdvRouting> = (0..4).map(|_| DsdvRouting::new(DsdvConfig::dsdv())).collect();
+        let mut nodes: Vec<DsdvRouting> =
+            (0..4).map(|_| DsdvRouting::new(DsdvConfig::dsdv())).collect();
         converge(&mut w, &mut nodes);
         let a = nodes[0].on_app_packet(&mut w.ctx(0, 500), data(0, 3));
         let Action::Send(f) = &a[0] else { panic!() };
@@ -622,7 +675,9 @@ mod tests {
             rx: None,
             packet: Packet {
                 uid: 0,
-                kind: PacketKind::DsdvUpdate { entries: vec![DsdvEntry { dst: 3, metric: 1.0, seq }] },
+                kind: PacketKind::DsdvUpdate {
+                    entries: vec![DsdvEntry { dst: 3, metric: 1.0, seq }],
+                },
                 src: 0,
                 dst: usize::MAX,
                 size_bytes: 12,
@@ -666,9 +721,7 @@ mod tests {
             rx: None,
             packet: Packet {
                 uid: 0,
-                kind: PacketKind::DsdvUpdate {
-                    entries: vec![DsdvEntry { dst: 3, metric, seq }],
-                },
+                kind: PacketKind::DsdvUpdate { entries: vec![DsdvEntry { dst: 3, metric, seq }] },
                 src: 0,
                 dst: usize::MAX,
                 size_bytes: 12,
@@ -696,12 +749,14 @@ mod tests {
     #[test]
     fn link_failure_invalidates_routes_via_neighbor() {
         let mut w = World::new(vec![PmMode::ActiveMode; 4]);
-        let mut nodes: Vec<DsdvRouting> = (0..4).map(|_| DsdvRouting::new(DsdvConfig::dsdv())).collect();
+        let mut nodes: Vec<DsdvRouting> =
+            (0..4).map(|_| DsdvRouting::new(DsdvConfig::dsdv())).collect();
         converge(&mut w, &mut nodes);
         assert_eq!(nodes[0].next_hop(3), Some(1));
         let mut p = data(0, 3);
         p.route = vec![0];
-        let a = nodes[0].on_link_failure(&mut w.ctx(0, 600), Frame { tx: 0, rx: Some(1), packet: p });
+        let a =
+            nodes[0].on_link_failure(&mut w.ctx(0, 600), Frame { tx: 0, rx: Some(1), packet: p });
         assert!(matches!(a[0], Action::Drop(_, DropReason::LinkFailure)));
         assert_eq!(nodes[0].next_hop(3), None, "routes via 1 must be broken");
         assert_eq!(nodes[0].next_hop(1), None);
@@ -727,7 +782,8 @@ mod tests {
     #[test]
     fn update_size_grows_with_table() {
         let mut w = World::new(vec![PmMode::ActiveMode; 4]);
-        let mut nodes: Vec<DsdvRouting> = (0..4).map(|_| DsdvRouting::new(DsdvConfig::dsdv())).collect();
+        let mut nodes: Vec<DsdvRouting> =
+            (0..4).map(|_| DsdvRouting::new(DsdvConfig::dsdv())).collect();
         let a = nodes[0].on_timer(&mut w.ctx(0, 1), TimerKind::DsdvPeriodic);
         let Action::Send(f) = &a[0] else { panic!() };
         let empty_size = f.packet.size_bytes;
@@ -786,7 +842,9 @@ mod tests {
             rx: None,
             packet: Packet {
                 uid: 0,
-                kind: PacketKind::DsdvUpdate { entries: vec![DsdvEntry { dst: 3, metric: 1.0, seq: 2 }] },
+                kind: PacketKind::DsdvUpdate {
+                    entries: vec![DsdvEntry { dst: 3, metric: 1.0, seq: 2 }],
+                },
                 src: 0,
                 dst: usize::MAX,
                 size_bytes: 12,
@@ -800,5 +858,108 @@ mod tests {
         p.route = vec![0, 1, 2];
         let a = n1.on_frame(&mut w.ctx(1, 1), Frame { tx: 2, rx: Some(1), packet: p });
         assert!(matches!(a[0], Action::Drop(_, DropReason::NoRoute)));
+    }
+
+    /// Every card a simulator may carry: the Table 1 presets and the
+    /// cards each radio profile mixes.
+    fn every_card() -> Vec<RadioCard> {
+        let mut all = cards::all();
+        for profile in radio_profiles::all() {
+            if let CardAssignment::Alternating(mix) = profile.assignment {
+                all.extend(mix);
+            }
+        }
+        all
+    }
+
+    const METRICS: [RouteMetric; 5] = [
+        RouteMetric::HopCount,
+        RouteMetric::RadiatedPower,
+        RouteMetric::TotalPower,
+        RouteMetric::JointNoRate,
+        RouteMetric::JointRate,
+    ];
+
+    /// The hot-path caches return what the direct calls return, bit for
+    /// bit: a card's precomputed powers against `RadioCard`'s methods,
+    /// and the per-advertiser link-cost memo against
+    /// `RouteMetric::link_cost`, over distances in `[0, range]` that
+    /// start at 0 and the range itself, then repeat and change at random
+    /// per advertiser, with power control and the receiver's mode both
+    /// ways.
+    fn check_caches(seed: u64) -> Result<(), TestCaseError> {
+        let mut g = SimRng::new(seed);
+        let channel = line_channel();
+        let b = 2_000_000.0;
+        for card in every_card() {
+            let powers = CardPowers::new(card);
+            let range = card.nominal_range_m;
+            prop_assert_eq!(
+                powers.max_tx_total_mw().to_bits(),
+                card.max_tx_total_power_mw().to_bits()
+            );
+            prop_assert_eq!(
+                powers.max_radiated_mw().to_bits(),
+                card.max_radiated_power_mw().to_bits()
+            );
+            for metric in METRICS {
+                let cfg = DsdvConfig { metric, ..DsdvConfig::dsdvh() };
+                let mut agent = DsdvRouting::new(cfg);
+                agent.neighbors.resize_with(3, || Neighbor::UNSEEN);
+                let pm = vec![PmMode::ActiveMode; 4];
+                let mut rng = SimRng::new(1);
+                let mut last = [0.0f64; 3];
+                for step in 0..40 {
+                    let from = g.range_usize(0, 3);
+                    let d = match step {
+                        0 | 1 => 0.0,
+                        2 | 3 => range,
+                        _ if g.chance(0.5) => last[from],
+                        _ => g.range_f64(0.0, range),
+                    };
+                    last[from] = d;
+                    let in_psm = g.chance(0.5);
+                    let ctx = RoutingCtx {
+                        node: 3,
+                        now: SimTime::ZERO,
+                        channel: &channel,
+                        pm_modes: &pm,
+                        card: &card,
+                        bandwidth_bps: b,
+                        rng: &mut rng,
+                        active_neighbors: None,
+                    };
+                    let got = agent.link_cost(&ctx, from, d, in_psm);
+                    let want = metric.link_cost(&card, d, in_psm, 0.0, b);
+                    prop_assert_eq!(
+                        got.to_bits(),
+                        want.to_bits(),
+                        "{} {:?} d={d}",
+                        card.name,
+                        metric
+                    );
+                    for pc in [false, true] {
+                        let got = powers.data_tx_power_mw(d, pc);
+                        let want = card.data_tx_power_mw(d, pc);
+                        prop_assert_eq!(
+                            got.to_bits(),
+                            want.to_bits(),
+                            "{} d={d} pc={pc}",
+                            card.name
+                        );
+                    }
+                }
+            }
+        }
+        Ok(())
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        #[test]
+        fn power_and_link_cost_caches_equal_the_direct_calls(seed in 0u64..u64::MAX) {
+            check_caches(seed)?;
+        }
     }
 }

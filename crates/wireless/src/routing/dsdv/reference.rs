@@ -7,7 +7,11 @@
 //! `_into` entry points the event loop uses. The property
 //! test below feeds the live agent and this one the same random event
 //! sequences and requires the same emitted actions, routes, counters and
-//! reverse-index contents after every step.
+//! reverse-index contents after every step. Between steps the nodes may
+//! move (to fresh positions or back to earlier ones) and the agent's
+//! power-management mode may flip unannounced, so the live agent's
+//! link-cost memo is checked against a reference that computes every
+//! cost afresh.
 
 use super::{DsdvConfig, DsdvEntry, DsdvRouting as LiveDsdv, BYTES_PER_ENTRY};
 use crate::channel::Channel;
@@ -18,7 +22,6 @@ use eend_radio::cards;
 use eend_sim::{SimDuration, SimRng, SimTime};
 use proptest::prelude::*;
 use std::collections::{HashMap, VecDeque};
-
 
 #[derive(Debug, Clone, Copy)]
 struct TableRoute {
@@ -244,9 +247,8 @@ impl DsdvRouting {
         // numbers promptly (rate-limited; own sequence is not bumped, so
         // the cascade settles once every node has seen the new numbers).
         if adopted_newer_seq && self.cfg.trigger_on_adoption {
-            let gap_ok = self
-                .last_trigger
-                .is_none_or(|last| ctx.now >= last + self.cfg.min_trigger_gap);
+            let gap_ok =
+                self.last_trigger.is_none_or(|last| ctx.now >= last + self.cfg.min_trigger_gap);
             if gap_ok {
                 self.last_trigger = Some(ctx.now);
                 let update = self.build_update(ctx, false);
@@ -254,12 +256,8 @@ impl DsdvRouting {
             }
         }
         if learned_new_dst {
-            let mut reachable: Vec<NodeId> = self
-                .buffer
-                .keys()
-                .copied()
-                .filter(|d| self.next_hop(*d).is_some())
-                .collect();
+            let mut reachable: Vec<NodeId> =
+                self.buffer.keys().copied().filter(|d| self.next_hop(*d).is_some()).collect();
             reachable.sort_unstable();
             for dst in reachable {
                 let next = self.next_hop(dst).expect("filtered");
@@ -276,7 +274,12 @@ impl DsdvRouting {
 
     /// Handles a fired timer (periodic advertisement). Allocation-free
     /// entry point (see [`DsdvRouting::on_timer`]).
-    pub fn on_timer_into(&mut self, ctx: &mut RoutingCtx<'_>, kind: TimerKind, out: &mut Vec<Action>) {
+    pub fn on_timer_into(
+        &mut self,
+        ctx: &mut RoutingCtx<'_>,
+        kind: TimerKind,
+        out: &mut Vec<Action>,
+    ) {
         if kind != TimerKind::DsdvPeriodic {
             return;
         }
@@ -447,9 +450,13 @@ fn random_op(g: &mut SimRng, me: NodeId, n: usize, pm: &mut [PmMode]) -> Op {
 fn run_case(seed: u64) -> Result<(), TestCaseError> {
     let mut g = SimRng::new(seed);
     let n = g.range_usize(2, 9);
-    let positions = (0..n).map(|_| (g.range_f64(0.0, 300.0), g.range_f64(0.0, 300.0))).collect();
-    let channel = Channel::new(positions, 250.0);
-    let card = cards::cabletron();
+    let place = |g: &mut SimRng| -> Vec<(f64, f64)> {
+        (0..n).map(|_| (g.range_f64(0.0, 300.0), g.range_f64(0.0, 300.0))).collect()
+    };
+    let mut layouts = vec![place(&mut g)];
+    let mut channel = Channel::new(layouts[0].clone(), 250.0);
+    let all_cards = cards::all();
+    let card = all_cards[g.range_usize(0, all_cards.len())];
     let mut pm = vec![PmMode::ActiveMode; n];
     let me = g.range_usize(0, n);
     let mut cfg = if g.chance(0.5) { DsdvConfig::dsdvh() } else { DsdvConfig::dsdv() };
@@ -462,6 +469,21 @@ fn run_case(seed: u64) -> Result<(), TestCaseError> {
     let mut now_ms = 0;
     for step in 0..g.range_usize(1, 250) {
         now_ms += g.below(800);
+        if g.chance(0.15) {
+            // Mobility: a fresh layout, or back to an earlier one so a
+            // distance recurs after it changed.
+            let layout = if g.chance(0.5) {
+                place(&mut g)
+            } else {
+                layouts[g.range_usize(0, layouts.len())].clone()
+            };
+            layouts.push(layout.clone());
+            channel.set_positions(layout);
+        }
+        if g.chance(0.1) {
+            pm[me] =
+                if pm[me] == PmMode::PowerSave { PmMode::ActiveMode } else { PmMode::PowerSave };
+        }
         let op = random_op(&mut g, me, n, &mut pm);
         let (mut out_live, mut out_ref) = (Vec::new(), Vec::new());
         let ctx = |rng| RoutingCtx {
@@ -485,7 +507,7 @@ fn run_case(seed: u64) -> Result<(), TestCaseError> {
         prop_assert_eq!(live.route_count(), reference.route_count(), "route count, step {step}");
         prop_assert_eq!(live.updates_sent, reference.updates_sent, "updates sent, step {step}");
         for nb in 0..n {
-            let live_via = live.via.get(nb).map_or(&[][..], Vec::as_slice);
+            let live_via = live.neighbors.get(nb).map_or(&[][..], |n| n.via.as_slice());
             let ref_via = reference.via.get(&nb).map_or(&[][..], Vec::as_slice);
             prop_assert_eq!(live_via, ref_via, "reverse index of {nb}, step {step}");
         }

@@ -13,7 +13,7 @@
 
 use crate::channel::Channel;
 use crate::frame::{Frame, NodeId, Packet, PacketKind};
-use crate::mac::{plan_at, MacState, MacTiming, QueuePool, UnicastPlan};
+use crate::mac::{plan_at, ControlAirtimes, MacState, MacTiming, QueuePool, UnicastPlan};
 use crate::metrics::RunMetrics;
 use crate::power::{NodePm, PmMode, PowerPolicy};
 use crate::routing::{
@@ -22,11 +22,8 @@ use crate::routing::{
 };
 use crate::scenario::{RoutingKind, Scenario};
 use crate::traffic::Flow;
-use eend_radio::{EnergyMeter, EnergyReport, RadioCard, RadioState, TrafficClass};
+use eend_radio::{CardPowers, EnergyMeter, EnergyReport, RadioState, TrafficClass};
 use eend_sim::{mix_seed, EventQueue, SimDuration, SimRng, SimTime, TimerFire};
-
-/// ATIM frame body size, bytes.
-const ATIM_BYTES: usize = 28;
 
 #[derive(Debug, Clone, PartialEq)]
 enum Event {
@@ -123,12 +120,14 @@ pub struct Simulator {
     // (see `CardAssignment`). Under a uniform assignment every entry is
     // the base card, so the arithmetic is bit-identical to the
     // homogeneous implementation. Cards are deduplicated: `card_table`
-    // holds the distinct cards (usually one or two), `card_idx` maps
-    // node → table slot, so the per-node hot array is 4 bytes wide
-    // instead of a full `RadioCard`.
-    card_table: Vec<RadioCard>,
+    // holds the distinct cards (usually one or two) with their maximum
+    // powers computed once, `card_idx` maps node → table slot, so the
+    // per-node hot array is 4 bytes wide instead of a full `RadioCard`.
+    // Likewise `airtimes` holds the fixed-size frames' airtimes.
+    card_table: Vec<CardPowers>,
     card_idx: Vec<u32>,
     mac_timing: MacTiming,
+    airtimes: ControlAirtimes,
     policy: PowerPolicy,
     psm: crate::power::PsmConfig,
     power_control: bool,
@@ -246,21 +245,19 @@ impl Simulator {
         // Deduplicate the per-node cards into a table + index: uniform
         // assignments collapse to one entry, alternating ones to the
         // distinct cards in first-appearance order.
-        let mut card_table: Vec<RadioCard> = Vec::new();
+        let mut card_table: Vec<CardPowers> = Vec::new();
         let card_idx: Vec<u32> = cards
             .iter()
-            .map(|c| match card_table.iter().position(|t| t == c) {
+            .map(|c| match card_table.iter().position(|t| t.card() == c) {
                 Some(i) => i as u32,
                 None => {
-                    card_table.push(*c);
+                    card_table.push(CardPowers::new(*c));
                     (card_table.len() - 1) as u32
                 }
             })
             .collect();
-        let meters: Vec<EnergyMeter> = cards
-            .iter()
-            .map(|c| EnergyMeter::starting(*c, SimTime::ZERO, initial_state))
-            .collect();
+        let meters: Vec<EnergyMeter> =
+            cards.iter().map(|c| EnergyMeter::starting(*c, SimTime::ZERO, initial_state)).collect();
         let nodes = (0..n)
             .map(|_| Node {
                 mac: MacState::new(scenario.queue_capacity),
@@ -287,6 +284,7 @@ impl Simulator {
             card_table,
             card_idx,
             mac_timing: scenario.mac,
+            airtimes: ControlAirtimes::new(&scenario.mac),
             policy: scenario.stack.power_policy,
             psm: scenario.stack.psm,
             power_control: scenario.stack.power_control,
@@ -340,8 +338,10 @@ impl Simulator {
             let period_ns = cfg.periodic.as_nanos().max(1);
             for i in 0..n {
                 let jitter = SimDuration::from_nanos(sim.rng.below(period_ns));
-                sim.queue
-                    .schedule(SimTime::ZERO + jitter, Event::RoutingTimer(i, TimerKind::DsdvPeriodic));
+                sim.queue.schedule(
+                    SimTime::ZERO + jitter,
+                    Event::RoutingTimer(i, TimerKind::DsdvPeriodic),
+                );
             }
         }
         sim
@@ -476,8 +476,9 @@ impl Simulator {
         // its spatial grid in place afterwards. The backbone counts
         // are derived inside the same rebuild (each fresh neighbour list
         // is counted while cache-hot) rather than in a second full pass.
-        let Simulator { channel, waypoints, bounds, mobility_rng, pm_modes, active_neighbors, .. } =
-            self;
+        let Simulator {
+            channel, waypoints, bounds, mobility_rng, pm_modes, active_neighbors, ..
+        } = self;
         channel.update_positions_with_counts(
             |positions| {
                 crate::mobility::step_waypoints(
@@ -555,14 +556,23 @@ impl Simulator {
         let mut out = self.action_pool.pop().unwrap_or_default();
         debug_assert!(out.is_empty());
         let Simulator {
-            nodes, channel, pm_modes, rng, card_table, card_idx, mac_timing, time, active_neighbors, ..
+            nodes,
+            channel,
+            pm_modes,
+            rng,
+            card_table,
+            card_idx,
+            mac_timing,
+            time,
+            active_neighbors,
+            ..
         } = self;
         let mut ctx = RoutingCtx {
             node: u,
             now: *time,
             channel,
             pm_modes,
-            card: &card_table[card_idx[u] as usize],
+            card: card_table[card_idx[u] as usize].card(),
             bandwidth_bps: mac_timing.bandwidth_bps,
             rng,
             active_neighbors: Some(active_neighbors),
@@ -576,11 +586,9 @@ impl Simulator {
     fn recompute_active_neighbors(&mut self) {
         let Simulator { channel, pm_modes, active_neighbors, .. } = self;
         for (u, count) in active_neighbors.iter_mut().enumerate() {
-            *count = channel
-                .neighbors(u)
-                .iter()
-                .filter(|&&w| pm_modes[w] == PmMode::ActiveMode)
-                .count() as u32;
+            *count =
+                channel.neighbors(u).iter().filter(|&&w| pm_modes[w] == PmMode::ActiveMode).count()
+                    as u32;
         }
     }
 
@@ -601,9 +609,10 @@ impl Simulator {
         }
     }
 
-    /// The radio card node `u` carries (via the deduplicated table).
+    /// The radio card node `u` carries, with its maximum powers (via the
+    /// deduplicated table).
     #[inline]
-    fn card(&self, u: NodeId) -> &RadioCard {
+    fn card(&self, u: NodeId) -> &CardPowers {
         &self.card_table[self.card_idx[u] as usize]
     }
 
@@ -735,7 +744,8 @@ impl Simulator {
                     // Stale route onto a non-link: treat as immediate failure.
                     let frame = self.nodes[u].mac.drop_head(&mut self.mac_pool).expect("head");
                     self.m.link_failures += 1;
-                    let actions = self.call_routing(u, |r, ctx, out| r.on_link_failure(ctx, frame, out));
+                    let actions =
+                        self.call_routing(u, |r, ctx, out| r.on_link_failure(ctx, frame, out));
                     self.apply_actions(u, actions);
                     self.schedule_mac_tick(u, now);
                     return;
@@ -745,15 +755,12 @@ impl Simulator {
                     // is dead, or it is mid-transmission itself: the RTS
                     // will go unanswered.
                     self.m.rts_collisions += 1;
-                    let (rts, cts, _, _) = self.mac_timing.unicast_segments(0);
-                    let fail_end = now
-                        + self.mac_timing.difs
-                        + rts
-                        + self.mac_timing.sifs
-                        + cts;
+                    let (rts, cts) = (self.airtimes.rts(), self.airtimes.cts());
+                    let fail_end = now + self.mac_timing.difs + rts + self.mac_timing.sifs + cts;
                     self.channel.begin_tx(u, None, now, fail_end);
                     self.nodes[u].mac.busy = true;
-                    let plan = UnicastPlan::for_bytes(&self.mac_timing, 0);
+                    let plan =
+                        self.airtimes.unicast_plan(&self.mac_timing, self.mac_timing.airtime(0));
                     let txn = Txn { kind: TxnKind::RtsFail, start: now, plan, data_power_mw: 0.0 };
                     self.begin_txn(u, txn);
                     self.queue.schedule(fail_end, Event::TxnEnd(u));
@@ -762,12 +769,13 @@ impl Simulator {
                 // Clean unicast transaction.
                 let frame = self.nodes[u].mac.pop_head(&mut self.mac_pool).expect("head");
                 let bytes = frame.packet.wire_bytes();
-                let plan = UnicastPlan::for_bytes(&self.mac_timing, bytes);
+                let plan =
+                    self.airtimes.unicast_plan(&self.mac_timing, self.mac_timing.airtime(bytes));
                 let dist = self.channel.distance(u, v);
                 let data_power_mw = if frame.packet.kind.is_data() {
                     self.card(u).data_tx_power_mw(dist, self.power_control)
                 } else {
-                    self.card(u).max_tx_total_power_mw()
+                    self.card(u).max_tx_total_mw()
                 };
                 let end = now + plan.end;
                 self.channel.begin_tx(u, Some(v), now, end);
@@ -779,19 +787,15 @@ impl Simulator {
             }
             None => {
                 let frame = self.nodes[u].mac.pop_head(&mut self.mac_pool).expect("head");
-                let bytes = frame.packet.wire_bytes();
-                let dur = self.mac_timing.broadcast_duration(bytes);
-                let end = now + dur;
+                // The plan's DATA segment is the broadcast's airtime.
+                let air = self.mac_timing.airtime(frame.packet.wire_bytes());
+                let end = now + (self.mac_timing.difs + air);
                 // Lock in the audience: awake, not otherwise engaged. The
                 // buffer is recycled across broadcasts via receiver_pool.
                 let mut receivers = self.receiver_pool.pop().unwrap_or_default();
-                receivers.extend(
-                    self.channel
-                        .neighbors(u)
-                        .iter()
-                        .copied()
-                        .filter(|&r| self.alive[r] && self.is_awake(r, now) && !self.nodes[r].mac.busy),
-                );
+                receivers.extend(self.channel.neighbors(u).iter().copied().filter(|&r| {
+                    self.alive[r] && self.is_awake(r, now) && !self.nodes[r].mac.busy
+                }));
                 self.channel.begin_tx(u, None, now, end);
                 self.nodes[u].mac.busy = true;
                 for &r in &receivers {
@@ -800,8 +804,8 @@ impl Simulator {
                 let txn = Txn {
                     kind: TxnKind::Broadcast { receivers, frame },
                     start: now,
-                    plan: UnicastPlan::for_bytes(&self.mac_timing, bytes),
-                    data_power_mw: self.card(u).max_tx_total_power_mw(),
+                    plan: self.airtimes.unicast_plan(&self.mac_timing, air),
+                    data_power_mw: self.card(u).max_tx_total_mw(),
                 };
                 self.begin_txn(u, txn);
                 self.queue.schedule(end, Event::TxnEnd(u));
@@ -841,12 +845,14 @@ impl Simulator {
                     let frame =
                         self.nodes[u].mac.drop_head(&mut self.mac_pool).expect("head still queued");
                     self.m.link_failures += 1;
-                    let actions = self.call_routing(u, |r, ctx, out| r.on_link_failure(ctx, frame, out));
+                    let actions =
+                        self.call_routing(u, |r, ctx, out| r.on_link_failure(ctx, frame, out));
                     self.apply_actions(u, actions);
                     self.schedule_mac_tick(u, now);
                 } else {
                     let stage = self.nodes[u].mac.retries;
-                    let delay = self.mac_timing.difs + self.mac_timing.backoff(&mut self.rng, stage);
+                    let delay =
+                        self.mac_timing.difs + self.mac_timing.backoff(&mut self.rng, stage);
                     self.schedule_mac_tick(u, now + delay);
                 }
             }
@@ -894,7 +900,7 @@ impl Simulator {
                 self.try_sleep_soon(v);
             }
             TxnKind::Broadcast { mut receivers, frame } => {
-                self.charge_broadcast(u, &receivers, start, &frame);
+                self.charge_broadcast(u, &receivers, start, plan.segments.2, &frame);
                 self.count_tx(u, &frame);
                 for &r in &receivers {
                     self.nodes[r].mac.busy = false;
@@ -923,7 +929,8 @@ impl Simulator {
                     }
                     // Every receiver reads the same frame; agents copy
                     // packet payloads only if they forward or reply.
-                    let actions = self.call_routing(r, |rt, ctx, out| rt.on_broadcast(ctx, &frame, out));
+                    let actions =
+                        self.call_routing(r, |rt, ctx, out| rt.on_broadcast(ctx, &frame, out));
                     self.apply_actions(r, actions);
                 }
                 self.rc_scratch = interferers;
@@ -980,13 +987,10 @@ impl Simulator {
         let (rts_at, cts_at, data_at, ack_at, end_at) = plan_at(plan, start);
         // Control frames go out at each participant's own maximum (Eq 2):
         // the RTS at the sender's, the CTS/ACK at the receiver's.
-        let pu = self.card(u).max_tx_total_power_mw();
-        let pv = self.card(v).max_tx_total_power_mw();
-        let class = if frame.packet.kind.is_data() {
-            TrafficClass::Data
-        } else {
-            TrafficClass::Control
-        };
+        let pu = self.card(u).max_tx_total_mw();
+        let pv = self.card(v).max_tx_total_mw();
+        let class =
+            if frame.packet.kind.is_data() { TrafficClass::Data } else { TrafficClass::Control };
         self.ensure_idle(u, start);
         self.ensure_idle(v, start);
         let mu = &mut self.meters[u];
@@ -1003,19 +1007,22 @@ impl Simulator {
         mv.set_idle(end_at);
     }
 
-    fn charge_broadcast(&mut self, u: NodeId, receivers: &[NodeId], txn_start: SimTime, frame: &Frame) {
+    /// Charges a broadcast whose frame was on the air for `air` (DIFS
+    /// excluded).
+    fn charge_broadcast(
+        &mut self,
+        u: NodeId,
+        receivers: &[NodeId],
+        txn_start: SimTime,
+        air: SimDuration,
+        frame: &Frame,
+    ) {
         let start = txn_start + self.mac_timing.difs;
-        let end = txn_start
-            + self
-                .mac_timing
-                .broadcast_duration(frame.packet.wire_bytes());
-        let class = if frame.packet.kind.is_data() {
-            TrafficClass::Data
-        } else {
-            TrafficClass::Control
-        };
+        let end = txn_start + (self.mac_timing.difs + air);
+        let class =
+            if frame.packet.kind.is_data() { TrafficClass::Data } else { TrafficClass::Control };
         self.ensure_idle(u, txn_start);
-        let pmax = self.card(u).max_tx_total_power_mw();
+        let pmax = self.card(u).max_tx_total_mw();
         let mu = &mut self.meters[u];
         mu.begin_tx(start, pmax, class);
         mu.set_idle(end);
@@ -1029,9 +1036,9 @@ impl Simulator {
 
     fn charge_rts_fail(&mut self, u: NodeId, txn_start: SimTime) {
         let rts_start = txn_start + self.mac_timing.difs;
-        let rts_end = rts_start + self.mac_timing.airtime(self.mac_timing.rts_bytes);
+        let rts_end = rts_start + self.airtimes.rts();
         self.ensure_idle(u, txn_start);
-        let pmax = self.card(u).max_tx_total_power_mw();
+        let pmax = self.card(u).max_tx_total_mw();
         let mu = &mut self.meters[u];
         mu.begin_tx(rts_start, pmax, TrafficClass::Control);
         mu.set_idle(rts_end);
@@ -1070,7 +1077,8 @@ impl Simulator {
         }
         if was == PmMode::PowerSave {
             self.ensure_idle(i, self.time);
-            let actions = self.call_routing(i, |r, ctx, out| r.on_pm_changed(ctx, PmMode::ActiveMode, out));
+            let actions =
+                self.call_routing(i, |r, ctx, out| r.on_pm_changed(ctx, PmMode::ActiveMode, out));
             self.apply_actions(i, actions);
         }
     }
@@ -1083,8 +1091,8 @@ impl Simulator {
             TimerFire::Expired => {
                 self.pm[i].mode = PmMode::PowerSave;
                 self.set_pm_mode(i, PmMode::PowerSave);
-                let actions =
-                    self.call_routing(i, |r, ctx, out| r.on_pm_changed(ctx, PmMode::PowerSave, out));
+                let actions = self
+                    .call_routing(i, |r, ctx, out| r.on_pm_changed(ctx, PmMode::PowerSave, out));
                 self.apply_actions(i, actions);
                 self.try_sleep(i);
             }
@@ -1132,7 +1140,7 @@ impl Simulator {
         // Announcements: scan queues and wake destinations. The head
         // snapshot buffer is owned by the simulator and reused across
         // beacons, so the scan allocates nothing in steady state.
-        let atim_air = self.mac_timing.airtime(ATIM_BYTES);
+        let atim_air = self.airtimes.atim();
         let bi = self.psm.beacon_interval;
         let mut heads = std::mem::take(&mut self.beacon_heads);
         for u in 0..n {
@@ -1159,7 +1167,7 @@ impl Simulator {
                             self.m.atim_tx += 1;
                             self.ensure_idle(u, start);
                             self.ensure_idle(v, start);
-                            let pmax = self.card(u).max_tx_total_power_mw();
+                            let pmax = self.card(u).max_tx_total_mw();
                             self.meters[u].begin_tx(start, pmax, TrafficClass::Control);
                             self.meters[u].set_idle(end);
                             self.meters[v].begin_rx(start, TrafficClass::Control);
@@ -1398,10 +1406,10 @@ mod failure_tests {
     fn diamond_scenario() -> Scenario {
         Scenario::new(
             Placement::Explicit(vec![
-                (0.0, 0.0),     // 0 source
-                (150.0, 100.0), // 1 top relay
-                (150.0, -100.0),// 2 bottom relay
-                (300.0, 0.0),   // 3 sink
+                (0.0, 0.0),      // 0 source
+                (150.0, 100.0),  // 1 top relay
+                (150.0, -100.0), // 2 bottom relay
+                (300.0, 0.0),    // 3 sink
             ]),
             eend_radio::cards::cabletron(),
             stacks::dsr_active(),
@@ -1479,10 +1487,8 @@ mod hetero_tests {
     #[test]
     fn uniform_assignment_is_bit_identical_to_the_default() {
         let default = Simulator::new(&base_scenario(30)).run();
-        let explicit = Simulator::new(
-            &base_scenario(30).with_card_assignment(CardAssignment::Uniform),
-        )
-        .run();
+        let explicit =
+            Simulator::new(&base_scenario(30).with_card_assignment(CardAssignment::Uniform)).run();
         assert_eq!(default, explicit);
         // A single-card alternating list is also the uniform assignment.
         let degenerate = Simulator::new(&base_scenario(30).with_card_assignment(
@@ -1498,13 +1504,11 @@ mod hetero_tests {
         // burns more amplifier power: a mixed field must deliver the
         // same packets while charging more energy on the hungry nodes.
         let homo = Simulator::new(&base_scenario(60)).run();
-        let mixed = Simulator::new(&base_scenario(60).with_card_assignment(
-            CardAssignment::Alternating(vec![
-                eend_radio::cards::cabletron(),
-                eend_radio::cards::hypothetical_cabletron(),
-            ]),
-        ))
-        .run();
+        let mixed =
+            Simulator::new(&base_scenario(60).with_card_assignment(CardAssignment::Alternating(
+                vec![eend_radio::cards::cabletron(), eend_radio::cards::hypothetical_cabletron()],
+            )))
+            .run();
         assert_eq!(mixed.data_sent, homo.data_sent);
         assert_eq!(mixed.data_delivered, homo.data_delivered);
         assert_eq!(mixed.routes, homo.routes);
@@ -1531,21 +1535,16 @@ mod hetero_tests {
 
     #[test]
     fn poisson_and_onoff_deliver_and_replay() {
-        for model in [
-            TrafficModel::Poisson,
-            TrafficModel::OnOffBurst { mean_on_s: 3.0, mean_off_s: 3.0 },
-        ] {
+        for model in
+            [TrafficModel::Poisson, TrafficModel::OnOffBurst { mean_on_s: 3.0, mean_off_s: 3.0 }]
+        {
             let mut s = base_scenario(60);
             s.flows = s.flows.with_model(model.clone());
             let a = Simulator::new(&s).run();
             let b = Simulator::new(&s).run();
             assert_eq!(a, b, "{model:?} must replay identically");
             assert!(a.data_sent > 20, "{model:?} sent only {}", a.data_sent);
-            assert!(
-                a.delivery_ratio() > 0.9,
-                "{model:?} delivery {}",
-                a.delivery_ratio()
-            );
+            assert!(a.delivery_ratio() > 0.9, "{model:?} delivery {}", a.delivery_ratio());
         }
     }
 
