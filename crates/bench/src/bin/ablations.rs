@@ -93,11 +93,8 @@ fn main() {
         .map(|&(bias, p_min)| {
             let mut stack = stacks::titan_pc();
             if let eend_wireless::RoutingKind::Reactive(cfg) = &mut stack.routing {
-                cfg.titan = Some(TitanConfig {
-                    bias,
-                    p_min,
-                    psm_delay: SimDuration::from_millis(20),
-                });
+                cfg.titan =
+                    Some(TitanConfig { bias, p_min, psm_delay: SimDuration::from_millis(20) });
             }
             stack.name = format!("TITAN(bias={bias})");
             stack
@@ -107,12 +104,7 @@ fn main() {
     for (&(bias, p_min), (dr, gp)) in
         biases.iter().zip(run_ablation("ablation-titan-bias", &opts, &variants, 4.0))
     {
-        t.row(vec![
-            format!("{bias}"),
-            format!("{p_min}"),
-            format!("{dr}"),
-            format!("{gp:.0}"),
-        ]);
+        t.row(vec![format!("{bias}"), format!("{p_min}"), format!("{dr}"), format!("{gp:.0}")]);
     }
     println!("{t}");
     println!(

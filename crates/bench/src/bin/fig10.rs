@@ -20,10 +20,7 @@ fn main() {
     let pair = vec![stacks::titan_pc(), stacks::dsr_odpm()];
 
     let mut series = Vec::new();
-    for (base, label) in [
-        (BaseScenario::Small, "500x500"),
-        (BaseScenario::Large, "1300x1300"),
-    ] {
+    for (base, label) in [(BaseScenario::Small, "500x500"), (BaseScenario::Large, "1300x1300")] {
         let spec = figure_spec_on("fig10", base, &opts, &pair, &rates);
         let result = Executor::bounded().run(&spec);
         for mut s in result.series(|p| p.rate_kbps, |m| m.transmit_energy_j()) {

@@ -32,7 +32,10 @@ fn main() {
     let result = Executor::bounded().run(&spec);
 
     let delivery = result.series(|p| p.rate_kbps, |m| m.delivery_ratio());
-    println!("{}", render_figure("Fig 11 — delivery ratio, 1300x1300 m2 (x = rate Kbit/s)", &delivery));
+    println!(
+        "{}",
+        render_figure("Fig 11 — delivery ratio, 1300x1300 m2 (x = rate Kbit/s)", &delivery)
+    );
 
     let goodput = result.series(|p| p.rate_kbps, |m| m.energy_goodput_bit_per_j());
     println!("{}", render_figure("Fig 12 — energy goodput (bit/J), 1300x1300 m2", &goodput));

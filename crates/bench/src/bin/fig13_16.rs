@@ -28,12 +28,14 @@ type SeedRoutes = Vec<Vec<Option<Vec<usize>>>>;
 
 fn main() {
     let opts = HarnessOpts::from_args(1, 3, 120);
-    let stack_list = [stacks::titan_pc(),
+    let stack_list = [
+        stacks::titan_pc(),
         stacks::dsrh_active(false),
         stacks::mtpr(false),
         stacks::mtpr(true),
         stacks::dsr_pc_active(),
-        stacks::dsr_active()];
+        stacks::dsr_active(),
+    ];
     let positions = Placement::Grid { rows: 7, cols: 7, width: 300.0, height: 300.0 }
         .positions(&mut SimRng::new(0));
     let card = eend_radio::cards::hypothetical_cabletron();
@@ -58,9 +60,8 @@ fn main() {
     let figure = |title: &str, rates: &[f64], scheduling: Scheduling, pc_for_active: bool| {
         // The projection study's stack × rate grid, fanned out on the
         // executor (each cell projects every stabilisation seed).
-        let cells: Vec<(usize, f64)> = (0..stabilised.len())
-            .flat_map(|s| rates.iter().map(move |&r| (s, r)))
-            .collect();
+        let cells: Vec<(usize, f64)> =
+            (0..stabilised.len()).flat_map(|s| rates.iter().map(move |&r| (s, r))).collect();
         let cell_samples: Vec<Vec<(String, f64, f64)>> = executor.par_map(cells.len(), |i| {
             let (si, rate) = cells[i];
             let (name, per_seed) = &stabilised[si];
@@ -101,10 +102,30 @@ fn main() {
 
     let low = [2.0, 3.0, 4.0, 5.0];
     let high = [50.0, 100.0, 150.0, 200.0];
-    figure("Fig 13 — energy goodput (Kbit/J), low rates, perfect sleep scheduling", &low, Scheduling::Perfect, false);
-    figure("Fig 14 — energy goodput (Kbit/J), low rates, ODPM scheduling", &low, Scheduling::odpm_paper(), false);
-    figure("Fig 15 — energy goodput (Kbit/J), high rates, perfect sleep scheduling", &high, Scheduling::Perfect, false);
-    figure("Fig 16 — energy goodput (Kbit/J), high rates, ODPM scheduling", &high, Scheduling::odpm_paper(), false);
+    figure(
+        "Fig 13 — energy goodput (Kbit/J), low rates, perfect sleep scheduling",
+        &low,
+        Scheduling::Perfect,
+        false,
+    );
+    figure(
+        "Fig 14 — energy goodput (Kbit/J), low rates, ODPM scheduling",
+        &low,
+        Scheduling::odpm_paper(),
+        false,
+    );
+    figure(
+        "Fig 15 — energy goodput (Kbit/J), high rates, perfect sleep scheduling",
+        &high,
+        Scheduling::Perfect,
+        false,
+    );
+    figure(
+        "Fig 16 — energy goodput (Kbit/J), high rates, ODPM scheduling",
+        &high,
+        Scheduling::odpm_paper(),
+        false,
+    );
 
     println!(
         "Paper shape: with perfect scheduling all stacks tie at low rates and\n\

@@ -33,7 +33,10 @@ fn main() {
     let result = Executor::bounded().run(&figure_spec("fig8_9", &opts, &stacks, &rates));
 
     let delivery = result.series(|p| p.rate_kbps, |m| m.delivery_ratio());
-    println!("{}", render_figure("Fig 8 — delivery ratio, 500x500 m2 (x = rate Kbit/s)", &delivery));
+    println!(
+        "{}",
+        render_figure("Fig 8 — delivery ratio, 500x500 m2 (x = rate Kbit/s)", &delivery)
+    );
 
     let goodput = result.series(|p| p.rate_kbps, |m| m.energy_goodput_bit_per_j());
     println!("{}", render_figure("Fig 9 — energy goodput (bit/J), 500x500 m2", &goodput));

@@ -39,12 +39,7 @@ fn main() {
         })
         .collect();
     let problem = DesignProblem::new(inst, demands);
-    let mut t = Table::new(vec![
-        "designer",
-        "Enetwork (J)",
-        "max node load (Kbit/s)",
-        "relays",
-    ]);
+    let mut t = Table::new(vec!["designer", "Enetwork (J)", "max node load (Kbit/s)", "relays"]);
     for h in [Heuristic::IdleFirst, Heuristic::LifetimeAware { bandwidth_bps: 2e6 }] {
         let d = h.design(&problem);
         let e = evaluate(&problem, &d, &EvalParams::standard(900.0));
@@ -71,11 +66,8 @@ fn main() {
     let life = result.series(|p| p.rate_kbps, |m| m.lifetime_to_first_death_s(1000.0));
     let imb = result.series(|p| p.rate_kbps, |m| m.energy_imbalance());
 
-    let mut t = Table::new(vec![
-        "stack",
-        "lifetime to first death (s)",
-        "energy imbalance (max/mean)",
-    ]);
+    let mut t =
+        Table::new(vec!["stack", "lifetime to first death (s)", "energy imbalance (max/mean)"]);
     for (l, i) in life.iter().zip(&imb) {
         t.row(vec![
             l.label.clone(),

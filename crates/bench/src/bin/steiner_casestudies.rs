@@ -16,7 +16,14 @@ use eend_stats::Table;
 fn main() {
     println!("Eqs 6-9 over k (unit parameters, alpha = 2)\n");
     let mut t = Table::new(vec![
-        "k", "E(ST1)", "E(ST2)", "ST ratio", "(k+3)/4", "E(SF1)", "E(SF2)", "SF idle ratio",
+        "k",
+        "E(ST1)",
+        "E(ST2)",
+        "ST ratio",
+        "(k+3)/4",
+        "E(SF1)",
+        "E(SF2)",
+        "SF idle ratio",
     ]);
     for k in [1, 2, 4, 8, 16, 32, 64] {
         let p = CaseParams::unit(k);

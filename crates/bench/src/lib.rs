@@ -88,7 +88,12 @@ fn usage(msg: &str) -> ! {
 /// binary runs a spec built here (or via [`figure_spec_on`]) directly,
 /// or passes custom scenarios via
 /// [`eend_campaign::CampaignSpec::expand_with`].
-pub fn figure_spec(name: &str, opts: &HarnessOpts, stacks: &[ProtocolStack], rates: &[f64]) -> CampaignSpec {
+pub fn figure_spec(
+    name: &str,
+    opts: &HarnessOpts,
+    stacks: &[ProtocolStack],
+    rates: &[f64],
+) -> CampaignSpec {
     figure_spec_on(name, eend_campaign::BaseScenario::Small, opts, stacks, rates)
 }
 
@@ -171,13 +176,9 @@ mod tests {
     fn sweep_produces_one_series_per_stack() {
         let opts = HarnessOpts { full: false, seeds: 1, secs_override: Some(30) };
         let stacks = vec![stacks::dsr_active(), stacks::dsr_odpm()];
-        let series = sweep_figure(
-            &opts,
-            &stacks,
-            &[2.0, 4.0],
-            presets::small_network,
-            |m| m.delivery_ratio(),
-        );
+        let series = sweep_figure(&opts, &stacks, &[2.0, 4.0], presets::small_network, |m| {
+            m.delivery_ratio()
+        });
         assert_eq!(series.len(), 2);
         assert_eq!(series[0].points.len(), 2);
         assert_eq!(series[0].label, "DSR-Active");

@@ -523,7 +523,8 @@ fn pool_worker_loop(shared: &PoolShared) {
             return;
         }
         let len = state.tasks.len();
-        let claim = (0..len).map(|off| (state.rr + off) % len.max(1)).find(|&k| state.tasks[k].claimable());
+        let claim =
+            (0..len).map(|off| (state.rr + off) % len.max(1)).find(|&k| state.tasks[k].claimable());
         let Some(k) = claim else {
             state = shared.work_cv.wait(state).unwrap_or_else(|p| p.into_inner());
             continue;
@@ -549,12 +550,7 @@ impl WorkerPool {
         let workers = workers.max(1);
         let shared = Arc::new(PoolShared {
             workers,
-            state: Mutex::new(PoolState {
-                tasks: Vec::new(),
-                rr: 0,
-                next_id: 0,
-                shutdown: false,
-            }),
+            state: Mutex::new(PoolState { tasks: Vec::new(), rr: 0, next_id: 0, shutdown: false }),
             work_cv: Condvar::new(),
         });
         let threads = (0..workers)
@@ -726,7 +722,11 @@ mod tests {
             live.fetch_sub(1, Ordering::SeqCst);
             i
         });
-        assert!(peak.load(Ordering::SeqCst) <= bound, "peak {} > bound {bound}", peak.load(Ordering::SeqCst));
+        assert!(
+            peak.load(Ordering::SeqCst) <= bound,
+            "peak {} > bound {bound}",
+            peak.load(Ordering::SeqCst)
+        );
     }
 
     #[test]
@@ -762,10 +762,7 @@ mod tests {
             );
             let mut jsonl = JsonlSink::new(&spec.name, Vec::new());
             ex.run_streaming(&jobs, &mut jsonl).unwrap();
-            assert_eq!(
-                String::from_utf8(jsonl.into_inner()).unwrap().lines().count(),
-                jobs.len()
-            );
+            assert_eq!(String::from_utf8(jsonl.into_inner()).unwrap().lines().count(), jobs.len());
         }
     }
 
@@ -835,19 +832,24 @@ mod tests {
 
     /// Streams `jobs` under `Abort`, collecting `(index, record)` in
     /// delivery order.
-    fn collect_run(scheduler: &dyn JobScheduler, jobs: &[Job], window: usize) -> Vec<(usize, Record)> {
+    fn collect_run(
+        scheduler: &dyn JobScheduler,
+        jobs: &[Job],
+        window: usize,
+    ) -> Vec<(usize, Record)> {
         let mut got = Vec::new();
-        scheduler.run_jobs_streaming(
-            jobs,
-            window,
-            &FailurePolicy::Abort,
-            &mut |i, r| {
-                got.push((i, r.clone()));
-                Ok(())
-            },
-            &mut |f| Err(std::io::Error::other(format!("unexpected failure: {}", f.cause))),
-        )
-        .unwrap();
+        scheduler
+            .run_jobs_streaming(
+                jobs,
+                window,
+                &FailurePolicy::Abort,
+                &mut |i, r| {
+                    got.push((i, r.clone()));
+                    Ok(())
+                },
+                &mut |f| Err(std::io::Error::other(format!("unexpected failure: {}", f.cause))),
+            )
+            .unwrap();
         got
     }
 

@@ -67,8 +67,7 @@ impl<'a> JVal<'a> {
     /// The value of the first member named `key`; an error when this is
     /// not an object or has no such member.
     pub fn get(&self, key: &str) -> io::Result<&JVal<'a>> {
-        self.get_opt(key)?
-            .ok_or_else(|| bad_data(format!("missing key {key:?}")))
+        self.get_opt(key)?.ok_or_else(|| bad_data(format!("missing key {key:?}")))
     }
 
     /// Like [`JVal::get`], but a missing key reads as `None` (for keys
@@ -87,10 +86,7 @@ impl<'a> JVal<'a> {
     pub fn str(&self) -> io::Result<&str> {
         match self {
             JVal::Str(s) => Ok(s),
-            other => Err(bad_data(format!(
-                "expected string, got {}",
-                other.type_name()
-            ))),
+            other => Err(bad_data(format!("expected string, got {}", other.type_name()))),
         }
     }
 
@@ -98,23 +94,17 @@ impl<'a> JVal<'a> {
     pub fn arr(&self) -> io::Result<&[JVal<'a>]> {
         match self {
             JVal::Arr(a) => Ok(a),
-            other => Err(bad_data(format!(
-                "expected array, got {}",
-                other.type_name()
-            ))),
+            other => Err(bad_data(format!("expected array, got {}", other.type_name()))),
         }
     }
 
     /// This number as a u64 (its token must be a plain decimal integer).
     pub fn u64(&self) -> io::Result<u64> {
         match self {
-            JVal::Num(raw) => raw
-                .parse()
-                .map_err(|_| bad_data(format!("expected u64, got {raw:?}"))),
-            other => Err(bad_data(format!(
-                "expected number, got {}",
-                other.type_name()
-            ))),
+            JVal::Num(raw) => {
+                raw.parse().map_err(|_| bad_data(format!("expected u64, got {raw:?}")))
+            }
+            other => Err(bad_data(format!("expected number, got {}", other.type_name()))),
         }
     }
 
@@ -126,13 +116,10 @@ impl<'a> JVal<'a> {
     /// This number as the f64 its token rounds to.
     pub fn f64(&self) -> io::Result<f64> {
         match self {
-            JVal::Num(raw) => raw
-                .parse()
-                .map_err(|_| bad_data(format!("expected f64, got {raw:?}"))),
-            other => Err(bad_data(format!(
-                "expected number, got {}",
-                other.type_name()
-            ))),
+            JVal::Num(raw) => {
+                raw.parse().map_err(|_| bad_data(format!("expected f64, got {raw:?}")))
+            }
+            other => Err(bad_data(format!("expected number, got {}", other.type_name()))),
         }
     }
 }
@@ -167,14 +154,7 @@ struct Parser<'a> {
 
 impl<'a> Parser<'a> {
     fn new(text: &'a str, keep_below: usize) -> Parser<'a> {
-        Parser {
-            text,
-            s: text.as_bytes(),
-            i: 0,
-            keep_below,
-            items: Vec::new(),
-            pairs: Vec::new(),
-        }
+        Parser { text, s: text.as_bytes(), i: 0, keep_below, items: Vec::new(), pairs: Vec::new() }
     }
 
     fn document(mut self) -> io::Result<JVal<'a>> {
@@ -193,10 +173,7 @@ impl<'a> Parser<'a> {
     }
 
     fn peek(&self) -> io::Result<u8> {
-        self.s
-            .get(self.i)
-            .copied()
-            .ok_or_else(|| bad_data("unexpected end of JSON"))
+        self.s.get(self.i).copied().ok_or_else(|| bad_data("unexpected end of JSON"))
     }
 
     fn eat(&mut self, b: u8) -> io::Result<()> {
@@ -287,10 +264,7 @@ impl<'a> Parser<'a> {
             c if c == b'-' || c.is_ascii_digit() => {
                 let start = self.i;
                 while self.i < self.s.len()
-                    && matches!(
-                        self.s[self.i],
-                        b'0'..=b'9' | b'-' | b'+' | b'.' | b'e' | b'E'
-                    )
+                    && matches!(self.s[self.i], b'0'..=b'9' | b'-' | b'+' | b'.' | b'e' | b'E')
                 {
                     self.i += 1;
                 }
@@ -301,10 +275,7 @@ impl<'a> Parser<'a> {
                 }
                 Ok(JVal::Num(raw))
             }
-            c => Err(bad_data(format!(
-                "unexpected {:?} at byte {}",
-                c as char, self.i
-            ))),
+            c => Err(bad_data(format!("unexpected {:?} at byte {}", c as char, self.i))),
         }
     }
 
@@ -454,10 +425,7 @@ mod tests {
         assert_eq!(b[0].f64().unwrap(), 1.5);
         assert_eq!(b[1], JVal::Null);
         assert_eq!(b[2].str().unwrap(), "x\"y\n");
-        assert!(matches!(
-            v.get("c").unwrap().get("d").unwrap(),
-            JVal::Bool(true)
-        ));
+        assert!(matches!(v.get("c").unwrap().get("d").unwrap(), JVal::Bool(true)));
         assert!(parse_json("{\"a\":1} junk").is_err());
         assert!(parse_json("{").is_err());
     }
@@ -475,16 +443,9 @@ mod tests {
     #[test]
     fn plain_strings_borrow_and_escaped_ones_own() {
         let v = parse_json(r#"{"plain":"héllo","esc":"a\tb","kA":1}"#).unwrap();
-        assert!(matches!(
-            v.get("plain").unwrap(),
-            JVal::Str(Cow::Borrowed("héllo"))
-        ));
+        assert!(matches!(v.get("plain").unwrap(), JVal::Str(Cow::Borrowed("héllo"))));
         assert!(matches!(v.get("esc").unwrap(), JVal::Str(Cow::Owned(s)) if s == "a\tb"));
-        assert_eq!(
-            v.get("kA").unwrap().u64().unwrap(),
-            1,
-            "escaped keys are decoded"
-        );
+        assert_eq!(v.get("kA").unwrap().u64().unwrap(), 1, "escaped keys are decoded");
     }
 
     #[test]
@@ -550,10 +511,7 @@ mod tests {
         let err = parse_json(&deep).unwrap_err().to_string();
         assert!(err.contains("nest deeper than 256"), "got: {err}");
         let deep_obj = "{\"a\":".repeat(MAX_DEPTH + 1);
-        assert!(parse_shallow(&deep_obj)
-            .unwrap_err()
-            .to_string()
-            .contains("nest deeper"));
+        assert!(parse_shallow(&deep_obj).unwrap_err().to_string().contains("nest deeper"));
     }
 
     #[test]
@@ -562,10 +520,7 @@ mod tests {
             let mut out = String::new();
             write_num(&mut out, x);
             assert_eq!(out, format!("{x}"));
-            assert_eq!(
-                parse_json(&out).unwrap().f64().unwrap().to_bits(),
-                x.to_bits()
-            );
+            assert_eq!(parse_json(&out).unwrap().f64().unwrap().to_bits(), x.to_bits());
         }
         for x in [f64::INFINITY, f64::NEG_INFINITY, f64::NAN] {
             let mut out = String::new();
@@ -575,9 +530,6 @@ mod tests {
         let mut out = String::new();
         write_str(&mut out, "a\"b\\c\n\r\t\u{1}é");
         assert_eq!(out, "\"a\\\"b\\\\c\\n\\r\\t\\u0001é\"");
-        assert_eq!(
-            parse_json(&out).unwrap().str().unwrap(),
-            "a\"b\\c\n\r\t\u{1}é"
-        );
+        assert_eq!(parse_json(&out).unwrap().str().unwrap(), "a\"b\\c\n\r\t\u{1}é");
     }
 }

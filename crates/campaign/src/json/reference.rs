@@ -71,32 +71,23 @@ impl JVal {
     pub(crate) fn str(&self) -> io::Result<&str> {
         match self {
             JVal::Str(s) => Ok(s),
-            other => Err(bad_data(format!(
-                "expected string, got {}",
-                other.type_name()
-            ))),
+            other => Err(bad_data(format!("expected string, got {}", other.type_name()))),
         }
     }
 
     pub(crate) fn arr(&self) -> io::Result<&[JVal]> {
         match self {
             JVal::Arr(a) => Ok(a),
-            other => Err(bad_data(format!(
-                "expected array, got {}",
-                other.type_name()
-            ))),
+            other => Err(bad_data(format!("expected array, got {}", other.type_name()))),
         }
     }
 
     pub(crate) fn u64(&self) -> io::Result<u64> {
         match self {
-            JVal::Num(raw) => raw
-                .parse()
-                .map_err(|_| bad_data(format!("expected u64, got {raw:?}"))),
-            other => Err(bad_data(format!(
-                "expected number, got {}",
-                other.type_name()
-            ))),
+            JVal::Num(raw) => {
+                raw.parse().map_err(|_| bad_data(format!("expected u64, got {raw:?}")))
+            }
+            other => Err(bad_data(format!("expected number, got {}", other.type_name()))),
         }
     }
 
@@ -106,13 +97,10 @@ impl JVal {
 
     pub(crate) fn f64(&self) -> io::Result<f64> {
         match self {
-            JVal::Num(raw) => raw
-                .parse()
-                .map_err(|_| bad_data(format!("expected f64, got {raw:?}"))),
-            other => Err(bad_data(format!(
-                "expected number, got {}",
-                other.type_name()
-            ))),
+            JVal::Num(raw) => {
+                raw.parse().map_err(|_| bad_data(format!("expected f64, got {raw:?}")))
+            }
+            other => Err(bad_data(format!("expected number, got {}", other.type_name()))),
         }
     }
 }
@@ -120,10 +108,7 @@ impl JVal {
 /// Parses one complete JSON document (with nothing but whitespace
 /// after it).
 pub(crate) fn parse_json(text: &str) -> io::Result<JVal> {
-    let mut p = JsonParser {
-        s: text.as_bytes(),
-        i: 0,
-    };
+    let mut p = JsonParser { s: text.as_bytes(), i: 0 };
     let v = p.value()?;
     p.skip_ws();
     if p.i != p.s.len() {
@@ -145,10 +130,7 @@ impl JsonParser<'_> {
     }
 
     fn peek(&self) -> io::Result<u8> {
-        self.s
-            .get(self.i)
-            .copied()
-            .ok_or_else(|| bad_data("unexpected end of JSON"))
+        self.s.get(self.i).copied().ok_or_else(|| bad_data("unexpected end of JSON"))
     }
 
     fn eat(&mut self, b: u8) -> io::Result<()> {
@@ -230,24 +212,17 @@ impl JsonParser<'_> {
             c if c == b'-' || c.is_ascii_digit() => {
                 let start = self.i;
                 while self.i < self.s.len()
-                    && matches!(
-                        self.s[self.i],
-                        b'0'..=b'9' | b'-' | b'+' | b'.' | b'e' | b'E'
-                    )
+                    && matches!(self.s[self.i], b'0'..=b'9' | b'-' | b'+' | b'.' | b'e' | b'E')
                 {
                     self.i += 1;
                 }
                 let raw = std::str::from_utf8(&self.s[start..self.i])
                     .map_err(|_| bad_data("non-UTF8 number"))?;
                 // Validate now so accessors can't hit un-number tokens.
-                raw.parse::<f64>()
-                    .map_err(|_| bad_data(format!("bad number {raw:?}")))?;
+                raw.parse::<f64>().map_err(|_| bad_data(format!("bad number {raw:?}")))?;
                 Ok(JVal::Num(raw.to_owned()))
             }
-            c => Err(bad_data(format!(
-                "unexpected {:?} at byte {}",
-                c as char, self.i
-            ))),
+            c => Err(bad_data(format!("unexpected {:?} at byte {}", c as char, self.i))),
         }
     }
 
@@ -339,15 +314,9 @@ fn outcome<T>(r: io::Result<T>) -> Result<T, String> {
 fn check_accessors(r: &JVal, l: &LiveVal) -> Result<(), TestCaseError> {
     prop_assert_eq!(outcome(r.u64()), outcome(l.u64()));
     prop_assert_eq!(outcome(r.usize()), outcome(l.usize()));
-    prop_assert_eq!(
-        outcome(r.f64()).map(f64::to_bits),
-        outcome(l.f64()).map(f64::to_bits)
-    );
+    prop_assert_eq!(outcome(r.f64()).map(f64::to_bits), outcome(l.f64()).map(f64::to_bits));
     prop_assert_eq!(outcome(r.str()), outcome(l.str()));
-    prop_assert_eq!(
-        outcome(r.arr()).map(<[JVal]>::len),
-        outcome(l.arr()).map(<[LiveVal]>::len)
-    );
+    prop_assert_eq!(outcome(r.arr()).map(<[JVal]>::len), outcome(l.arr()).map(<[LiveVal]>::len));
     for key in ["job", "a", "missing"] {
         prop_assert_eq!(outcome(r.get(key)).cloned(), outcome(l.get(key)).map(owned));
         prop_assert_eq!(
@@ -391,10 +360,7 @@ fn check(doc: &str) -> Result<(), TestCaseError> {
     match (&reference, &shallow) {
         (Ok(r), Ok(s)) => prop_assert_eq!(top_level(r), owned(s), "{doc:?}"),
         (Err(r), Err(s)) => prop_assert_eq!(r, s, "{doc:?}"),
-        _ => prop_assert!(
-            false,
-            "{doc:?}: reference {reference:?}, shallow {shallow:?}"
-        ),
+        _ => prop_assert!(false, "{doc:?}: reference {reference:?}, shallow {shallow:?}"),
     }
     Ok(())
 }
@@ -415,25 +381,11 @@ fn number(rng: &mut SimRng, out: &mut String) {
         }
         2 | 3 => {
             let x = f64::from_bits(rng.next_u64());
-            let x = if x.is_finite() {
-                x
-            } else {
-                rng.next_f64() * 1e6 - 5e5
-            };
-            let _ = if rng.chance(0.5) {
-                write!(out, "{x}")
-            } else {
-                write!(out, "{x:e}")
-            };
+            let x = if x.is_finite() { x } else { rng.next_f64() * 1e6 - 5e5 };
+            let _ = if rng.chance(0.5) { write!(out, "{x}") } else { write!(out, "{x:e}") };
         }
         4 => {
-            let _ = write!(
-                out,
-                "-{}.{}e{}",
-                rng.below(100),
-                rng.below(1000),
-                rng.below(40)
-            );
+            let _ = write!(out, "-{}.{}e{}", rng.below(100), rng.below(1000), rng.below(40));
         }
         _ => out.push_str(pick(
             rng,
@@ -474,10 +426,7 @@ fn ws(rng: &mut SimRng, out: &mut String) {
 fn value(rng: &mut SimRng, depth: u32, out: &mut String) {
     ws(rng, out);
     if rng.chance(0.01) {
-        out.push_str(pick(
-            rng,
-            &["nul", "tru", "x", ":", "]", "}", ",", "", "'", "+1"],
-        ));
+        out.push_str(pick(rng, &["nul", "tru", "x", ":", "]", "}", ",", "", "'", "+1"]));
         return;
     }
     // Mostly containers at the top, only scalars at the bottom.
@@ -564,14 +513,8 @@ fn live_reader_equals_reference_on_record_lines_and_their_damage() {
     // The same record with 4 nodes keeps every field of the line shape
     // while keeping the exhaustive damage sweep below quick.
     let line = record_line(4);
-    assert!(
-        line.len() > 700,
-        "the short line still holds a whole record: {line}"
-    );
-    assert!(
-        line.is_ascii(),
-        "a record line is ASCII, so every prefix is a &str"
-    );
+    assert!(line.len() > 700, "the short line still holds a whole record: {line}");
+    assert!(line.is_ascii(), "a record line is ASCII, so every prefix is a &str");
     for cut in 0..line.len() {
         check(&line[..cut]).unwrap();
     }

@@ -362,11 +362,7 @@ fn run_campaign(
     let mut manifest = Manifest::for_spec(&entry.spec, 0, 1);
     manifest.on_failure = requested.map(|p| p.label());
     let mut store = ResultStore::open(&entry.dir, manifest)?;
-    let opts = RunOptions {
-        limit: None,
-        policy: store.policy(),
-        cancel: Some(&state.shutdown),
-    };
+    let opts = RunOptions { limit: None, policy: store.policy(), cancel: Some(&state.shutdown) };
     let outcome = store.run_with(&state.pool, &entry.jobs, &opts, |(id, record)| {
         state.jobs_executed.fetch_add(1, Ordering::SeqCst);
         let row = metric_row(&record.metrics);
@@ -645,10 +641,8 @@ fn accept_loop(listener: &TcpListener, state: &Arc<ServeState>) {
 }
 
 fn handle_connection(mut stream: TcpStream, state: &Arc<ServeState>) -> io::Result<()> {
-    let peer = stream
-        .peer_addr()
-        .map(|a| a.to_string())
-        .unwrap_or_else(|_| "<unknown peer>".to_owned());
+    let peer =
+        stream.peer_addr().map(|a| a.to_string()).unwrap_or_else(|_| "<unknown peer>".to_owned());
     // Supervised: a bug in one request handler costs that connection an
     // error response, never the daemon.
     match catch_unwind(AssertUnwindSafe(|| dispatch(&mut stream, state, &peer))) {
@@ -732,12 +726,12 @@ fn dispatch(stream: &mut TcpStream, state: &Arc<ServeState>, peer: &str) -> io::
                 stream_records(state, &entry, from, csv, s)
             })
         }
-        ("GET", ["aggregate", fp_hex]) => with_campaign(state, fp_hex, stream, |entry, s| {
-            match aggregate_impl(state, &entry) {
+        ("GET", ["aggregate", fp_hex]) => {
+            with_campaign(state, fp_hex, stream, |entry, s| match aggregate_impl(state, &entry) {
                 Ok(body) => respond(s, 200, "application/x-ndjson", &body),
                 Err(e) => respond(s, 409, "text/plain", &format!("error: {e}\n")),
-            }
-        }),
+            })
+        }
         _ => respond(stream, 404, "text/plain", "no such endpoint\n"),
     }
 }
@@ -860,8 +854,7 @@ fn stream_records(
     let ctype = if csv { "text/csv" } else { "application/x-ndjson" };
     // Close-delimited: no Content-Length, the body ends when the daemon
     // closes the connection.
-    let mut out =
-        format!("HTTP/1.1 200 OK\r\nContent-Type: {ctype}\r\nConnection: close\r\n\r\n");
+    let mut out = format!("HTTP/1.1 200 OK\r\nContent-Type: {ctype}\r\nConnection: close\r\n\r\n");
     if csv && from == 0 {
         csv_header_into(&mut out);
     }
@@ -1010,9 +1003,26 @@ mod tests {
     /// line: methods, targets, terminators, headers, lengths, non-ASCII
     /// and invalid UTF-8.
     const PIECES: &[&[u8]] = &[
-        b"GET ", b"POST ", b"/submit", b"/stream/00ff?from=1&format", b" HTTP/1.1", b"\r\n",
-        b"\n", b"Content-Length: ", b"content-length:", b"0", b"17", b"1048577", b"-1", b": ",
-        b"{\"campaign\":1}", b"\xc3\xa9", b"\xe2\x82", b"\xff", b" ", b"\t",
+        b"GET ",
+        b"POST ",
+        b"/submit",
+        b"/stream/00ff?from=1&format",
+        b" HTTP/1.1",
+        b"\r\n",
+        b"\n",
+        b"Content-Length: ",
+        b"content-length:",
+        b"0",
+        b"17",
+        b"1048577",
+        b"-1",
+        b": ",
+        b"{\"campaign\":1}",
+        b"\xc3\xa9",
+        b"\xe2\x82",
+        b"\xff",
+        b" ",
+        b"\t",
     ];
 
     proptest! {

@@ -325,8 +325,11 @@ impl CampaignSpec {
         } else {
             self.radio_profiles.clone()
         };
-        let failures =
-            if self.failures.is_empty() { vec![FailurePlan::none()] } else { self.failures.clone() };
+        let failures = if self.failures.is_empty() {
+            vec![FailurePlan::none()]
+        } else {
+            self.failures.clone()
+        };
 
         let mut jobs = Vec::with_capacity(self.job_count());
         for stack in &self.stacks {
@@ -481,7 +484,10 @@ mod tests {
         assert_eq!(jobs[0].scenario.mobility, Mobility::Static);
         assert!(matches!(jobs[2].scenario.mobility, Mobility::RandomWaypoint { .. }));
         assert!(jobs[0].scenario.node_failures.is_empty());
-        assert_eq!(jobs[1].scenario.node_failures, vec![(eend_sim::SimTime::from_secs_f64(10.0), 3)]);
+        assert_eq!(
+            jobs[1].scenario.node_failures,
+            vec![(eend_sim::SimTime::from_secs_f64(10.0), 3)]
+        );
         assert_eq!(jobs[1].point.failure, "k");
         assert!(jobs.iter().all(|j| j.check_failures().is_ok()));
         let beyond = CampaignSpec::new("t", BaseScenario::Small)
@@ -508,9 +514,8 @@ mod tests {
 
     #[test]
     fn density_without_node_counts_defaults_to_table2_densities() {
-        let spec = CampaignSpec::new("t", BaseScenario::Density)
-            .stacks(vec![stacks::titan_pc()])
-            .seeds(1);
+        let spec =
+            CampaignSpec::new("t", BaseScenario::Density).stacks(vec![stacks::titan_pc()]).seeds(1);
         let jobs = spec.expand();
         assert_eq!(jobs.len(), spec.job_count());
         let counts: Vec<usize> = jobs.iter().map(|j| j.point.nodes).collect();
@@ -627,7 +632,10 @@ mod tests {
             .expand_with(custom);
         assert_eq!(jobs[0].scenario.flows.model, TrafficModel::Cbr);
         assert_eq!(jobs[0].scenario.card_assignment, CardAssignment::Uniform);
-        assert_eq!((jobs[0].point.traffic.as_str(), jobs[0].point.radio.as_str()), ("cbr", "uniform"));
+        assert_eq!(
+            (jobs[0].point.traffic.as_str(), jobs[0].point.radio.as_str()),
+            ("cbr", "uniform")
+        );
     }
 
     #[test]

@@ -273,9 +273,10 @@ impl SpecAxes {
             .ok_or_else(|| bad_data(format!("manifest names unknown preset {:?}", self.preset)))?;
         let mut stack_list = Vec::with_capacity(self.stacks.len());
         for name in &self.stacks {
-            stack_list.push(stacks::by_name(name).ok_or_else(|| {
-                bad_data(format!("manifest names unknown stack {name:?}"))
-            })?);
+            stack_list.push(
+                stacks::by_name(name)
+                    .ok_or_else(|| bad_data(format!("manifest names unknown stack {name:?}")))?,
+            );
         }
         let mut traffic = Vec::with_capacity(self.traffic.len());
         for label in &self.traffic {
@@ -474,10 +475,7 @@ impl Manifest {
     /// The failure policy this manifest records (absent or unparsable
     /// labels mean the default, [`FailurePolicy::Abort`]).
     pub fn policy(&self) -> FailurePolicy {
-        self.on_failure
-            .as_deref()
-            .and_then(FailurePolicy::parse)
-            .unwrap_or(FailurePolicy::Abort)
+        self.on_failure.as_deref().and_then(FailurePolicy::parse).unwrap_or(FailurePolicy::Abort)
     }
 
     fn to_json(&self) -> String {
@@ -680,8 +678,8 @@ impl ResultStore {
                 continue;
             }
             let torn_tail = li + 1 == lines.len(); // no trailing '\n': torn write
-            // Only the id is needed here: check the whole line, keep
-            // only its top level.
+                                                   // Only the id is needed here: check the whole line, keep
+                                                   // only its top level.
             match parse_shallow(line).and_then(|v| v.get("job")?.usize()) {
                 Ok(id) if id < self.manifest.total_jobs => {
                     if !self.completed.insert(id) {
@@ -868,10 +866,8 @@ impl ResultStore {
             .iter()
             .next_back()
             .is_some_and(|max| todo.first().is_some_and(|j| j.index < *max));
-        let mut file = OpenOptions::new()
-            .create(true)
-            .append(true)
-            .open(self.dir.join(RECORDS_FILE))?;
+        let mut file =
+            OpenOptions::new().create(true).append(true).open(self.dir.join(RECORDS_FILE))?;
         // The last byte offset known to end on a complete record: a
         // failed append truncates back here before any retry, so a
         // partial write can never corrupt an interior line.
@@ -908,9 +904,8 @@ impl ResultStore {
         let mut on_failure = |f: &JobFailure| {
             let fw = match failures_file.as_mut() {
                 Some(fw) => fw,
-                None => failures_file.insert(
-                    OpenOptions::new().create(true).append(true).open(&failures_path)?,
-                ),
+                None => failures_file
+                    .insert(OpenOptions::new().create(true).append(true).open(&failures_path)?),
             };
             // Failures are rare: a fresh buffer beats sharing the
             // record buffer across both closures.
@@ -1342,7 +1337,13 @@ impl RecordCursor {
 fn energy_report_into(out: &mut String, r: &EnergyReport) {
     out.push('[');
     let mj = [
-        r.idle_mj, r.sleep_mj, r.switch_mj, r.tx_data_mj, r.tx_ctrl_mj, r.rx_data_mj, r.rx_ctrl_mj,
+        r.idle_mj,
+        r.sleep_mj,
+        r.switch_mj,
+        r.tx_data_mj,
+        r.tx_ctrl_mj,
+        r.rx_data_mj,
+        r.rx_ctrl_mj,
     ];
     for x in mj {
         write_num(out, x);
@@ -1561,15 +1562,12 @@ mod tests {
         );
         assert_ne!(
             reference,
-            fp(&base
-                .clone()
-                .radio_profiles(vec![eend_wireless::radio_profiles::mixed_hypo()])),
+            fp(&base.clone().radio_profiles(vec![eend_wireless::radio_profiles::mixed_hypo()])),
             "radio axis must change the fingerprint"
         );
         // Same failure label, different kill schedule: must differ too.
-        let plan = |node| {
-            crate::FailurePlan { label: "kill".to_owned(), kills: vec![(10.0, node)] }
-        };
+        let plan =
+            |node| crate::FailurePlan { label: "kill".to_owned(), kills: vec![(10.0, node)] };
         assert_ne!(
             fp(&base.clone().failures(vec![plan(3)])),
             fp(&base.clone().failures(vec![plan(5)])),
@@ -1705,8 +1703,7 @@ mod tests {
             .rates(vec![4.0])
             .seeds(2)
             .secs(20);
-        let dir = std::env::temp_dir()
-            .join(format!("eend-store-big-cause-{}", std::process::id()));
+        let dir = std::env::temp_dir().join(format!("eend-store-big-cause-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
         drop(ResultStore::open(&dir, Manifest::for_spec(&spec, 0, 1)).unwrap());
         let cause = "panic: ".to_owned() + &"é".repeat(1 << 19);

@@ -11,8 +11,7 @@
 
 use eend_campaign::store::Manifest;
 use eend_campaign::{
-    Backoff, BaseScenario, CampaignSpec, CsvSink, Executor, FailurePolicy, ResultStore,
-    RunOptions,
+    Backoff, BaseScenario, CampaignSpec, CsvSink, Executor, FailurePolicy, ResultStore, RunOptions,
 };
 use eend_fail::FailAction;
 use eend_wireless::stacks;
@@ -103,8 +102,7 @@ fn skipped_failure_is_durable_and_resume_reattempts_exactly_it() {
     {
         let mut store = ResultStore::open(&dir, Manifest::for_spec(&spec, 0, 1)).unwrap();
         let opts = RunOptions { limit: None, policy: FailurePolicy::Skip, cancel: None };
-        let outcome =
-            store.run_with(&Executor::with_workers(2), &jobs, &opts, |_| {}).unwrap();
+        let outcome = store.run_with(&Executor::with_workers(2), &jobs, &opts, |_| {}).unwrap();
         assert_eq!((outcome.ran, outcome.failed), (3, 1));
         let failure = &store.failures()[&1];
         assert_eq!(failure.attempts, 1);
@@ -121,8 +119,7 @@ fn skipped_failure_is_durable_and_resume_reattempts_exactly_it() {
         assert_eq!(store.completed().len(), 3);
         assert_eq!(store.failures().keys().copied().collect::<Vec<_>>(), [1]);
         let opts = RunOptions { limit: None, policy: FailurePolicy::Skip, cancel: None };
-        let outcome =
-            store.run_with(&Executor::with_workers(2), &jobs, &opts, |_| {}).unwrap();
+        let outcome = store.run_with(&Executor::with_workers(2), &jobs, &opts, |_| {}).unwrap();
         assert_eq!((outcome.ran, outcome.failed), (1, 0));
         assert!(store.failures().is_empty(), "success must prune the stale failure");
         assert_eq!(store.assemble(&jobs).unwrap().to_csv(), reference);
@@ -146,9 +143,8 @@ fn abort_policy_still_propagates_the_panic_unchanged() {
         let mut store = ResultStore::open(&dir, Manifest::for_spec(&spec, 0, 1)).unwrap();
         // `run` uses the store's policy — no policy recorded means
         // Abort, the pre-containment behaviour: the panic unwinds.
-        let result = catch_unwind(AssertUnwindSafe(|| {
-            store.run(&Executor::with_workers(1), &jobs, None)
-        }));
+        let result =
+            catch_unwind(AssertUnwindSafe(|| store.run(&Executor::with_workers(1), &jobs, None)));
         assert!(result.is_err(), "abort policy must let the panic unwind");
     }
     // Nothing after the panic ran; a clean re-run completes the grid.

@@ -55,10 +55,8 @@ fn interrupted_then_resumed_equals_one_shot() {
     }
     {
         use std::io::Write as _;
-        let mut f = std::fs::OpenOptions::new()
-            .append(true)
-            .open(dir.join("records.jsonl"))
-            .unwrap();
+        let mut f =
+            std::fs::OpenOptions::new().append(true).open(dir.join("records.jsonl")).unwrap();
         write!(f, "{{\"job\":7,\"stack\":\"TIT").unwrap(); // no newline: torn
     }
 
@@ -153,10 +151,10 @@ fn mixed_axis_spec() -> CampaignSpec {
     CampaignSpec::new("diversity", BaseScenario::Small)
         .stacks(vec![stacks::titan_pc()])
         .rates(vec![4.0])
-        .traffic(vec![TrafficModel::Poisson, TrafficModel::OnOffBurst {
-            mean_on_s: 5.0,
-            mean_off_s: 5.0,
-        }])
+        .traffic(vec![
+            TrafficModel::Poisson,
+            TrafficModel::OnOffBurst { mean_on_s: 5.0, mean_off_s: 5.0 },
+        ])
         .radio_profiles(vec![radio_profiles::mixed_hypo()])
         .failures(vec![FailurePlan::none(), FailurePlan::kill("kill-3", 10.0, 3)])
         .seeds(2)
@@ -205,8 +203,7 @@ fn mixed_axis_store_round_trips_resumes_and_refuses_axis_drift() {
     let drifted: [CampaignSpec; 3] = [
         mixed_axis_spec().traffic(vec![TrafficModel::Poisson, TrafficModel::Cbr]),
         mixed_axis_spec().radio_profiles(vec![radio_profiles::sparse_hypo()]),
-        mixed_axis_spec()
-            .failures(vec![FailurePlan::none(), FailurePlan::kill("kill-3", 10.0, 5)]),
+        mixed_axis_spec().failures(vec![FailurePlan::none(), FailurePlan::kill("kill-3", 10.0, 5)]),
     ];
     for (i, other) in drifted.iter().enumerate() {
         let err = ResultStore::open(&dir, Manifest::for_spec(other, 0, 1)).unwrap_err();

@@ -83,20 +83,12 @@ impl Design {
     /// whose idle energy Section 3 argues about).
     pub fn relay_count(&self, problem: &DesignProblem) -> usize {
         let terminals = problem.terminals();
-        self.active
-            .iter()
-            .enumerate()
-            .filter(|&(v, &a)| a && !terminals.contains(&v))
-            .count()
+        self.active.iter().enumerate().filter(|&(v, &a)| a && !terminals.contains(&v)).count()
     }
 
     /// Total hops over all routed demands.
     pub fn total_hops(&self) -> usize {
-        self.routes
-            .iter()
-            .flatten()
-            .map(|r| r.len().saturating_sub(1))
-            .sum()
+        self.routes.iter().flatten().map(|r| r.len().saturating_sub(1)).sum()
     }
 
     /// Per-node traffic load: the sum of demand rates each node transmits
@@ -135,9 +127,7 @@ impl Designer for Heuristic {
     fn design(&self, problem: &DesignProblem) -> Design {
         match *self {
             Heuristic::CommFirst(metric) => comm_first(problem, metric),
-            Heuristic::Joint { use_rate, bandwidth_bps } => {
-                joint(problem, use_rate, bandwidth_bps)
-            }
+            Heuristic::Joint { use_rate, bandwidth_bps } => joint(problem, use_rate, bandwidth_bps),
             Heuristic::IdleFirst => idle_first(problem),
             Heuristic::MpcSteiner => mpc_steiner(problem),
             Heuristic::LifetimeAware { bandwidth_bps } => lifetime_aware(problem, bandwidth_bps),
@@ -285,8 +275,7 @@ fn mpc_steiner(problem: &DesignProblem) -> Design {
     for e in conn.edges() {
         weighted.add_edge(e.u, e.v, card.p_idle_mw);
     }
-    let pairs: Vec<(usize, usize)> =
-        problem.demands.iter().map(|d| (d.source, d.sink)).collect();
+    let pairs: Vec<(usize, usize)> = problem.demands.iter().map(|d| (d.source, d.sink)).collect();
     let (forest, _unrouted) = steiner::steiner_forest_greedy(&weighted, &pairs);
     // Route every demand by hop count inside the forest.
     let sub = conn.edge_subgraph(&forest.edges);
@@ -412,22 +401,20 @@ mod tests {
         //   0     3     crossing flows: 0->3 via 1 or 2; 4->5 via 1 or 2.
         //      2
         let positions = vec![
-            (0.0, 0.0),    // 0
-            (100.0, 80.0), // 1
-            (100.0, -80.0),// 2
-            (200.0, 0.0),  // 3
-            (0.0, 10.0),   // 4
-            (200.0, 10.0), // 5
+            (0.0, 0.0),     // 0
+            (100.0, 80.0),  // 1
+            (100.0, -80.0), // 2
+            (200.0, 0.0),   // 3
+            (0.0, 10.0),    // 4
+            (200.0, 10.0),  // 5
         ];
         // Mica2 range 68 m is too small; use a card with 150 m reach so
         // only the relay hops connect the sides.
         let mut card = cards::cabletron();
         card.nominal_range_m = 150.0;
         let inst = WirelessInstance::new(positions, card);
-        let p = DesignProblem::new(
-            inst,
-            vec![Demand::new(0, 3, 1000.0), Demand::new(4, 5, 1000.0)],
-        );
+        let p =
+            DesignProblem::new(inst, vec![Demand::new(0, 3, 1000.0), Demand::new(4, 5, 1000.0)]);
         let d = Heuristic::IdleFirst.design(&p);
         assert!(d.is_feasible());
         let r0 = d.routes[0].as_ref().unwrap();

@@ -266,10 +266,8 @@ mod tests {
     #[test]
     fn terminals_dedup() {
         let inst = line_instance(100.0, 4);
-        let p = DesignProblem::new(
-            inst,
-            vec![Demand::new(0, 3, 1000.0), Demand::new(0, 2, 1000.0)],
-        );
+        let p =
+            DesignProblem::new(inst, vec![Demand::new(0, 3, 1000.0), Demand::new(0, 2, 1000.0)]);
         assert_eq!(p.terminals(), vec![0, 2, 3]);
     }
 
@@ -309,14 +307,20 @@ mod tests {
             ProblemError::EndpointOutOfRange { demand: 0, n: 3 }
         );
         assert_eq!(
-            DesignProblem::try_new(inst.clone(), vec![Demand { source: 1, sink: 1, rate_bps: 1.0 }])
-                .unwrap_err(),
+            DesignProblem::try_new(
+                inst.clone(),
+                vec![Demand { source: 1, sink: 1, rate_bps: 1.0 }]
+            )
+            .unwrap_err(),
             ProblemError::SelfDemand { demand: 0 }
         );
         // A demand mutated after construction is still caught at bundling.
         assert_eq!(
-            DesignProblem::try_new(inst.clone(), vec![Demand { source: 0, sink: 1, rate_bps: -1.0 }])
-                .unwrap_err(),
+            DesignProblem::try_new(
+                inst.clone(),
+                vec![Demand { source: 0, sink: 1, rate_bps: -1.0 }]
+            )
+            .unwrap_err(),
             ProblemError::BadRate { rate_bps: -1.0 }
         );
         assert!(DesignProblem::try_new(inst, vec![Demand::new(0, 2, 1.0)]).is_ok());

@@ -29,7 +29,14 @@ fn all_heuristics() -> Vec<Heuristic> {
 }
 
 /// Builds the instance for one fuzz case entirely from `rng`.
-fn random_problem(rng: &mut SimRng, n_lo: usize, n_hi: usize, k_hi: usize, side_lo: f64, side_hi: f64) -> DesignProblem {
+fn random_problem(
+    rng: &mut SimRng,
+    n_lo: usize,
+    n_hi: usize,
+    k_hi: usize,
+    side_lo: f64,
+    side_hi: f64,
+) -> DesignProblem {
     let n = rng.range_usize(n_lo, n_hi);
     let k = rng.range_usize(1, k_hi);
     let side = rng.range_f64(side_lo, side_hi);

@@ -60,9 +60,9 @@ impl FailAction {
             "panic" => Ok(FailAction::Panic),
             "ioerr" => Ok(FailAction::IoErr),
             "disconnect" => Ok(FailAction::Disconnect),
-            other => Err(format!(
-                "unknown failpoint action `{other}` (expected panic|ioerr|disconnect)"
-            )),
+            other => {
+                Err(format!("unknown failpoint action `{other}` (expected panic|ioerr|disconnect)"))
+            }
         }
     }
 
@@ -139,9 +139,8 @@ pub fn configure(spec: &str) -> Result<usize, String> {
         };
         let (action, at) = match rhs.split_once('@') {
             Some((a, n)) => {
-                let at: u64 = n
-                    .parse()
-                    .map_err(|_| format!("failpoint trigger `@{n}` is not a number"))?;
+                let at: u64 =
+                    n.parse().map_err(|_| format!("failpoint trigger `@{n}` is not a number"))?;
                 if at == 0 {
                     return Err("failpoint trigger points are 1-based; @0 never fires".into());
                 }
@@ -233,7 +232,9 @@ fn hit_slow(site: &str, value: Option<u64>) -> Option<FailAction> {
 fn to_io_err(site: &str, action: FailAction) -> io::Error {
     match action {
         FailAction::Panic => panic!("failpoint {site} fired (injected panic)"),
-        FailAction::IoErr => io::Error::other(format!("failpoint {site} fired (injected I/O error)")),
+        FailAction::IoErr => {
+            io::Error::other(format!("failpoint {site} fired (injected I/O error)"))
+        }
         FailAction::Disconnect => io::Error::new(
             io::ErrorKind::ConnectionAborted,
             format!("failpoint {site} fired (injected disconnect)"),

@@ -24,11 +24,7 @@ pub struct DisjointSets {
 impl DisjointSets {
     /// Creates `n` singleton sets.
     pub fn new(n: usize) -> DisjointSets {
-        DisjointSets {
-            parent: (0..n).collect(),
-            rank: vec![0; n],
-            sets: n,
-        }
+        DisjointSets { parent: (0..n).collect(), rank: vec![0; n], sets: n }
     }
 
     /// Representative of `x`'s set.

@@ -106,11 +106,7 @@ pub struct Graph {
 impl Graph {
     /// Creates a graph with `n` nodes of weight zero and no edges.
     pub fn new(n: usize) -> Graph {
-        Graph {
-            node_weight: vec![0.0; n],
-            edges: Vec::new(),
-            adj: vec![Vec::new(); n],
-        }
+        Graph { node_weight: vec![0.0; n], edges: Vec::new(), adj: vec![Vec::new(); n] }
     }
 
     /// Number of nodes.
@@ -182,11 +178,7 @@ impl Graph {
     ///
     /// Panics on a non-finite / negative weight.
     pub fn set_edge_weight(&mut self, id: usize, w: f64) {
-        assert!(
-            w.is_finite() && w >= 0.0,
-            "{}",
-            GraphError::BadWeight { w }
-        );
+        assert!(w.is_finite() && w >= 0.0, "{}", GraphError::BadWeight { w });
         self.edges[id].w = w;
     }
 
@@ -331,21 +323,12 @@ mod tests {
     #[test]
     fn try_add_edge_reports_structured_errors() {
         let mut g = triangle();
-        assert_eq!(
-            g.try_add_edge(0, 5, 1.0),
-            Err(GraphError::NodeOutOfRange { u: 0, v: 5, n: 3 })
-        );
+        assert_eq!(g.try_add_edge(0, 5, 1.0), Err(GraphError::NodeOutOfRange { u: 0, v: 5, n: 3 }));
         assert_eq!(g.try_add_edge(1, 1, 1.0), Err(GraphError::SelfLoop { u: 1 }));
-        assert_eq!(
-            g.try_add_edge(0, 1, 1.0),
-            Err(GraphError::DuplicateEdge { u: 0, v: 1 })
-        );
+        assert_eq!(g.try_add_edge(0, 1, 1.0), Err(GraphError::DuplicateEdge { u: 0, v: 1 }));
         let err = g.try_add_edge(1, 2, f64::INFINITY); // also a duplicate: weight checked first
         assert!(matches!(err, Err(GraphError::BadWeight { .. })));
-        assert!(matches!(
-            g.try_add_edge(0, 1, -2.5),
-            Err(GraphError::BadWeight { .. })
-        ));
+        assert!(matches!(g.try_add_edge(0, 1, -2.5), Err(GraphError::BadWeight { .. })));
         // Errors leave the graph untouched; a valid insert still works.
         assert_eq!(g.edge_count(), 3);
         let mut g2 = Graph::new(4);

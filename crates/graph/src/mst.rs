@@ -17,11 +17,8 @@ pub struct SpanningForest {
 pub fn kruskal(g: &Graph) -> SpanningForest {
     let mut order: Vec<usize> = (0..g.edge_count()).collect();
     order.sort_by(|&a, &b| {
-        g.edge(a)
-            .w
-            .partial_cmp(&g.edge(b).w)
-            .unwrap_or(std::cmp::Ordering::Equal)
-            .then(a.cmp(&b)) // deterministic tie-break by id
+        g.edge(a).w.partial_cmp(&g.edge(b).w).unwrap_or(std::cmp::Ordering::Equal).then(a.cmp(&b))
+        // deterministic tie-break by id
     });
     let mut dsu = DisjointSets::new(g.node_count());
     let mut edges = Vec::new();

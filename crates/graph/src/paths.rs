@@ -192,7 +192,9 @@ pub fn k_shortest_paths(
     if k == 0 {
         return Vec::new();
     }
-    let path_cost = |path: &[usize], ec: &mut dyn FnMut(usize, usize, usize) -> f64, nc: &mut dyn FnMut(usize) -> f64| {
+    let path_cost = |path: &[usize],
+                     ec: &mut dyn FnMut(usize, usize, usize) -> f64,
+                     nc: &mut dyn FnMut(usize) -> f64| {
         let mut c = 0.0;
         for w in path.windows(2) {
             let eid = g.edge_between(w[0], w[1]).expect("path uses real edges");
@@ -253,8 +255,7 @@ pub fn k_shortest_paths(
             if !cost.is_finite() {
                 continue; // spur path leaked through a banned (infinite) edge
             }
-            if found.iter().any(|(_, p)| *p == total)
-                || candidates.iter().any(|(_, p)| *p == total)
+            if found.iter().any(|(_, p)| *p == total) || candidates.iter().any(|(_, p)| *p == total)
             {
                 continue;
             }
@@ -368,12 +369,7 @@ mod tests {
         // Without node costs both branches of the diamond cost 2.5 / 2.0;
         // a heavy node cost on 1 must push the route through 2.
         let g = diamond();
-        let sp = dijkstra_with(
-            &g,
-            0,
-            |e, _, _| g.edge(e).w,
-            |v| if v == 1 { 10.0 } else { 0.0 },
-        );
+        let sp = dijkstra_with(&g, 0, |e, _, _| g.edge(e).w, |v| if v == 1 { 10.0 } else { 0.0 });
         assert_eq!(sp.path_to(3), Some(vec![0, 2, 3]));
         assert_eq!(sp.dist[3], 2.5);
     }
@@ -500,7 +496,9 @@ mod tests {
         if k == 0 {
             return Vec::new();
         }
-        let path_cost = |path: &[usize], ec: &mut dyn FnMut(usize, usize, usize) -> f64, nc: &mut dyn FnMut(usize) -> f64| {
+        let path_cost = |path: &[usize],
+                         ec: &mut dyn FnMut(usize, usize, usize) -> f64,
+                         nc: &mut dyn FnMut(usize) -> f64| {
             let mut c = 0.0;
             for w in path.windows(2) {
                 let eid = g.edge_between(w[0], w[1]).expect("path uses real edges");
@@ -563,7 +561,9 @@ mod tests {
                 candidates.push((cost, total));
             }
             candidates.sort_by(|a, b| {
-                a.0.partial_cmp(&b.0).unwrap_or(std::cmp::Ordering::Equal).then_with(|| a.1.cmp(&b.1))
+                a.0.partial_cmp(&b.0)
+                    .unwrap_or(std::cmp::Ordering::Equal)
+                    .then_with(|| a.1.cmp(&b.1))
             });
             if candidates.is_empty() {
                 break;
@@ -606,10 +606,16 @@ mod tests {
         g.add_edge(0, 1, 1.0);
         g.add_edge(1, 2, 1.0);
         let mut queried = Vec::new();
-        let got = shortest_path_with(&g, 0, 2, |e, _, _| g.edge(e).w, |v| {
-            queried.push(v);
-            0.0
-        });
+        let got = shortest_path_with(
+            &g,
+            0,
+            2,
+            |e, _, _| g.edge(e).w,
+            |v| {
+                queried.push(v);
+                0.0
+            },
+        );
         assert_eq!(got, Some((2.0, vec![0, 1, 2])));
         assert_eq!(shortest_path_with(&g, 1, 1, |_, _, _| 1.0, |_| 0.0), Some((0.0, vec![1])));
         let unreachable = Graph::new(2);

@@ -341,10 +341,7 @@ mod tests {
     fn relay_count_excludes_terminals() {
         let (g, terminals) = star_vs_chain(3);
         let s = steiner_tree_2approx(&g, &terminals).unwrap();
-        assert_eq!(
-            s.relay_count(&terminals),
-            s.nodes.len() - terminals.len()
-        );
+        assert_eq!(s.relay_count(&terminals), s.nodes.len() - terminals.len());
     }
 
     #[test]

@@ -52,7 +52,9 @@ fn parse_line(line: &str) -> io::Result<(u64, Score)> {
     let overloaded = match text("overloaded")? {
         "t" => true,
         "f" => false,
-        other => return Err(invalid(format!("overloaded: expected \"t\" or \"f\", got {other:?}"))),
+        other => {
+            return Err(invalid(format!("overloaded: expected \"t\" or \"f\", got {other:?}")))
+        }
     };
     let unrouted = text("unrouted")?;
     let unrouted =
@@ -95,9 +97,8 @@ impl EvalCache {
     /// its newline, is tolerated and truncated away).
     pub fn open(dir: &Path, oracle_label: &str, problem_fp: u64) -> io::Result<EvalCache> {
         fs::create_dir_all(dir)?;
-        let manifest = format!(
-            "{{\"oracle\":\"{oracle_label}\",\"problem_fp\":\"{problem_fp:016x}\"}}\n"
-        );
+        let manifest =
+            format!("{{\"oracle\":\"{oracle_label}\",\"problem_fp\":\"{problem_fp:016x}\"}}\n");
         let manifest_path = dir.join(MANIFEST_FILE);
         match fs::read_to_string(&manifest_path) {
             Ok(existing) => {
@@ -284,10 +285,8 @@ mod tests {
     use eend_radio::cards;
 
     fn problem() -> DesignProblem {
-        let inst = WirelessInstance::new(
-            vec![(0.0, 0.0), (200.0, 0.0), (400.0, 0.0)],
-            cards::cabletron(),
-        );
+        let inst =
+            WirelessInstance::new(vec![(0.0, 0.0), (200.0, 0.0), (400.0, 0.0)], cards::cabletron());
         DesignProblem::new(inst, vec![Demand::new(0, 2, 8_000.0)])
     }
 

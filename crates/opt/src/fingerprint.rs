@@ -212,10 +212,8 @@ mod tests {
     use proptest::prelude::*;
 
     fn problem() -> DesignProblem {
-        let inst = WirelessInstance::new(
-            vec![(0.0, 0.0), (200.0, 0.0), (400.0, 0.0)],
-            cards::cabletron(),
-        );
+        let inst =
+            WirelessInstance::new(vec![(0.0, 0.0), (200.0, 0.0), (400.0, 0.0)], cards::cabletron());
         DesignProblem::new(inst, vec![Demand::new(0, 2, 8_000.0)])
     }
 

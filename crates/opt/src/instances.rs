@@ -70,9 +70,10 @@ pub(crate) fn random_instance(n: usize, side_m: f64, demands_n: usize, seed: u64
         let inst = WirelessInstance::new(positions, card);
         let problem = DesignProblem::new(inst, demands);
         let g = problem.instance.connectivity_graph();
-        let routable = problem.demands.iter().all(|d| {
-            eend_graph::paths::dijkstra(&g, d.source).path_to(d.sink).is_some()
-        });
+        let routable = problem
+            .demands
+            .iter()
+            .all(|d| eend_graph::paths::dijkstra(&g, d.source).path_to(d.sink).is_some());
         if routable {
             return problem;
         }

@@ -196,11 +196,7 @@ impl SimOracle {
 impl EvalOracle for SimOracle {
     fn evaluate(&mut self, problem: &DesignProblem, design: &Design) -> Score {
         self.calls += 1;
-        assert_eq!(
-            design.routes.len(),
-            problem.demands.len(),
-            "design/problem mismatch"
-        );
+        assert_eq!(design.routes.len(), problem.demands.len(), "design/problem mismatch");
         let rate_bps = problem.demands.first().map_or(0.0, |d| d.rate_bps);
         assert!(
             problem.demands.iter().all(|d| d.rate_bps == rate_bps),
@@ -227,9 +223,7 @@ impl EvalOracle for SimOracle {
                 )
             })
             .collect();
-        let runs = self
-            .executor
-            .par_map(scenarios.len(), |i| Simulator::new(&scenarios[i]).run());
+        let runs = self.executor.par_map(scenarios.len(), |i| Simulator::new(&scenarios[i]).run());
         let n = runs.len() as f64;
         let enetwork_j = runs.iter().map(|m| m.enetwork_j()).sum::<f64>() / n;
         let delivered_bits = runs.iter().map(|m| m.delivered_bits).sum::<f64>() / n;
@@ -270,10 +264,8 @@ mod tests {
     use eend_radio::cards;
 
     fn problem() -> DesignProblem {
-        let inst = WirelessInstance::new(
-            vec![(0.0, 0.0), (200.0, 0.0), (400.0, 0.0)],
-            cards::cabletron(),
-        );
+        let inst =
+            WirelessInstance::new(vec![(0.0, 0.0), (200.0, 0.0), (400.0, 0.0)], cards::cabletron());
         DesignProblem::new(inst, vec![Demand::new(0, 2, 8_000.0)])
     }
 

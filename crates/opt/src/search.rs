@@ -641,10 +641,7 @@ mod tests {
             }
         }
         let inst = WirelessInstance::new(positions, cards::cabletron());
-        DesignProblem::new(
-            inst,
-            vec![Demand::new(0, 15, 8_000.0), Demand::new(3, 12, 8_000.0)],
-        )
+        DesignProblem::new(inst, vec![Demand::new(0, 15, 8_000.0), Demand::new(3, 12, 8_000.0)])
     }
 
     #[test]

@@ -21,23 +21,12 @@ fn active_for(problem: &DesignProblem, routes: &[Option<Vec<usize>>]) -> Vec<boo
 /// Applies `mv` to `design`, returning the neighbour design, or `None`
 /// when the move is inapplicable (no such alternative path, node not a
 /// relay, re-route impossible, …). Purely deterministic.
-fn apply_move(
-    problem: &DesignProblem,
-    g: &Graph,
-    design: &Design,
-    mv: Move,
-) -> Option<Design> {
+fn apply_move(problem: &DesignProblem, g: &Graph, design: &Design, mv: Move) -> Option<Design> {
     match mv {
         Move::Swap { demand, k } => {
             let d = problem.demands.get(demand)?;
-            let alternatives = k_shortest_paths(
-                g,
-                d.source,
-                d.sink,
-                k + 1,
-                |e, _, _| g.edge(e).w,
-                |_| 0.0,
-            );
+            let alternatives =
+                k_shortest_paths(g, d.source, d.sink, k + 1, |e, _, _| g.edge(e).w, |_| 0.0);
             let (_, path) = alternatives.into_iter().nth(k)?;
             if design.routes[demand].as_deref() == Some(path.as_slice()) {
                 return None; // no-op move
@@ -178,7 +167,8 @@ fn compare_with_reference(p: &DesignProblem, coverage: &mut Coverage) -> Result<
                     (Move::Wake { node, demand }, None) => {
                         let d = &p.demands[demand];
                         let tree = dijkstra(&g, node);
-                        let legs = tree.path_to(d.source).is_some() && tree.path_to(d.sink).is_some();
+                        let legs =
+                            tree.path_to(d.source).is_some() && tree.path_to(d.sink).is_some();
                         let through =
                             design.routes[demand].as_ref().is_some_and(|r| r.contains(&node));
                         if legs && node != d.source && node != d.sink && !through {

@@ -43,8 +43,7 @@ fn second_multistart_run_is_fully_cached() {
     let opts = SearchOpts { budget: 80, ..SearchOpts::new() };
 
     let first = {
-        let mut oracle =
-            CachedOracle::on_disk(FluidOracle::standard(600.0), &dir, fp).unwrap();
+        let mut oracle = CachedOracle::on_disk(FluidOracle::standard(600.0), &dir, fp).unwrap();
         let r = multistart(&p, &mut oracle, &opts);
         assert!(oracle.inner().calls() > 0, "first run must execute evaluations");
         r
@@ -53,11 +52,7 @@ fn second_multistart_run_is_fully_cached() {
     // "Fresh process": new oracle, same directory.
     let mut oracle = CachedOracle::on_disk(FluidOracle::standard(600.0), &dir, fp).unwrap();
     let second = multistart(&p, &mut oracle, &opts);
-    assert_eq!(
-        oracle.inner().calls(),
-        0,
-        "re-run must answer entirely from the cache"
-    );
+    assert_eq!(oracle.inner().calls(), 0, "re-run must answer entirely from the cache");
     assert_eq!(oracle.hits(), second.evals, "every request must be a hit");
     assert_eq!(first.trace_jsonl(), second.trace_jsonl(), "trace must replay byte-identically");
     assert_eq!(first.best_objective.to_bits(), second.best_objective.to_bits());
@@ -74,8 +69,7 @@ fn second_anneal_run_is_fully_cached() {
     let opts = SearchOpts { seed: 11, budget: 60, ..SearchOpts::new() };
 
     let first = {
-        let mut oracle =
-            CachedOracle::on_disk(FluidOracle::standard(600.0), &dir, fp).unwrap();
+        let mut oracle = CachedOracle::on_disk(FluidOracle::standard(600.0), &dir, fp).unwrap();
         anneal(&p, &mut oracle, &opts)
     };
     let mut oracle = CachedOracle::on_disk(FluidOracle::standard(600.0), &dir, fp).unwrap();

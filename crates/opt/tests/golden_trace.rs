@@ -27,9 +27,6 @@ fn grid7_multistart_trace_matches_golden() {
     // The loop-closing guarantee the CI job also holds: the winner is at
     // least as good as every constructive heuristic.
     for (name, s) in &r.baselines {
-        assert!(
-            r.best_score.enetwork_j <= s.enetwork_j,
-            "winner lost to single-shot {name}"
-        );
+        assert!(r.best_score.enetwork_j <= s.enetwork_j, "winner lost to single-shot {name}");
     }
 }

@@ -183,8 +183,7 @@ pub mod option {
 /// The usual glob import, mirroring `proptest::prelude`.
 pub mod prelude {
     pub use crate::{
-        prop_assert, prop_assert_eq, prop_assume, proptest, ProptestConfig, Strategy,
-        TestCaseError,
+        prop_assert, prop_assert_eq, prop_assume, proptest, ProptestConfig, Strategy, TestCaseError,
     };
 }
 

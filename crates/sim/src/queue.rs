@@ -119,10 +119,7 @@ impl<E> Ord for Entry<E> {
     fn cmp(&self, other: &Self) -> Ordering {
         // Reversed: BinaryHeap is a max-heap, we want the earliest
         // (time, seq) on top.
-        other
-            .time
-            .cmp(&self.time)
-            .then_with(|| other.seq.cmp(&self.seq))
+        other.time.cmp(&self.time).then_with(|| other.seq.cmp(&self.seq))
     }
 }
 
@@ -330,9 +327,7 @@ impl<E> TimingWheel<E> {
     fn first_occupied_abs(&self, level: usize) -> Option<u64> {
         let cursor_l = self.cursor >> (8 * level);
         let base = (cursor_l & (WHEEL_SLOTS as u64 - 1)) as usize;
-        self.levels[level]
-            .first_occupied_offset(base)
-            .map(|off| cursor_l + off as u64)
+        self.levels[level].first_occupied_offset(base).map(|off| cursor_l + off as u64)
     }
 
     /// Files `entry` into `ready`, a wheel slot, or `far`, based on its
@@ -557,8 +552,7 @@ impl<E> EventQueue<E> {
         // share one timestamp (the guard) and seqs grow monotonically.
         // Past-time schedules (legal through the public API, never issued
         // by the simulator) take the backend, which handles any order.
-        if self.now_time == Some(time)
-            && self.now_fifo.back().is_none_or(|back| back.time == time)
+        if self.now_time == Some(time) && self.now_fifo.back().is_none_or(|back| back.time == time)
         {
             self.now_fifo.push_back(Entry { time, seq, event });
         } else {
@@ -645,10 +639,7 @@ mod tests {
     use proptest::prelude::*;
 
     fn both_backends() -> [(&'static str, EventQueue<usize>); 2] {
-        [
-            ("heap", EventQueue::with_heap_backend(0)),
-            ("wheel", EventQueue::with_wheel_backend()),
-        ]
+        [("heap", EventQueue::with_heap_backend(0)), ("wheel", EventQueue::with_wheel_backend())]
     }
 
     #[test]
@@ -731,15 +722,8 @@ mod tests {
         // Times straddling level-1/level-2 windows plus a same-slot
         // burst, popped across interleaved schedules.
         let mut q = EventQueue::with_wheel_backend();
-        let times: &[u64] = &[
-            1 << 30,
-            (1 << 30) + 1,
-            1 << 25,
-            (1 << 25) + (1 << 17),
-            1 << 41,
-            3,
-            1 << 16,
-        ];
+        let times: &[u64] =
+            &[1 << 30, (1 << 30) + 1, 1 << 25, (1 << 25) + (1 << 17), 1 << 41, 3, 1 << 16];
         for (i, &t) in times.iter().enumerate() {
             q.schedule(SimTime::from_nanos(t), i);
         }

@@ -167,10 +167,7 @@ fn secs_f64_to_nanos(s: f64) -> u64 {
     assert!(s.is_finite(), "time from non-finite seconds: {s}");
     assert!(s >= 0.0, "time from negative seconds: {s}");
     let ns = s * NANOS_PER_SEC as f64;
-    assert!(
-        ns <= u64::MAX as f64,
-        "time overflow: {s} seconds does not fit the simulation clock"
-    );
+    assert!(ns <= u64::MAX as f64, "time overflow: {s} seconds does not fit the simulation clock");
     ns.round() as u64
 }
 

@@ -185,10 +185,7 @@ mod tests {
     fn rows_from(parts: &[(usize, usize, f64)]) -> Vec<SampleRow> {
         const LABELS: [&str; 3] = ["alpha", "beta", "gamma"];
         const XS: [f64; 4] = [1.0, 2.0, 4.0, 8.0];
-        parts
-            .iter()
-            .map(|&(l, x, v)| row(LABELS[l % LABELS.len()], XS[x % XS.len()], v))
-            .collect()
+        parts.iter().map(|&(l, x, v)| row(LABELS[l % LABELS.len()], XS[x % XS.len()], v)).collect()
     }
 
     /// Deterministic in-place permutation driven by a seed.

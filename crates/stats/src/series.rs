@@ -56,9 +56,10 @@ impl Series {
 
     /// Largest mean across the series (useful for asserting curve ordering).
     pub fn max_mean(&self) -> Option<f64> {
-        self.points.iter().map(|p| p.summary.mean).fold(None, |acc, m| {
-            Some(acc.map_or(m, |a: f64| a.max(m)))
-        })
+        self.points
+            .iter()
+            .map(|p| p.summary.mean)
+            .fold(None, |acc, m| Some(acc.map_or(m, |a: f64| a.max(m))))
     }
 }
 

@@ -116,11 +116,8 @@ impl Grid {
     fn new(positions: &[(f64, f64)], cell_m: f64) -> Grid {
         let (min_x, min_y, max_x, max_y) = crate::mobility::bounding_box(positions);
         let span = |lo: f64, hi: f64| (((hi - lo) / cell_m).floor() as usize).saturating_add(1);
-        let (cols, rows) = if positions.is_empty() {
-            (1, 1)
-        } else {
-            (span(min_x, max_x), span(min_y, max_y))
-        };
+        let (cols, rows) =
+            if positions.is_empty() { (1, 1) } else { (span(min_x, max_x), span(min_y, max_y)) };
         let n = positions.len();
         let mut g = Grid {
             cell_m,
@@ -417,7 +414,11 @@ impl Channel {
                 until = Some(until.map_or(t.end, |e| e.max(t.end)));
             }
         }
-        if sensed { until } else { None }
+        if sensed {
+            until
+        } else {
+            None
+        }
     }
 
     /// The latest end time among live transmissions conflicting with `u`'s
@@ -443,7 +444,13 @@ impl Channel {
     }
 
     /// Registers a transmission on the medium.
-    pub fn begin_tx(&mut self, sender: NodeId, receiver: Option<NodeId>, start: SimTime, end: SimTime) {
+    pub fn begin_tx(
+        &mut self,
+        sender: NodeId,
+        receiver: Option<NodeId>,
+        start: SimTime,
+        end: SimTime,
+    ) {
         let t = Transmission { sender, receiver, start, end };
         self.live.push(t);
         self.log.push(t);
@@ -491,7 +498,13 @@ impl Channel {
     /// Collision check for a reception at `r` spanning `[start, end)`:
     /// `true` if any other logged transmission overlaps the interval with
     /// a sender (other than `from`) within carrier-sense range of `r`.
-    pub fn reception_corrupted(&self, r: NodeId, from: NodeId, start: SimTime, end: SimTime) -> bool {
+    pub fn reception_corrupted(
+        &self,
+        r: NodeId,
+        from: NodeId,
+        start: SimTime,
+        end: SimTime,
+    ) -> bool {
         let cr = self.grid.cell_of[r];
         self.log.iter().any(|t| {
             t.sender != from
@@ -588,10 +601,7 @@ mod tests {
 
     /// Line: 0 --100m-- 1 --100m-- 2 --100m-- 3; range 120 m, cs 264 m.
     fn line() -> Channel {
-        Channel::new(
-            vec![(0.0, 0.0), (100.0, 0.0), (200.0, 0.0), (300.0, 0.0)],
-            120.0,
-        )
+        Channel::new(vec![(0.0, 0.0), (100.0, 0.0), (200.0, 0.0), (300.0, 0.0)], 120.0)
     }
 
     #[test]
@@ -708,9 +718,8 @@ mod tests {
     #[test]
     fn neighbor_lists_stay_sorted_ascending() {
         let mut rng = eend_sim::SimRng::new(42);
-        let positions: Vec<(f64, f64)> = (0..60)
-            .map(|_| (rng.range_f64(0.0, 900.0), rng.range_f64(0.0, 900.0)))
-            .collect();
+        let positions: Vec<(f64, f64)> =
+            (0..60).map(|_| (rng.range_f64(0.0, 900.0), rng.range_f64(0.0, 900.0))).collect();
         let c = Channel::new(positions, 250.0);
         for u in 0..60 {
             let nb = c.neighbors(u);
@@ -777,10 +786,7 @@ mod tests {
         // Nodes straddling cell boundaries: exact distance decides, the
         // cell test only culls. Range 120 m → cells just over 120 m wide,
         // cs range 264 m → a reach of 3 cells.
-        let c = Channel::new(
-            vec![(0.0, 0.0), (263.0, 0.0), (265.0, 0.0), (600.0, 0.0)],
-            120.0,
-        );
+        let c = Channel::new(vec![(0.0, 0.0), (263.0, 0.0), (265.0, 0.0), (600.0, 0.0)], 120.0);
         assert_eq!(c.cs_reach, 3);
         assert!(c.within_cs(0, 1), "263 m < 264 m cs range");
         assert!(!c.within_cs(0, 2), "265 m > 264 m cs range, two cells apart");

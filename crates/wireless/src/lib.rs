@@ -62,8 +62,6 @@ pub use power::{PmMode, PowerPolicy, PsmConfig, TitanConfig};
 pub use projection::{project, Projection, ProjectionParams, Scheduling};
 pub use routing::{DsdvConfig, ReactiveConfig, RouteMetric, StaticConfig, StaticRouting};
 pub use runner::{QueueStats, Simulator};
-pub use scenario::{
-    radio_profiles, stacks, CardAssignment, ProtocolStack, RoutingKind, Scenario,
-};
+pub use scenario::{radio_profiles, stacks, CardAssignment, ProtocolStack, RoutingKind, Scenario};
 pub use topology::Placement;
 pub use traffic::{Flow, FlowSource, FlowSpec, TrafficModel};

@@ -163,7 +163,12 @@ impl RunMetrics {
         let mut h = Fnv1a::new();
         for r in &self.per_node_energy {
             for v in [
-                r.idle_mj, r.sleep_mj, r.switch_mj, r.tx_data_mj, r.tx_ctrl_mj, r.rx_data_mj,
+                r.idle_mj,
+                r.sleep_mj,
+                r.switch_mj,
+                r.tx_data_mj,
+                r.tx_ctrl_mj,
+                r.rx_data_mj,
                 r.rx_ctrl_mj,
             ] {
                 h.write_u64(v.to_bits());

@@ -178,8 +178,7 @@ mod tests {
 
     #[test]
     fn odpm_paper_timers() {
-        let PowerPolicy::Odpm { data_keepalive, rrep_keepalive } = PowerPolicy::odpm_paper()
-        else {
+        let PowerPolicy::Odpm { data_keepalive, rrep_keepalive } = PowerPolicy::odpm_paper() else {
             panic!("odpm_paper must be Odpm")
         };
         assert_eq!(data_keepalive, SimDuration::from_secs(5));

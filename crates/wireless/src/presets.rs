@@ -119,7 +119,8 @@ pub fn mobility_scale(stack: ProtocolStack, side: usize, seed: u64) -> Scenario 
     // three rows down and three columns right (~300 m away). Sources
     // stop 4 rows short of the bottom edge so every destination exists.
     let stride = (n - 4 * side) / 16;
-    let pairs: Vec<(NodeId, NodeId)> = (0..16).map(|k| (k * stride, k * stride + 3 * side + 3)).collect();
+    let pairs: Vec<(NodeId, NodeId)> =
+        (0..16).map(|k| (k * stride, k * stride + 3 * side + 3)).collect();
     Scenario::new(
         Placement::Grid { rows: side, cols: side, width: extent, height: extent },
         cards::cabletron(),
@@ -258,7 +259,11 @@ mod tests {
                 assert_eq!(d - s, 3 * side + 3);
             }
             assert_eq!(scenario.duration, SimDuration::from_secs(20));
-            assert_ne!(scenario.mobility, crate::mobility::Mobility::Static, "scale presets are mobile");
+            assert_ne!(
+                scenario.mobility,
+                crate::mobility::Mobility::Static,
+                "scale presets are mobile"
+            );
         }
     }
 

@@ -131,11 +131,7 @@ pub fn project(
         total_mj += comm + passive;
         transmit_mj += tx_mj[i];
     }
-    Projection {
-        enetwork_j: total_mj / 1000.0,
-        delivered_bits,
-        transmit_j: transmit_mj / 1000.0,
-    }
+    Projection { enetwork_j: total_mj / 1000.0, delivered_bits, transmit_j: transmit_mj / 1000.0 }
 }
 
 fn dist(a: (f64, f64), b: (f64, f64)) -> f64 {
@@ -203,12 +199,8 @@ mod tests {
         // competes with one long hop purely on communication energy; for
         // the hypothetical card short hops win at 100 m vs 200 m.
         let card = cards::hypothetical_cabletron();
-        let direct = project(
-            &line3(),
-            &card,
-            &[Some(vec![0, 2])],
-            &params(200_000.0, Scheduling::Perfect),
-        );
+        let direct =
+            project(&line3(), &card, &[Some(vec![0, 2])], &params(200_000.0, Scheduling::Perfect));
         let relayed = project(
             &line3(),
             &card,
@@ -234,12 +226,8 @@ mod tests {
         let card = cards::cabletron();
         let routes = vec![Some(vec![0, 1])];
         let duty = 0.5;
-        let p = project(
-            &line3(),
-            &card,
-            &routes,
-            &params(0.0, Scheduling::Odpm { psm_duty: duty }),
-        );
+        let p =
+            project(&line3(), &card, &routes, &params(0.0, Scheduling::Odpm { psm_duty: duty }));
         // Nodes 2 and 3 are off-route: cost = T·(duty·Pidle + (1−duty)·Psleep).
         let off = 100.0 * (duty * card.p_idle_mw + (1.0 - duty) * card.p_sleep_mw);
         let on = 100.0 * card.p_idle_mw;

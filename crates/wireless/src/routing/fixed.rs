@@ -74,12 +74,7 @@ impl StaticRouting {
 
     /// Handles a received frame: deliver at the destination, otherwise
     /// forward along the stamped source route.
-    pub fn on_frame_into(
-        &mut self,
-        ctx: &mut RoutingCtx<'_>,
-        frame: Frame,
-        out: &mut Vec<Action>,
-    ) {
+    pub fn on_frame_into(&mut self, ctx: &mut RoutingCtx<'_>, frame: Frame, out: &mut Vec<Action>) {
         let mut packet = frame.packet;
         if !packet.kind.is_data() {
             return; // no control plane: foreign control traffic is ignored

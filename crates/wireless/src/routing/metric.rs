@@ -42,9 +42,7 @@ impl RouteMetric {
         match self {
             RouteMetric::HopCount => 1.0,
             RouteMetric::RadiatedPower => card.radiated_power_mw(distance_m),
-            RouteMetric::TotalPower => {
-                card.tx_total_power_mw(distance_m) + card.p_rx_mw
-            }
+            RouteMetric::TotalPower => card.tx_total_power_mw(distance_m) + card.p_rx_mw,
             RouteMetric::JointNoRate | RouteMetric::JointRate => {
                 let util = if *self == RouteMetric::JointRate {
                     (rate_bps / bandwidth_bps).min(1.0)

@@ -126,7 +126,12 @@ impl RoutingAgent {
     /// buffers, so steady-state routing emits **no per-event
     /// allocations** (the `ReactiveRouting`/`DsdvRouting` inner types
     /// keep Vec-returning conveniences for tests and standalone use).
-    pub fn on_app_packet(&mut self, ctx: &mut RoutingCtx<'_>, packet: Packet, out: &mut Vec<Action>) {
+    pub fn on_app_packet(
+        &mut self,
+        ctx: &mut RoutingCtx<'_>,
+        packet: Packet,
+        out: &mut Vec<Action>,
+    ) {
         match self {
             RoutingAgent::Reactive(r) => r.on_app_packet_into(ctx, packet, out),
             RoutingAgent::Dsdv(d) => d.on_app_packet_into(ctx, packet, out),
@@ -166,7 +171,12 @@ impl RoutingAgent {
     }
 
     /// The MAC gave up on a frame after the retry limit.
-    pub fn on_link_failure(&mut self, ctx: &mut RoutingCtx<'_>, frame: Frame, out: &mut Vec<Action>) {
+    pub fn on_link_failure(
+        &mut self,
+        ctx: &mut RoutingCtx<'_>,
+        frame: Frame,
+        out: &mut Vec<Action>,
+    ) {
         match self {
             RoutingAgent::Reactive(r) => r.on_link_failure_into(ctx, frame, out),
             RoutingAgent::Dsdv(d) => d.on_link_failure_into(ctx, frame, out),

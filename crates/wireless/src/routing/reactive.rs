@@ -171,10 +171,7 @@ impl ReactiveRouting {
             hop_idx: 0,
             salvage: 0,
         };
-        let timeout = self
-            .cfg
-            .base_discovery_timeout
-            .saturating_mul(1u64 << (attempt - 1).min(8));
+        let timeout = self.cfg.base_discovery_timeout.saturating_mul(1u64 << (attempt - 1).min(8));
         out.push(Action::Send(Frame { tx: ctx.node, rx: None, packet }));
         out.push(Action::Timer(TimerKind::Discovery { target, attempt }, ctx.now + timeout));
     }
@@ -183,19 +180,13 @@ impl ReactiveRouting {
     /// restored where a branch forwards it), so reception never clones
     /// the RREQ/RREP path vectors just to dispatch. Allocation-free
     /// entry point (see [`ReactiveRouting::on_frame`]).
-    pub fn on_frame_into(
-        &mut self,
-        ctx: &mut RoutingCtx<'_>,
-        frame: Frame,
-        out: &mut Vec<Action>,
-    ) {
+    pub fn on_frame_into(&mut self, ctx: &mut RoutingCtx<'_>, frame: Frame, out: &mut Vec<Action>) {
         let from = frame.tx;
         let mut packet = frame.packet;
         let kind = std::mem::replace(&mut packet.kind, PacketKind::Rerr { from: 0, to: 0 });
         match kind {
-            PacketKind::Rreq { id, origin, target, cost, path, rate_bps } => {
-                self.on_rreq_into(ctx, from, &packet, id, origin, target, cost, &path, rate_bps, out)
-            }
+            PacketKind::Rreq { id, origin, target, cost, path, rate_bps } => self
+                .on_rreq_into(ctx, from, &packet, id, origin, target, cost, &path, rate_bps, out),
             PacketKind::Rrep { id, origin, target, path, cost } => {
                 self.on_rrep_into(ctx, packet, id, origin, target, path, cost, out)
             }
@@ -261,11 +252,8 @@ impl ReactiveRouting {
         }
         let dist = ctx.channel.distance(from, me);
         let in_psm = ctx.pm_modes[me] == PmMode::PowerSave;
-        let new_cost = cost
-            + self
-                .cfg
-                .metric
-                .link_cost(ctx.card, dist, in_psm, rate_bps, ctx.bandwidth_bps);
+        let new_cost =
+            cost + self.cfg.metric.link_cost(ctx.card, dist, in_psm, rate_bps, ctx.bandwidth_bps);
         let full_path = |path: &[NodeId]| {
             let mut fp = Vec::with_capacity(path.len() + 1);
             fp.extend_from_slice(path);
@@ -400,7 +388,12 @@ impl ReactiveRouting {
         }
     }
 
-    fn on_data_into(&mut self, ctx: &mut RoutingCtx<'_>, mut packet: Packet, out: &mut Vec<Action>) {
+    fn on_data_into(
+        &mut self,
+        ctx: &mut RoutingCtx<'_>,
+        mut packet: Packet,
+        out: &mut Vec<Action>,
+    ) {
         let me = ctx.node;
         if me == packet.dst {
             out.push(Action::Deliver(packet));
@@ -415,7 +408,12 @@ impl ReactiveRouting {
 
     /// Handles a fired timer. Allocation-free entry point (see
     /// [`ReactiveRouting::on_timer`]).
-    pub fn on_timer_into(&mut self, ctx: &mut RoutingCtx<'_>, kind: TimerKind, out: &mut Vec<Action>) {
+    pub fn on_timer_into(
+        &mut self,
+        ctx: &mut RoutingCtx<'_>,
+        kind: TimerKind,
+        out: &mut Vec<Action>,
+    ) {
         let TimerKind::Discovery { target, attempt } = kind else {
             return;
         };
@@ -528,9 +526,7 @@ impl ReactiveRouting {
 
     fn invalidate_link(&mut self, a: NodeId, b: NodeId) {
         self.cache.retain(|_, r| {
-            !r.path
-                .windows(2)
-                .any(|w| (w[0] == a && w[1] == b) || (w[0] == b && w[1] == a))
+            !r.path.windows(2).any(|w| (w[0] == a && w[1] == b) || (w[0] == b && w[1] == a))
         });
     }
 }
@@ -551,10 +547,7 @@ mod tests {
 
     /// Line 0—1—2—3, 100 m spacing, range 120 m.
     fn line_channel() -> Channel {
-        Channel::new(
-            vec![(0.0, 0.0), (100.0, 0.0), (200.0, 0.0), (300.0, 0.0)],
-            120.0,
-        )
+        Channel::new(vec![(0.0, 0.0), (100.0, 0.0), (200.0, 0.0), (300.0, 0.0)], 120.0)
     }
 
     struct World {
@@ -566,12 +559,7 @@ mod tests {
 
     impl World {
         fn new(pm: Vec<PmMode>) -> World {
-            World {
-                channel: line_channel(),
-                pm,
-                card: cards::cabletron(),
-                rng: SimRng::new(7),
-            }
+            World { channel: line_channel(), pm, card: cards::cabletron(), rng: SimRng::new(7) }
         }
 
         fn ctx(&mut self, node: NodeId, now_ms: u64) -> RoutingCtx<'_> {
@@ -613,11 +601,11 @@ mod tests {
         assert_eq!(actions.len(), 2, "broadcast RREQ + timeout timer");
         let Action::Send(f) = &actions[0] else { panic!("want Send, got {actions:?}") };
         assert!(f.is_broadcast());
+        assert!(matches!(f.packet.kind, PacketKind::Rreq { target: 3, origin: 0, .. }));
         assert!(matches!(
-            f.packet.kind,
-            PacketKind::Rreq { target: 3, origin: 0, .. }
+            actions[1],
+            Action::Timer(TimerKind::Discovery { target: 3, attempt: 1 }, _)
         ));
-        assert!(matches!(actions[1], Action::Timer(TimerKind::Discovery { target: 3, attempt: 1 }, _)));
         // Second packet to same target: buffered, no second flood.
         let actions = r.on_app_packet(&mut w.ctx(0, 1), data(0, 3));
         assert!(actions.is_empty());
@@ -628,8 +616,7 @@ mod tests {
     fn run_discovery(metric: RouteMetric) -> (World, Vec<ReactiveRouting>) {
         let mut w = World::new(all_active());
         let cfg = ReactiveConfig::new(metric);
-        let mut nodes: Vec<ReactiveRouting> =
-            (0..4).map(|_| ReactiveRouting::new(cfg)).collect();
+        let mut nodes: Vec<ReactiveRouting> = (0..4).map(|_| ReactiveRouting::new(cfg)).collect();
         // Source floods.
         let mut actions0 = nodes[0].on_app_packet(&mut w.ctx(0, 0), data(0, 3));
         let Action::Send(rreq0) = actions0.remove(0) else { panic!() };
@@ -681,10 +668,8 @@ mod tests {
         p.route = vec![0, 1, 2, 3];
         p.hop_idx = 0;
         // At node 1.
-        let a = nodes[1].on_frame(
-            &mut w.ctx(1, 10),
-            Frame { tx: 0, rx: Some(1), packet: p.clone() },
-        );
+        let a =
+            nodes[1].on_frame(&mut w.ctx(1, 10), Frame { tx: 0, rx: Some(1), packet: p.clone() });
         let Action::Send(f1) = &a[0] else { panic!() };
         assert_eq!(f1.rx, Some(2));
         assert_eq!(f1.packet.hop_idx, 1);
@@ -710,17 +695,32 @@ mod tests {
         };
         // Hop metric: second copy with equal cost is dropped.
         let mut r = ReactiveRouting::new(ReactiveConfig::new(RouteMetric::HopCount));
-        let first = r.on_frame(&mut w.ctx(2, 0), Frame { tx: 1, rx: None, packet: mk_rreq(1.0, vec![0, 1]) });
+        let first = r.on_frame(
+            &mut w.ctx(2, 0),
+            Frame { tx: 1, rx: None, packet: mk_rreq(1.0, vec![0, 1]) },
+        );
         assert_eq!(first.len(), 1);
-        let dup = r.on_frame(&mut w.ctx(2, 1), Frame { tx: 1, rx: None, packet: mk_rreq(1.0, vec![0, 1]) });
+        let dup = r.on_frame(
+            &mut w.ctx(2, 1),
+            Frame { tx: 1, rx: None, packet: mk_rreq(1.0, vec![0, 1]) },
+        );
         assert!(dup.is_empty());
         // Cost metric: a strictly cheaper copy is re-broadcast.
         let mut r = ReactiveRouting::new(ReactiveConfig::new(RouteMetric::RadiatedPower));
-        let first = r.on_frame(&mut w.ctx(2, 0), Frame { tx: 1, rx: None, packet: mk_rreq(500.0, vec![0, 1]) });
+        let first = r.on_frame(
+            &mut w.ctx(2, 0),
+            Frame { tx: 1, rx: None, packet: mk_rreq(500.0, vec![0, 1]) },
+        );
         assert_eq!(first.len(), 1);
-        let cheaper = r.on_frame(&mut w.ctx(2, 1), Frame { tx: 1, rx: None, packet: mk_rreq(1.0, vec![0, 1]) });
+        let cheaper = r.on_frame(
+            &mut w.ctx(2, 1),
+            Frame { tx: 1, rx: None, packet: mk_rreq(1.0, vec![0, 1]) },
+        );
         assert_eq!(cheaper.len(), 1, "cheaper duplicate must be re-broadcast");
-        let dearer = r.on_frame(&mut w.ctx(2, 2), Frame { tx: 1, rx: None, packet: mk_rreq(900.0, vec![0, 1]) });
+        let dearer = r.on_frame(
+            &mut w.ctx(2, 2),
+            Frame { tx: 1, rx: None, packet: mk_rreq(900.0, vec![0, 1]) },
+        );
         assert!(dearer.is_empty());
     }
 
@@ -768,7 +768,8 @@ mod tests {
         let mut p = data(0, 3);
         p.route = vec![0, 1, 2, 3];
         p.hop_idx = 1; // held by node 1, failing towards 2
-        let a = nodes[1].on_link_failure(&mut w.ctx(1, 20), Frame { tx: 1, rx: Some(2), packet: p });
+        let a =
+            nodes[1].on_link_failure(&mut w.ctx(1, 20), Frame { tx: 1, rx: Some(2), packet: p });
         let Action::Send(rerr) = &a[0] else { panic!("want RERR, got {a:?}") };
         assert_eq!(rerr.rx, Some(0));
         assert!(matches!(rerr.packet.kind, PacketKind::Rerr { from: 1, to: 2 }));
@@ -799,12 +800,18 @@ mod tests {
         // All nodes in PSM, no backbone: p = 1 → forwards, but delayed.
         let mut w = World::new(vec![PmMode::PowerSave; 4]);
         let titan = TitanConfig::paper_default();
-        let mut r = ReactiveRouting::new(
-            ReactiveConfig::new(RouteMetric::HopCount).with_titan(titan),
-        );
+        let mut r =
+            ReactiveRouting::new(ReactiveConfig::new(RouteMetric::HopCount).with_titan(titan));
         let rreq = Packet {
             uid: 3,
-            kind: PacketKind::Rreq { id: 0, origin: 0, target: 3, cost: 0.0, path: vec![0], rate_bps: 0.0 },
+            kind: PacketKind::Rreq {
+                id: 0,
+                origin: 0,
+                target: 3,
+                cost: 0.0,
+                path: vec![0],
+                rate_bps: 0.0,
+            },
             src: 0,
             dst: usize::MAX,
             size_bytes: 8,
@@ -825,9 +832,8 @@ mod tests {
         let mut w = World::new(pm);
         let mut suppressed = 0;
         for trial in 0..200 {
-            let mut r = ReactiveRouting::new(
-                ReactiveConfig::new(RouteMetric::HopCount).with_titan(titan),
-            );
+            let mut r =
+                ReactiveRouting::new(ReactiveConfig::new(RouteMetric::HopCount).with_titan(titan));
             let mut rq = rreq.clone();
             if let PacketKind::Rreq { id, .. } = &mut rq.kind {
                 *id = trial;
@@ -837,7 +843,10 @@ mod tests {
                 suppressed += 1;
             }
         }
-        assert!(suppressed > 100, "high backbone coverage must suppress most forwards: {suppressed}");
+        assert!(
+            suppressed > 100,
+            "high backbone coverage must suppress most forwards: {suppressed}"
+        );
         assert!(suppressed < 200, "p_min keeps some discovery alive");
     }
 
@@ -849,7 +858,14 @@ mod tests {
         );
         let rreq = Packet {
             uid: 3,
-            kind: PacketKind::Rreq { id: 0, origin: 0, target: 3, cost: 0.0, path: vec![0], rate_bps: 0.0 },
+            kind: PacketKind::Rreq {
+                id: 0,
+                origin: 0,
+                target: 3,
+                cost: 0.0,
+                path: vec![0],
+                rate_bps: 0.0,
+            },
             src: 0,
             dst: usize::MAX,
             size_bytes: 8,
@@ -875,11 +891,16 @@ mod tests {
             hop_idx: 0,
             salvage: 0,
         };
-        let a = r.on_frame(&mut w.ctx(3, 0), Frame { tx: 2, rx: None, packet: mk(100.0, vec![0, 1, 2]) });
+        let a = r.on_frame(
+            &mut w.ctx(3, 0),
+            Frame { tx: 2, rx: None, packet: mk(100.0, vec![0, 1, 2]) },
+        );
         assert_eq!(a.len(), 1, "first arrival replies");
-        let a = r.on_frame(&mut w.ctx(3, 1), Frame { tx: 2, rx: None, packet: mk(500.0, vec![0, 2]) });
+        let a =
+            r.on_frame(&mut w.ctx(3, 1), Frame { tx: 2, rx: None, packet: mk(500.0, vec![0, 2]) });
         assert!(a.is_empty(), "costlier duplicate is ignored");
-        let a = r.on_frame(&mut w.ctx(3, 2), Frame { tx: 2, rx: None, packet: mk(50.0, vec![0, 2]) });
+        let a =
+            r.on_frame(&mut w.ctx(3, 2), Frame { tx: 2, rx: None, packet: mk(50.0, vec![0, 2]) });
         assert_eq!(a.len(), 1, "cheaper duplicate re-replies");
     }
 }

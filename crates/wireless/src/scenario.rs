@@ -151,12 +151,7 @@ pub mod stacks {
 
     /// DSR without power management but with power control.
     pub fn dsr_pc_active() -> ProtocolStack {
-        reactive(
-            "DSR",
-            ReactiveConfig::new(RouteMetric::HopCount),
-            PowerPolicy::AlwaysActive,
-            true,
-        )
+        reactive("DSR", ReactiveConfig::new(RouteMetric::HopCount), PowerPolicy::AlwaysActive, true)
     }
 
     /// Approach 2, proactive: DSDVH-ODPM(5, 10) over baseline IEEE PSM.
@@ -373,7 +368,11 @@ impl Scenario {
     }
 
     /// Schedules `node` to die at `at` (see [`Scenario::node_failures`]).
-    pub fn with_node_failure(mut self, at: eend_sim::SimTime, node: crate::frame::NodeId) -> Scenario {
+    pub fn with_node_failure(
+        mut self,
+        at: eend_sim::SimTime,
+        node: crate::frame::NodeId,
+    ) -> Scenario {
         self.node_failures.push((at, node));
         self
     }
@@ -470,10 +469,7 @@ mod tests {
     fn lookup_by_name() {
         assert_eq!(stacks::by_name("titan-pc").unwrap().name, "TITAN-PC");
         assert_eq!(stacks::by_name("MTPR+").unwrap().name, "MTPR+");
-        assert_eq!(
-            stacks::by_name("dsrh-odpm (norate)").unwrap().name,
-            "DSRH-ODPM (norate)"
-        );
+        assert_eq!(stacks::by_name("dsrh-odpm (norate)").unwrap().name, "DSRH-ODPM (norate)");
         assert!(stacks::by_name("nonexistent").is_none());
         // The registry has unique names.
         let mut names: Vec<String> = stacks::all().iter().map(|s| s.name.clone()).collect();

@@ -44,9 +44,9 @@ impl Placement {
     /// Materialises positions; random placements draw from `rng`.
     pub fn positions(&self, rng: &mut SimRng) -> Vec<(f64, f64)> {
         match self {
-            Placement::UniformRandom { n, width, height } => (0..*n)
-                .map(|_| (rng.range_f64(0.0, *width), rng.range_f64(0.0, *height)))
-                .collect(),
+            Placement::UniformRandom { n, width, height } => {
+                (0..*n).map(|_| (rng.range_f64(0.0, *width), rng.range_f64(0.0, *height))).collect()
+            }
             Placement::Grid { rows, cols, width, height } => {
                 assert!(*rows >= 1 && *cols >= 1, "grid must be non-empty");
                 // Nodes at cell corners spanning the full area, like the

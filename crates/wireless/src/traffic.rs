@@ -146,13 +146,13 @@ impl FlowSpec {
     pub fn materialize(&self, n_nodes: usize, rng: &mut SimRng) -> Vec<Flow> {
         assert!(self.rate_bps > 0.0, "flow rate must be positive");
         assert!(self.packet_bytes > 0, "packets must be non-empty");
-        assert!(
-            self.start_window.0 <= self.start_window.1,
-            "start window must be ordered"
-        );
+        assert!(self.start_window.0 <= self.start_window.1, "start window must be ordered");
         if let TrafficModel::OnOffBurst { mean_on_s, mean_off_s } = self.model {
             assert!(
-                mean_on_s.is_finite() && mean_off_s.is_finite() && mean_on_s > 0.0 && mean_off_s > 0.0,
+                mean_on_s.is_finite()
+                    && mean_off_s.is_finite()
+                    && mean_on_s > 0.0
+                    && mean_off_s > 0.0,
                 "on/off periods must be positive and finite"
             );
         }
@@ -183,8 +183,7 @@ impl FlowSpec {
             TrafficModel::Cbr => 0,
             _ => rng.next_u64(),
         };
-        let interval =
-            SimDuration::from_secs_f64(self.packet_bytes as f64 * 8.0 / self.rate_bps);
+        let interval = SimDuration::from_secs_f64(self.packet_bytes as f64 * 8.0 / self.rate_bps);
         pairs
             .into_iter()
             .enumerate()
@@ -193,9 +192,10 @@ impl FlowSpec {
                 dst,
                 rate_bps: self.rate_bps,
                 packet_bytes: self.packet_bytes,
-                start: SimTime::from_secs_f64(
-                    rng.range_f64(self.start_window.0, self.start_window.1.max(self.start_window.0 + 1e-9)),
-                ),
+                start: SimTime::from_secs_f64(rng.range_f64(
+                    self.start_window.0,
+                    self.start_window.1.max(self.start_window.0 + 1e-9),
+                )),
                 interval,
                 next_seq: 0,
                 source: FlowSource::for_model(
@@ -335,9 +335,7 @@ mod tests {
     #[test]
     fn explicit_pairs_respected() {
         let mut rng = SimRng::new(3);
-        let flows = FlowSpec::cbr(2, 4.0)
-            .with_pairs(vec![(0, 6), (1, 5)])
-            .materialize(7, &mut rng);
+        let flows = FlowSpec::cbr(2, 4.0).with_pairs(vec![(0, 6), (1, 5)]).materialize(7, &mut rng);
         assert_eq!(flows.len(), 2);
         assert_eq!((flows[0].src, flows[0].dst), (0, 6));
         assert_eq!((flows[1].src, flows[1].dst), (1, 5));

@@ -212,10 +212,9 @@ fn stochastic_traffic_models_add_no_per_packet_allocations() {
     // Flow). The budget matches the CBR test's ceiling — if arrival
     // draws ever start allocating per packet, the thousands of extra
     // packets blow straight through it.
-    for model in [
-        TrafficModel::Poisson,
-        TrafficModel::OnOffBurst { mean_on_s: 5.0, mean_off_s: 5.0 },
-    ] {
+    for model in
+        [TrafficModel::Poisson, TrafficModel::OnOffBurst { mean_on_s: 5.0, mean_off_s: 5.0 }]
+    {
         let mut scenario = presets::small_network(stacks::titan_pc(), 4.0, 1);
         scenario.flows = scenario.flows.with_model(model.clone());
         scenario.duration = SimDuration::from_secs(60);

@@ -91,8 +91,7 @@ impl BruteChannel {
     fn busy_near(&self, u: NodeId, now: SimTime) -> bool {
         self.live.iter().any(|t| {
             t.start + SENSE_DELAY <= now
-                && (self.within_cs(t.sender, u)
-                    || t.receiver.is_some_and(|r| self.within_cs(r, u)))
+                && (self.within_cs(t.sender, u) || t.receiver.is_some_and(|r| self.within_cs(r, u)))
         })
     }
 
@@ -100,8 +99,7 @@ impl BruteChannel {
         self.live
             .iter()
             .filter(|t| {
-                self.within_cs(t.sender, u)
-                    || t.receiver.is_some_and(|r| self.within_cs(r, u))
+                self.within_cs(t.sender, u) || t.receiver.is_some_and(|r| self.within_cs(r, u))
             })
             .map(|t| t.end)
             .max()

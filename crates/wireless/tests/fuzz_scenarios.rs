@@ -7,7 +7,9 @@
 //! reproduce verbatim.
 
 use eend_sim::{SimDuration, SimRng, SimTime};
-use eend_wireless::{stacks, FlowSpec, Placement, ProtocolStack, Scenario, Simulator, TrafficModel};
+use eend_wireless::{
+    stacks, FlowSpec, Placement, ProtocolStack, Scenario, Simulator, TrafficModel,
+};
 
 /// Fixed master seed: deterministic across runs and machines.
 const CASE_SEED: u64 = 0xF0_22_5C_E7;

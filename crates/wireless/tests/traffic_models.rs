@@ -110,9 +110,8 @@ fn empirical_rate_bps(flow: &mut Flow, packets: usize) -> f64 {
 fn all_models_converge_to_the_configured_offered_rate() {
     for model in models() {
         for rate_kbps in [2.0, 4.0, 8.0] {
-            let mut flow = spec(model.clone(), 1, rate_kbps)
-                .materialize(2, &mut SimRng::new(42))
-                .remove(0);
+            let mut flow =
+                spec(model.clone(), 1, rate_kbps).materialize(2, &mut SimRng::new(42)).remove(0);
             let measured = empirical_rate_bps(&mut flow, 200_000);
             let configured = rate_kbps * 1000.0;
             let rel = (measured - configured).abs() / configured;
@@ -138,13 +137,9 @@ fn onoff_actually_bursts() {
     // The burst model must produce both dense on-period gaps (below the
     // CBR interval) and long off-period silences (above it) — otherwise
     // it degenerated into CBR with a scaled rate.
-    let mut flow = spec(
-        TrafficModel::OnOffBurst { mean_on_s: 5.0, mean_off_s: 5.0 },
-        1,
-        4.0,
-    )
-    .materialize(2, &mut SimRng::new(9))
-    .remove(0);
+    let mut flow = spec(TrafficModel::OnOffBurst { mean_on_s: 5.0, mean_off_s: 5.0 }, 1, 4.0)
+        .materialize(2, &mut SimRng::new(9))
+        .remove(0);
     let cbr_gap = flow.interval.as_secs_f64();
     let gaps: Vec<f64> = (0..10_000).map(|_| flow.next_gap().as_secs_f64()).collect();
     let dense = gaps.iter().filter(|&&g| g < cbr_gap * 0.75).count();

@@ -26,9 +26,8 @@ fn main() {
         for &q in &utils {
             row.push(format!("{:.2}", analysis::optimal_hop_count(&card, card.nominal_range_m, q)));
         }
-        let beneficial = utils
-            .iter()
-            .any(|&q| analysis::relaying_beneficial(&card, card.nominal_range_m, q));
+        let beneficial =
+            utils.iter().any(|&q| analysis::relaying_beneficial(&card, card.nominal_range_m, q));
         row.push(if beneficial { "yes".into() } else { "no".into() });
         table.row(row);
     }

@@ -12,7 +12,9 @@
 //! ```
 
 use eend::sim::{SimDuration, SimRng};
-use eend::wireless::{presets, project, stacks, Placement, ProjectionParams, Scheduling, Simulator};
+use eend::wireless::{
+    presets, project, stacks, Placement, ProjectionParams, Scheduling, Simulator,
+};
 
 fn main() {
     let stacks = [

@@ -28,7 +28,10 @@ fn main() {
     );
 
     println!("Multi-commodity case (Figs 4-6): two Steiner forests\n");
-    println!("{:>4} {:>12} {:>12} {:>8} {:>8} {:>14}", "k", "E(SF1)", "E(SF2)", "relays1", "relays2", "idle ratio →3/2");
+    println!(
+        "{:>4} {:>12} {:>12} {:>8} {:>8} {:>14}",
+        "k", "E(SF1)", "E(SF2)", "relays1", "relays2", "idle ratio →3/2"
+    );
     for k in [1, 2, 4, 8, 16, 32] {
         let p = CaseParams::unit(k);
         let e1 = case_energy(&sf1(k), &p);

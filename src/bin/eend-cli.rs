@@ -125,8 +125,8 @@
 use eend::campaign::serve::{serve, ServeConfig};
 use eend::campaign::store::Manifest;
 use eend::campaign::{
-    merge_stores, merge_stores_streaming, write_atomic, BaseScenario, CampaignResult,
-    CampaignSpec, CsvSink, Executor, FailurePlan, FailurePolicy, ResultStore, RunOptions,
+    merge_stores, merge_stores_streaming, write_atomic, BaseScenario, CampaignResult, CampaignSpec,
+    CsvSink, Executor, FailurePlan, FailurePolicy, ResultStore, RunOptions,
 };
 use eend::radio::cards;
 use eend::sim::SimDuration;
@@ -181,10 +181,12 @@ fn parse() -> Opts {
     };
     let mut args = std::env::args().skip(1);
     while let Some(a) = args.next() {
-        let mut val = |what: &str| args.next().unwrap_or_else(|| {
-            eprintln!("error: {what} needs a value");
-            usage()
-        });
+        let mut val = |what: &str| {
+            args.next().unwrap_or_else(|| {
+                eprintln!("error: {what} needs a value");
+                usage()
+            })
+        };
         match a.as_str() {
             "--stack" => o.stack = val("--stack"),
             "--nodes" => o.nodes = val("--nodes").parse().unwrap_or_else(|_| usage()),
@@ -419,8 +421,8 @@ fn parse_campaign(args: impl Iterator<Item = String>) -> CampaignOpts {
                     .map(|p| {
                         parse_failure_plan(p).unwrap_or_else(|| {
                             eprintln!(
-                                "error: bad failure plan {p:?} (want none or NODE@SECS[+NODE@SECS...])"
-                            );
+                            "error: bad failure plan {p:?} (want none or NODE@SECS[+NODE@SECS...])"
+                        );
                             campaign_usage()
                         })
                     })
@@ -441,9 +443,9 @@ fn parse_campaign(args: impl Iterator<Item = String>) -> CampaignOpts {
             "--out" => o.out = Some(val("--out")),
             "--shard" => {
                 let raw = val("--shard");
-                let parsed = raw.split_once('/').and_then(|(i, n)| {
-                    Some((i.trim().parse().ok()?, n.trim().parse().ok()?))
-                });
+                let parsed = raw
+                    .split_once('/')
+                    .and_then(|(i, n)| Some((i.trim().parse().ok()?, n.trim().parse().ok()?)));
                 match parsed {
                     Some((i, n)) if n > 0 && i < n => o.shard = (i, n),
                     _ => {
@@ -574,10 +576,7 @@ fn run_campaign(o: CampaignOpts) {
 
     if o.verify_serial {
         let serial = Executor::with_workers(1).run(&spec);
-        assert_eq!(
-            result, serial,
-            "parallel and serial campaign records differ — determinism bug"
-        );
+        assert_eq!(result, serial, "parallel and serial campaign records differ — determinism bug");
         assert_eq!(format!("{result:?}"), format!("{serial:?}"));
         eprintln!(
             "campaign: serial re-run on 1 worker is byte-identical ({} records)",
@@ -605,8 +604,7 @@ fn run_campaign_store(o: &CampaignOpts, spec: &CampaignSpec, executor: &Executor
     );
     let start = std::time::Instant::now();
     let opts = RunOptions { limit: o.limit, policy: store.policy(), cancel: None };
-    let outcome =
-        store.run_with(executor, &shard_jobs, &opts, |_| {}).unwrap_or_else(|e| die(&e));
+    let outcome = store.run_with(executor, &shard_jobs, &opts, |_| {}).unwrap_or_else(|e| die(&e));
     eprintln!("campaign: ran {} job(s) in {:.2?}", outcome.ran, start.elapsed());
     if outcome.failed > 0 {
         eprintln!(
@@ -661,11 +659,8 @@ fn emit_result(
         ("node count", |p| p.nodes as f64),
         ("speed m/s", |p| p.speed_mps),
     ];
-    let cat_axes: [CatAxis; 3] = [
-        ("traffic", |p| &p.traffic),
-        ("radio", |p| &p.radio),
-        ("failure", |p| &p.failure),
-    ];
+    let cat_axes: [CatAxis; 3] =
+        [("traffic", |p| &p.traffic), ("radio", |p| &p.radio), ("failure", |p| &p.failure)];
     let swept = |ax: &Axis| -> Vec<f64> {
         let mut vals: Vec<f64> = Vec::new();
         for r in &result.records {
@@ -752,7 +747,10 @@ fn emit_result(
         let delivery = subset.series(x, |m| m.delivery_ratio());
         println!("{}", render_figure(&format!("delivery ratio (x = {x_name}{suffix})"), &delivery));
         let goodput = subset.series(x, |m| m.energy_goodput_bit_per_j());
-        println!("{}", render_figure(&format!("energy goodput bit/J (x = {x_name}{suffix})"), &goodput));
+        println!(
+            "{}",
+            render_figure(&format!("energy goodput bit/J (x = {x_name}{suffix})"), &goodput)
+        );
         let energy = subset.series(x, |m| m.enetwork_j());
         println!("{}", render_figure(&format!("Enetwork J (x = {x_name}{suffix})"), &energy));
     }
@@ -800,11 +798,8 @@ fn parse_merge(args: impl Iterator<Item = String>) -> MergeOpts {
 /// does not have to be re-stated; fingerprints guard against mixing
 /// stores of different campaigns.
 fn run_merge(o: MergeOpts) {
-    let stores: Vec<ResultStore> = o
-        .dirs
-        .iter()
-        .map(|d| ResultStore::open_existing(d).unwrap_or_else(|e| die(&e)))
-        .collect();
+    let stores: Vec<ResultStore> =
+        o.dirs.iter().map(|d| ResultStore::open_existing(d).unwrap_or_else(|e| die(&e))).collect();
     let first = stores[0].manifest().clone();
     let Some(axes) = first.axes.clone() else {
         eprintln!(
@@ -824,11 +819,7 @@ fn run_merge(o: MergeOpts) {
         let stdout = std::io::stdout();
         let mut sink = CsvSink::new(&first.campaign, stdout.lock());
         merge_stores_streaming(&refs, &jobs, &mut sink).unwrap_or_else(|e| die(&e));
-        eprintln!(
-            "merge: {} record(s) streamed from {} store(s)",
-            jobs.len(),
-            stores.len()
-        );
+        eprintln!("merge: {} record(s) streamed from {} store(s)", jobs.len(), stores.len());
         return;
     }
     let result = merge_stores(&refs, &jobs).unwrap_or_else(|e| die(&e));
@@ -943,9 +934,9 @@ fn peak_rss_kb() -> u64 {
     std::fs::read_to_string("/proc/self/status")
         .ok()
         .and_then(|s| {
-            s.lines().find(|l| l.starts_with("VmHWM:")).and_then(|l| {
-                l.split_whitespace().nth(1).and_then(|v| v.parse().ok())
-            })
+            s.lines()
+                .find(|l| l.starts_with("VmHWM:"))
+                .and_then(|l| l.split_whitespace().nth(1).and_then(|v| v.parse().ok()))
         })
         .unwrap_or(0)
 }
@@ -1000,13 +991,12 @@ fn run_bench(o: BenchOpts) {
         // parallel path end to end.
         let scenarios: Vec<_> = (1..=o.runs).map(&ctor).collect();
         let start = std::time::Instant::now();
-        let outcomes = executor.par_map(scenarios.len(), |i| {
-            Simulator::new(&scenarios[i]).run_with_stats()
-        });
+        let outcomes =
+            executor.par_map(scenarios.len(), |i| Simulator::new(&scenarios[i]).run_with_stats());
         let wall_s = start.elapsed().as_secs_f64();
         let events_total: u64 = outcomes.iter().map(|(_, q)| q.scheduled_total).sum();
-        let delivery_mean = outcomes.iter().map(|(m, _)| m.delivery_ratio()).sum::<f64>()
-            / outcomes.len() as f64;
+        let delivery_mean =
+            outcomes.iter().map(|(m, _)| m.delivery_ratio()).sum::<f64>() / outcomes.len() as f64;
         results.push(PresetResult {
             name,
             nodes,
@@ -1026,8 +1016,7 @@ fn run_bench(o: BenchOpts) {
             print!("{record}");
         }
         if let Some(path) = &o.json_out {
-            write_atomic(std::path::Path::new(path), record.as_bytes())
-                .unwrap_or_else(|e| die(&e));
+            write_atomic(std::path::Path::new(path), record.as_bytes()).unwrap_or_else(|e| die(&e));
             eprintln!("bench: wrote {path}");
         }
     }
@@ -1036,7 +1025,12 @@ fn run_bench(o: BenchOpts) {
             println!(
                 "{:12} {:>7.2} runs/s  {:>12.0} events/s  ({} runs in {:.3} s, delivery {:.3}, \
                  rss {} kB)",
-                r.name, r.runs_per_sec, r.events_per_sec, r.runs, r.wall_s, r.delivery_mean,
+                r.name,
+                r.runs_per_sec,
+                r.events_per_sec,
+                r.runs,
+                r.wall_s,
+                r.delivery_mean,
                 r.peak_rss_kb
             );
         }
@@ -1305,42 +1299,41 @@ fn loadgen_round(
         let at = b.find("\"fingerprint\":\"").expect("submit accepted") + 15;
         b[at..at + 16].to_owned()
     };
-    let spawn_tails = |k: usize,
-                       fp: &str,
-                       tails: &mut Vec<(usize, std::thread::JoinHandle<SubscriberTrace>)>| {
-        for _ in 0..subscribers {
-            let fp = fp.to_owned();
-            tails.push((
-                k,
-                std::thread::spawn(move || {
-                    use std::io::{BufRead as _, Write as _};
-                    let mut conn =
-                        std::net::TcpStream::connect(addr).expect("subscriber connect");
-                    conn.write_all(
-                        format!("GET /stream/{fp} HTTP/1.1\r\nHost: t\r\n\r\n").as_bytes(),
-                    )
-                    .expect("subscriber request");
-                    let mut reader = std::io::BufReader::new(conn);
-                    let mut line = String::new();
-                    let mut in_body = false;
-                    let mut trace = Vec::new();
-                    loop {
-                        line.clear();
-                        match reader.read_line(&mut line) {
-                            Ok(0) | Err(_) => break,
-                            Ok(_) => {}
+    let spawn_tails =
+        |k: usize, fp: &str, tails: &mut Vec<(usize, std::thread::JoinHandle<SubscriberTrace>)>| {
+            for _ in 0..subscribers {
+                let fp = fp.to_owned();
+                tails.push((
+                    k,
+                    std::thread::spawn(move || {
+                        use std::io::{BufRead as _, Write as _};
+                        let mut conn =
+                            std::net::TcpStream::connect(addr).expect("subscriber connect");
+                        conn.write_all(
+                            format!("GET /stream/{fp} HTTP/1.1\r\nHost: t\r\n\r\n").as_bytes(),
+                        )
+                        .expect("subscriber request");
+                        let mut reader = std::io::BufReader::new(conn);
+                        let mut line = String::new();
+                        let mut in_body = false;
+                        let mut trace = Vec::new();
+                        loop {
+                            line.clear();
+                            match reader.read_line(&mut line) {
+                                Ok(0) | Err(_) => break,
+                                Ok(_) => {}
+                            }
+                            if !in_body {
+                                in_body = line == "\r\n";
+                                continue;
+                            }
+                            trace.push(start.elapsed());
                         }
-                        if !in_body {
-                            in_body = line == "\r\n";
-                            continue;
-                        }
-                        trace.push(start.elapsed());
-                    }
-                    trace
-                }),
-            ));
-        }
-    };
+                        trace
+                    }),
+                ));
+            }
+        };
     let wait_campaign_done = |fp: &str, interrupted: &mut bool| {
         while !*interrupted {
             let status = lg_get(addr, &format!("/status/{fp}"));
@@ -1568,8 +1561,7 @@ fn run_loadgen(o: LoadgenOpts) {
             print!("{out}");
         }
         if let Some(path) = &o.json_out {
-            write_atomic(std::path::Path::new(path), out.as_bytes())
-                .unwrap_or_else(|e| die(&e));
+            write_atomic(std::path::Path::new(path), out.as_bytes()).unwrap_or_else(|e| die(&e));
             eprintln!("loadgen: wrote {path}");
         }
     }
@@ -1584,15 +1576,16 @@ fn run_loadgen(o: LoadgenOpts) {
 /// speedup per level, with the single-core caveat spelled out.
 fn loadgen_analysis(rounds: &[LoadgenRound], host_cores: usize) -> String {
     let mut parts: Vec<String> = Vec::new();
-    let levels: std::collections::BTreeSet<usize> =
-        rounds.iter().map(|r| if r.serial { r.campaigns.max(r.concurrency) } else { r.concurrency }).collect();
+    let levels: std::collections::BTreeSet<usize> = rounds
+        .iter()
+        .map(|r| if r.serial { r.campaigns.max(r.concurrency) } else { r.concurrency })
+        .collect();
     for level in levels {
-        let serial = rounds
-            .iter()
-            .find(|r| r.serial && r.campaigns.max(r.concurrency) == level && r.completed_per_s > 0.0);
-        let conc = rounds
-            .iter()
-            .find(|r| !r.serial && r.concurrency == level && r.completed_per_s > 0.0);
+        let serial = rounds.iter().find(|r| {
+            r.serial && r.campaigns.max(r.concurrency) == level && r.completed_per_s > 0.0
+        });
+        let conc =
+            rounds.iter().find(|r| !r.serial && r.concurrency == level && r.completed_per_s > 0.0);
         if let (Some(s), Some(c)) = (serial, conc) {
             parts.push(format!(
                 "{}x concurrent = {:.2}x serial throughput",
@@ -1748,13 +1741,8 @@ fn render_winner(
             }
         })
         .collect();
-    let awake: Vec<String> = design
-        .active
-        .iter()
-        .enumerate()
-        .filter(|&(_, &a)| a)
-        .map(|(i, _)| i.to_string())
-        .collect();
+    let awake: Vec<String> =
+        design.active.iter().enumerate().filter(|&(_, &a)| a).map(|(i, _)| i.to_string()).collect();
     let ttfd = if score.ttfd_s.is_finite() { score.ttfd_s.to_string() } else { "null".into() };
     format!(
         concat!(
@@ -1808,8 +1796,7 @@ fn drive_design<O: eend::opt::EvalOracle>(o: &DesignOpts, inner: O) {
         None => CachedOracle::in_memory(inner),
     };
 
-    let opts =
-        SearchOpts { seed: o.seed, budget: o.budget, objective, ..SearchOpts::new() };
+    let opts = SearchOpts { seed: o.seed, budget: o.budget, objective, ..SearchOpts::new() };
     let started = std::time::Instant::now();
     let result = match design_heuristic(&o.heuristic) {
         Some(h) => {
@@ -1928,8 +1915,7 @@ fn run_design(o: DesignOpts) {
     match o.oracle.as_str() {
         "fluid" => drive_design(&o, eend::opt::FluidOracle::standard(o.secs)),
         "sim" => {
-            let executor =
-                o.workers.map(Executor::with_workers).unwrap_or_else(Executor::bounded);
+            let executor = o.workers.map(Executor::with_workers).unwrap_or_else(Executor::bounded);
             let seeds: Vec<u64> = (1..=o.sim_seeds).collect();
             drive_design(&o, eend::opt::SimOracle::new(o.secs, seeds, executor))
         }
@@ -1989,8 +1975,11 @@ fn main() {
         o.seed,
     );
     if o.speed > 0.0 {
-        scenario =
-            scenario.with_mobility(Mobility::random_waypoint((o.speed / 2.0).max(0.1), o.speed, 5.0));
+        scenario = scenario.with_mobility(Mobility::random_waypoint(
+            (o.speed / 2.0).max(0.1),
+            o.speed,
+            5.0,
+        ));
     }
     scenario.flows = scenario.flows.with_model(o.traffic.clone());
     if let Some(name) = &o.radio_profile {
@@ -2050,16 +2039,41 @@ fn main() {
             m.lifetime_to_first_death_s(1000.0),
         );
     } else {
-        println!("{name} — {} nodes, {}x{} m², {} flows @ {} Kbit/s, {} s (seed {})",
-            o.nodes, o.area, o.area, o.flows, o.rate_kbps, o.secs, o.seed);
-        println!("  delivery ratio      {:.4} ({}/{} packets)", m.delivery_ratio(), m.data_delivered, m.data_sent);
+        println!(
+            "{name} — {} nodes, {}x{} m², {} flows @ {} Kbit/s, {} s (seed {})",
+            o.nodes, o.area, o.area, o.flows, o.rate_kbps, o.secs, o.seed
+        );
+        println!(
+            "  delivery ratio      {:.4} ({}/{} packets)",
+            m.delivery_ratio(),
+            m.data_delivered,
+            m.data_sent
+        );
         println!("  energy goodput      {:.1} bit/J", m.energy_goodput_bit_per_j());
-        println!("  Enetwork            {:.1} J (tx {:.1} J, control {:.1} J)", m.enetwork_j(), m.transmit_energy_j(), m.control_energy_j());
+        println!(
+            "  Enetwork            {:.1} J (tx {:.1} J, control {:.1} J)",
+            m.enetwork_j(),
+            m.transmit_energy_j(),
+            m.control_energy_j()
+        );
         println!("  relays              {}", m.data_forwarders);
-        println!("  control frames      {} RREQ, {} RREP, {} RERR, {} DSDV, {} ATIM", m.rreq_tx, m.rrep_tx, m.rerr_tx, m.dsdv_update_tx, m.atim_tx);
-        println!("  collisions          {} broadcast, {} RTS; {} link failures", m.broadcast_collisions, m.rts_collisions, m.link_failures);
-        println!("  drops               {} no-route, {} link, {} buffer, {} ifq", m.drops_no_route, m.drops_link_failure, m.drops_buffer, m.drops_ifq);
-        println!("  lifetime (1 kJ)     {:.0} s to first death, imbalance {:.2}", m.lifetime_to_first_death_s(1000.0), m.energy_imbalance());
+        println!(
+            "  control frames      {} RREQ, {} RREP, {} RERR, {} DSDV, {} ATIM",
+            m.rreq_tx, m.rrep_tx, m.rerr_tx, m.dsdv_update_tx, m.atim_tx
+        );
+        println!(
+            "  collisions          {} broadcast, {} RTS; {} link failures",
+            m.broadcast_collisions, m.rts_collisions, m.link_failures
+        );
+        println!(
+            "  drops               {} no-route, {} link, {} buffer, {} ifq",
+            m.drops_no_route, m.drops_link_failure, m.drops_buffer, m.drops_ifq
+        );
+        println!(
+            "  lifetime (1 kJ)     {:.0} s to first death, imbalance {:.2}",
+            m.lifetime_to_first_death_s(1000.0),
+            m.energy_imbalance()
+        );
         // Heterogeneous runs: break the energy bill down by card class.
         let by_card = m.energy_by_card(&node_cards);
         if by_card.len() > 1 {

@@ -103,8 +103,8 @@ fn main() {
         Some(n) => Executor::with_workers(n),
         None => Executor::bounded(),
     };
-    let handle = serve(&addr, ServeConfig { data_dir: data.clone(), executor })
-        .unwrap_or_else(|e| {
+    let handle =
+        serve(&addr, ServeConfig { data_dir: data.clone(), executor }).unwrap_or_else(|e| {
             eprintln!("eend-serve: cannot listen on {addr}: {e}");
             exit(1)
         });

@@ -17,5 +17,9 @@ fn a_kill_beyond_the_network_is_refused_before_any_job_runs() {
     assert!(stderr.contains("\"60@1\" kills node 60 at 1 s"), "stderr: {stderr}");
     assert!(stderr.contains("has 50 nodes"), "stderr: {stderr}");
     assert!(!stderr.contains("panicked"), "stderr: {stderr}");
-    assert!(out.stdout.is_empty(), "no record may be written: {}", String::from_utf8_lossy(&out.stdout));
+    assert!(
+        out.stdout.is_empty(),
+        "no record may be written: {}",
+        String::from_utf8_lossy(&out.stdout)
+    );
 }

@@ -94,7 +94,11 @@ fn network_energy_conservation() {
     for (i, r) in m.per_node_energy.iter().enumerate() {
         let residency = r.time_tx + r.time_rx + r.time_idle + r.time_sleep;
         assert_eq!(residency, horizon, "node {i} must account every nanosecond");
-        let bucket_sum = r.idle_mj + r.sleep_mj + r.switch_mj + r.tx_data_mj + r.tx_ctrl_mj
+        let bucket_sum = r.idle_mj
+            + r.sleep_mj
+            + r.switch_mj
+            + r.tx_data_mj
+            + r.tx_ctrl_mj
             + r.rx_data_mj
             + r.rx_ctrl_mj;
         assert!((bucket_sum - r.total_mj()).abs() < 1e-9, "node {i} bucket mismatch");

@@ -163,10 +163,5 @@ fn projection_consistent_with_eq14() {
         },
     );
     let eq14 = analysis::route_energy_j(&card, 1.0, 250.0, q, t);
-    assert!(
-        (p.enetwork_j - eq14).abs() < 1e-6,
-        "projection {} vs Eq 14 {}",
-        p.enetwork_j,
-        eq14
-    );
+    assert!((p.enetwork_j - eq14).abs() < 1e-6, "projection {} vs Eq 14 {}", p.enetwork_j, eq14);
 }

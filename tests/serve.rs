@@ -41,8 +41,8 @@
 use eend::campaign::serve::{serve, ServeConfig};
 use eend::campaign::store::Manifest;
 use eend::campaign::{
-    fingerprint, metric_columns, BaseScenario, CampaignResult, CampaignSpec, Executor,
-    FailurePlan, JsonlSink, RecordSink, ResultStore, SpecAxes,
+    fingerprint, metric_columns, BaseScenario, CampaignResult, CampaignSpec, Executor, FailurePlan,
+    JsonlSink, RecordSink, ResultStore, SpecAxes,
 };
 use eend::wireless::stacks;
 use std::io::{BufRead, BufReader, Read, Write};
@@ -109,10 +109,7 @@ fn request_unread(addr: SocketAddr, raw: String) -> String {
 fn post(addr: SocketAddr, path: &str, body: &str) -> String {
     request(
         addr,
-        &format!(
-            "POST {path} HTTP/1.1\r\nHost: t\r\nContent-Length: {}\r\n\r\n{body}",
-            body.len()
-        ),
+        &format!("POST {path} HTTP/1.1\r\nHost: t\r\nContent-Length: {}\r\n\r\n{body}", body.len()),
     )
 }
 
@@ -247,10 +244,8 @@ fn daemon_resumes_a_killed_campaign_running_only_missing_jobs() {
         assert_eq!(store.run(&Executor::with_workers(2), &jobs, Some(2)).unwrap(), 2);
     }
     {
-        let mut f = std::fs::OpenOptions::new()
-            .append(true)
-            .open(store_dir.join("records.jsonl"))
-            .unwrap();
+        let mut f =
+            std::fs::OpenOptions::new().append(true).open(store_dir.join("records.jsonl")).unwrap();
         write!(f, "{{\"job\":2,\"sta").unwrap(); // torn tail, no newline
     }
 
@@ -302,8 +297,7 @@ fn dropped_stream_reconnects_with_from_and_loses_nothing() {
     let mut first_two = String::new();
     {
         let mut conn = TcpStream::connect(addr).unwrap();
-        conn.write_all(format!("GET /stream/{fp} HTTP/1.1\r\nHost: t\r\n\r\n").as_bytes())
-            .unwrap();
+        conn.write_all(format!("GET /stream/{fp} HTTP/1.1\r\nHost: t\r\n\r\n").as_bytes()).unwrap();
         let mut reader = BufReader::new(conn);
         let mut line = String::new();
         loop {
@@ -556,10 +550,8 @@ fn oversized_and_malformed_requests_get_errors_not_a_dead_daemon() {
 
     // A Content-Length past the 1 MiB cap is refused before the body
     // is ever buffered.
-    let oversized = request(
-        addr,
-        "POST /submit HTTP/1.1\r\nHost: t\r\nContent-Length: 2000000\r\n\r\n",
-    );
+    let oversized =
+        request(addr, "POST /submit HTTP/1.1\r\nHost: t\r\nContent-Length: 2000000\r\n\r\n");
     assert!(oversized.starts_with("HTTP/1.1 413 "), "oversized: {oversized}");
 
     // An empty request line is a 400, not an unwinding handler thread.
@@ -596,10 +588,7 @@ fn oversized_and_malformed_requests_get_errors_not_a_dead_daemon() {
     let good = post(
         addr,
         "/submit",
-        &format!(
-            "{{\"campaign\":\"cli\",\"axes\":{},\"on_failure\":\"retry=2\"}}",
-            axes.to_json()
-        ),
+        &format!("{{\"campaign\":\"cli\",\"axes\":{},\"on_failure\":\"retry=2\"}}", axes.to_json()),
     );
     let fp = fp_of(body(&good));
     wait_done(addr, &fp);

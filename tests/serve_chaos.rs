@@ -91,10 +91,7 @@ fn get(addr: SocketAddr, path: &str) -> String {
 fn post(addr: SocketAddr, path: &str, body: &str) -> String {
     request(
         addr,
-        &format!(
-            "POST {path} HTTP/1.1\r\nHost: t\r\nContent-Length: {}\r\n\r\n{body}",
-            body.len()
-        ),
+        &format!("POST {path} HTTP/1.1\r\nHost: t\r\nContent-Length: {}\r\n\r\n{body}", body.len()),
     )
 }
 

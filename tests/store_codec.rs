@@ -24,15 +24,9 @@ fn spec() -> CampaignSpec {
 }
 
 fn report_bits(r: &EnergyReport, out: &mut Vec<u64>) {
-    for x in [
-        r.idle_mj,
-        r.sleep_mj,
-        r.switch_mj,
-        r.tx_data_mj,
-        r.tx_ctrl_mj,
-        r.rx_data_mj,
-        r.rx_ctrl_mj,
-    ] {
+    for x in
+        [r.idle_mj, r.sleep_mj, r.switch_mj, r.tx_data_mj, r.tx_ctrl_mj, r.rx_data_mj, r.rx_ctrl_mj]
+    {
         out.push(x.to_bits());
     }
 }
@@ -50,11 +44,7 @@ fn f64_bits(m: &RunMetrics) -> Vec<u64> {
 
 fn assert_same(stored: &RunMetrics, direct: &RunMetrics, what: &str) {
     assert_eq!(stored, direct, "{what}: RunMetrics must round-trip");
-    assert_eq!(
-        f64_bits(stored),
-        f64_bits(direct),
-        "{what}: f64 bits must round-trip"
-    );
+    assert_eq!(f64_bits(stored), f64_bits(direct), "{what}: f64 bits must round-trip");
 }
 
 #[test]
@@ -66,10 +56,7 @@ fn stored_records_reload_bit_identically() {
 
     let dir = scratch("whole");
     let mut store = ResultStore::open(&dir, Manifest::for_spec(&spec, 0, 1)).unwrap();
-    assert_eq!(
-        store.run(&Executor::with_workers(1), &jobs, None).unwrap(),
-        jobs.len()
-    );
+    assert_eq!(store.run(&Executor::with_workers(1), &jobs, None).unwrap(), jobs.len());
 
     // A fresh open rescans the file for completed ids.
     let store = ResultStore::open_existing(&dir).unwrap();
@@ -77,11 +64,7 @@ fn stored_records_reload_bit_identically() {
     let loaded = store.load_metrics(Some(&jobs)).unwrap();
     assert_eq!(loaded.len(), jobs.len());
     for (id, m) in &loaded {
-        assert_same(
-            m,
-            &direct.records[*id].metrics,
-            &format!("load_metrics job {id}"),
-        );
+        assert_same(m, &direct.records[*id].metrics, &format!("load_metrics job {id}"));
     }
     let merged = merge_stores(&[&store], &jobs).unwrap();
     assert_eq!(merged.campaign, direct.campaign);
@@ -103,9 +86,7 @@ fn sharded_stores_merge_bit_identically() {
     let mut stores = Vec::new();
     for (i, dir) in dirs.iter().enumerate() {
         let mut store = ResultStore::open(dir, Manifest::for_spec(&spec, i, 2)).unwrap();
-        store
-            .run(&Executor::with_workers(1), &spec.shard(i, 2), None)
-            .unwrap();
+        store.run(&Executor::with_workers(1), &spec.shard(i, 2), None).unwrap();
         stores.push(ResultStore::open_existing(dir).unwrap());
     }
     let merged = merge_stores(&[&stores[0], &stores[1]], &jobs).unwrap();
