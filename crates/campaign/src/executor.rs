@@ -677,6 +677,7 @@ impl JobScheduler for WorkerPool {
 mod tests {
     use super::*;
     use eend_sim::{SimDuration, SimTime};
+    use proptest::prelude::*;
 
     #[test]
     fn par_map_preserves_index_order() {
@@ -803,7 +804,73 @@ mod tests {
         assert_eq!(FailurePolicy::parse("retry=0"), None);
         assert_eq!(FailurePolicy::parse("retry="), None);
         assert_eq!(FailurePolicy::parse("sometimes"), None);
+        assert_eq!(FailurePolicy::parse("retry=4294967296"), None, "attempts beyond u32");
+        assert_eq!(FailurePolicy::parse("retry=1:18446744073709551616"), None, "base beyond u64");
         assert_eq!(FailurePolicy::default(), FailurePolicy::Abort);
+    }
+
+    /// Pieces of the policy label grammar, mixed with raw bytes by
+    /// `any_string_parses_to_a_policy_or_none`.
+    const POLICY_PIECES: &[&str] = &[
+        "abort",
+        "skip",
+        "retry=",
+        "retry",
+        "=",
+        ":",
+        "0",
+        "1",
+        "7",
+        "+",
+        "-",
+        " ",
+        "4294967295",
+        "4294967296",
+        "18446744073709551615",
+        "18446744073709551616",
+        "\u{e9}",
+    ];
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        #[test]
+        fn any_policy_label_parses_back_to_the_policy(
+            kind in 0u8..3,
+            max_attempts in 1u32..u32::MAX,
+            base_ms in proptest::option::of(0u64..u64::MAX),
+        ) {
+            let policy = match kind {
+                0 => FailurePolicy::Abort,
+                1 => FailurePolicy::Skip,
+                _ => FailurePolicy::Retry {
+                    max_attempts,
+                    backoff: base_ms.map_or(Backoff::default(), |base_ms| Backoff { base_ms }),
+                },
+            };
+            prop_assert_eq!(FailurePolicy::parse(&policy.label()), Some(policy));
+        }
+
+        #[test]
+        fn any_string_parses_to_a_policy_or_none(
+            picks in proptest::collection::vec(0u16..512, 0..12),
+        ) {
+            // Half the picks are raw bytes, half are grammar pieces.
+            let mut bytes = Vec::new();
+            for pick in picks {
+                match u8::try_from(pick) {
+                    Ok(byte) => bytes.push(byte),
+                    Err(_) => bytes.extend_from_slice(
+                        POLICY_PIECES[usize::from(pick) % POLICY_PIECES.len()].as_bytes(),
+                    ),
+                }
+            }
+            let text = String::from_utf8_lossy(&bytes);
+            if let Some(policy) = FailurePolicy::parse(&text) {
+                // Whatever parses has a label that parses back to it.
+                prop_assert_eq!(FailurePolicy::parse(&policy.label()), Some(policy));
+            }
+        }
     }
 
     #[test]

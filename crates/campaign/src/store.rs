@@ -1526,6 +1526,7 @@ pub(crate) fn verify_line_identity(v: &JVal, job: &Job) -> io::Result<()> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     #[test]
     fn fingerprint_is_sensitive_to_every_axis() {
@@ -1717,5 +1718,103 @@ mod tests {
         assert_eq!(store.failures()[&1].cause, cause);
         assert_eq!(store.failures()[&1].attempts, 3);
         let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// Characters drawn axis names are spelled from: JSON's escapes,
+    /// control bytes and non-ASCII beside plain letters.
+    const NAME_CHARS: &str = "aZ0 -(,\"\\/\n\t\u{1}\u{7f}\u{e9}\u{20ac}\u{1d11e}";
+
+    /// Finite floats a uniform draw would miss: zeros, extremes,
+    /// subnormals and values whose shortest form has an exponent.
+    const EDGE_F64: &[f64] =
+        &[0.0, -0.0, 0.1, 1e-300, 5e-324, f64::MIN_POSITIVE, f64::MAX, f64::MIN, 1e21, 2.5e-7];
+
+    /// Axes drawn from `seed`: every field set, names that need escaping,
+    /// finite floats and integers up to their type's maximum.
+    fn drawn_axes(seed: u64) -> SpecAxes {
+        let mut rng = eend_sim::SimRng::new(seed);
+        let chars: Vec<char> = NAME_CHARS.chars().collect();
+        let name = |rng: &mut eend_sim::SimRng| -> String {
+            (0..rng.range_usize(0, 7)).map(|_| *rng.choose(&chars).unwrap()).collect()
+        };
+        let float = |rng: &mut eend_sim::SimRng| -> f64 {
+            if rng.chance(0.3) {
+                *rng.choose(EDGE_F64).unwrap()
+            } else {
+                rng.range_f64(-1e6, 1e6)
+            }
+        };
+        let int = |rng: &mut eend_sim::SimRng| -> u64 {
+            if rng.chance(0.2) {
+                u64::MAX - rng.below(2)
+            } else {
+                rng.below(1000)
+            }
+        };
+        let names = |rng: &mut eend_sim::SimRng| -> Vec<String> {
+            (0..rng.range_usize(0, 4)).map(|_| name(rng)).collect()
+        };
+        let floats = |rng: &mut eend_sim::SimRng| -> Vec<f64> {
+            (0..rng.range_usize(0, 4)).map(|_| float(rng)).collect()
+        };
+        SpecAxes {
+            preset: name(&mut rng),
+            stacks: names(&mut rng),
+            rates: floats(&mut rng),
+            node_counts: (0..rng.range_usize(0, 4)).map(|_| int(&mut rng) as usize).collect(),
+            speeds: floats(&mut rng),
+            traffic: names(&mut rng),
+            radio: names(&mut rng),
+            failures: (0..rng.range_usize(0, 3))
+                .map(|_| FailurePlan {
+                    label: name(&mut rng),
+                    kills: (0..rng.range_usize(0, 3))
+                        .map(|_| (float(&mut rng), int(&mut rng) as usize))
+                        .collect(),
+                })
+                .collect(),
+            seeds: int(&mut rng),
+            seed_base: int(&mut rng),
+            secs: rng.chance(0.5).then(|| int(&mut rng)),
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// Any axes survive `to_json` → `from_json` unchanged, and every
+        /// strict prefix of their JSON is refused with an error.
+        #[test]
+        fn spec_axes_round_trip_and_refuse_truncations(seed in 0u64..u64::MAX) {
+            let axes = drawn_axes(seed);
+            let json = axes.to_json();
+            prop_assert_eq!(SpecAxes::from_json(&json).ok(), Some(axes), "{}", json);
+            for cut in 0..json.len() {
+                let prefix = String::from_utf8_lossy(&json.as_bytes()[..cut]);
+                prop_assert!(SpecAxes::from_json(&prefix).is_err(), "accepted {:?}", prefix);
+            }
+        }
+
+        /// Flipped and arbitrary bytes give axes or an error, never a
+        /// panic; whatever parses round-trips.
+        #[test]
+        fn spec_axes_from_json_never_panics(
+            seed in 0u64..u64::MAX,
+            edits in proptest::collection::vec((0usize..4096, 0u16..256), 0..6),
+            noise in proptest::collection::vec(0u16..256, 0..64),
+        ) {
+            let mut bytes = drawn_axes(seed).to_json().into_bytes();
+            for (at, byte) in edits {
+                let at = at % bytes.len();
+                bytes[at] = byte as u8;
+            }
+            let noise: Vec<u8> = noise.into_iter().map(|b| b as u8).collect();
+            for input in [&bytes, &noise] {
+                let text = String::from_utf8_lossy(input);
+                if let Ok(axes) = SpecAxes::from_json(&text) {
+                    prop_assert_eq!(SpecAxes::from_json(&axes.to_json()).ok(), Some(axes));
+                }
+            }
+        }
     }
 }

@@ -2,10 +2,10 @@
 //!
 //! This crate provides the minimal substrate every other `eend` crate builds
 //! on: a nanosecond-resolution simulation clock ([`SimTime`] /
-//! [`SimDuration`]), a stable event queue ([`EventQueue`]) whose pop order is
-//! fully deterministic (ties broken by insertion sequence), a fast
-//! reproducible random number generator ([`SimRng`], Xoshiro256++ seeded via
-//! SplitMix64), and a [`LazyTimer`] helper implementing the
+//! [`SimDuration`]), a stable event queue ([`EventQueue`], one binary heap
+//! plus a same-instant FIFO) whose pop order is fully deterministic (ties
+//! broken by insertion sequence), a fast reproducible random number
+//! generator ([`SimRng`], Xoshiro256++ seeded via SplitMix64), and a [`LazyTimer`] helper implementing the
 //! refresh-without-reschedule idiom used by keep-alive timers such as ODPM's.
 //!
 //! Determinism is a design requirement, not an afterthought: the paper's

@@ -90,14 +90,12 @@ struct Node {
 
 /// Event-queue health counters of a completed run, reported by
 /// [`Simulator::run_with_stats`]: throughput accounting for benchmarks
-/// plus the heap backend's no-reallocation invariant (`capacity ==
-/// initial_capacity` proves steady-state scheduling never grew the heap).
+/// plus the queue's memory, which starts empty and grows to the most
+/// events pending at once (`capacity` stays within a small factor of
+/// `peak_len`, which the queue-capacity test pins).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct QueueStats {
-    /// Queue capacity when the run started: the scenario's estimate on
-    /// the heap backend; on the timing wheel, which reserves nothing and
-    /// grows to what it holds, only what the initial events took (so its
-    /// `capacity` ends above this).
+    /// Queue capacity when the run started: what the initial events took.
     pub initial_capacity: usize,
     /// Queue capacity when the run finished.
     pub capacity: usize,
@@ -105,9 +103,9 @@ pub struct QueueStats {
     pub peak_len: usize,
     /// Total events scheduled over the whole run.
     pub scheduled_total: u64,
-    /// Whether the run used the hierarchical timing-wheel backend
-    /// (selected automatically above
-    /// [`eend_sim::queue::WHEEL_CAPACITY_THRESHOLD`] expected events).
+    /// Always `false`: the queue has one backend, a binary heap. The field
+    /// stays because the benchmark's `sim.wheel_share` still reads it; it
+    /// goes with that metric at the next change to the benchmark.
     pub is_wheel_backend: bool,
 }
 
@@ -274,12 +272,6 @@ impl Simulator {
             })
             .collect();
 
-        // Estimate the scenario's steady state: at most a handful of
-        // pending events per node (MacTick/TxnEnd/SleepCheck/PmKeepalive/
-        // timers plus delayed-forwarding bursts) and one PacketGen per
-        // flow. The estimate picks the backend; the heap reserves it so it
-        // never reallocates mid-run, the wheel reserves nothing.
-        let event_capacity = (16 * n + 4 * flows.len() + 64).next_power_of_two();
         let mut sim = Simulator {
             card_table,
             card_idx,
@@ -290,7 +282,7 @@ impl Simulator {
             power_control: scenario.stack.power_control,
             end: SimTime::ZERO + scenario.duration,
             time: SimTime::ZERO,
-            queue: EventQueue::with_capacity(event_capacity),
+            queue: EventQueue::new(),
             rng: sim_rng,
             channel,
             nodes,
@@ -353,12 +345,10 @@ impl Simulator {
     }
 
     /// Runs to the configured horizon and additionally reports event-queue
-    /// health counters (throughput accounting for benchmarks, the heap
-    /// backend's no-reallocation invariant and the wheel's growth, both
-    /// pinned by the queue-capacity test).
+    /// health counters (throughput accounting for benchmarks, and the
+    /// queue's growth, pinned by the queue-capacity test).
     pub fn run_with_stats(mut self) -> (RunMetrics, QueueStats) {
         let initial_capacity = self.queue.capacity();
-        let is_wheel_backend = self.queue.is_wheel_backend();
         while let Some(t) = self.queue.peek_time() {
             if t > self.end {
                 break;
@@ -373,7 +363,7 @@ impl Simulator {
             capacity: self.queue.capacity(),
             peak_len: self.queue.peak_len(),
             scheduled_total: self.queue.scheduled_total(),
-            is_wheel_backend,
+            is_wheel_backend: false,
         };
         (self.finish(), stats)
     }

@@ -1,6 +1,6 @@
 //! The scale tier's golden, checked where `cargo test` at the repository
 //! root sees it: a full 20 s `mobility1k` run (1,024 mobile nodes on the
-//! timing-wheel queue and the channel grid) must reproduce the digest
+//! channel grid) must reproduce the digest
 //! committed for the campaign crate's scale-golden suite byte for byte.
 //! Any drift in channel geometry, carrier sensing or collisions at scale
 //! fails here. This test only reads the golden; it is regenerated by
