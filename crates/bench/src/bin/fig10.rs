@@ -35,6 +35,7 @@ fn main() {
          than TITAN-PC at every rate, with the gap widening in the large network.\n\
          NOTE: our absolute gap is smaller than the paper's 54–86 % because the\n\
          Cabletron model radiates at most 281 mW of a 1399 mW transmit draw —\n\
-         see EXPERIMENTS.md for the data-frame-only comparison."
+         the test fig10_transmit_energy_direction (tests/paper_claims.rs)\n\
+         asserts the data-frame-only gap."
     );
 }

@@ -456,6 +456,10 @@ struct PoolState {
     rr: usize,
     next_id: u64,
     shutdown: bool,
+    /// The task id of every claim, in claim order: what the fairness
+    /// test asserts on, free of when consumer threads get scheduled.
+    #[cfg(test)]
+    claims: Vec<u64>,
 }
 
 struct PoolShared {
@@ -534,6 +538,11 @@ fn pool_worker_loop(shared: &PoolShared) {
         t.next_claim += 1;
         let (jobs, policy, tx) = (Arc::clone(&t.jobs), t.policy.clone(), t.tx.clone());
         state.rr = (k + 1) % len;
+        #[cfg(test)]
+        {
+            let id = state.tasks[k].id;
+            state.claims.push(id);
+        }
         drop(state);
         let outcome = run_job_contained(&jobs[i], &policy);
         // A send failure means the consumer is gone (cancelled or
@@ -550,7 +559,14 @@ impl WorkerPool {
         let workers = workers.max(1);
         let shared = Arc::new(PoolShared {
             workers,
-            state: Mutex::new(PoolState { tasks: Vec::new(), rr: 0, next_id: 0, shutdown: false }),
+            state: Mutex::new(PoolState {
+                tasks: Vec::new(),
+                rr: 0,
+                next_id: 0,
+                shutdown: false,
+                #[cfg(test)]
+                claims: Vec::new(),
+            }),
             work_cv: Condvar::new(),
         });
         let threads = (0..workers)
@@ -1038,47 +1054,69 @@ mod tests {
     #[test]
     fn pool_shares_workers_fairly_across_campaigns() {
         // A big campaign registered first must not starve a small one:
-        // with round-robin claiming the 3-job campaign finishes while
-        // the 12-job one still has jobs outstanding. (Without fairness
+        // with round-robin claiming the worker claims the 3-job
+        // campaign's last job before the 12-job one's. (Without fairness
         // a worker would drain the first-registered task completely
-        // before touching the second.)
+        // before touching the second.) The big campaign's first record
+        // is held until the small campaign delivers its own first one,
+        // so the small campaign is registered while the big one can
+        // claim no further than its window; the pool's claim log then
+        // shows the order whenever the consumers get to run.
         let pool = Arc::new(WorkerPool::new(1));
         let big = pool_jobs("pool-big", 12);
         let small = pool_jobs("pool-small", 3);
-        let big_done = Arc::new(AtomicUsize::new(0));
-        let big_at_small_finish = Arc::new(AtomicUsize::new(usize::MAX));
+        let (started_tx, started_rx) = mpsc::channel::<()>();
+        let (release_tx, release_rx) = mpsc::channel::<()>();
 
         let big_total = big.len();
         let big_pool = Arc::clone(&pool);
-        let big_counter = Arc::clone(&big_done);
         let big_thread = std::thread::spawn(move || {
             big_pool
                 .run_jobs_streaming(
                     &big,
                     4,
                     &FailurePolicy::Abort,
-                    &mut |_, _| {
-                        big_counter.fetch_add(1, Ordering::SeqCst);
+                    &mut |i, _| {
+                        if i == 0 {
+                            started_tx.send(()).expect("the test thread awaits this record");
+                            release_rx.recv().expect("the test thread releases this record");
+                        }
                         Ok(())
                     },
                     &mut |_| Ok(()),
                 )
                 .unwrap();
         });
-        // Give the big campaign a head start so its task is first in
-        // the registry (the unfair-drain order) — wait for its first
-        // record rather than a wall-clock guess.
-        while big_done.load(Ordering::SeqCst) < 1 {
-            std::thread::sleep(Duration::from_micros(200));
-        }
-        let n = collect_run(&*pool, &small, 4).len();
-        big_at_small_finish.store(big_done.load(Ordering::SeqCst), Ordering::SeqCst);
+        // The big campaign (task 0) is first in the registry, the
+        // unfair-drain order, once its first record arrives.
+        started_rx.recv().unwrap();
+        let mut small_records = 0;
+        pool.run_jobs_streaming(
+            &small,
+            4,
+            &FailurePolicy::Abort,
+            &mut |_, _| {
+                if small_records == 0 {
+                    release_tx.send(()).expect("the big campaign awaits its release");
+                }
+                small_records += 1;
+                Ok(())
+            },
+            &mut |f| Err(std::io::Error::other(format!("unexpected failure: {}", f.cause))),
+        )
+        .unwrap();
         big_thread.join().unwrap();
-        assert_eq!(n, small.len());
-        let seen = big_at_small_finish.load(Ordering::SeqCst);
+        assert_eq!(small_records, small.len());
+
+        let claims = pool.shared.state.lock().unwrap().claims.clone();
+        let (big_id, small_id) = (0, 1);
+        assert_eq!(claims.iter().filter(|&&id| id == big_id).count(), big_total);
+        assert_eq!(claims.iter().filter(|&&id| id == small_id).count(), small.len());
+        let last = |id| claims.iter().rposition(|&c| c == id).expect("task claimed");
         assert!(
-            seen < big_total,
-            "small campaign only finished after all {big_total} big jobs — no fair share"
+            last(small_id) < last(big_id),
+            "small campaign's last job was claimed after all {big_total} big jobs — no fair \
+             share: {claims:?}"
         );
     }
 

@@ -118,9 +118,12 @@ impl EnergyReport {
 /// [`EnergyMeter::set_idle`] and [`EnergyMeter::set_sleep`]; each call
 /// charges the elapsed interval at the power of the *previous* state.
 /// Timestamps must be non-decreasing.
+///
+/// The meter holds no card: every call that integrates energy takes the
+/// node's [`RadioCard`], so a simulator keeps one copy per distinct card
+/// rather than one per node. Pass the same card on every call.
 #[derive(Debug, Clone)]
 pub struct EnergyMeter {
-    card: RadioCard,
     state: RadioState,
     tx_power_mw: f64,
     class: TrafficClass,
@@ -128,16 +131,21 @@ pub struct EnergyMeter {
     report: EnergyReport,
 }
 
+impl Default for EnergyMeter {
+    fn default() -> Self {
+        Self::new()
+    }
+}
+
 impl EnergyMeter {
     /// Creates a meter starting idle at time zero.
-    pub fn new(card: RadioCard) -> Self {
-        Self::starting(card, SimTime::ZERO, RadioState::Idle)
+    pub fn new() -> Self {
+        Self::starting(SimTime::ZERO, RadioState::Idle)
     }
 
     /// Creates a meter starting in `state` at `t0`.
-    pub fn starting(card: RadioCard, t0: SimTime, state: RadioState) -> Self {
+    pub fn starting(t0: SimTime, state: RadioState) -> Self {
         EnergyMeter {
-            card,
             state,
             tx_power_mw: 0.0,
             class: TrafficClass::Data,
@@ -146,17 +154,12 @@ impl EnergyMeter {
         }
     }
 
-    /// The card this meter charges against.
-    pub fn card(&self) -> &RadioCard {
-        &self.card
-    }
-
     /// Current radio state.
     pub fn state(&self) -> RadioState {
         self.state
     }
 
-    fn charge_until(&mut self, now: SimTime) {
+    fn charge_until(&mut self, card: &RadioCard, now: SimTime) {
         debug_assert!(
             now >= self.last,
             "energy meter time went backwards: {} < {}",
@@ -175,7 +178,7 @@ impl EnergyMeter {
                 self.report.time_tx += dt;
             }
             RadioState::Receive => {
-                let e = self.card.p_rx_mw * secs;
+                let e = card.p_rx_mw * secs;
                 match self.class {
                     TrafficClass::Data => self.report.rx_data_mj += e,
                     TrafficClass::Control => self.report.rx_ctrl_mj += e,
@@ -183,21 +186,21 @@ impl EnergyMeter {
                 self.report.time_rx += dt;
             }
             RadioState::Idle => {
-                self.report.idle_mj += self.card.p_idle_mw * secs;
+                self.report.idle_mj += card.p_idle_mw * secs;
                 self.report.time_idle += dt;
             }
             RadioState::Sleep => {
-                self.report.sleep_mj += self.card.p_sleep_mw * secs;
+                self.report.sleep_mj += card.p_sleep_mw * secs;
                 self.report.time_sleep += dt;
             }
         }
         self.last = now;
     }
 
-    fn transition(&mut self, now: SimTime, next: RadioState) {
-        self.charge_until(now);
+    fn transition(&mut self, card: &RadioCard, now: SimTime, next: RadioState) {
+        self.charge_until(card, now);
         if self.state == RadioState::Sleep && next != RadioState::Sleep {
-            self.report.switch_mj += self.card.switch_energy_mj;
+            self.report.switch_mj += card.switch_energy_mj;
             self.report.wakeups += 1;
         }
         self.state = next;
@@ -209,33 +212,33 @@ impl EnergyMeter {
     /// # Panics
     ///
     /// Panics if `power_mw` is negative or non-finite.
-    pub fn begin_tx(&mut self, now: SimTime, power_mw: f64, class: TrafficClass) {
+    pub fn begin_tx(&mut self, card: &RadioCard, now: SimTime, power_mw: f64, class: TrafficClass) {
         assert!(power_mw.is_finite() && power_mw >= 0.0, "bad tx power {power_mw}");
-        self.transition(now, RadioState::Transmit);
+        self.transition(card, now, RadioState::Transmit);
         self.tx_power_mw = power_mw;
         self.class = class;
     }
 
     /// Enters receive mode at `now` for a frame of the given class.
-    pub fn begin_rx(&mut self, now: SimTime, class: TrafficClass) {
-        self.transition(now, RadioState::Receive);
+    pub fn begin_rx(&mut self, card: &RadioCard, now: SimTime, class: TrafficClass) {
+        self.transition(card, now, RadioState::Receive);
         self.class = class;
     }
 
     /// Returns to idle at `now`.
-    pub fn set_idle(&mut self, now: SimTime) {
-        self.transition(now, RadioState::Idle);
+    pub fn set_idle(&mut self, card: &RadioCard, now: SimTime) {
+        self.transition(card, now, RadioState::Idle);
     }
 
     /// Enters sleep at `now`.
-    pub fn set_sleep(&mut self, now: SimTime) {
-        self.transition(now, RadioState::Sleep);
+    pub fn set_sleep(&mut self, card: &RadioCard, now: SimTime) {
+        self.transition(card, now, RadioState::Sleep);
     }
 
     /// Charges the final interval up to `end` and returns the report.
     /// The meter remains usable (it simply keeps integrating from `end`).
-    pub fn finish(&mut self, end: SimTime) -> EnergyReport {
-        self.charge_until(end);
+    pub fn finish(&mut self, card: &RadioCard, end: SimTime) -> EnergyReport {
+        self.charge_until(card, end);
         self.report
     }
 
@@ -259,8 +262,8 @@ mod tests {
     #[test]
     fn idle_integration_exact() {
         let card = cards::cabletron();
-        let mut m = EnergyMeter::new(card);
-        let r = m.finish(SimTime::from_secs(10));
+        let mut m = EnergyMeter::new();
+        let r = m.finish(&card, SimTime::from_secs(10));
         // 830 mW × 10 s = 8300 mJ.
         assert!((r.idle_mj - 8300.0).abs() < 1e-9);
         assert_eq!(r.time_idle, SimDuration::from_secs(10));
@@ -270,11 +273,11 @@ mod tests {
     #[test]
     fn tx_rx_split_by_class() {
         let card = cards::cabletron();
-        let mut m = EnergyMeter::new(card);
-        m.begin_tx(t(0), 1399.0, TrafficClass::Data);
-        m.begin_rx(t(100), TrafficClass::Control);
-        m.set_idle(t(200));
-        let r = m.finish(t(200));
+        let mut m = EnergyMeter::new();
+        m.begin_tx(&card, t(0), 1399.0, TrafficClass::Data);
+        m.begin_rx(&card, t(100), TrafficClass::Control);
+        m.set_idle(&card, t(200));
+        let r = m.finish(&card, t(200));
         assert!((r.tx_data_mj - 139.9).abs() < 1e-9, "1399 mW × 0.1 s");
         assert!((r.rx_ctrl_mj - 100.0).abs() < 1e-9, "1000 mW × 0.1 s");
         assert_eq!(r.tx_ctrl_mj, 0.0);
@@ -286,10 +289,10 @@ mod tests {
     #[test]
     fn sleep_and_wakeup_cost() {
         let card = cards::cabletron();
-        let mut m = EnergyMeter::new(card);
-        m.set_sleep(t(0));
-        m.set_idle(t(1000));
-        let r = m.finish(t(1000));
+        let mut m = EnergyMeter::new();
+        m.set_sleep(&card, t(0));
+        m.set_idle(&card, t(1000));
+        let r = m.finish(&card, t(1000));
         // 50 mW × 1 s sleep + one Esw charge.
         assert!((r.sleep_mj - 50.0).abs() < 1e-9);
         assert!((r.switch_mj - card.switch_energy_mj).abs() < 1e-12);
@@ -299,10 +302,10 @@ mod tests {
     #[test]
     fn sleep_to_sleep_costs_nothing_extra() {
         let card = cards::cabletron();
-        let mut m = EnergyMeter::new(card);
-        m.set_sleep(t(0));
-        m.set_sleep(t(500));
-        let r = m.finish(t(1000));
+        let mut m = EnergyMeter::new();
+        m.set_sleep(&card, t(0));
+        m.set_sleep(&card, t(500));
+        let r = m.finish(&card, t(1000));
         assert_eq!(r.wakeups, 0);
         assert_eq!(r.switch_mj, 0.0);
     }
@@ -312,22 +315,22 @@ mod tests {
         // The paper's Feeney–Nilsson point: with no communication, idle
         // energy dominates total consumption.
         let card = cards::cabletron();
-        let mut m = EnergyMeter::new(card);
-        m.begin_tx(SimTime::from_secs(10), card.max_tx_total_power_mw(), TrafficClass::Data);
-        m.set_idle(SimTime::from_secs(10) + SimDuration::from_millis(5));
-        let r = m.finish(SimTime::from_secs(900));
+        let mut m = EnergyMeter::new();
+        m.begin_tx(&card, SimTime::from_secs(10), card.max_tx_total_power_mw(), TrafficClass::Data);
+        m.set_idle(&card, SimTime::from_secs(10) + SimDuration::from_millis(5));
+        let r = m.finish(&card, SimTime::from_secs(900));
         assert!(r.passive_mj() > 100.0 * r.comm_mj());
     }
 
     #[test]
     fn report_accumulate_adds_fields() {
         let card = cards::mica2();
-        let mut a = EnergyMeter::new(card);
-        a.begin_tx(t(0), 30.0, TrafficClass::Data);
-        let ra = a.finish(t(1000));
-        let mut b = EnergyMeter::new(card);
-        b.begin_rx(t(0), TrafficClass::Data);
-        let rb = b.finish(t(1000));
+        let mut a = EnergyMeter::new();
+        a.begin_tx(&card, t(0), 30.0, TrafficClass::Data);
+        let ra = a.finish(&card, t(1000));
+        let mut b = EnergyMeter::new();
+        b.begin_rx(&card, t(0), TrafficClass::Data);
+        let rb = b.finish(&card, t(1000));
         let mut total = EnergyReport::default();
         total.accumulate(&ra);
         total.accumulate(&rb);
@@ -339,17 +342,18 @@ mod tests {
     #[test]
     fn finish_is_resumable() {
         let card = cards::mica2();
-        let mut m = EnergyMeter::new(card);
-        let r1 = m.finish(SimTime::from_secs(1));
-        let r2 = m.finish(SimTime::from_secs(2));
+        let mut m = EnergyMeter::new();
+        let r1 = m.finish(&card, SimTime::from_secs(1));
+        let r2 = m.finish(&card, SimTime::from_secs(2));
         assert!((r2.idle_mj - 2.0 * r1.idle_mj).abs() < 1e-9);
     }
 
     #[test]
     #[should_panic(expected = "bad tx power")]
     fn negative_power_panics() {
-        let mut m = EnergyMeter::new(cards::mica2());
-        m.begin_tx(t(0), f64::NAN, TrafficClass::Data);
+        let card = cards::mica2();
+        let mut m = EnergyMeter::new();
+        m.begin_tx(&card, t(0), f64::NAN, TrafficClass::Data);
     }
 
     proptest! {
@@ -358,19 +362,19 @@ mod tests {
         #[test]
         fn random_walk_conserves_energy(steps in proptest::collection::vec((0u8..4, 1u64..10_000), 1..100)) {
             let card = cards::cabletron();
-            let mut m = EnergyMeter::new(card);
+            let mut m = EnergyMeter::new();
             let mut now = SimTime::ZERO;
             for (s, dt) in steps {
                 now += SimDuration::from_micros(dt);
                 match s {
-                    0 => m.begin_tx(now, 1500.0, TrafficClass::Data),
-                    1 => m.begin_rx(now, TrafficClass::Control),
-                    2 => m.set_idle(now),
-                    _ => m.set_sleep(now),
+                    0 => m.begin_tx(&card, now, 1500.0, TrafficClass::Data),
+                    1 => m.begin_rx(&card, now, TrafficClass::Control),
+                    2 => m.set_idle(&card, now),
+                    _ => m.set_sleep(&card, now),
                 }
             }
             let end = now + SimDuration::from_millis(1);
-            let r = m.finish(end);
+            let r = m.finish(&card, end);
             let sum = r.idle_mj + r.sleep_mj + r.switch_mj + r.tx_data_mj
                 + r.tx_ctrl_mj + r.rx_data_mj + r.rx_ctrl_mj;
             prop_assert!((sum - r.total_mj()).abs() < 1e-9);

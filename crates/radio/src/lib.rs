@@ -16,6 +16,7 @@
 //!   computed once for loops that charge many frames;
 //! - [`EnergyMeter`]: exact integration of energy over state changes with
 //!   the data/control split of Eqs 1–2 and the switch cost `Esw` of Eq 3.
+//!   A meter holds no card; each call that integrates takes the node's.
 //!
 //! # Example
 //!
@@ -24,11 +25,12 @@
 //! use eend_sim::SimTime;
 //!
 //! let card = cards::cabletron();
-//! let mut meter = EnergyMeter::new(card);
+//! let mut meter = EnergyMeter::new();
 //! // Idle for 1 s, then transmit a data frame at full power for 10 ms.
-//! meter.begin_tx(SimTime::from_secs(1), card.max_tx_total_power_mw(), TrafficClass::Data);
-//! meter.set_idle(SimTime::from_secs(1) + eend_sim::SimDuration::from_millis(10));
-//! let report = meter.finish(SimTime::from_secs(2));
+//! let full = card.max_tx_total_power_mw();
+//! meter.begin_tx(&card, SimTime::from_secs(1), full, TrafficClass::Data);
+//! meter.set_idle(&card, SimTime::from_secs(1) + eend_sim::SimDuration::from_millis(10));
+//! let report = meter.finish(&card, SimTime::from_secs(2));
 //! assert!(report.tx_data_mj > 0.0 && report.idle_mj > 0.0);
 //! ```
 

@@ -23,7 +23,9 @@
 //! `floor(cs_range_m / cell) + 1` = 3 cells apart on each axis (the
 //! carrier-sense reach). Neighbour sets are rebuilt from each node's 3×3
 //! cell neighbourhood — O(n · k) for k nodes per neighbourhood instead of
-//! the old O(n²) pairwise scan. Membership is kept cell-ordered, with a
+//! the old O(n²) pairwise scan — into one compressed table: every list
+//! is a run of `u32` ids in a single array, found through a per-node
+//! `(offset, len)` index. Membership is kept cell-ordered, with a
 //! copy of the positions in the same order, so that scan streams through
 //! three contiguous row slices; [`Channel::update_positions`] re-buckets
 //! every node with one counting sort. Distance comparisons use squared
@@ -108,7 +110,7 @@ struct Grid {
     /// `(column, row)` of every node: cell tests need no division.
     cell_of: Vec<Cell>,
     start: Vec<u32>,
-    members: Vec<NodeId>,
+    members: Vec<u32>,
     member_pos: Vec<(f64, f64)>,
 }
 
@@ -171,7 +173,7 @@ impl Grid {
             let c = self.flat(self.cell_of[u]);
             self.start[c] -= 1;
             let at = self.start[c] as usize;
-            self.members[at] = u;
+            self.members[at] = u as u32;
             self.member_pos[at] = p;
         }
     }
@@ -189,7 +191,12 @@ pub struct Channel {
     /// Carrier-sense reach in grid cells: nodes within `cs_range_m` of
     /// each other are at most this many cells apart on each axis.
     cs_reach: u32,
-    neighbors: Vec<Vec<NodeId>>,
+    /// Every neighbour list, end to end: node `u`'s list is
+    /// `adj[off..off + len]` for `(off, len) = nb_index[u]`, ascending.
+    /// The grid rebuild appends lists in cell order, so the index is
+    /// what finds them.
+    adj: Vec<u32>,
+    nb_index: Vec<(u32, u32)>,
     grid: Grid,
     live: Vec<Transmission>,
     log: Vec<Transmission>,
@@ -203,9 +210,11 @@ impl Channel {
     ///
     /// # Panics
     ///
-    /// Panics if `range_m` is not positive.
+    /// Panics if `range_m` is not positive or the node count does not fit
+    /// a `u32`.
     pub fn new(positions: Vec<(f64, f64)>, range_m: f64) -> Channel {
         assert!(range_m > 0.0, "range must be positive");
+        assert!(u32::try_from(positions.len()).is_ok(), "node ids must fit a u32");
         let cs_range_m = range_m * CS_RANGE_FACTOR;
         let grid = Grid::new(&positions, range_m * CELL_SLACK);
         let cs_reach = (cs_range_m / grid.cell_m).floor() as u32 + 1;
@@ -217,13 +226,17 @@ impl Channel {
             range_sq: range_m * range_m,
             cs_range_sq: cs_range_m * cs_range_m,
             cs_reach,
-            neighbors: (0..n).map(|_| Vec::new()).collect(),
+            adj: Vec::new(),
+            nb_index: vec![(0, 0); n],
             grid,
             live: Vec::new(),
             log: Vec::new(),
             prune_at: PRUNE_MIN,
         };
         c.rebuild_neighbors();
+        // Later rebuilds reuse this table; the first one grew it by
+        // doubling, so trim the slack once.
+        c.adj.shrink_to_fit();
         c
     }
 
@@ -267,7 +280,7 @@ impl Channel {
         step(&mut self.positions);
         self.grid.refresh(&self.positions);
         self.rebuild_neighbors_with(|u, nb| {
-            counts[u] = nb.iter().filter(|&&w| is_active(w)).count() as u32;
+            counts[u] = nb.iter().filter(|&&w| is_active(w as NodeId)).count() as u32;
         });
     }
 
@@ -281,11 +294,10 @@ impl Channel {
     /// `range_m`, so no in-range pair is missed), filtered by squared
     /// distance, sorted ascending — the same order the old O(n²)
     /// triangular scan produced, which pins event ordering. Deployments
-    /// of at most 3×3 cells take a triangular pairwise scan instead:
+    /// of at most 3×3 cells take a pairwise scan in node order instead:
     /// there a 3×3 neighbourhood spans more than half the grid on
     /// average (all of it from the centre cell), so culling saves less
-    /// than the triangular scan's halved distance checks and skipped
-    /// per-node sort (both sides are filled in ascending order).
+    /// than the skipped per-node sort.
     fn rebuild_neighbors(&mut self) {
         self.rebuild_neighbors_with(|_, _| {});
     }
@@ -294,23 +306,18 @@ impl Channel {
     /// nb)` fires once per node with its finished (sorted) neighbour
     /// list, letting callers derive per-node aggregates without a second
     /// pass.
-    fn rebuild_neighbors_with(&mut self, mut note: impl FnMut(NodeId, &[NodeId])) {
+    fn rebuild_neighbors_with(&mut self, mut note: impl FnMut(NodeId, &[u32])) {
         let n = self.positions.len();
+        let adj = &mut self.adj;
+        adj.clear();
         if self.grid.cols <= 3 && self.grid.rows <= 3 {
-            for nb in &mut self.neighbors {
-                nb.clear();
-            }
             for u in 0..n {
-                let pu = self.positions[u];
-                for v in (u + 1)..n {
-                    if dist_sq(pu, self.positions[v]) <= self.range_sq {
-                        self.neighbors[u].push(v);
-                        self.neighbors[v].push(u);
-                    }
-                }
-            }
-            for u in 0..n {
-                note(u, &self.neighbors[u]);
+                let (off, pu) = (adj.len(), self.positions[u]);
+                adj.extend((0..n as u32).filter(|&v| {
+                    v as usize != u && dist_sq(pu, self.positions[v as usize]) <= self.range_sq
+                }));
+                self.nb_index[u] = table_span(off, adj.len());
+                note(u, &adj[off..]);
             }
             return;
         }
@@ -320,7 +327,7 @@ impl Channel {
         // written, the cursor advances only on a hit): about a third of
         // the candidates are in range, a rate a branch mispredicts.
         let g = &self.grid;
-        let mut hits: Vec<NodeId> = Vec::new();
+        let mut hits: Vec<u32> = Vec::new();
         for cy in 0..g.rows {
             let rows = cy.saturating_sub(1)..=(cy + 1).min(g.rows - 1);
             for cx in 0..g.cols {
@@ -334,7 +341,7 @@ impl Channel {
                     hits.resize(candidates, 0);
                 }
                 for i in g.start[c] as usize..g.start[c + 1] as usize {
-                    let (u, pu) = (g.members[i], g.member_pos[i]);
+                    let (u, pu) = (g.members[i] as usize, g.member_pos[i]);
                     let mut k = 0;
                     for span in row_spans.clone() {
                         for j in span {
@@ -343,11 +350,11 @@ impl Channel {
                             k += usize::from(hit);
                         }
                     }
-                    let nb = &mut self.neighbors[u];
-                    nb.clear();
-                    nb.extend_from_slice(&hits[..k]);
-                    nb.sort_unstable();
-                    note(u, nb);
+                    let off = adj.len();
+                    adj.extend_from_slice(&hits[..k]);
+                    adj[off..].sort_unstable();
+                    self.nb_index[u] = table_span(off, adj.len());
+                    note(u, &adj[off..]);
                 }
             }
         }
@@ -375,8 +382,9 @@ impl Channel {
     }
 
     /// Nodes within transmission range of `u`, ascending.
-    pub fn neighbors(&self, u: NodeId) -> &[NodeId] {
-        &self.neighbors[u]
+    pub fn neighbors(&self, u: NodeId) -> &[u32] {
+        let (off, len) = self.nb_index[u];
+        &self.adj[off as usize..(off + len) as usize]
     }
 
     /// `true` if `v` is within decoding range of `u`.
@@ -580,6 +588,13 @@ impl Channel {
     }
 }
 
+/// The `(offset, len)` index entry of the list at `adj[off..end]`
+/// (`off <= end`, so `off` fits wherever `end` does).
+fn table_span(off: usize, end: usize) -> (u32, u32) {
+    let end = u32::try_from(end).expect("neighbour table outgrew u32 offsets");
+    (off as u32, end - off as u32)
+}
+
 #[inline]
 fn dist_sq(a: (f64, f64), b: (f64, f64)) -> f64 {
     (a.0 - b.0).powi(2) + (a.1 - b.1).powi(2)
@@ -700,7 +715,7 @@ mod tests {
         let mut positions = vec![(0.0, 0.0), (100.0, 0.0), (2000.0, 0.0), (4000.0, 3000.0)];
         let mut c = Channel::new(positions.clone(), 120.0);
         assert_eq!(c.neighbors(0), &[1]);
-        assert_eq!(c.neighbors(2), &[] as &[NodeId]);
+        assert_eq!(c.neighbors(2), &[] as &[u32]);
         // March node 0 over to node 2 in steps.
         for step in 0..=20 {
             positions[0] = (100.0 * step as f64, 0.0);
@@ -708,7 +723,7 @@ mod tests {
         }
         assert_eq!(c.neighbors(0), &[2], "0 moved next to 2");
         assert_eq!(c.neighbors(2), &[0]);
-        assert_eq!(c.neighbors(1), &[] as &[NodeId], "1 left behind");
+        assert_eq!(c.neighbors(1), &[] as &[u32], "1 left behind");
         assert!(c.in_range(0, 2) && !c.in_range(0, 1));
         // The in-place update path agrees with set_positions.
         c.update_positions(|pos| pos[0] = (100.0, 0.0));
@@ -724,7 +739,7 @@ mod tests {
         for u in 0..60 {
             let nb = c.neighbors(u);
             assert!(nb.windows(2).all(|w| w[0] < w[1]), "node {u} list not ascending: {nb:?}");
-            assert!(!nb.contains(&u), "self-neighbour at {u}");
+            assert!(!nb.contains(&(u as u32)), "self-neighbour at {u}");
         }
     }
 

@@ -129,10 +129,11 @@ impl LinkMemo {
 /// indexed by [`NodeId`]. Ids are dense node indices below the network
 /// size, and a converged table holds every reachable destination anyway,
 /// so a row costs the same order of memory as a hash map would while a
-/// lookup is one bounds-checked index instead of a SipHash probe.
-#[derive(Debug, Clone)]
+/// lookup is one bounds-checked index instead of a SipHash probe. The
+/// [`DsdvConfig`] it runs under is shared, read through
+/// [`RoutingCtx::dsdv_config`].
+#[derive(Debug, Clone, Default)]
 pub struct DsdvRouting {
-    cfg: DsdvConfig,
     /// Routing table indexed by destination: `None` until the
     /// destination is first advertised, grown to `dst + 1` on that first
     /// sighting. A full dump walks it in index order, which is the
@@ -159,18 +160,8 @@ pub struct DsdvRouting {
 
 impl DsdvRouting {
     /// Fresh state for one node.
-    pub fn new(cfg: DsdvConfig) -> DsdvRouting {
-        DsdvRouting {
-            cfg,
-            table: Vec::new(),
-            known: 0,
-            buffer: BTreeMap::new(),
-            own_seq: 0,
-            last_trigger: None,
-            dirty: Vec::new(),
-            neighbors: Vec::new(),
-            updates_sent: 0,
-        }
+    pub fn new() -> DsdvRouting {
+        DsdvRouting::default()
     }
 
     fn route(&self, dst: NodeId) -> Option<&TableRoute> {
@@ -244,7 +235,7 @@ impl DsdvRouting {
             }
             None => {
                 let buf = self.buffer.entry(packet.dst).or_default();
-                if buf.len() >= self.cfg.buffer_per_dst {
+                if buf.len() >= ctx.dsdv_config().buffer_per_dst {
                     out.push(Action::Drop(packet, DropReason::BufferOverflow));
                     return;
                 }
@@ -367,9 +358,10 @@ impl DsdvRouting {
         // Standard DSDV triggered update: propagate newly adopted sequence
         // numbers promptly (rate-limited; own sequence is not bumped, so
         // the cascade settles once every node has seen the new numbers).
-        if adopted_newer_seq && self.cfg.trigger_on_adoption {
-            let gap_ok =
-                self.last_trigger.is_none_or(|last| ctx.now >= last + self.cfg.min_trigger_gap);
+        if adopted_newer_seq && ctx.dsdv_config().trigger_on_adoption {
+            let gap_ok = self
+                .last_trigger
+                .is_none_or(|last| ctx.now >= last + ctx.dsdv_config().min_trigger_gap);
             if gap_ok {
                 self.last_trigger = Some(ctx.now);
                 let update = self.build_update(ctx, false);
@@ -394,10 +386,10 @@ impl DsdvRouting {
         }
     }
 
-    /// `self.cfg.metric.link_cost` of the link from `from`, `dist` metres
-    /// away, read from its memo while the distance is unchanged. The card
-    /// and bandwidth `ctx` carries are a node's own and fixed, so the
-    /// distance and mode are the only inputs that vary.
+    /// The configured metric's `link_cost` of the link from `from`,
+    /// `dist` metres away, read from its memo while the distance is
+    /// unchanged. The card, metric and bandwidth `ctx` carries are fixed
+    /// for a node, so the distance and mode are the only inputs that vary.
     fn link_cost(&mut self, ctx: &RoutingCtx<'_>, from: NodeId, dist: f64, in_psm: bool) -> f64 {
         let memo = &mut self.neighbors[from].link;
         if memo.dist_bits != dist.to_bits() {
@@ -405,7 +397,8 @@ impl DsdvRouting {
         }
         let slot = if in_psm { &mut memo.psm } else { &mut memo.active };
         if slot.is_nan() {
-            *slot = self.cfg.metric.link_cost(ctx.card, dist, in_psm, 0.0, ctx.bandwidth_bps);
+            *slot =
+                ctx.dsdv_config().metric.link_cost(ctx.card, dist, in_psm, 0.0, ctx.bandwidth_bps);
         }
         *slot
     }
@@ -423,7 +416,7 @@ impl DsdvRouting {
         }
         let frame = self.build_update(ctx, true);
         out.push(Action::Send(frame));
-        out.push(Action::Timer(TimerKind::DsdvPeriodic, ctx.now + self.cfg.periodic));
+        out.push(Action::Timer(TimerKind::DsdvPeriodic, ctx.now + ctx.dsdv_config().periodic));
     }
 
     /// Handles a dead link reported by the MAC: mark routes through the
@@ -467,11 +460,11 @@ impl DsdvRouting {
         _mode: PmMode,
         out: &mut Vec<Action>,
     ) {
-        if !self.cfg.trigger_on_pm_change {
+        if !ctx.dsdv_config().trigger_on_pm_change {
             return;
         }
         if let Some(last) = self.last_trigger {
-            if ctx.now < last + self.cfg.min_trigger_gap {
+            if ctx.now < last + ctx.dsdv_config().min_trigger_gap {
                 return;
             }
         }
@@ -535,7 +528,7 @@ mod reference;
 mod tests {
     use super::*;
     use crate::channel::Channel;
-    use crate::scenario::{radio_profiles, CardAssignment};
+    use crate::scenario::{radio_profiles, CardAssignment, RoutingKind};
     use eend_radio::{cards, CardPowers, RadioCard};
     use eend_sim::SimRng;
     use proptest::prelude::*;
@@ -548,12 +541,26 @@ mod tests {
         channel: Channel,
         pm: Vec<PmMode>,
         card: eend_radio::RadioCard,
+        config: RoutingKind,
         rng: SimRng,
     }
 
     impl World {
+        /// The line under plain DSDV.
         fn new(pm: Vec<PmMode>) -> World {
-            World { channel: line_channel(), pm, card: cards::cabletron(), rng: SimRng::new(3) }
+            World {
+                channel: line_channel(),
+                pm,
+                card: cards::cabletron(),
+                config: RoutingKind::Dsdv(DsdvConfig::dsdv()),
+                rng: SimRng::new(3),
+            }
+        }
+
+        /// The same world with every node under `cfg` instead.
+        fn with_config(mut self, cfg: DsdvConfig) -> World {
+            self.config = RoutingKind::Dsdv(cfg);
+            self
         }
         fn ctx(&mut self, node: NodeId, now_ms: u64) -> RoutingCtx<'_> {
             RoutingCtx {
@@ -563,6 +570,7 @@ mod tests {
                 pm_modes: &self.pm,
                 card: &self.card,
                 bandwidth_bps: 2_000_000.0,
+                config: &self.config,
                 rng: &mut self.rng,
                 active_neighbors: None,
             }
@@ -595,7 +603,8 @@ mod tests {
                 })
                 .collect();
             for f in frames {
-                let neighbors: Vec<NodeId> = w.channel.neighbors(f.tx).to_vec();
+                let neighbors: Vec<NodeId> =
+                    w.channel.neighbors(f.tx).iter().map(|&r| r as NodeId).collect();
                 for r in neighbors {
                     let mut ctx = w.ctx(r, 100 * (round + 1) + 1);
                     nodes[r].on_frame(&mut ctx, f.clone());
@@ -607,8 +616,7 @@ mod tests {
     #[test]
     fn tables_converge_on_line() {
         let mut w = World::new(vec![PmMode::ActiveMode; 4]);
-        let mut nodes: Vec<DsdvRouting> =
-            (0..4).map(|_| DsdvRouting::new(DsdvConfig::dsdv())).collect();
+        let mut nodes: Vec<DsdvRouting> = (0..4).map(|_| DsdvRouting::new()).collect();
         converge(&mut w, &mut nodes);
         assert_eq!(nodes[0].next_hop(3), Some(1));
         assert_eq!(nodes[1].next_hop(3), Some(2));
@@ -620,8 +628,7 @@ mod tests {
     #[test]
     fn data_forwards_along_table() {
         let mut w = World::new(vec![PmMode::ActiveMode; 4]);
-        let mut nodes: Vec<DsdvRouting> =
-            (0..4).map(|_| DsdvRouting::new(DsdvConfig::dsdv())).collect();
+        let mut nodes: Vec<DsdvRouting> = (0..4).map(|_| DsdvRouting::new()).collect();
         converge(&mut w, &mut nodes);
         let a = nodes[0].on_app_packet(&mut w.ctx(0, 500), data(0, 3));
         let Action::Send(f) = &a[0] else { panic!() };
@@ -641,11 +648,11 @@ mod tests {
     #[test]
     fn no_route_buffers_then_flushes() {
         let mut w = World::new(vec![PmMode::ActiveMode; 4]);
-        let mut n0 = DsdvRouting::new(DsdvConfig::dsdv());
+        let mut n0 = DsdvRouting::new();
         // No routes yet: buffered.
         assert!(n0.on_app_packet(&mut w.ctx(0, 0), data(0, 1)).is_empty());
         // Node 1 advertises itself; node 0 learns and flushes.
-        let mut n1 = DsdvRouting::new(DsdvConfig::dsdv());
+        let mut n1 = DsdvRouting::new();
         let a = n1.on_timer(&mut w.ctx(1, 10), TimerKind::DsdvPeriodic);
         let Action::Send(update) = &a[0] else { panic!() };
         let a = n0.on_frame(&mut w.ctx(0, 11), update.clone());
@@ -669,7 +676,7 @@ mod tests {
     #[test]
     fn adoption_trigger_is_rate_limited_and_keeps_own_seq() {
         let mut w = World::new(vec![PmMode::ActiveMode; 4]);
-        let mut n1 = DsdvRouting::new(DsdvConfig::dsdv());
+        let mut n1 = DsdvRouting::new();
         let update = |seq| Frame {
             tx: 0,
             rx: None,
@@ -704,7 +711,7 @@ mod tests {
     #[test]
     fn buffer_overflow_drops() {
         let mut w = World::new(vec![PmMode::ActiveMode; 4]);
-        let mut n0 = DsdvRouting::new(DsdvConfig::dsdv());
+        let mut n0 = DsdvRouting::new();
         for _ in 0..5 {
             assert!(n0.on_app_packet(&mut w.ctx(0, 0), data(0, 3)).is_empty());
         }
@@ -715,7 +722,7 @@ mod tests {
     #[test]
     fn newer_sequence_wins_same_sequence_needs_better_metric() {
         let mut w = World::new(vec![PmMode::ActiveMode; 4]);
-        let mut n1 = DsdvRouting::new(DsdvConfig::dsdv());
+        let mut n1 = DsdvRouting::new();
         let update = |seq, metric| Frame {
             tx: 0,
             rx: None,
@@ -749,8 +756,7 @@ mod tests {
     #[test]
     fn link_failure_invalidates_routes_via_neighbor() {
         let mut w = World::new(vec![PmMode::ActiveMode; 4]);
-        let mut nodes: Vec<DsdvRouting> =
-            (0..4).map(|_| DsdvRouting::new(DsdvConfig::dsdv())).collect();
+        let mut nodes: Vec<DsdvRouting> = (0..4).map(|_| DsdvRouting::new()).collect();
         converge(&mut w, &mut nodes);
         assert_eq!(nodes[0].next_hop(3), Some(1));
         let mut p = data(0, 3);
@@ -764,8 +770,8 @@ mod tests {
 
     #[test]
     fn pm_change_triggers_update_for_dsdvh_only() {
-        let mut w = World::new(vec![PmMode::ActiveMode; 4]);
-        let mut dsdvh = DsdvRouting::new(DsdvConfig::dsdvh());
+        let mut w = World::new(vec![PmMode::ActiveMode; 4]).with_config(DsdvConfig::dsdvh());
+        let mut dsdvh = DsdvRouting::new();
         let a = dsdvh.on_pm_changed(&mut w.ctx(1, 1000), PmMode::PowerSave);
         assert_eq!(a.len(), 1, "DSDVH must advertise on PM change");
         assert!(matches!(&a[0], Action::Send(f) if f.is_broadcast()));
@@ -775,15 +781,15 @@ mod tests {
         let a = dsdvh.on_pm_changed(&mut w.ctx(1, 2500), PmMode::ActiveMode);
         assert_eq!(a.len(), 1, "after the gap");
         // Plain DSDV never triggers.
-        let mut dsdv = DsdvRouting::new(DsdvConfig::dsdv());
+        let mut w = w.with_config(DsdvConfig::dsdv());
+        let mut dsdv = DsdvRouting::new();
         assert!(dsdv.on_pm_changed(&mut w.ctx(1, 5000), PmMode::PowerSave).is_empty());
     }
 
     #[test]
     fn update_size_grows_with_table() {
         let mut w = World::new(vec![PmMode::ActiveMode; 4]);
-        let mut nodes: Vec<DsdvRouting> =
-            (0..4).map(|_| DsdvRouting::new(DsdvConfig::dsdv())).collect();
+        let mut nodes: Vec<DsdvRouting> = (0..4).map(|_| DsdvRouting::new()).collect();
         let a = nodes[0].on_timer(&mut w.ctx(0, 1), TimerKind::DsdvPeriodic);
         let Action::Send(f) = &a[0] else { panic!() };
         let empty_size = f.packet.size_bytes;
@@ -797,7 +803,7 @@ mod tests {
     #[test]
     fn buffered_packets_flush_in_ascending_destination_order() {
         let mut w = World::new(vec![PmMode::ActiveMode; 4]);
-        let mut n0 = DsdvRouting::new(DsdvConfig::dsdv());
+        let mut n0 = DsdvRouting::new();
         let dsts = [9, 4, 12, 7, 5, 11, 6, 10];
         for dst in dsts {
             assert!(n0.on_app_packet(&mut w.ctx(0, 0), data(0, dst)).is_empty());
@@ -834,7 +840,7 @@ mod tests {
     #[test]
     fn loop_guard_sheds_looping_packets() {
         let mut w = World::new(vec![PmMode::ActiveMode; 4]);
-        let mut n1 = DsdvRouting::new(DsdvConfig::dsdv());
+        let mut n1 = DsdvRouting::new();
         // Fake a route for dst 3 via node 0 and a packet that already
         // visited node 1.
         let update = Frame {
@@ -903,8 +909,8 @@ mod tests {
                 card.max_radiated_power_mw().to_bits()
             );
             for metric in METRICS {
-                let cfg = DsdvConfig { metric, ..DsdvConfig::dsdvh() };
-                let mut agent = DsdvRouting::new(cfg);
+                let config = RoutingKind::Dsdv(DsdvConfig { metric, ..DsdvConfig::dsdvh() });
+                let mut agent = DsdvRouting::new();
                 agent.neighbors.resize_with(3, || Neighbor::UNSEEN);
                 let pm = vec![PmMode::ActiveMode; 4];
                 let mut rng = SimRng::new(1);
@@ -926,6 +932,7 @@ mod tests {
                         pm_modes: &pm,
                         card: &card,
                         bandwidth_bps: b,
+                        config: &config,
                         rng: &mut rng,
                         active_neighbors: None,
                     };

@@ -18,6 +18,7 @@ use crate::channel::Channel;
 use crate::frame::{Frame, NodeId, Packet, PacketKind};
 use crate::power::PmMode;
 use crate::routing::{Action, DropReason, RoutingCtx, TimerKind};
+use crate::scenario::RoutingKind;
 use eend_radio::cards;
 use eend_sim::{SimDuration, SimRng, SimTime};
 use proptest::prelude::*;
@@ -463,7 +464,8 @@ fn run_case(seed: u64) -> Result<(), TestCaseError> {
     cfg.trigger_on_adoption = g.chance(0.8);
     cfg.buffer_per_dst = g.range_usize(0, 4);
     cfg.min_trigger_gap = SimDuration::from_millis(g.below(1500));
-    let mut live = LiveDsdv::new(cfg);
+    let config = RoutingKind::Dsdv(cfg);
+    let mut live = LiveDsdv::new();
     let mut reference = DsdvRouting::new(cfg);
     let (mut rng_live, mut rng_ref) = (SimRng::new(1), SimRng::new(1));
     let mut now_ms = 0;
@@ -493,6 +495,7 @@ fn run_case(seed: u64) -> Result<(), TestCaseError> {
             pm_modes: &pm,
             card: &card,
             bandwidth_bps: 2_000_000.0,
+            config: &config,
             rng,
             active_neighbors: None,
         };

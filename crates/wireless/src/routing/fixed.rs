@@ -32,21 +32,15 @@ impl StaticConfig {
     }
 }
 
-/// Per-node static routing state (stateless beyond its shared config).
-#[derive(Debug, Clone)]
-pub struct StaticRouting {
-    cfg: StaticConfig,
-}
+/// Per-node static routing state: none. The [`StaticConfig`] every node
+/// follows is read through [`RoutingCtx::static_config`].
+#[derive(Debug, Clone, Default)]
+pub struct StaticRouting;
 
 impl StaticRouting {
     /// Fresh state for one node.
-    pub fn new(cfg: StaticConfig) -> StaticRouting {
-        StaticRouting { cfg }
-    }
-
-    /// The configured route for `flow`, if any.
-    pub fn route_for(&self, flow: usize) -> Option<&[NodeId]> {
-        self.cfg.routes.get(flow)?.as_deref()
+    pub fn new() -> StaticRouting {
+        StaticRouting
     }
 
     /// Handles a freshly generated application packet: stamp the flow's
@@ -61,7 +55,8 @@ impl StaticRouting {
         let PacketKind::Data { flow, .. } = packet.kind else {
             return;
         };
-        let Some(route) = self.route_for(flow).filter(|r| r.len() >= 2) else {
+        let route = ctx.static_config().routes.get(flow).and_then(Option::as_deref);
+        let Some(route) = route.filter(|r| r.len() >= 2) else {
             out.push(Action::Drop(packet, DropReason::NoRoute));
             return;
         };
@@ -128,6 +123,7 @@ mod tests {
     use super::*;
     use crate::channel::Channel;
     use crate::power::PmMode;
+    use crate::scenario::RoutingKind;
     use eend_radio::cards;
     use eend_sim::{SimRng, SimTime};
 
@@ -136,6 +132,7 @@ mod tests {
         channel: &'a Channel,
         pm: &'a [PmMode],
         card: &'a eend_radio::RadioCard,
+        config: &'a RoutingKind,
         rng: &'a mut SimRng,
     ) -> RoutingCtx<'a> {
         RoutingCtx {
@@ -145,9 +142,14 @@ mod tests {
             pm_modes: pm,
             card,
             bandwidth_bps: 2e6,
+            config,
             rng,
             active_neighbors: None,
         }
+    }
+
+    fn routes(routes: Vec<Option<Vec<NodeId>>>) -> RoutingKind {
+        RoutingKind::Static(StaticConfig::new(routes))
     }
 
     fn data_packet(flow: usize, src: NodeId, dst: NodeId) -> Packet {
@@ -174,9 +176,10 @@ mod tests {
     fn app_packet_follows_fixed_route() {
         let (channel, pm, card) = line3();
         let mut rng = SimRng::new(7);
-        let mut agent = StaticRouting::new(StaticConfig::new(vec![Some(vec![0, 1, 2])]));
+        let config = routes(vec![Some(vec![0, 1, 2])]);
+        let mut agent = StaticRouting::new();
         let mut out = Vec::new();
-        let mut c = ctx(0, &channel, &pm, &card, &mut rng);
+        let mut c = ctx(0, &channel, &pm, &card, &config, &mut rng);
         agent.on_app_packet_into(&mut c, data_packet(0, 0, 2), &mut out);
         assert_eq!(out.len(), 1);
         let Action::Send(frame) = &out[0] else { panic!("expected Send, got {out:?}") };
@@ -188,17 +191,18 @@ mod tests {
     fn relay_forwards_and_sink_delivers() {
         let (channel, pm, card) = line3();
         let mut rng = SimRng::new(7);
-        let mut agent = StaticRouting::new(StaticConfig::new(vec![Some(vec![0, 1, 2])]));
+        let config = routes(vec![Some(vec![0, 1, 2])]);
+        let mut agent = StaticRouting::new();
         let mut pkt = data_packet(0, 0, 2);
         pkt.route = vec![0, 1, 2];
         pkt.hop_idx = 0;
         let mut out = Vec::new();
-        let mut c = ctx(1, &channel, &pm, &card, &mut rng);
+        let mut c = ctx(1, &channel, &pm, &card, &config, &mut rng);
         agent.on_frame_into(&mut c, Frame { tx: 0, rx: Some(1), packet: pkt.clone() }, &mut out);
         let Action::Send(frame) = &out[0] else { panic!("expected Send, got {out:?}") };
         assert_eq!(frame.rx, Some(2));
         let mut out = Vec::new();
-        let mut c = ctx(2, &channel, &pm, &card, &mut rng);
+        let mut c = ctx(2, &channel, &pm, &card, &config, &mut rng);
         let mut at_sink = pkt;
         at_sink.hop_idx = 1;
         agent.on_frame_into(&mut c, Frame { tx: 1, rx: Some(2), packet: at_sink }, &mut out);
@@ -209,9 +213,10 @@ mod tests {
     fn unrouted_flow_drops_as_no_route() {
         let (channel, pm, card) = line3();
         let mut rng = SimRng::new(7);
-        let mut agent = StaticRouting::new(StaticConfig::new(vec![None]));
+        let config = routes(vec![None]);
+        let mut agent = StaticRouting::new();
         let mut out = Vec::new();
-        let mut c = ctx(0, &channel, &pm, &card, &mut rng);
+        let mut c = ctx(0, &channel, &pm, &card, &config, &mut rng);
         agent.on_app_packet_into(&mut c, data_packet(0, 0, 2), &mut out);
         assert!(matches!(out[0], Action::Drop(_, DropReason::NoRoute)));
     }
@@ -220,11 +225,12 @@ mod tests {
     fn link_failure_drops_without_repair() {
         let (channel, pm, card) = line3();
         let mut rng = SimRng::new(7);
-        let mut agent = StaticRouting::new(StaticConfig::new(vec![Some(vec![0, 1, 2])]));
+        let config = routes(vec![Some(vec![0, 1, 2])]);
+        let mut agent = StaticRouting::new();
         let mut pkt = data_packet(0, 0, 2);
         pkt.route = vec![0, 1, 2];
         let mut out = Vec::new();
-        let mut c = ctx(0, &channel, &pm, &card, &mut rng);
+        let mut c = ctx(0, &channel, &pm, &card, &config, &mut rng);
         agent.on_link_failure_into(&mut c, Frame { tx: 0, rx: Some(1), packet: pkt }, &mut out);
         assert!(matches!(out[0], Action::Drop(_, DropReason::LinkFailure)));
     }

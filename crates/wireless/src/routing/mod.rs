@@ -5,7 +5,9 @@
 //! [`RoutingCtx`] (read-only view of the world plus the node's RNG) and
 //! returns [`Action`]s for the simulator to execute. This keeps protocol
 //! logic free of borrow entanglement with the event loop and — more
-//! importantly — unit-testable without a running simulation.
+//! importantly — unit-testable without a running simulation. An agent
+//! holds only its node's protocol state: the configuration every node
+//! shares is read through the context, held once per run.
 
 pub mod dsdv;
 pub mod fixed;
@@ -15,6 +17,7 @@ pub mod reactive;
 use crate::channel::Channel;
 use crate::frame::{Frame, NodeId, Packet};
 use crate::power::PmMode;
+use crate::scenario::RoutingKind;
 use eend_radio::RadioCard;
 use eend_sim::{SimRng, SimTime};
 
@@ -80,6 +83,9 @@ pub struct RoutingCtx<'a> {
     pub card: &'a RadioCard,
     /// Channel bandwidth, bits per second.
     pub bandwidth_bps: f64,
+    /// The routing configuration every node of the run shares. Its kind
+    /// is the kind of every agent the context is handed to.
+    pub config: &'a RoutingKind,
     /// This node's RNG stream.
     pub rng: &'a mut SimRng,
     /// Per-node count of neighbours in [`PmMode::ActiveMode`], maintained
@@ -88,7 +94,46 @@ pub struct RoutingCtx<'a> {
     pub active_neighbors: Option<&'a [u32]>,
 }
 
-impl RoutingCtx<'_> {
+impl<'a> RoutingCtx<'a> {
+    /// The shared reactive configuration.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the run's routing is not reactive: only a reactive
+    /// agent asks, and agents are built from the run's configuration.
+    pub fn reactive_config(&self) -> &'a ReactiveConfig {
+        match self.config {
+            RoutingKind::Reactive(cfg) => cfg,
+            _ => panic!("a reactive agent runs under a non-reactive configuration"),
+        }
+    }
+
+    /// The shared DSDV configuration.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the run's routing is not DSDV (see
+    /// [`RoutingCtx::reactive_config`]).
+    pub fn dsdv_config(&self) -> &'a DsdvConfig {
+        match self.config {
+            RoutingKind::Dsdv(cfg) => cfg,
+            _ => panic!("a DSDV agent runs under a non-DSDV configuration"),
+        }
+    }
+
+    /// The shared static route table.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the run's routing is not static (see
+    /// [`RoutingCtx::reactive_config`]).
+    pub fn static_config(&self) -> &'a StaticConfig {
+        match self.config {
+            RoutingKind::Static(cfg) => cfg,
+            _ => panic!("a static agent runs under a non-static configuration"),
+        }
+    }
+
     /// Number of this node's neighbours currently in active mode —
     /// TITAN's backbone density. O(1) off the event loop's incremental
     /// counts; O(degree) without them. The two always agree: the loop
@@ -101,7 +146,7 @@ impl RoutingCtx<'_> {
                 .channel
                 .neighbors(self.node)
                 .iter()
-                .filter(|&&w| self.pm_modes[w] == PmMode::ActiveMode)
+                .filter(|&&w| self.pm_modes[w as usize] == PmMode::ActiveMode)
                 .count(),
         }
     }

@@ -76,10 +76,10 @@ struct Pending {
     attempt: u32,
 }
 
-/// Per-node reactive routing state.
-#[derive(Debug, Clone)]
+/// Per-node reactive routing state. The [`ReactiveConfig`] it runs
+/// under is shared, read through [`RoutingCtx::reactive_config`].
+#[derive(Debug, Clone, Default)]
 pub struct ReactiveRouting {
-    cfg: ReactiveConfig,
     cache: FxHashMap<NodeId, CachedRoute>,
     pending: FxHashMap<NodeId, Pending>,
     /// Best cost forwarded per (origin, rreq id) — duplicate suppression.
@@ -93,16 +93,8 @@ pub struct ReactiveRouting {
 
 impl ReactiveRouting {
     /// Fresh state for one node.
-    pub fn new(cfg: ReactiveConfig) -> ReactiveRouting {
-        ReactiveRouting {
-            cfg,
-            cache: FxHashMap::default(),
-            pending: FxHashMap::default(),
-            seen: FxHashMap::default(),
-            replied: FxHashMap::default(),
-            next_rreq: 0,
-            discoveries: 0,
-        }
+    pub fn new() -> ReactiveRouting {
+        ReactiveRouting::default()
     }
 
     /// The cached route to `dst`, if any (used by tests and the runner's
@@ -131,7 +123,7 @@ impl ReactiveRouting {
         let rate = data_rate(&packet);
         let target = packet.dst;
         let pend = self.pending.entry(target).or_default();
-        if pend.packets.len() >= self.cfg.max_pending_per_target {
+        if pend.packets.len() >= ctx.reactive_config().max_pending_per_target {
             out.push(Action::Drop(packet, DropReason::BufferOverflow));
             return;
         }
@@ -171,7 +163,10 @@ impl ReactiveRouting {
             hop_idx: 0,
             salvage: 0,
         };
-        let timeout = self.cfg.base_discovery_timeout.saturating_mul(1u64 << (attempt - 1).min(8));
+        let timeout = ctx
+            .reactive_config()
+            .base_discovery_timeout
+            .saturating_mul(1u64 << (attempt - 1).min(8));
         out.push(Action::Send(Frame { tx: ctx.node, rx: None, packet }));
         out.push(Action::Timer(TimerKind::Discovery { target, attempt }, ctx.now + timeout));
     }
@@ -250,10 +245,11 @@ impl ReactiveRouting {
         if origin == me || path.contains(&me) {
             return;
         }
+        let cfg = ctx.reactive_config();
         let dist = ctx.channel.distance(from, me);
         let in_psm = ctx.pm_modes[me] == PmMode::PowerSave;
         let new_cost =
-            cost + self.cfg.metric.link_cost(ctx.card, dist, in_psm, rate_bps, ctx.bandwidth_bps);
+            cost + cfg.metric.link_cost(ctx.card, dist, in_psm, rate_bps, ctx.bandwidth_bps);
         let full_path = |path: &[NodeId]| {
             let mut fp = Vec::with_capacity(path.len() + 1);
             fp.extend_from_slice(path);
@@ -264,7 +260,7 @@ impl ReactiveRouting {
         if me == target {
             let entry = self.replied.entry((origin, id)).or_insert((f64::INFINITY, 0));
             let improved = new_cost < entry.0;
-            if !improved || entry.1 >= self.cfg.max_replies_per_discovery {
+            if !improved || entry.1 >= cfg.max_replies_per_discovery {
                 return;
             }
             *entry = (new_cost, entry.1 + 1);
@@ -290,7 +286,7 @@ impl ReactiveRouting {
         // when the metric warrants it.
         match self.seen.get(&(origin, id)) {
             Some(&best) if best <= new_cost => return,
-            Some(_) if !self.cfg.metric.rebroadcast_on_better_cost() => return,
+            Some(_) if !cfg.metric.rebroadcast_on_better_cost() => return,
             _ => {}
         }
         self.seen.insert((origin, id), new_cost);
@@ -298,7 +294,7 @@ impl ReactiveRouting {
         // TITAN's stochastic flood damping draws its chance before the
         // forwarded copy is materialised: refusals cost no allocation.
         let mut delay = None;
-        if let (Some(titan), true) = (self.cfg.titan, in_psm) {
+        if let (Some(titan), true) = (cfg.titan, in_psm) {
             let backbone = ctx.backbone_neighbors();
             let p = titan.forward_probability(ctx.channel.neighbors(me).len(), backbone);
             if !ctx.rng.chance(p) {
@@ -428,7 +424,7 @@ impl ReactiveRouting {
         if pend.attempt != attempt {
             return; // stale timer from an earlier attempt
         }
-        if attempt >= self.cfg.max_discovery_attempts {
+        if attempt >= ctx.reactive_config().max_discovery_attempts {
             let pend = self.pending.remove(&target).expect("checked above");
             out.extend(pend.packets.into_iter().map(|p| Action::Drop(p, DropReason::NoRoute)));
             return;
@@ -453,7 +449,7 @@ impl ReactiveRouting {
         if !packet.kind.is_data() {
             return; // lost control traffic is re-driven by timeouts
         }
-        if packet.salvage >= self.cfg.max_salvage {
+        if packet.salvage >= ctx.reactive_config().max_salvage {
             out.push(Action::Drop(packet, DropReason::LinkFailure));
             return;
         }
@@ -542,6 +538,7 @@ fn data_rate(p: &Packet) -> f64 {
 mod tests {
     use super::*;
     use crate::channel::Channel;
+    use crate::scenario::RoutingKind;
     use eend_radio::cards;
     use eend_sim::{SimRng, SimTime};
 
@@ -554,12 +551,26 @@ mod tests {
         channel: Channel,
         pm: Vec<PmMode>,
         card: eend_radio::RadioCard,
+        config: RoutingKind,
         rng: SimRng,
     }
 
     impl World {
+        /// The line under plain DSR (hop count).
         fn new(pm: Vec<PmMode>) -> World {
-            World { channel: line_channel(), pm, card: cards::cabletron(), rng: SimRng::new(7) }
+            World {
+                channel: line_channel(),
+                pm,
+                card: cards::cabletron(),
+                config: RoutingKind::Reactive(ReactiveConfig::new(RouteMetric::HopCount)),
+                rng: SimRng::new(7),
+            }
+        }
+
+        /// The same world with every node under `cfg` instead.
+        fn with_config(mut self, cfg: ReactiveConfig) -> World {
+            self.config = RoutingKind::Reactive(cfg);
+            self
         }
 
         fn ctx(&mut self, node: NodeId, now_ms: u64) -> RoutingCtx<'_> {
@@ -570,6 +581,7 @@ mod tests {
                 pm_modes: &self.pm,
                 card: &self.card,
                 bandwidth_bps: 2_000_000.0,
+                config: &self.config,
                 rng: &mut self.rng,
                 active_neighbors: None,
             }
@@ -596,7 +608,7 @@ mod tests {
     #[test]
     fn first_packet_triggers_discovery() {
         let mut w = World::new(all_active());
-        let mut r = ReactiveRouting::new(ReactiveConfig::new(RouteMetric::HopCount));
+        let mut r = ReactiveRouting::new();
         let actions = r.on_app_packet(&mut w.ctx(0, 0), data(0, 3));
         assert_eq!(actions.len(), 2, "broadcast RREQ + timeout timer");
         let Action::Send(f) = &actions[0] else { panic!("want Send, got {actions:?}") };
@@ -614,9 +626,8 @@ mod tests {
     /// Drives a full discovery 0 → 3 across the line and returns the
     /// routing states afterwards.
     fn run_discovery(metric: RouteMetric) -> (World, Vec<ReactiveRouting>) {
-        let mut w = World::new(all_active());
-        let cfg = ReactiveConfig::new(metric);
-        let mut nodes: Vec<ReactiveRouting> = (0..4).map(|_| ReactiveRouting::new(cfg)).collect();
+        let mut w = World::new(all_active()).with_config(ReactiveConfig::new(metric));
+        let mut nodes: Vec<ReactiveRouting> = (0..4).map(|_| ReactiveRouting::new()).collect();
         // Source floods.
         let mut actions0 = nodes[0].on_app_packet(&mut w.ctx(0, 0), data(0, 3));
         let Action::Send(rreq0) = actions0.remove(0) else { panic!() };
@@ -694,7 +705,7 @@ mod tests {
             salvage: 0,
         };
         // Hop metric: second copy with equal cost is dropped.
-        let mut r = ReactiveRouting::new(ReactiveConfig::new(RouteMetric::HopCount));
+        let mut r = ReactiveRouting::new();
         let first = r.on_frame(
             &mut w.ctx(2, 0),
             Frame { tx: 1, rx: None, packet: mk_rreq(1.0, vec![0, 1]) },
@@ -706,7 +717,8 @@ mod tests {
         );
         assert!(dup.is_empty());
         // Cost metric: a strictly cheaper copy is re-broadcast.
-        let mut r = ReactiveRouting::new(ReactiveConfig::new(RouteMetric::RadiatedPower));
+        let mut w = w.with_config(ReactiveConfig::new(RouteMetric::RadiatedPower));
+        let mut r = ReactiveRouting::new();
         let first = r.on_frame(
             &mut w.ctx(2, 0),
             Frame { tx: 1, rx: None, packet: mk_rreq(500.0, vec![0, 1]) },
@@ -727,7 +739,7 @@ mod tests {
     #[test]
     fn discovery_timeout_retries_then_drops() {
         let mut w = World::new(all_active());
-        let mut r = ReactiveRouting::new(ReactiveConfig::new(RouteMetric::HopCount));
+        let mut r = ReactiveRouting::new();
         let _ = r.on_app_packet(&mut w.ctx(0, 0), data(0, 3));
         // Attempt 1 times out → attempt 2 flood.
         let a = r.on_timer(&mut w.ctx(0, 1000), TimerKind::Discovery { target: 3, attempt: 1 });
@@ -798,10 +810,10 @@ mod tests {
     #[test]
     fn titan_psm_node_delays_or_suppresses_forwarding() {
         // All nodes in PSM, no backbone: p = 1 → forwards, but delayed.
-        let mut w = World::new(vec![PmMode::PowerSave; 4]);
         let titan = TitanConfig::paper_default();
-        let mut r =
-            ReactiveRouting::new(ReactiveConfig::new(RouteMetric::HopCount).with_titan(titan));
+        let cfg = ReactiveConfig::new(RouteMetric::HopCount).with_titan(titan);
+        let mut w = World::new(vec![PmMode::PowerSave; 4]).with_config(cfg);
+        let mut r = ReactiveRouting::new();
         let rreq = Packet {
             uid: 3,
             kind: PacketKind::Rreq {
@@ -829,11 +841,10 @@ mod tests {
         // over many trials some are suppressed.
         let mut pm = vec![PmMode::ActiveMode; 4];
         pm[2] = PmMode::PowerSave;
-        let mut w = World::new(pm);
+        let mut w = World::new(pm).with_config(cfg);
         let mut suppressed = 0;
         for trial in 0..200 {
-            let mut r =
-                ReactiveRouting::new(ReactiveConfig::new(RouteMetric::HopCount).with_titan(titan));
+            let mut r = ReactiveRouting::new();
             let mut rq = rreq.clone();
             if let PacketKind::Rreq { id, .. } = &mut rq.kind {
                 *id = trial;
@@ -852,10 +863,10 @@ mod tests {
 
     #[test]
     fn am_node_forwards_immediately_under_titan() {
-        let mut w = World::new(all_active());
-        let mut r = ReactiveRouting::new(
-            ReactiveConfig::new(RouteMetric::HopCount).with_titan(TitanConfig::paper_default()),
-        );
+        let cfg =
+            ReactiveConfig::new(RouteMetric::HopCount).with_titan(TitanConfig::paper_default());
+        let mut w = World::new(all_active()).with_config(cfg);
+        let mut r = ReactiveRouting::new();
         let rreq = Packet {
             uid: 3,
             kind: PacketKind::Rreq {
@@ -879,8 +890,9 @@ mod tests {
 
     #[test]
     fn target_replies_again_only_on_cheaper_duplicate() {
-        let mut w = World::new(all_active());
-        let mut r = ReactiveRouting::new(ReactiveConfig::new(RouteMetric::RadiatedPower));
+        let mut w =
+            World::new(all_active()).with_config(ReactiveConfig::new(RouteMetric::RadiatedPower));
+        let mut r = ReactiveRouting::new();
         let mk = |cost: f64, path: Vec<NodeId>| Packet {
             uid: 4,
             kind: PacketKind::Rreq { id: 7, origin: 0, target: 3, cost, path, rate_bps: 0.0 },

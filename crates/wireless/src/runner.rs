@@ -22,7 +22,7 @@ use crate::routing::{
 };
 use crate::scenario::{RoutingKind, Scenario};
 use crate::traffic::Flow;
-use eend_radio::{CardPowers, EnergyMeter, EnergyReport, RadioState, TrafficClass};
+use eend_radio::{CardPowers, EnergyMeter, EnergyReport, RadioCard, RadioState, TrafficClass};
 use eend_sim::{mix_seed, EventQueue, SimDuration, SimRng, SimTime, TimerFire};
 
 #[derive(Debug, Clone, PartialEq)]
@@ -120,12 +120,16 @@ pub struct Simulator {
     // homogeneous implementation. Cards are deduplicated: `card_table`
     // holds the distinct cards (usually one or two) with their maximum
     // powers computed once, `card_idx` maps node → table slot, so the
-    // per-node hot array is 4 bytes wide instead of a full `RadioCard`.
-    // Likewise `airtimes` holds the fixed-size frames' airtimes.
+    // per-node hot array is 4 bytes wide instead of a full `RadioCard`;
+    // the energy meters charge against these cards too. Likewise
+    // `airtimes` holds the fixed-size frames' airtimes.
     card_table: Vec<CardPowers>,
     card_idx: Vec<u32>,
     mac_timing: MacTiming,
     airtimes: ControlAirtimes,
+    /// The routing configuration, held once: every node's agent reads it
+    /// through [`RoutingCtx`].
+    routing: RoutingKind,
     policy: PowerPolicy,
     psm: crate::power::PsmConfig,
     power_control: bool,
@@ -254,19 +258,14 @@ impl Simulator {
                 }
             })
             .collect();
-        let meters: Vec<EnergyMeter> =
-            cards.iter().map(|c| EnergyMeter::starting(*c, SimTime::ZERO, initial_state)).collect();
+        let meters = vec![EnergyMeter::starting(SimTime::ZERO, initial_state); n];
         let nodes = (0..n)
             .map(|_| Node {
                 mac: MacState::new(scenario.queue_capacity),
                 routing: match &scenario.stack.routing {
-                    RoutingKind::Reactive(cfg) => {
-                        RoutingAgent::Reactive(ReactiveRouting::new(*cfg))
-                    }
-                    RoutingKind::Dsdv(cfg) => RoutingAgent::Dsdv(DsdvRouting::new(*cfg)),
-                    RoutingKind::Static(cfg) => {
-                        RoutingAgent::Static(StaticRouting::new(cfg.clone()))
-                    }
+                    RoutingKind::Reactive(_) => RoutingAgent::Reactive(ReactiveRouting::new()),
+                    RoutingKind::Dsdv(_) => RoutingAgent::Dsdv(DsdvRouting::new()),
+                    RoutingKind::Static(_) => RoutingAgent::Static(StaticRouting::new()),
                 },
                 txn: None,
             })
@@ -277,6 +276,7 @@ impl Simulator {
             card_idx,
             mac_timing: scenario.mac,
             airtimes: ControlAirtimes::new(&scenario.mac),
+            routing: scenario.stack.routing.clone(),
             policy: scenario.stack.power_policy,
             psm: scenario.stack.psm,
             power_control: scenario.stack.power_control,
@@ -370,8 +370,12 @@ impl Simulator {
 
     fn finish(mut self) -> RunMetrics {
         let end = self.end;
-        let per_node_energy: Vec<EnergyReport> =
-            self.meters.iter_mut().map(|m| m.finish(end)).collect();
+        let per_node_energy: Vec<EnergyReport> = (0..self.meters.len())
+            .map(|u| {
+                let (meter, card) = self.meter(u);
+                meter.finish(card, end)
+            })
+            .collect();
         let mut energy_total = EnergyReport::default();
         for r in &per_node_energy {
             energy_total.accumulate(r);
@@ -501,7 +505,9 @@ impl Simulator {
         self.pm[u].mode = PmMode::PowerSave;
         self.set_pm_mode(u, PmMode::PowerSave);
         if !self.nodes[u].mac.busy && self.meters[u].state() != RadioState::Sleep {
-            self.meters[u].set_sleep(self.time);
+            let now = self.time;
+            let (meter, card) = self.meter(u);
+            meter.set_sleep(card, now);
         }
     }
 
@@ -553,6 +559,7 @@ impl Simulator {
             card_table,
             card_idx,
             mac_timing,
+            routing,
             time,
             active_neighbors,
             ..
@@ -564,6 +571,7 @@ impl Simulator {
             pm_modes,
             card: card_table[card_idx[u] as usize].card(),
             bandwidth_bps: mac_timing.bandwidth_bps,
+            config: routing,
             rng,
             active_neighbors: Some(active_neighbors),
         };
@@ -576,9 +584,11 @@ impl Simulator {
     fn recompute_active_neighbors(&mut self) {
         let Simulator { channel, pm_modes, active_neighbors, .. } = self;
         for (u, count) in active_neighbors.iter_mut().enumerate() {
-            *count =
-                channel.neighbors(u).iter().filter(|&&w| pm_modes[w] == PmMode::ActiveMode).count()
-                    as u32;
+            *count = channel
+                .neighbors(u)
+                .iter()
+                .filter(|&&w| pm_modes[w as usize] == PmMode::ActiveMode)
+                .count() as u32;
         }
     }
 
@@ -592,9 +602,9 @@ impl Simulator {
         let Simulator { channel, active_neighbors, .. } = self;
         for &w in channel.neighbors(i) {
             if mode == PmMode::ActiveMode {
-                active_neighbors[w] += 1;
+                active_neighbors[w as usize] += 1;
             } else {
-                active_neighbors[w] -= 1;
+                active_neighbors[w as usize] -= 1;
             }
         }
     }
@@ -604,6 +614,12 @@ impl Simulator {
     #[inline]
     fn card(&self, u: NodeId) -> &CardPowers {
         &self.card_table[self.card_idx[u] as usize]
+    }
+
+    /// Node `u`'s energy meter and the card it charges against.
+    #[inline]
+    fn meter(&mut self, u: NodeId) -> (&mut EnergyMeter, &RadioCard) {
+        (&mut self.meters[u], self.card_table[self.card_idx[u] as usize].card())
     }
 
     fn apply_actions(&mut self, u: NodeId, mut actions: Vec<Action>) {
@@ -700,6 +716,7 @@ impl Simulator {
                     // Broadcast: every living PSM neighbour must be up
                     // (they are, right after an announced beacon).
                     self.channel.neighbors(u).iter().all(|&w| {
+                        let w = w as NodeId;
                         !self.alive[w]
                             || self.pm_modes[w] == PmMode::ActiveMode
                             || self.is_awake(w, now)
@@ -783,9 +800,9 @@ impl Simulator {
                 // Lock in the audience: awake, not otherwise engaged. The
                 // buffer is recycled across broadcasts via receiver_pool.
                 let mut receivers = self.receiver_pool.pop().unwrap_or_default();
-                receivers.extend(self.channel.neighbors(u).iter().copied().filter(|&r| {
-                    self.alive[r] && self.is_awake(r, now) && !self.nodes[r].mac.busy
-                }));
+                receivers.extend(self.channel.neighbors(u).iter().map(|&r| r as NodeId).filter(
+                    |&r| self.alive[r] && self.is_awake(r, now) && !self.nodes[r].mac.busy,
+                ));
                 self.channel.begin_tx(u, None, now, end);
                 self.nodes[u].mac.busy = true;
                 for &r in &receivers {
@@ -960,8 +977,9 @@ impl Simulator {
     // Energy charging (exact segment boundaries, applied at txn end).
 
     fn ensure_idle(&mut self, i: NodeId, at: SimTime) {
-        if self.meters[i].state() == RadioState::Sleep {
-            self.meters[i].set_idle(at);
+        let (meter, card) = self.meter(i);
+        if meter.state() == RadioState::Sleep {
+            meter.set_idle(card, at);
         }
     }
 
@@ -983,18 +1001,18 @@ impl Simulator {
             if frame.packet.kind.is_data() { TrafficClass::Data } else { TrafficClass::Control };
         self.ensure_idle(u, start);
         self.ensure_idle(v, start);
-        let mu = &mut self.meters[u];
-        mu.begin_tx(rts_at, pu, TrafficClass::Control);
-        mu.begin_rx(cts_at, TrafficClass::Control);
-        mu.begin_tx(data_at, data_power_mw, class);
-        mu.begin_rx(ack_at, TrafficClass::Control);
-        mu.set_idle(end_at);
-        let mv = &mut self.meters[v];
-        mv.begin_rx(rts_at, TrafficClass::Control);
-        mv.begin_tx(cts_at, pv, TrafficClass::Control);
-        mv.begin_rx(data_at, class);
-        mv.begin_tx(ack_at, pv, TrafficClass::Control);
-        mv.set_idle(end_at);
+        let (mu, cu) = self.meter(u);
+        mu.begin_tx(cu, rts_at, pu, TrafficClass::Control);
+        mu.begin_rx(cu, cts_at, TrafficClass::Control);
+        mu.begin_tx(cu, data_at, data_power_mw, class);
+        mu.begin_rx(cu, ack_at, TrafficClass::Control);
+        mu.set_idle(cu, end_at);
+        let (mv, cv) = self.meter(v);
+        mv.begin_rx(cv, rts_at, TrafficClass::Control);
+        mv.begin_tx(cv, cts_at, pv, TrafficClass::Control);
+        mv.begin_rx(cv, data_at, class);
+        mv.begin_tx(cv, ack_at, pv, TrafficClass::Control);
+        mv.set_idle(cv, end_at);
     }
 
     /// Charges a broadcast whose frame was on the air for `air` (DIFS
@@ -1013,14 +1031,14 @@ impl Simulator {
             if frame.packet.kind.is_data() { TrafficClass::Data } else { TrafficClass::Control };
         self.ensure_idle(u, txn_start);
         let pmax = self.card(u).max_tx_total_mw();
-        let mu = &mut self.meters[u];
-        mu.begin_tx(start, pmax, class);
-        mu.set_idle(end);
+        let (mu, cu) = self.meter(u);
+        mu.begin_tx(cu, start, pmax, class);
+        mu.set_idle(cu, end);
         for &r in receivers {
             self.ensure_idle(r, txn_start);
-            let mr = &mut self.meters[r];
-            mr.begin_rx(start, class);
-            mr.set_idle(end);
+            let (mr, cr) = self.meter(r);
+            mr.begin_rx(cr, start, class);
+            mr.set_idle(cr, end);
         }
     }
 
@@ -1029,9 +1047,9 @@ impl Simulator {
         let rts_end = rts_start + self.airtimes.rts();
         self.ensure_idle(u, txn_start);
         let pmax = self.card(u).max_tx_total_mw();
-        let mu = &mut self.meters[u];
-        mu.begin_tx(rts_start, pmax, TrafficClass::Control);
-        mu.set_idle(rts_end);
+        let (mu, cu) = self.meter(u);
+        mu.begin_tx(cu, rts_start, pmax, TrafficClass::Control);
+        mu.set_idle(cu, rts_end);
     }
 
     // ------------------------------------------------------------------
@@ -1108,8 +1126,9 @@ impl Simulator {
         {
             return;
         }
-        if self.meters[i].state() != RadioState::Sleep {
-            self.meters[i].set_sleep(now);
+        let (meter, card) = self.meter(i);
+        if meter.state() != RadioState::Sleep {
+            meter.set_sleep(card, now);
         }
     }
 
@@ -1158,10 +1177,12 @@ impl Simulator {
                             self.ensure_idle(u, start);
                             self.ensure_idle(v, start);
                             let pmax = self.card(u).max_tx_total_mw();
-                            self.meters[u].begin_tx(start, pmax, TrafficClass::Control);
-                            self.meters[u].set_idle(end);
-                            self.meters[v].begin_rx(start, TrafficClass::Control);
-                            self.meters[v].set_idle(end);
+                            let (mu, cu) = self.meter(u);
+                            mu.begin_tx(cu, start, pmax, TrafficClass::Control);
+                            mu.set_idle(cu, end);
+                            let (mv, cv) = self.meter(v);
+                            mv.begin_rx(cv, start, TrafficClass::Control);
+                            mv.set_idle(cv, end);
                             self.atim_cursor[u] = end;
                             self.atim_cursor[v] = end;
                         }
@@ -1190,6 +1211,7 @@ impl Simulator {
                         };
                         let Simulator { channel, pm, alive, .. } = &mut *self;
                         for &w in channel.neighbors(u) {
+                            let w = w as NodeId;
                             if !alive[w] || pm[w].mode != PmMode::PowerSave {
                                 continue;
                             }

@@ -172,15 +172,20 @@ fn mobility1k_run_stays_inside_its_allocation_budget() {
 #[test]
 fn mobility1k_live_heap_follows_the_work_in_flight() {
     // What a built simulator holds and what its run peaks at, counted in
-    // live bytes. Measured on this workload: 902 bytes per node after
-    // `Simulator::new` and a 2.8 MB peak over the run, with the heap
-    // queue growing from empty, transactions boxed off the node row and
-    // drained MAC queues handing their buffers to a shared pool. The
+    // live bytes. Measured on this workload: 614 bytes per node after
+    // `Simulator::new` and a 2.35 MB peak over the run, with the heap
+    // queue growing from empty, transactions boxed off the node row,
+    // drained MAC queues handing their buffers to a shared pool, the
+    // neighbour lists in one `u32` table, meters without a card copy and
+    // the routing configuration held once. With a `Vec<usize>` per
+    // neighbour list, a card per meter and a configuration per agent the
+    // same field took 902 bytes per node and peaked at 2.8 MB. The
     // same run on a timing-wheel queue (4 × 256 slot vectors, each kept
     // at its largest) peaked at 6.9 MB; reserving 16 queue slots per node
     // twice over, an inline transaction per node and a kept buffer per
-    // MAC queue took 4,263 bytes per node and a 10.7 MB peak. Each
-    // ceiling sits below the nearest of those.
+    // MAC queue took 4,263 bytes per node and a 10.7 MB peak. The
+    // per-node ceiling sits ~10 % over today's figure and the peak
+    // ceiling below the nearest of the others.
     let scenario = presets::mobility1k(stacks::titan_pc(), 1);
     let nodes = scenario.placement.node_count() as i64;
     let warm = Simulator::new(&scenario).run();
@@ -197,12 +202,38 @@ fn mobility1k_live_heap_follows_the_work_in_flight() {
     eprintln!("LIVE_BYTES[mobility1k] built={built} per_node={per_node} run_peak={peak}");
 
     assert!(
-        per_node < 2_000,
-        "a built simulator holds {per_node} bytes per node — is the queue pre-sized again?"
+        per_node < 675,
+        "a built simulator holds {per_node} bytes per node — did a per-node copy come back?"
     );
     assert!(
         peak < 4_000_000,
         "the run peaked at {peak} live bytes — do idle nodes hold transaction or queue space?"
+    );
+}
+
+#[test]
+fn a_built_10k_simulator_holds_its_per_node_budget() {
+    // The field the benchmark's `scale10k` and `bench --scale 10k` build:
+    // 10,000 nodes on a mobile grid, where per-node state rather than
+    // events in flight sets the memory. Measured: 619 bytes per node.
+    // Before, 915: the neighbour lists were a `Vec<usize>` each (−160
+    // for one `u32` table), every meter held a copy of its card (−80)
+    // and every routing agent a copy of its configuration (−56). The
+    // ceiling sits ~10 % over today's figure and below each of those
+    // steps taken back.
+    let scenario = presets::mobility10k(stacks::titan_pc(), 1);
+    let nodes = scenario.placement.node_count() as i64;
+    drop(Simulator::new(&presets::mobility1k(stacks::titan_pc(), 1)));
+
+    let base = thread_live();
+    let sim = Simulator::new(&scenario);
+    let built = thread_live() - base;
+    drop(sim);
+    let per_node = built / nodes;
+    eprintln!("LIVE_BYTES[mobility10k] built={built} per_node={per_node}");
+    assert!(
+        per_node < 675,
+        "a built 10k simulator holds {per_node} bytes per node — did a per-node copy come back?"
     );
 }
 

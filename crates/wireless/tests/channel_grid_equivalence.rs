@@ -15,7 +15,9 @@
 //! `any_interferer_covers` against `reception_corrupted`, including
 //! audiences that have since moved out of the sender's range. Boundary
 //! layouts put pairs exactly `range_m` and `cs_range_m` apart across
-//! cell edges, with the grid's origin away from zero.
+//! cell edges, with the grid's origin away from zero. The neighbour
+//! lists live in one compressed table, so a list that empties and
+//! regrows across rebuilds is checked against the reference too.
 
 use eend_sim::{SimDuration, SimTime};
 use eend_wireless::channel::CS_RANGE_FACTOR;
@@ -132,6 +134,11 @@ impl BruteChannel {
     }
 }
 
+/// A neighbour list as node ids.
+fn ids(nb: &[u32]) -> Vec<NodeId> {
+    nb.iter().map(|&v| v as NodeId).collect()
+}
+
 fn positions_from(raw: &[(f64, f64)], scale: f64) -> Vec<(f64, f64)> {
     raw.iter().map(|&(x, y)| (x * scale, y * scale)).collect()
 }
@@ -202,7 +209,7 @@ fn assert_geometry_agrees(grid: &Channel, brute: &BruteChannel) -> Result<(), Te
     let n = brute.positions.len();
     for u in 0..n {
         prop_assert_eq!(
-            grid.neighbors(u),
+            ids(grid.neighbors(u)),
             brute.neighbors[u].as_slice(),
             "neighbour list of node {} diverged",
             u
@@ -343,7 +350,7 @@ proptest! {
             let sender = who % n;
             if !on_air.iter().any(|b| b.0 == sender) {
                 let end = clock + SimDuration::from_millis(dur_ms);
-                on_air.push((sender, clock, end, grid.neighbors(sender).to_vec()));
+                on_air.push((sender, clock, end, ids(grid.neighbors(sender))));
                 grid.begin_tx(sender, None, clock, end);
                 brute.begin_tx(sender, None, clock, end);
             }
@@ -397,7 +404,7 @@ fn boundary_geometry_equivalent() {
                 let (start, end) = (ms(5 * s as u64), ms(5 * s as u64 + 12));
                 grid.begin_tx(s, None, start, end);
                 brute.begin_tx(s, None, start, end);
-                starts.push((start, end, grid.neighbors(s).to_vec()));
+                starts.push((start, end, ids(grid.neighbors(s))));
             }
             assert_sensing_agrees(&grid, &brute, ms(5 * n as u64)).unwrap();
             // Move node 2 out of everyone's range while the broadcasts
@@ -420,6 +427,46 @@ fn boundary_geometry_equivalent() {
                     }
                 }
             }
+        }
+    }
+}
+
+/// A node walks out of everyone's range and back, through both rebuild
+/// paths (a field of at most 3×3 cells and a wide one) and both update
+/// entry points: its list empties, then regrows, while every other
+/// list in the table around it keeps matching the reference, and the
+/// fused per-node counts match a count over the finished lists.
+#[test]
+fn a_list_that_empties_and_regrows_matches_the_reference() {
+    let range = 100.0;
+    for width in [250.0, 2_000.0] {
+        // A 6×4 block 60 m apart, and one node at the far corner that
+        // sets how many cells the field spans.
+        let mut positions: Vec<(f64, f64)> =
+            (0..24).map(|k| ((k % 6) as f64 * 60.0, (k / 6) as f64 * 60.0)).collect();
+        positions.push((width, width));
+        let mut grid = Channel::new(positions.clone(), range);
+        let mut brute = BruteChannel::new(positions.clone(), range);
+        assert_geometry_agrees(&grid, &brute).unwrap();
+        let home = positions[7];
+        let mover = 7;
+        assert!(!grid.neighbors(mover).is_empty(), "node {mover} starts with neighbours");
+        let far = (width * 50.0, width * 50.0);
+        for (step, at) in [far, home, far, home].into_iter().enumerate() {
+            positions[mover] = at;
+            let mut counts = vec![u32::MAX; positions.len()];
+            if step % 2 == 0 {
+                grid.set_positions(positions.clone());
+            } else {
+                grid.update_positions_with_counts(|p| p[mover] = at, |w| w % 2 == 0, &mut counts);
+                for (u, &count) in counts.iter().enumerate() {
+                    let even = grid.neighbors(u).iter().filter(|&&w| w % 2 == 0).count();
+                    assert_eq!(count as usize, even, "fused count of node {u}");
+                }
+            }
+            brute.set_positions(positions.clone());
+            assert_geometry_agrees(&grid, &brute).unwrap();
+            assert_eq!(grid.neighbors(mover).is_empty(), at == far, "step {step}");
         }
     }
 }

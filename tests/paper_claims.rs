@@ -57,7 +57,7 @@ fn fig9_ordering_reduced() {
     let active = goodput(stacks::dsr_active());
     assert!(titan > dsr_odpm_pc * 0.95, "TITAN {titan} vs DSR-ODPM-PC {dsr_odpm_pc}");
     assert!(dsr_odpm_pc > dsdvh, "power-mgmt-first must beat proactive joint opt");
-    assert!(dsdvh * 0.0 <= active || dsdvh < 2.0 * active, "DSDVH lands near Active");
+    assert!(dsdvh < 2.0 * active, "DSDVH {dsdvh} lands near DSR-Active {active}");
     assert!(titan > 1.5 * active, "TITAN {titan} must dwarf DSR-Active {active}");
 }
 
@@ -110,9 +110,9 @@ fn fig13_16_crossover() {
 /// Fig 10's direction: power control cuts transmit energy. The paper
 /// reports 54–86 % gaps; in our model the gap is bounded by the card's
 /// `Pbase`/`Pt` split (Cabletron radiates at most 281 mW of its 1399 mW
-/// transmit draw, so TPC can shave ~20 % of data-frame energy at best —
-/// see EXPERIMENTS.md). We assert the direction and that the *radiated
-/// data* component shows the large gap.
+/// transmit draw, so TPC can shave ~20 % of data-frame energy at best).
+/// We assert the direction and that the data-frame component, where
+/// TPC acts, shows the larger gap.
 #[test]
 fn fig10_transmit_energy_direction() {
     let run = |stack| {
