@@ -38,7 +38,10 @@ fn main() {
     println!(
         "Paper shape: DSR-ODPM-PC's discovery overhead explodes with density\n\
          (0.93 → 0.41 delivery from 300 to 400 nodes) while TITAN-PC holds,\n\
-         because mostly-backbone nodes answer route discovery. ({} seeds{})",
+         because mostly-backbone nodes answer route discovery.\n\
+         This reproduction shows the overhead growing and energy goodput\n\
+         falling, more for DSR-ODPM-PC, but not the delivery collapse; see\n\
+         \"Divergences from the paper\" in crates/bench/DESIGN.md. ({} seeds{})",
         opts.seeds,
         if opts.full { ", full scale" } else { ", quick mode" }
     );

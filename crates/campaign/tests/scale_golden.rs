@@ -65,6 +65,19 @@ fn mobility10k_short_run_matches_golden() {
     check("scale_mobility10k_5s", run_digest(&scenario));
 }
 
+/// MTPR (the paper's Approach 1) on the 16×16 field: its flood
+/// re-broadcasts every strictly cheaper RREQ copy
+/// (`rebroadcast_on_better_cost`), the discovery path no TITAN digest
+/// reaches. MTPR-ODPM is not pinned here: its debug run trips the
+/// energy meter's monotonicity assertion (ATIM charge-ahead, see
+/// ROADMAP), so a debug-build golden of it waits for that fix.
+#[test]
+fn mtpr_side16_short_run_matches_golden() {
+    let mut scenario = presets::mobility_scale(stacks::mtpr(false), 16, 1);
+    scenario.duration = SimDuration::from_secs(5);
+    check("scale_mtpr256_5s", run_digest(&scenario));
+}
+
 /// FNV-1a over the bit patterns of every placed position.
 fn position_hash(scenario: &Scenario) -> u64 {
     // Any fixed RNG seed pins the placement logic; the per-run seed

@@ -45,10 +45,21 @@ pub enum TimerFire {
 /// assert_eq!(t.on_fire(SimTime::from_secs(8)), TimerFire::Expired);
 /// assert!(!t.is_armed());
 /// ```
-#[derive(Debug, Clone, Default)]
+///
+/// The deadline is stored bare, with [`SimTime::MAX`] standing for "no
+/// deadline": an `Option<SimTime>` would add an 8-byte tag to every
+/// node's timer. A deadline at the end of time never expires anyway, so
+/// arming at `SimTime::MAX` is the same as leaving the timer disarmed.
+#[derive(Debug, Clone)]
 pub struct LazyTimer {
-    deadline: Option<SimTime>,
+    deadline: SimTime,
     outstanding: bool,
+}
+
+impl Default for LazyTimer {
+    fn default() -> Self {
+        LazyTimer { deadline: SimTime::MAX, outstanding: false }
+    }
 }
 
 impl LazyTimer {
@@ -60,7 +71,7 @@ impl LazyTimer {
     /// Sets the deadline to `t`. Returns `true` if the caller must schedule
     /// a queue event at `t` (i.e. none is currently outstanding).
     pub fn arm(&mut self, t: SimTime) -> bool {
-        self.deadline = Some(t);
+        self.deadline = t;
         if self.outstanding {
             false
         } else {
@@ -73,9 +84,8 @@ impl LazyTimer {
     /// (arming the timer if it was disarmed). Returns `true` if the caller
     /// must schedule a queue event at the (possibly unchanged) deadline.
     pub fn refresh(&mut self, t: SimTime) -> bool {
-        match self.deadline {
-            Some(d) if d >= t => {}
-            _ => self.deadline = Some(t),
+        if !self.is_armed() || self.deadline < t {
+            self.deadline = t;
         }
         if self.outstanding {
             false
@@ -87,18 +97,18 @@ impl LazyTimer {
 
     /// Cancels the timer. Any in-flight event will report [`TimerFire::Void`].
     pub fn cancel(&mut self) {
-        self.deadline = None;
+        self.deadline = SimTime::MAX;
     }
 
     /// Handles the backing queue event firing at `now`.
     pub fn on_fire(&mut self, now: SimTime) -> TimerFire {
-        match self.deadline {
+        match self.deadline() {
             None => {
                 self.outstanding = false;
                 TimerFire::Void
             }
             Some(d) if now >= d => {
-                self.deadline = None;
+                self.deadline = SimTime::MAX;
                 self.outstanding = false;
                 TimerFire::Expired
             }
@@ -108,12 +118,12 @@ impl LazyTimer {
 
     /// `true` if a deadline is set.
     pub fn is_armed(&self) -> bool {
-        self.deadline.is_some()
+        self.deadline != SimTime::MAX
     }
 
     /// The current deadline, if armed.
     pub fn deadline(&self) -> Option<SimTime> {
-        self.deadline
+        self.is_armed().then_some(self.deadline)
     }
 }
 
@@ -187,6 +197,22 @@ mod tests {
         let mut t = LazyTimer::new();
         assert!(t.arm(s(5)));
         assert_eq!(t.on_fire(s(6)), TimerFire::Expired);
+    }
+
+    #[test]
+    fn a_deadline_at_the_end_of_time_is_no_deadline() {
+        let mut t = LazyTimer::new();
+        assert!(t.arm(SimTime::MAX));
+        assert!(!t.is_armed());
+        assert_eq!(t.on_fire(s(5)), TimerFire::Void);
+        assert!(t.refresh(s(3)), "the void fire left no event outstanding");
+        assert_eq!(t.deadline(), Some(s(3)));
+    }
+
+    #[test]
+    #[cfg(target_pointer_width = "64")]
+    fn the_timer_is_a_bare_deadline_and_a_flag() {
+        assert_eq!(std::mem::size_of::<LazyTimer>(), 16);
     }
 
     #[test]

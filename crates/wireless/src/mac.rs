@@ -163,10 +163,11 @@ pub struct QueuePool {
 ///
 /// The queue owns a buffer only while it holds frames (see [`QueuePool`]);
 /// the methods that add or remove frames take the pool for that reason.
-#[derive(Debug, Clone)]
+/// The queue's capacity is one value per run, so [`MacState::enqueue`]
+/// takes it from the caller rather than every row holding a copy.
+#[derive(Debug, Clone, Default)]
 pub struct MacState {
     queue: VecDeque<Frame>,
-    capacity: usize,
     /// Set while this node participates in a transaction (either side).
     pub busy: bool,
     /// Consecutive failed attempts for the head-of-line frame.
@@ -174,32 +175,32 @@ pub struct MacState {
     /// `true` when a `MacTick` event is already scheduled, to avoid
     /// flooding the queue with redundant wake-ups.
     pub tick_pending: bool,
-    drops_overflow: u64,
 }
 
 impl MacState {
-    /// Creates an idle MAC with the given interface-queue capacity
-    /// (ns-2's default IFQ is 50 packets).
-    pub fn new(capacity: usize) -> MacState {
-        MacState {
-            queue: VecDeque::new(),
-            capacity,
-            busy: false,
-            retries: 0,
-            tick_pending: false,
-            drops_overflow: 0,
-        }
+    /// Creates an idle MAC with an empty interface queue.
+    pub fn new() -> MacState {
+        MacState::default()
     }
 
-    /// Enqueues a frame; returns `false` (and counts a drop) on overflow.
-    pub fn enqueue(&mut self, frame: Frame, pool: &mut QueuePool) -> bool {
-        if self.queue.len() >= self.capacity {
-            self.drops_overflow += 1;
-            return false;
+    /// Enqueues a frame unless the queue already holds `capacity` frames
+    /// (ns-2's default IFQ is 50 packets). On overflow the frame is
+    /// handed back, so the caller can count the drop and see what died.
+    /// (It comes back by value, as it went in: boxing it would allocate
+    /// on every overflow.)
+    #[allow(clippy::result_large_err)]
+    pub fn enqueue(
+        &mut self,
+        frame: Frame,
+        capacity: usize,
+        pool: &mut QueuePool,
+    ) -> Result<(), Frame> {
+        if self.queue.len() >= capacity {
+            return Err(frame);
         }
         self.claim_buffer(pool);
         self.queue.push_back(frame);
-        true
+        Ok(())
     }
 
     /// Takes a spare buffer for a queue that has none.
@@ -245,11 +246,6 @@ impl MacState {
     /// `true` if nothing is queued.
     pub fn queue_is_empty(&self) -> bool {
         self.queue.is_empty()
-    }
-
-    /// Frames dropped to interface-queue overflow so far.
-    pub fn drops_overflow(&self) -> u64 {
-        self.drops_overflow
     }
 
     /// Iterates the queued frames (head first).
@@ -396,19 +392,19 @@ mod tests {
 
     #[test]
     fn queue_overflow_drops() {
-        let (mut m, mut pool) = (MacState::new(2), QueuePool::default());
-        assert!(m.enqueue(frame(1), &mut pool));
-        assert!(m.enqueue(frame(2), &mut pool));
-        assert!(!m.enqueue(frame(3), &mut pool));
-        assert_eq!(m.drops_overflow(), 1);
+        let (mut m, mut pool) = (MacState::new(), QueuePool::default());
+        assert!(m.enqueue(frame(1), 2, &mut pool).is_ok());
+        assert!(m.enqueue(frame(2), 2, &mut pool).is_ok());
+        let dropped = m.enqueue(frame(3), 2, &mut pool).expect_err("a full queue refuses");
+        assert_eq!(dropped.packet.uid, 3, "the refused frame comes back");
         assert_eq!(m.queue_len(), 2);
         assert_eq!(m.head().unwrap().packet.uid, 1);
     }
 
     #[test]
     fn pop_resets_retries() {
-        let (mut m, mut pool) = (MacState::new(10), QueuePool::default());
-        m.enqueue(frame(1), &mut pool);
+        let (mut m, mut pool) = (MacState::new(), QueuePool::default());
+        m.enqueue(frame(1), 10, &mut pool).unwrap();
         m.retries = 5;
         let f = m.pop_head(&mut pool).unwrap();
         assert_eq!(f.packet.uid, 1);
@@ -418,9 +414,9 @@ mod tests {
 
     #[test]
     fn rotate_head_cycles() {
-        let (mut m, mut pool) = (MacState::new(10), QueuePool::default());
-        m.enqueue(frame(1), &mut pool);
-        m.enqueue(frame(2), &mut pool);
+        let (mut m, mut pool) = (MacState::new(), QueuePool::default());
+        m.enqueue(frame(1), 10, &mut pool).unwrap();
+        m.enqueue(frame(2), 10, &mut pool).unwrap();
         m.rotate_head();
         assert_eq!(m.head().unwrap().packet.uid, 2);
         m.rotate_head();
@@ -430,9 +426,9 @@ mod tests {
     #[test]
     fn drained_queues_share_their_buffers() {
         let mut pool = QueuePool::default();
-        let (mut a, mut b) = (MacState::new(10), MacState::new(10));
-        a.enqueue(frame(1), &mut pool);
-        a.enqueue(frame(2), &mut pool);
+        let (mut a, mut b) = (MacState::new(), MacState::new());
+        a.enqueue(frame(1), 10, &mut pool).unwrap();
+        a.enqueue(frame(2), 10, &mut pool).unwrap();
         assert!(pool.spare.is_empty());
         a.pop_head(&mut pool);
         assert!(pool.spare.is_empty(), "a queue holding a frame keeps its buffer");
@@ -442,5 +438,11 @@ mod tests {
         b.push_front(frame(3), &mut pool);
         assert!(pool.spare.is_empty(), "an empty queue reuses the spare buffer");
         assert_eq!(b.head().unwrap().packet.uid, 3);
+    }
+
+    #[test]
+    #[cfg(target_pointer_width = "64")]
+    fn a_mac_row_holds_no_per_run_value() {
+        assert_eq!(std::mem::size_of::<MacState>(), 40);
     }
 }

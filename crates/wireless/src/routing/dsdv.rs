@@ -528,6 +528,7 @@ mod reference;
 mod tests {
     use super::*;
     use crate::channel::Channel;
+    use crate::routing::Discoveries;
     use crate::scenario::{radio_profiles, CardAssignment, RoutingKind};
     use eend_radio::{cards, CardPowers, RadioCard};
     use eend_sim::SimRng;
@@ -543,6 +544,7 @@ mod tests {
         card: eend_radio::RadioCard,
         config: RoutingKind,
         rng: SimRng,
+        discoveries: Discoveries,
     }
 
     impl World {
@@ -554,6 +556,7 @@ mod tests {
                 card: cards::cabletron(),
                 config: RoutingKind::Dsdv(DsdvConfig::dsdv()),
                 rng: SimRng::new(3),
+                discoveries: Discoveries::default(),
             }
         }
 
@@ -573,6 +576,7 @@ mod tests {
                 config: &self.config,
                 rng: &mut self.rng,
                 active_neighbors: None,
+                discoveries: &mut self.discoveries,
             }
         }
     }
@@ -935,6 +939,7 @@ mod tests {
                         config: &config,
                         rng: &mut rng,
                         active_neighbors: None,
+                        discoveries: &mut Discoveries::default(),
                     };
                     let got = agent.link_cost(&ctx, from, d, in_psm);
                     let want = metric.link_cost(&card, d, in_psm, 0.0, b);

@@ -17,7 +17,7 @@ use super::{DsdvConfig, DsdvEntry, DsdvRouting as LiveDsdv, BYTES_PER_ENTRY};
 use crate::channel::Channel;
 use crate::frame::{Frame, NodeId, Packet, PacketKind};
 use crate::power::PmMode;
-use crate::routing::{Action, DropReason, RoutingCtx, TimerKind};
+use crate::routing::{Action, Discoveries, DropReason, RoutingCtx, TimerKind};
 use crate::scenario::RoutingKind;
 use eend_radio::cards;
 use eend_sim::{SimDuration, SimRng, SimTime};
@@ -488,7 +488,7 @@ fn run_case(seed: u64) -> Result<(), TestCaseError> {
         }
         let op = random_op(&mut g, me, n, &mut pm);
         let (mut out_live, mut out_ref) = (Vec::new(), Vec::new());
-        let ctx = |rng| RoutingCtx {
+        let ctx = |rng, discoveries| RoutingCtx {
             node: me,
             now: SimTime::from_millis(now_ms),
             channel: &channel,
@@ -498,9 +498,11 @@ fn run_case(seed: u64) -> Result<(), TestCaseError> {
             config: &config,
             rng,
             active_neighbors: None,
+            discoveries,
         };
-        apply!(live, op, &mut ctx(&mut rng_live), &mut out_live);
-        apply!(reference, op, &mut ctx(&mut rng_ref), &mut out_ref);
+        let (mut disc_live, mut disc_ref) = (Discoveries::default(), Discoveries::default());
+        apply!(live, op, &mut ctx(&mut rng_live, &mut disc_live), &mut out_live);
+        apply!(reference, op, &mut ctx(&mut rng_ref, &mut disc_ref), &mut out_ref);
         // `Debug` renders every f64 exactly, so metrics compare bit for bit.
         prop_assert_eq!(format!("{out_live:?}"), format!("{out_ref:?}"), "actions, step {step}");
         for id in 0..IDS {

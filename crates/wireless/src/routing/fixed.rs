@@ -123,6 +123,7 @@ mod tests {
     use super::*;
     use crate::channel::Channel;
     use crate::power::PmMode;
+    use crate::routing::Discoveries;
     use crate::scenario::RoutingKind;
     use eend_radio::cards;
     use eend_sim::{SimRng, SimTime};
@@ -134,6 +135,7 @@ mod tests {
         card: &'a eend_radio::RadioCard,
         config: &'a RoutingKind,
         rng: &'a mut SimRng,
+        discoveries: &'a mut Discoveries,
     ) -> RoutingCtx<'a> {
         RoutingCtx {
             node,
@@ -145,6 +147,7 @@ mod tests {
             config,
             rng,
             active_neighbors: None,
+            discoveries,
         }
     }
 
@@ -179,7 +182,8 @@ mod tests {
         let config = routes(vec![Some(vec![0, 1, 2])]);
         let mut agent = StaticRouting::new();
         let mut out = Vec::new();
-        let mut c = ctx(0, &channel, &pm, &card, &config, &mut rng);
+        let mut disc = Discoveries::default();
+        let mut c = ctx(0, &channel, &pm, &card, &config, &mut rng, &mut disc);
         agent.on_app_packet_into(&mut c, data_packet(0, 0, 2), &mut out);
         assert_eq!(out.len(), 1);
         let Action::Send(frame) = &out[0] else { panic!("expected Send, got {out:?}") };
@@ -197,12 +201,14 @@ mod tests {
         pkt.route = vec![0, 1, 2];
         pkt.hop_idx = 0;
         let mut out = Vec::new();
-        let mut c = ctx(1, &channel, &pm, &card, &config, &mut rng);
+        let mut disc = Discoveries::default();
+        let mut c = ctx(1, &channel, &pm, &card, &config, &mut rng, &mut disc);
         agent.on_frame_into(&mut c, Frame { tx: 0, rx: Some(1), packet: pkt.clone() }, &mut out);
         let Action::Send(frame) = &out[0] else { panic!("expected Send, got {out:?}") };
         assert_eq!(frame.rx, Some(2));
         let mut out = Vec::new();
-        let mut c = ctx(2, &channel, &pm, &card, &config, &mut rng);
+        let mut disc = Discoveries::default();
+        let mut c = ctx(2, &channel, &pm, &card, &config, &mut rng, &mut disc);
         let mut at_sink = pkt;
         at_sink.hop_idx = 1;
         agent.on_frame_into(&mut c, Frame { tx: 1, rx: Some(2), packet: at_sink }, &mut out);
@@ -216,7 +222,8 @@ mod tests {
         let config = routes(vec![None]);
         let mut agent = StaticRouting::new();
         let mut out = Vec::new();
-        let mut c = ctx(0, &channel, &pm, &card, &config, &mut rng);
+        let mut disc = Discoveries::default();
+        let mut c = ctx(0, &channel, &pm, &card, &config, &mut rng, &mut disc);
         agent.on_app_packet_into(&mut c, data_packet(0, 0, 2), &mut out);
         assert!(matches!(out[0], Action::Drop(_, DropReason::NoRoute)));
     }
@@ -230,7 +237,8 @@ mod tests {
         let mut pkt = data_packet(0, 0, 2);
         pkt.route = vec![0, 1, 2];
         let mut out = Vec::new();
-        let mut c = ctx(0, &channel, &pm, &card, &config, &mut rng);
+        let mut disc = Discoveries::default();
+        let mut c = ctx(0, &channel, &pm, &card, &config, &mut rng, &mut disc);
         agent.on_link_failure_into(&mut c, Frame { tx: 0, rx: Some(1), packet: pkt }, &mut out);
         assert!(matches!(out[0], Action::Drop(_, DropReason::LinkFailure)));
     }

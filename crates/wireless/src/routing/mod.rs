@@ -24,7 +24,7 @@ use eend_sim::{SimRng, SimTime};
 pub use dsdv::{DsdvConfig, DsdvRouting};
 pub use fixed::{StaticConfig, StaticRouting};
 pub use metric::RouteMetric;
-pub use reactive::{ReactiveConfig, ReactiveRouting};
+pub use reactive::{Discoveries, ReactiveConfig, ReactiveRouting};
 
 /// Why a data packet was dropped (metrics bookkeeping).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -92,6 +92,9 @@ pub struct RoutingCtx<'a> {
     /// incrementally by the event loop. `None` (unit tests, standalone
     /// use) falls back to counting over the neighbour list.
     pub active_neighbors: Option<&'a [u32]>,
+    /// The run's reactive discovery state (duplicate suppression and
+    /// replies), shared by every node; other agents leave it alone.
+    pub discoveries: &'a mut Discoveries,
 }
 
 impl<'a> RoutingCtx<'a> {
@@ -164,6 +167,15 @@ pub enum RoutingAgent {
 }
 
 impl RoutingAgent {
+    /// A fresh agent of the family `config` selects.
+    pub fn new(config: &RoutingKind) -> RoutingAgent {
+        match config {
+            RoutingKind::Reactive(_) => RoutingAgent::Reactive(ReactiveRouting::new()),
+            RoutingKind::Dsdv(_) => RoutingAgent::Dsdv(DsdvRouting::new()),
+            RoutingKind::Static(_) => RoutingAgent::Static(StaticRouting::new()),
+        }
+    }
+
     /// The application hands over a freshly generated data packet.
     ///
     /// Every entry point takes the caller's reusable `out` buffer

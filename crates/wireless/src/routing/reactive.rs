@@ -76,19 +76,102 @@ struct Pending {
     attempt: u32,
 }
 
+/// The flood state of a run's route discoveries: for each discovery, the
+/// best cost each node forwarded (duplicate suppression) and, at its
+/// target, the best cost replied and how many replies went out.
+///
+/// The simulator owns one table per run and counts each discovery's live
+/// RREQ copies — scheduled, queued at a MAC or on the air — through
+/// `copy_born` and `copy_died`. Only a copy's arrival makes a node
+/// consult a discovery's entries, so once its last copy dies the record
+/// is freed. Agents driven without a simulator (unit tests) report no
+/// copies, and their records stay.
+#[derive(Debug, Default)]
+pub struct Discoveries {
+    /// Keyed by [`discovery_key`].
+    live: FxHashMap<u64, Discovery>,
+}
+
+#[derive(Debug)]
+struct Discovery {
+    /// RREQ copies of this discovery still alive.
+    copies: u32,
+    /// Best cost each node forwarded.
+    seen: FxHashMap<u32, f64>,
+    /// At the target: best cost replied and how many replies were sent.
+    replied: (f64, u32),
+}
+
+impl Default for Discovery {
+    fn default() -> Self {
+        Discovery { copies: 0, seen: FxHashMap::default(), replied: (f64::INFINITY, 0) }
+    }
+}
+
+/// Packs a discovery's `(origin, id)` into one word.
+///
+/// # Panics
+///
+/// Panics if the origin or the id does not fit a `u32`.
+fn discovery_key(origin: NodeId, id: u64) -> u64 {
+    let (Ok(origin32), Ok(id32)) = (u32::try_from(origin), u32::try_from(id)) else {
+        panic!("discovery ({origin}, {id}): origin and id must each fit a u32");
+    };
+    (u64::from(origin32) << 32) | u64::from(id32)
+}
+
+impl Discoveries {
+    /// The record of discovery `(origin, id)`, made on first use.
+    fn record(&mut self, origin: NodeId, id: u64) -> &mut Discovery {
+        self.live.entry(discovery_key(origin, id)).or_default()
+    }
+
+    /// A copy of the frame's discovery came into being (a no-op for any
+    /// frame but an RREQ).
+    pub(crate) fn copy_born(&mut self, frame: &Frame) {
+        if let PacketKind::Rreq { origin, id, .. } = frame.packet.kind {
+            self.record(origin, id).copies += 1;
+        }
+    }
+
+    /// A copy of the frame's discovery died: it was delivered to its
+    /// last receiver or dropped. Frees the discovery's record with its
+    /// last copy.
+    pub(crate) fn copy_died(&mut self, frame: &Frame) {
+        if let PacketKind::Rreq { origin, id, .. } = frame.packet.kind {
+            let key = discovery_key(origin, id);
+            if let Some(rec) = self.live.get_mut(&key) {
+                debug_assert!(
+                    rec.copies > 0,
+                    "discovery ({origin}, {id}) lost more copies than it had"
+                );
+                rec.copies -= 1;
+                if rec.copies == 0 {
+                    self.live.remove(&key);
+                }
+            }
+        }
+    }
+
+    /// Number of discoveries holding a record.
+    pub fn len(&self) -> usize {
+        self.live.len()
+    }
+
+    /// `true` if no discovery holds a record.
+    pub fn is_empty(&self) -> bool {
+        self.live.is_empty()
+    }
+}
+
 /// Per-node reactive routing state. The [`ReactiveConfig`] it runs
-/// under is shared, read through [`RoutingCtx::reactive_config`].
+/// under is shared, read through [`RoutingCtx::reactive_config`]; the
+/// flood state of its discoveries lives in the run's [`Discoveries`].
 #[derive(Debug, Clone, Default)]
 pub struct ReactiveRouting {
     cache: FxHashMap<NodeId, CachedRoute>,
     pending: FxHashMap<NodeId, Pending>,
-    /// Best cost forwarded per (origin, rreq id) — duplicate suppression.
-    seen: FxHashMap<(NodeId, u64), f64>,
-    /// At the target: best cost replied and how many replies were sent.
-    replied: FxHashMap<(NodeId, u64), (f64, u32)>,
     next_rreq: u64,
-    /// Discoveries initiated (metrics).
-    pub discoveries: u64,
 }
 
 impl ReactiveRouting {
@@ -144,8 +227,6 @@ impl ReactiveRouting {
     ) {
         let id = self.next_rreq;
         self.next_rreq += 1;
-        self.discoveries += 1;
-        self.seen.insert((ctx.node, id), 0.0);
         let packet = Packet {
             uid: 0, // runner assigns globally unique ids on send
             kind: PacketKind::Rreq {
@@ -257,8 +338,9 @@ impl ReactiveRouting {
             fp
         };
 
+        let disc = ctx.discoveries.record(origin, id);
         if me == target {
-            let entry = self.replied.entry((origin, id)).or_insert((f64::INFINITY, 0));
+            let entry = &mut disc.replied;
             let improved = new_cost < entry.0;
             if !improved || entry.1 >= cfg.max_replies_per_discovery {
                 return;
@@ -283,13 +365,14 @@ impl ReactiveRouting {
         }
 
         // Intermediate: forward the first copy, or a strictly cheaper one
-        // when the metric warrants it.
-        match self.seen.get(&(origin, id)) {
+        // when the metric warrants it. (Node ids fit a `u32`: `Channel::new`
+        // asserts it.)
+        match disc.seen.get(&(me as u32)) {
             Some(&best) if best <= new_cost => return,
             Some(_) if !cfg.metric.rebroadcast_on_better_cost() => return,
             _ => {}
         }
-        self.seen.insert((origin, id), new_cost);
+        disc.seen.insert(me as u32, new_cost);
 
         // TITAN's stochastic flood damping draws its chance before the
         // forwarded copy is materialised: refusals cost no allocation.
@@ -553,6 +636,7 @@ mod tests {
         card: eend_radio::RadioCard,
         config: RoutingKind,
         rng: SimRng,
+        discoveries: Discoveries,
     }
 
     impl World {
@@ -564,6 +648,7 @@ mod tests {
                 card: cards::cabletron(),
                 config: RoutingKind::Reactive(ReactiveConfig::new(RouteMetric::HopCount)),
                 rng: SimRng::new(7),
+                discoveries: Discoveries::default(),
             }
         }
 
@@ -584,6 +669,7 @@ mod tests {
                 config: &self.config,
                 rng: &mut self.rng,
                 active_neighbors: None,
+                discoveries: &mut self.discoveries,
             }
         }
     }
@@ -717,7 +803,9 @@ mod tests {
         );
         assert!(dup.is_empty());
         // Cost metric: a strictly cheaper copy is re-broadcast.
-        let mut w = w.with_config(ReactiveConfig::new(RouteMetric::RadiatedPower));
+        // (A fresh world: the first world's discovery table saw this RREQ.)
+        let mut w =
+            World::new(all_active()).with_config(ReactiveConfig::new(RouteMetric::RadiatedPower));
         let mut r = ReactiveRouting::new();
         let first = r.on_frame(
             &mut w.ctx(2, 0),
@@ -734,6 +822,50 @@ mod tests {
             Frame { tx: 1, rx: None, packet: mk_rreq(900.0, vec![0, 1]) },
         );
         assert!(dearer.is_empty());
+    }
+
+    #[test]
+    fn a_discovery_record_lives_as_long_as_its_copies() {
+        let mut w = World::new(all_active());
+        let copy = Frame {
+            tx: 1,
+            rx: None,
+            packet: Packet {
+                uid: 5,
+                kind: PacketKind::Rreq {
+                    id: 4,
+                    origin: 0,
+                    target: 3,
+                    cost: 1.0,
+                    path: vec![0, 1],
+                    rate_bps: 0.0,
+                },
+                src: 0,
+                dst: usize::MAX,
+                size_bytes: 8,
+                route: Vec::new(),
+                hop_idx: 0,
+                salvage: 0,
+            },
+        };
+        w.discoveries.copy_born(&copy);
+        w.discoveries.copy_born(&copy);
+        let mut r = ReactiveRouting::new();
+        assert_eq!(r.on_broadcast(&mut w.ctx(2, 0), &copy).len(), 1, "first copy forwards");
+        w.discoveries.copy_died(&copy);
+        assert!(r.on_broadcast(&mut w.ctx(2, 1), &copy).is_empty(), "a live record suppresses");
+        w.discoveries.copy_died(&copy);
+        assert!(w.discoveries.is_empty(), "the last copy frees the record");
+        // Copies of other kinds are not counted.
+        let data = Frame { tx: 0, rx: Some(1), packet: data(0, 3) };
+        w.discoveries.copy_born(&data);
+        assert!(w.discoveries.is_empty());
+    }
+
+    #[test]
+    #[should_panic(expected = "must each fit a u32")]
+    fn a_discovery_id_past_u32_panics() {
+        discovery_key(0, u64::from(u32::MAX) + 1);
     }
 
     #[test]

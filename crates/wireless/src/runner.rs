@@ -16,10 +16,7 @@ use crate::frame::{Frame, NodeId, Packet, PacketKind};
 use crate::mac::{plan_at, ControlAirtimes, MacState, MacTiming, QueuePool, UnicastPlan};
 use crate::metrics::RunMetrics;
 use crate::power::{NodePm, PmMode, PowerPolicy};
-use crate::routing::{
-    Action, DropReason, DsdvRouting, ReactiveRouting, RoutingAgent, RoutingCtx, StaticRouting,
-    TimerKind,
-};
+use crate::routing::{Action, Discoveries, DropReason, RoutingAgent, RoutingCtx, TimerKind};
 use crate::scenario::{RoutingKind, Scenario};
 use crate::traffic::Flow;
 use eend_radio::{CardPowers, EnergyMeter, EnergyReport, RadioCard, RadioState, TrafficClass};
@@ -74,9 +71,12 @@ struct Txn {
 
 /// Cold per-node state: the MAC and routing state machines plus the
 /// in-flight transaction, boxed because only a few nodes transact at
-/// once (an inline `Txn` would be half the row). Hot per-node state
-/// (position, velocity, radio power state, card index, energy
-/// accumulator) lives in struct-of-arrays storage owned by
+/// once (an inline `Txn` would be half the row). The routing agent is
+/// boxed and built on the node's first routing call: on large fields
+/// most nodes never route (a 10k-node run's first 5 s reach about a
+/// third of them), and an inline agent would be two thirds of the row.
+/// Hot per-node state (position, velocity, radio power state, card
+/// index, energy accumulator) lives in struct-of-arrays storage owned by
 /// [`Simulator`] — positions and waypoint velocities in the [`Channel`]
 /// / waypoint buffers, energy meters in `Simulator::meters`, card
 /// indices in `Simulator::card_idx` — so mobility stepping, grid
@@ -84,7 +84,7 @@ struct Txn {
 /// instead of striding across node structs.
 struct Node {
     mac: MacState,
-    routing: RoutingAgent,
+    routing: Option<Box<RoutingAgent>>,
     txn: Option<Box<Txn>>,
 }
 
@@ -130,6 +130,8 @@ pub struct Simulator {
     /// The routing configuration, held once: every node's agent reads it
     /// through [`RoutingCtx`].
     routing: RoutingKind,
+    /// Interface-queue capacity of every node's MAC.
+    ifq_capacity: usize,
     policy: PowerPolicy,
     psm: crate::power::PsmConfig,
     power_control: bool,
@@ -182,6 +184,11 @@ pub struct Simulator {
     /// density), kept in lockstep with `pm_modes` and the channel's
     /// neighbour sets so routing reads it in O(1).
     active_neighbors: Vec<u32>,
+    /// Reactive discovery state, freed with each discovery's last live
+    /// RREQ copy: every RREQ the loop schedules, queues or broadcasts is
+    /// reported born, and every one it drops or finishes broadcasting
+    /// is reported dead.
+    discoveries: Discoveries,
     // Measurement.
     m: Counters,
 }
@@ -259,17 +266,8 @@ impl Simulator {
             })
             .collect();
         let meters = vec![EnergyMeter::starting(SimTime::ZERO, initial_state); n];
-        let nodes = (0..n)
-            .map(|_| Node {
-                mac: MacState::new(scenario.queue_capacity),
-                routing: match &scenario.stack.routing {
-                    RoutingKind::Reactive(_) => RoutingAgent::Reactive(ReactiveRouting::new()),
-                    RoutingKind::Dsdv(_) => RoutingAgent::Dsdv(DsdvRouting::new()),
-                    RoutingKind::Static(_) => RoutingAgent::Static(StaticRouting::new()),
-                },
-                txn: None,
-            })
-            .collect();
+        let nodes =
+            (0..n).map(|_| Node { mac: MacState::new(), routing: None, txn: None }).collect();
 
         let mut sim = Simulator {
             card_table,
@@ -277,6 +275,7 @@ impl Simulator {
             mac_timing: scenario.mac,
             airtimes: ControlAirtimes::new(&scenario.mac),
             routing: scenario.stack.routing.clone(),
+            ifq_capacity: scenario.queue_capacity,
             policy: scenario.stack.power_policy,
             psm: scenario.stack.psm,
             power_control: scenario.stack.power_control,
@@ -307,6 +306,7 @@ impl Simulator {
             txn_pool: Vec::new(),
             mac_pool: QueuePool::default(),
             active_neighbors: vec![0; n],
+            discoveries: Discoveries::default(),
             m: Counters::default(),
         };
         sim.m.routes = vec![None; sim.flows.len()];
@@ -349,15 +349,7 @@ impl Simulator {
     /// queue's growth, pinned by the queue-capacity test).
     pub fn run_with_stats(mut self) -> (RunMetrics, QueueStats) {
         let initial_capacity = self.queue.capacity();
-        while let Some(t) = self.queue.peek_time() {
-            if t > self.end {
-                break;
-            }
-            let (t, ev) = self.queue.pop().expect("peeked");
-            debug_assert!(t >= self.time, "event time went backwards");
-            self.time = t;
-            self.handle(ev);
-        }
+        self.run_to_horizon();
         let stats = QueueStats {
             initial_capacity,
             capacity: self.queue.capacity(),
@@ -368,39 +360,60 @@ impl Simulator {
         (self.finish(), stats)
     }
 
+    /// Handles every event up to the horizon.
+    fn run_to_horizon(&mut self) {
+        while let Some(t) = self.queue.peek_time() {
+            if t > self.end {
+                break;
+            }
+            let (t, ev) = self.queue.pop().expect("peeked");
+            debug_assert!(t >= self.time, "event time went backwards");
+            self.time = t;
+            self.handle(ev);
+        }
+    }
+
     fn finish(mut self) -> RunMetrics {
         let end = self.end;
-        let per_node_energy: Vec<EnergyReport> = (0..self.meters.len())
-            .map(|u| {
-                let (meter, card) = self.meter(u);
-                meter.finish(card, end)
-            })
+        // Keep what the report reads and free the rest of the world (node
+        // rows, event queue, channel, PM and waypoint state) before the
+        // report's per-node vector is allocated.
+        let mut meters = std::mem::take(&mut self.meters);
+        let (card_table, card_idx) =
+            (std::mem::take(&mut self.card_table), std::mem::take(&mut self.card_idx));
+        let forwarded = std::mem::take(&mut self.forwarded);
+        let m = std::mem::take(&mut self.m);
+        drop(self);
+        let per_node_energy: Vec<EnergyReport> = meters
+            .iter_mut()
+            .zip(&card_idx)
+            .map(|(meter, &c)| meter.finish(card_table[c as usize].card(), end))
             .collect();
         let mut energy_total = EnergyReport::default();
         for r in &per_node_energy {
             energy_total.accumulate(r);
         }
-        let data_forwarders = self.forwarded.iter().filter(|&&f| f).count();
+        let data_forwarders = forwarded.iter().filter(|&&f| f).count();
         RunMetrics {
-            data_sent: self.m.data_sent,
-            data_delivered: self.m.data_delivered,
-            delivered_bits: self.m.delivered_bits,
-            drops_no_route: self.m.drops_no_route,
-            drops_link_failure: self.m.drops_link_failure,
-            drops_buffer: self.m.drops_buffer,
-            drops_ifq: self.m.drops_ifq,
-            rreq_tx: self.m.rreq_tx,
-            rrep_tx: self.m.rrep_tx,
-            rerr_tx: self.m.rerr_tx,
-            dsdv_update_tx: self.m.dsdv_update_tx,
-            atim_tx: self.m.atim_tx,
-            broadcast_collisions: self.m.broadcast_collisions,
-            rts_collisions: self.m.rts_collisions,
-            link_failures: self.m.link_failures,
+            data_sent: m.data_sent,
+            data_delivered: m.data_delivered,
+            delivered_bits: m.delivered_bits,
+            drops_no_route: m.drops_no_route,
+            drops_link_failure: m.drops_link_failure,
+            drops_buffer: m.drops_buffer,
+            drops_ifq: m.drops_ifq,
+            rreq_tx: m.rreq_tx,
+            rrep_tx: m.rrep_tx,
+            rerr_tx: m.rerr_tx,
+            dsdv_update_tx: m.dsdv_update_tx,
+            atim_tx: m.atim_tx,
+            broadcast_collisions: m.broadcast_collisions,
+            rts_collisions: m.rts_collisions,
+            link_failures: m.link_failures,
             per_node_energy,
             energy_total,
             data_forwarders,
-            routes: self.m.routes,
+            routes: m.routes,
             duration_s: (end - SimTime::ZERO).as_secs_f64(),
         }
     }
@@ -499,7 +512,9 @@ impl Simulator {
             return;
         }
         self.alive[u] = false;
-        while self.nodes[u].mac.pop_head(&mut self.mac_pool).is_some() {}
+        while let Some(frame) = self.nodes[u].mac.pop_head(&mut self.mac_pool) {
+            self.discoveries.copy_died(&frame);
+        }
         self.pm[u].keepalive.cancel();
         self.pm[u].awake_until = SimTime::ZERO;
         self.pm[u].mode = PmMode::PowerSave;
@@ -542,6 +557,8 @@ impl Simulator {
     // ------------------------------------------------------------------
     // Routing plumbing.
 
+    /// Hands node `u`'s routing agent, built on first use, the event `f`
+    /// delivers.
     fn call_routing(
         &mut self,
         u: NodeId,
@@ -562,8 +579,10 @@ impl Simulator {
             routing,
             time,
             active_neighbors,
+            discoveries,
             ..
         } = self;
+        let agent = nodes[u].routing.get_or_insert_with(|| Box::new(RoutingAgent::new(routing)));
         let mut ctx = RoutingCtx {
             node: u,
             now: *time,
@@ -574,8 +593,9 @@ impl Simulator {
             config: routing,
             rng,
             active_neighbors: Some(active_neighbors),
+            discoveries,
         };
-        f(&mut nodes[u].routing, &mut ctx, &mut out);
+        f(agent, &mut ctx, &mut out);
         out
     }
 
@@ -625,8 +645,12 @@ impl Simulator {
     fn apply_actions(&mut self, u: NodeId, mut actions: Vec<Action>) {
         for a in actions.drain(..) {
             match a {
-                Action::Send(frame) => self.enqueue_frame(u, frame),
+                Action::Send(frame) => {
+                    self.discoveries.copy_born(&frame);
+                    self.enqueue_frame(u, frame);
+                }
                 Action::SendAt(frame, at) => {
+                    self.discoveries.copy_born(&frame);
                     self.queue.schedule(at.max(self.time), Event::EnqueueAt(u, Box::new(frame)));
                 }
                 Action::Deliver(packet) => {
@@ -663,11 +687,12 @@ impl Simulator {
             frame.packet.uid = self.next_uid;
             self.next_uid += 1;
         }
-        let is_data = frame.packet.kind.is_data();
-        if !self.nodes[u].mac.enqueue(frame, &mut self.mac_pool) {
-            if is_data {
+        if let Err(frame) = self.nodes[u].mac.enqueue(frame, self.ifq_capacity, &mut self.mac_pool)
+        {
+            if frame.packet.kind.is_data() {
                 self.m.drops_ifq += 1;
             }
+            self.discoveries.copy_died(&frame);
             return;
         }
         self.schedule_mac_tick(u, self.time);
@@ -941,6 +966,8 @@ impl Simulator {
                     self.apply_actions(r, actions);
                 }
                 self.rc_scratch = interferers;
+                // Every receiver has read the copy: it dies here.
+                self.discoveries.copy_died(&frame);
                 // One batched wake-up for the sender and its audience:
                 // the individual ticks would have held consecutive seqs.
                 let mut batch = self.tick_batch_pool.pop().unwrap_or_default();
@@ -1374,12 +1401,42 @@ mod tests {
     }
 
     #[test]
+    fn a_finished_discovery_leaves_no_flood_state() {
+        // One discovery at t = 1 s; every copy has been broadcast long
+        // before the horizon, so its record must be gone.
+        let mut sim = Simulator::new(&line_scenario(stacks::mtpr(false), 10));
+        sim.run_to_horizon();
+        assert!(sim.m.rreq_tx >= 2, "the flood must have crossed the relay");
+        assert!(sim.discoveries.is_empty(), "{} discoveries kept", sim.discoveries.len());
+    }
+
+    #[test]
     fn energy_residency_accounts_full_horizon() {
         let m = Simulator::new(&line_scenario(stacks::dsr_active(), 10)).run();
         for (i, r) in m.per_node_energy.iter().enumerate() {
             let residency = r.time_tx + r.time_rx + r.time_idle + r.time_sleep;
             let total = SimDuration::from_secs(10);
             assert_eq!(residency, total, "node {i} residency");
+        }
+    }
+
+    /// ATIM charge-ahead: `on_beacon` charges each announced ATIM
+    /// exchange up to its end, yet the MAC may still start an earlier
+    /// transaction inside the window, so a meter is charged backwards.
+    /// Debug builds trip `EnergyMeter`'s monotonicity assertion; release
+    /// builds clamp the step and charge the overlap twice, so a node's
+    /// time residency exceeds the horizon.
+    #[test]
+    #[ignore = "known ATIM charge-ahead defect (ROADMAP): its fix changes the \
+                paper_small round-0 digest and lands with a re-bless of \
+                eend-benchmark/expected.txt"]
+    fn atim_charge_ahead_never_runs_a_meter_backwards() {
+        let mut s = crate::presets::mobility_scale(stacks::mtpr_odpm(false), 16, 1);
+        s.duration = SimDuration::from_secs(5);
+        let m = Simulator::new(&s).run();
+        for (i, r) in m.per_node_energy.iter().enumerate() {
+            let residency = r.time_tx + r.time_rx + r.time_idle + r.time_sleep;
+            assert_eq!(residency, s.duration, "node {i} residency");
         }
     }
 

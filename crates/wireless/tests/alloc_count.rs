@@ -143,8 +143,8 @@ fn dsdvh_steady_state_run_stays_inside_its_allocation_budget() {
 fn mobility1k_run_stays_inside_its_allocation_budget() {
     // The scale family's smallest member: 1,024 nodes with SoA hot state.
     // Construction (~5k allocations, scaling with n) is excluded; the
-    // measured run count is ~51.5k (~53.8k when the 1k field ran on a
-    // timing-wheel queue) — unlike the static small-network runs above
+    // measured run count is ~47.6k (~51.5k with a `seen` map per node,
+    // ~53.8k when the 1k field ran on a timing-wheel queue) — unlike the static small-network runs above
     // this workload floods ~25k RREQ rebroadcasts whose accumulated
     // source-route paths are cloned per hop, which is inherent to DSR,
     // not event-loop churn. The ceiling pins that: the run schedules
@@ -172,12 +172,15 @@ fn mobility1k_run_stays_inside_its_allocation_budget() {
 #[test]
 fn mobility1k_live_heap_follows_the_work_in_flight() {
     // What a built simulator holds and what its run peaks at, counted in
-    // live bytes. Measured on this workload: 614 bytes per node after
-    // `Simulator::new` and a 2.35 MB peak over the run, with the heap
+    // live bytes. Measured on this workload: 446 bytes per node after
+    // `Simulator::new` and a 1.88 MB peak over the run, with the heap
     // queue growing from empty, transactions boxed off the node row,
     // drained MAC queues handing their buffers to a shared pool, the
-    // neighbour lists in one `u32` table, meters without a card copy and
-    // the routing configuration held once. With a `Vec<usize>` per
+    // neighbour lists in one `u32` table, meters without a card copy,
+    // the routing configuration held once, routing agents built on a
+    // node's first routing call and discovery state freed with its last
+    // RREQ copy. With an inline agent per node row it took 614 bytes per
+    // node and peaked at 2.35 MB; with, besides, a `Vec<usize>` per
     // neighbour list, a card per meter and a configuration per agent the
     // same field took 902 bytes per node and peaked at 2.8 MB. The
     // same run on a timing-wheel queue (4 × 256 slot vectors, each kept
@@ -202,7 +205,7 @@ fn mobility1k_live_heap_follows_the_work_in_flight() {
     eprintln!("LIVE_BYTES[mobility1k] built={built} per_node={per_node} run_peak={peak}");
 
     assert!(
-        per_node < 675,
+        per_node < 490,
         "a built simulator holds {per_node} bytes per node — did a per-node copy come back?"
     );
     assert!(
@@ -212,15 +215,44 @@ fn mobility1k_live_heap_follows_the_work_in_flight() {
 }
 
 #[test]
+fn mobility10k_live_heap_peak_stays_inside_its_budget() {
+    // The benchmark's `scale10k` field over 5 s: what the run holds at
+    // its high-water mark, built simulator included.
+    let mut scenario = presets::mobility10k(stacks::titan_pc(), 1);
+    scenario.duration = SimDuration::from_secs(5);
+    drop(Simulator::new(&presets::mobility1k(stacks::titan_pc(), 1)));
+
+    let base = thread_live();
+    reset_thread_peak();
+    let m = Simulator::new(&scenario).run();
+    let peak = thread_peak() - base;
+    assert!(m.data_sent > 0, "run must carry traffic");
+    eprintln!("LIVE_BYTES[mobility10k 5s] run_peak={peak}");
+
+    // Measured: a 10.56 MB peak. Before, 12.64 MB: every node row held an
+    // inline routing agent, the MAC rows a queue capacity and a drop
+    // counter, and the report's per-node vector was allocated while the
+    // rest of the world was still live. The ceiling sits ~10 % over
+    // today's figure and below the old one.
+    assert!(
+        peak < 11_600_000,
+        "the 10k run peaked at {peak} live bytes — do idle nodes hold routing state again?"
+    );
+}
+
+#[test]
 fn a_built_10k_simulator_holds_its_per_node_budget() {
     // The field the benchmark's `scale10k` and `bench --scale 10k` build:
     // 10,000 nodes on a mobile grid, where per-node state rather than
-    // events in flight sets the memory. Measured: 619 bytes per node.
+    // events in flight sets the memory. Measured: 451 bytes per node.
     // Before, 915: the neighbour lists were a `Vec<usize>` each (−160
-    // for one `u32` table), every meter held a copy of its card (−80)
-    // and every routing agent a copy of its configuration (−56). The
-    // ceiling sits ~10 % over today's figure and below each of those
-    // steps taken back.
+    // for one `u32` table), every meter held a copy of its card (−80),
+    // every routing agent a copy of its configuration (−56), every node
+    // row an inline routing agent (−144 for one built on first use),
+    // every MAC row its queue capacity and a drop counter (−16) and
+    // every PM row an `Option` tag on its keep-alive deadline (−8). The
+    // ceiling sits ~10 % over today's figure and below the inline agent
+    // taken back; the MAC row and the timer have size tests of their own.
     let scenario = presets::mobility10k(stacks::titan_pc(), 1);
     let nodes = scenario.placement.node_count() as i64;
     drop(Simulator::new(&presets::mobility1k(stacks::titan_pc(), 1)));
@@ -232,7 +264,7 @@ fn a_built_10k_simulator_holds_its_per_node_budget() {
     let per_node = built / nodes;
     eprintln!("LIVE_BYTES[mobility10k] built={built} per_node={per_node}");
     assert!(
-        per_node < 675,
+        per_node < 495,
         "a built 10k simulator holds {per_node} bytes per node — did a per-node copy come back?"
     );
 }
