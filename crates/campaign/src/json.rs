@@ -22,16 +22,134 @@
 //!
 //! [`write_str`] and [`write_num`] are the matching writers: they append
 //! a string literal or a number to a buffer without allocating.
+//!
+//! [`LogReader`] reads the append-only JSONL logs (a store's
+//! `records.jsonl` and `failures.jsonl`, the eval cache's `evals.jsonl`)
+//! one line at a time, and alone decides what a killed writer's leftovers
+//! and a damaged line mean.
 
 use std::borrow::Cow;
-use std::fmt::Write as _;
-use std::io;
+use std::fmt::{self, Write as _};
+use std::fs::{File, OpenOptions};
+use std::io::{self, BufRead, BufReader, Write as _};
+use std::path::PathBuf;
 
 /// How deep arrays and objects may nest before a document is refused.
 pub const MAX_DEPTH: usize = 256;
 
-fn bad_data(msg: impl Into<String>) -> io::Error {
+/// An [`io::ErrorKind::InvalidData`] error: the workspace's one way to
+/// refuse damaged or malformed input.
+pub fn bad_data(msg: impl Into<String>) -> io::Error {
     io::Error::new(io::ErrorKind::InvalidData, msg.into())
+}
+
+/// A pull reader over one append-only JSONL log, holding one line at a
+/// time in a reused byte buffer. The log policy lives here and nowhere
+/// else:
+///
+/// - lines end at `\n`; whitespace-only lines are skipped;
+/// - a final line without its `\n` is kept when the caller's decoder
+///   accepts it, and is otherwise the torn tail of a killed writer, which
+///   reads as end-of-file;
+/// - any other line that is not UTF-8 or that the decoder refuses is an
+///   error naming the file and the 1-based line.
+///
+/// A caller that owns the file calls [`LogReader::repair`] at
+/// end-of-file, so the next append starts on a fresh line. A missing
+/// file reads as empty.
+#[derive(Debug)]
+pub struct LogReader {
+    path: PathBuf,
+    reader: Option<BufReader<File>>,
+    buf: Vec<u8>,
+    line_no: usize,
+    /// Bytes of the lines read and kept so far (blank ones included).
+    kept: u64,
+    tail: Tail,
+}
+
+/// What the end of a log needs once it has been read.
+#[derive(Debug)]
+enum Tail {
+    /// Empty, or ends with a newline.
+    Clean,
+    /// The final line was kept but lacks its newline.
+    Unterminated,
+    /// The final line is torn: everything past `kept` goes.
+    Torn,
+}
+
+impl LogReader {
+    /// Opens the log at `path`; a missing file reads as empty.
+    pub fn open(path: impl Into<PathBuf>) -> io::Result<LogReader> {
+        let path = path.into();
+        let reader = match File::open(&path) {
+            Ok(f) => Some(BufReader::new(f)),
+            Err(e) if e.kind() == io::ErrorKind::NotFound => None,
+            Err(e) => return Err(e),
+        };
+        Ok(LogReader { path, reader, buf: Vec::new(), line_no: 0, kept: 0, tail: Tail::Clean })
+    }
+
+    /// The next non-blank line as `decode` reads it (the line comes
+    /// without its newline), or `None` at end-of-file, which a torn final
+    /// line also is. A complete line that is not UTF-8 or that `decode`
+    /// refuses is an error naming the file and the line.
+    pub fn next_decoded<T>(
+        &mut self,
+        mut decode: impl FnMut(&str) -> io::Result<T>,
+    ) -> io::Result<Option<T>> {
+        loop {
+            let Some(reader) = self.reader.as_mut() else { return Ok(None) };
+            self.buf.clear();
+            let n = reader.read_until(b'\n', &mut self.buf)?;
+            if n == 0 {
+                return Ok(None);
+            }
+            self.line_no += 1;
+            let line = self.buf.strip_suffix(b"\n");
+            let terminated = line.is_some();
+            let decoded = match std::str::from_utf8(line.unwrap_or(&self.buf)) {
+                Ok(text) if text.trim().is_empty() => None,
+                Ok(text) => Some(decode(text)),
+                Err(e) => Some(Err(bad_data(e.to_string()))),
+            };
+            if let Some(Err(e)) = decoded {
+                if terminated {
+                    return Err(self.line_error(e));
+                }
+                self.tail = Tail::Torn;
+                return Ok(None);
+            }
+            self.kept += n as u64;
+            if !terminated {
+                self.tail = Tail::Unterminated;
+            }
+            if let Some(value) = decoded {
+                return value.map(Some);
+            }
+        }
+    }
+
+    /// The error for the line last read: `corrupt line N in PATH: why`.
+    /// Callers raise their own refusals (a duplicate, an id out of
+    /// order) through it too.
+    pub(crate) fn line_error(&self, why: impl fmt::Display) -> io::Error {
+        bad_data(format!("corrupt line {} in {}: {why}", self.line_no, self.path.display()))
+    }
+
+    /// For the log's owner, once [`LogReader::next_decoded`] has returned
+    /// `None`: restores a kept final line's missing newline, or truncates
+    /// a torn tail to the last kept byte.
+    pub fn repair(&self) -> io::Result<()> {
+        match self.tail {
+            Tail::Clean => Ok(()),
+            Tail::Unterminated => {
+                OpenOptions::new().append(true).open(&self.path)?.write_all(b"\n")
+            }
+            Tail::Torn => OpenOptions::new().write(true).open(&self.path)?.set_len(self.kept),
+        }
+    }
 }
 
 /// A parsed JSON value borrowing from the text it was read from.
@@ -512,6 +630,54 @@ mod tests {
         assert!(err.contains("nest deeper than 256"), "got: {err}");
         let deep_obj = "{\"a\":".repeat(MAX_DEPTH + 1);
         assert!(parse_shallow(&deep_obj).unwrap_err().to_string().contains("nest deeper"));
+    }
+
+    /// Reads `bytes` as a log of JSON numbers, repairs it, and returns
+    /// what was read (or the error) and the file's bytes afterwards.
+    fn read_log(tag: &str, bytes: &[u8]) -> (io::Result<Vec<u64>>, Vec<u8>) {
+        let path = std::env::temp_dir().join(format!("eend-log-{tag}-{}", std::process::id()));
+        std::fs::write(&path, bytes).unwrap();
+        let mut log = LogReader::open(&path).unwrap();
+        let mut read = Vec::new();
+        let got = loop {
+            match log.next_decoded(|line| parse_json(line)?.u64()) {
+                Ok(Some(v)) => read.push(v),
+                Ok(None) => break log.repair().map(|()| read),
+                Err(e) => break Err(e),
+            }
+        };
+        let after = std::fs::read(&path).unwrap();
+        std::fs::remove_file(&path).unwrap();
+        (got, after)
+    }
+
+    #[test]
+    fn log_reader_keeps_blank_and_unterminated_lines_and_drops_a_torn_tail() {
+        let (got, after) = read_log("blank", b"1\n \n\n2\n  ");
+        assert_eq!((got.unwrap(), after), (vec![1, 2], b"1\n \n\n2\n  \n".to_vec()));
+        let (got, after) = read_log("noeol", b"1\n2");
+        assert_eq!((got.unwrap(), after), (vec![1, 2], b"1\n2\n".to_vec()));
+        let (got, after) = read_log("torn", b"1\n\n2x");
+        assert_eq!((got.unwrap(), after), (vec![1], b"1\n\n".to_vec()));
+        let (got, after) = read_log("utf8", "1\n\"é".as_bytes().split_last().unwrap().1);
+        assert_eq!((got.unwrap(), after), (vec![1], b"1\n".to_vec()));
+        let missing = std::env::temp_dir().join(format!("eend-log-none-{}", std::process::id()));
+        let mut log = LogReader::open(&missing).unwrap();
+        assert!(log.next_decoded(|_| Ok(())).unwrap().is_none());
+        log.repair().unwrap();
+        assert!(!missing.exists(), "repairing a missing log creates nothing");
+    }
+
+    #[test]
+    fn log_reader_names_the_file_and_line_of_interior_damage() {
+        for (tag, bytes) in [("json", &b"1\n\n2x\n3\n"[..]), ("bytes", &b"1\n\n\xff\n3\n"[..])] {
+            let (got, after) = read_log(tag, bytes);
+            let err = got.unwrap_err();
+            assert_eq!(err.kind(), io::ErrorKind::InvalidData);
+            let want = format!("corrupt line 3 in {}", std::env::temp_dir().display());
+            assert!(err.to_string().starts_with(&want), "{tag}: {err}");
+            assert_eq!(after, bytes, "{tag}: a damaged log is left alone");
+        }
     }
 
     #[test]

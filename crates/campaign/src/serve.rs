@@ -91,7 +91,7 @@
 //! resumes exactly the missing jobs.
 
 use crate::executor::{panic_cause, Executor, FailurePolicy, JobScheduler, WorkerPool};
-use crate::json::{parse_json, JVal};
+use crate::json::{bad_data, parse_json, JVal};
 use crate::report::{
     csv_header_into, csv_values_into, json_num, json_str, json_values_into, metric_columns,
     metric_row, MetricRow,
@@ -120,10 +120,6 @@ const MAX_HEADER_LINES: usize = 100;
 /// Longest request line or header line the daemon will buffer,
 /// terminator included.
 const MAX_LINE_BYTES: usize = 8 << 10;
-
-fn bad_req(msg: impl Into<String>) -> io::Error {
-    io::Error::new(io::ErrorKind::InvalidData, msg.into())
-}
 
 /// Configuration of a [`serve`] instance.
 #[derive(Debug, Clone)]
@@ -401,7 +397,7 @@ fn register(
     let jobs = spec.expand();
     // Refused before a store directory exists: every job would panic.
     if let Some(e) = jobs.iter().find_map(|j| j.check_failures().err()) {
-        return Err(bad_req(e));
+        return Err(bad_data(e));
     }
     let fp = fingerprint(&spec.name, &jobs);
     let mut map = state.campaigns.lock().expect("registry lock poisoned");
@@ -448,14 +444,14 @@ fn find_campaign(state: &ServeState, fp: u64) -> io::Result<Option<Arc<CampaignE
     }
     let manifest = read_manifest(&manifest_path)?;
     let Some(axes) = manifest.axes else {
-        return Err(bad_req(format!(
+        return Err(bad_data(format!(
             "store {} records no spec axes; its campaign cannot be rehydrated",
             dir.display()
         )));
     };
     let entry = register(state, axes.to_spec(&manifest.campaign)?, None)?;
     if entry.fingerprint != fp {
-        return Err(bad_req(format!(
+        return Err(bad_data(format!(
             "store {} rebuilds to fingerprint {:016x}, not {fp:016x}",
             dir.display(),
             entry.fingerprint
@@ -544,7 +540,7 @@ fn read_line_bounded(reader: &mut impl BufRead) -> Result<String, Refused> {
             cause: format!("request line or header longer than {MAX_LINE_BYTES} bytes"),
         });
     }
-    String::from_utf8(line).map_err(|_| bad_req("request line or header is not UTF-8").into())
+    String::from_utf8(line).map_err(|_| bad_data("request line or header is not UTF-8").into())
 }
 
 /// Reads one request: its line, headers and `Content-Length` body.
@@ -552,14 +548,14 @@ fn read_line_bounded(reader: &mut impl BufRead) -> Result<String, Refused> {
 fn read_request(reader: &mut impl BufRead) -> Result<Request, Refused> {
     let line = read_line_bounded(reader)?;
     let mut parts = line.split_whitespace();
-    let method = parts.next().ok_or_else(|| bad_req("empty request line"))?.to_owned();
-    let target = parts.next().ok_or_else(|| bad_req("request line lacks a target"))?.to_owned();
+    let method = parts.next().ok_or_else(|| bad_data("empty request line"))?.to_owned();
+    let target = parts.next().ok_or_else(|| bad_data("request line lacks a target"))?.to_owned();
     let mut content_length = 0usize;
     let mut header_lines = 0usize;
     loop {
         header_lines += 1;
         if header_lines > MAX_HEADER_LINES {
-            return Err(bad_req(format!("more than {MAX_HEADER_LINES} request headers")).into());
+            return Err(bad_data(format!("more than {MAX_HEADER_LINES} request headers")).into());
         }
         let header = read_line_bounded(reader)?;
         let header = header.trim_end();
@@ -571,7 +567,7 @@ fn read_request(reader: &mut impl BufRead) -> Result<Request, Refused> {
                 content_length = v
                     .trim()
                     .parse()
-                    .map_err(|_| bad_req(format!("bad Content-Length {:?}", v.trim())))?;
+                    .map_err(|_| bad_data(format!("bad Content-Length {:?}", v.trim())))?;
             }
         }
     }
@@ -585,7 +581,7 @@ fn read_request(reader: &mut impl BufRead) -> Result<Request, Refused> {
     }
     let mut body = vec![0u8; content_length];
     reader.read_exact(&mut body)?;
-    let body = String::from_utf8(body).map_err(|_| bad_req("request body is not UTF-8"))?;
+    let body = String::from_utf8(body).map_err(|_| bad_data("request body is not UTF-8"))?;
     let (path, query_text) = match target.split_once('?') {
         Some((p, q)) => (p.to_owned(), q),
         None => (target.clone(), ""),
@@ -809,19 +805,19 @@ fn submit_impl(state: &Arc<ServeState>, body: &str) -> io::Result<String> {
     let v = parse_json(body)?;
     let campaign = v.get("campaign")?.str()?;
     if campaign.is_empty() {
-        return Err(bad_req("campaign name must not be empty"));
+        return Err(bad_data("campaign name must not be empty"));
     }
     let axes = SpecAxes::from_jval(v.get("axes")?)?;
     let spec = axes.to_spec(campaign)?;
     if spec.job_count() == 0 {
-        return Err(bad_req("spec expands to zero jobs (no stacks?)"));
+        return Err(bad_data("spec expands to zero jobs (no stacks?)"));
     }
     let policy = match v.get_opt("on_failure")? {
         None | Some(JVal::Null) => None,
         Some(p) => {
             let label = p.str()?;
             Some(FailurePolicy::parse(label).ok_or_else(|| {
-                bad_req(format!("bad on_failure {label:?} (expected abort|skip|retry=N)"))
+                bad_data(format!("bad on_failure {label:?} (expected abort|skip|retry=N)"))
             })?)
         }
     };
@@ -918,7 +914,7 @@ fn aggregate_impl(state: &ServeState, entry: &CampaignEntry) -> io::Result<Strin
     let (done, rows) = {
         let p = entry.progress.lock().expect("progress lock poisoned");
         if p.done < entry.jobs.len() {
-            return Err(bad_req(format!(
+            return Err(bad_data(format!(
                 "campaign incomplete ({}/{} jobs durable) — submit it and poll status to done",
                 p.done,
                 entry.jobs.len()

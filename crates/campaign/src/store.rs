@@ -30,17 +30,18 @@
 //! grid — the path `eend-cli campaign merge --csv` runs on.
 
 use crate::executor::{FailurePolicy, JobFailure, JobScheduler};
-use crate::json::{parse_json, parse_shallow, write_num, write_str, JVal};
+use crate::json::{bad_data, parse_json, parse_shallow, write_num, write_str, JVal, LogReader};
 use crate::report::{json_num, json_str, CampaignResult, Record};
 use crate::sink::RecordSink;
 use crate::spec::{BaseScenario, CampaignSpec, FailurePlan, Job};
 use eend_radio::EnergyReport;
+use eend_sim::hash::Fnv1a;
 use eend_sim::SimDuration;
 use eend_wireless::{stacks, RunMetrics};
 use std::collections::{BTreeMap, BTreeSet};
 use std::fmt::Write as _;
 use std::fs::{File, OpenOptions};
-use std::io::{self, BufRead, BufReader, Write};
+use std::io::{self, Write};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, Ordering};
 
@@ -89,10 +90,6 @@ pub fn write_atomic(path: &Path, bytes: &[u8]) -> io::Result<()> {
     res
 }
 
-fn bad_data(msg: impl Into<String>) -> io::Error {
-    io::Error::new(io::ErrorKind::InvalidData, msg.into())
-}
-
 // ---------------------------------------------------------------------
 // Fingerprinting.
 
@@ -102,30 +99,30 @@ fn bad_data(msg: impl Into<String>) -> io::Error {
 /// any change to an axis, a seed range, or the horizon changes it —
 /// which is how a store refuses to resume under a different spec.
 pub fn fingerprint(campaign: &str, jobs: &[Job]) -> u64 {
-    let mut h = Fnv::new();
-    h.str(campaign);
-    h.u64(jobs.len() as u64);
+    let mut h = Fnv1a::default();
+    hash_str(&mut h, campaign);
+    h.write_u64(jobs.len() as u64);
     for j in jobs {
-        h.u64(j.index as u64);
-        h.str(&j.point.stack.name);
-        h.u64(j.point.rate_kbps.to_bits());
-        h.u64(j.point.nodes as u64);
-        h.u64(j.point.speed_mps.to_bits());
+        h.write_u64(j.index as u64);
+        hash_str(&mut h, &j.point.stack.name);
+        h.write_u64(j.point.rate_kbps.to_bits());
+        h.write_u64(j.point.nodes as u64);
+        h.write_u64(j.point.speed_mps.to_bits());
         // The traffic label carries the model's parameters
         // (`TrafficModel::label`) and the radio label names a fixed
         // registry profile, so hashing the labels pins both axes.
-        h.str(&j.point.traffic);
-        h.str(&j.point.radio);
-        h.str(&j.point.failure);
-        h.u64(j.point.seed);
-        h.u64(j.scenario.duration.as_nanos());
+        hash_str(&mut h, &j.point.traffic);
+        hash_str(&mut h, &j.point.radio);
+        hash_str(&mut h, &j.point.failure);
+        h.write_u64(j.point.seed);
+        h.write_u64(j.scenario.duration.as_nanos());
         // The failure *label* above is free text — hash the actual kill
         // schedule too, or two plans with the same label would collide
         // and a store would resume under different failure injections.
-        h.u64(j.scenario.node_failures.len() as u64);
+        h.write_u64(j.scenario.node_failures.len() as u64);
         for &(at, node) in &j.scenario.node_failures {
-            h.u64(at.as_nanos());
-            h.u64(node as u64);
+            h.write_u64(at.as_nanos());
+            h.write_u64(node as u64);
         }
         // Likewise the radio label: every unnamed builder-supplied mix
         // is spelled "custom", so hash the actual base card and
@@ -133,9 +130,9 @@ pub fn fingerprint(campaign: &str, jobs: &[Job]) -> u64 {
         // resume into one store.
         hash_card(&mut h, &j.scenario.card);
         match &j.scenario.card_assignment {
-            eend_wireless::CardAssignment::Uniform => h.u64(0),
+            eend_wireless::CardAssignment::Uniform => h.write_u64(0),
             eend_wireless::CardAssignment::Alternating(cards) => {
-                h.u64(1 + cards.len() as u64);
+                h.write_u64(1 + cards.len() as u64);
                 for c in cards {
                     hash_card(&mut h, c);
                 }
@@ -147,8 +144,8 @@ pub fn fingerprint(campaign: &str, jobs: &[Job]) -> u64 {
 
 /// Hashes a radio card's identity: name plus every power-model
 /// parameter, so even two cards sharing a name cannot collide.
-fn hash_card(h: &mut Fnv, c: &eend_radio::RadioCard) {
-    h.str(c.name);
+fn hash_card(h: &mut Fnv1a, c: &eend_radio::RadioCard) {
+    hash_str(h, c.name);
     for v in [
         c.p_idle_mw,
         c.p_rx_mw,
@@ -159,36 +156,15 @@ fn hash_card(h: &mut Fnv, c: &eend_radio::RadioCard) {
         c.nominal_range_m,
         c.switch_energy_mj,
     ] {
-        h.u64(v.to_bits());
+        h.write_u64(v.to_bits());
     }
 }
 
-/// FNV-1a, 64-bit: tiny, stable across platforms, good enough to tell
-/// two campaign grids apart.
-struct Fnv(u64);
-
-impl Fnv {
-    fn new() -> Fnv {
-        Fnv(0xcbf2_9ce4_8422_2325)
-    }
-    fn byte(&mut self, b: u8) {
-        self.0 ^= b as u64;
-        self.0 = self.0.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    fn u64(&mut self, v: u64) {
-        for b in v.to_le_bytes() {
-            self.byte(b);
-        }
-    }
-    fn str(&mut self, s: &str) {
-        self.u64(s.len() as u64);
-        for b in s.as_bytes() {
-            self.byte(*b);
-        }
-    }
-    fn finish(&self) -> u64 {
-        self.0
-    }
+/// Hashes a string as its length, then its bytes, so adjacent strings
+/// cannot trade bytes.
+fn hash_str(h: &mut Fnv1a, s: &str) {
+    h.write_u64(s.len() as u64);
+    h.write(s.as_bytes());
 }
 
 // ---------------------------------------------------------------------
@@ -658,122 +634,51 @@ impl ResultStore {
         self.manifest.policy()
     }
 
-    /// Re-scans `records.jsonl` for completed job ids. Unparsable
-    /// content is tolerated only as the final line (a torn append from
-    /// a killed writer); it is **truncated away** so the resumed
-    /// writer's first append starts on a clean line. Corruption earlier
-    /// in the file is an error.
+    /// Re-scans `records.jsonl` for completed job ids, through
+    /// [`LogReader`]: a torn final line (a killed writer's append) is
+    /// truncated away so the job re-runs, and interior corruption is an
+    /// error. A job id outside the campaign or recorded twice is refused.
     fn scan_completed(&mut self) -> io::Result<()> {
         self.completed.clear();
-        let path = self.dir.join(RECORDS_FILE);
-        if !path.exists() {
-            return Ok(());
-        }
-        let text = std::fs::read_to_string(&path)?;
-        let lines: Vec<&str> = text.split('\n').collect();
-        let mut good_bytes = 0u64;
-        for (li, line) in lines.iter().enumerate() {
-            if line.trim().is_empty() {
-                good_bytes += line.len() as u64 + 1;
-                continue;
+        let mut log = LogReader::open(self.dir.join(RECORDS_FILE))?;
+        // Only the id is needed here: check the whole line, keep only its
+        // top level.
+        while let Some(id) = log.next_decoded(|line| parse_shallow(line)?.get("job")?.usize())? {
+            if id >= self.manifest.total_jobs {
+                return Err(log.line_error(format!(
+                    "record for job {id} out of range ({} total)",
+                    self.manifest.total_jobs
+                )));
             }
-            let torn_tail = li + 1 == lines.len(); // no trailing '\n': torn write
-                                                   // Only the id is needed here: check the whole line, keep
-                                                   // only its top level.
-            match parse_shallow(line).and_then(|v| v.get("job")?.usize()) {
-                Ok(id) if id < self.manifest.total_jobs => {
-                    if !self.completed.insert(id) {
-                        return Err(bad_data(format!(
-                            "job {id} has more than one record in {} (line {}) — the \
-                             store has been corrupted or merged with itself",
-                            path.display(),
-                            li + 1
-                        )));
-                    }
-                    if torn_tail {
-                        // The record is complete but the kill landed
-                        // between its bytes and the newline: restore the
-                        // terminator so the next append starts on a
-                        // fresh line instead of gluing onto this one.
-                        OpenOptions::new().append(true).open(&path)?.write_all(b"\n")?;
-                    }
-                    good_bytes += line.len() as u64 + 1;
-                }
-                Ok(id) => {
-                    return Err(bad_data(format!(
-                        "record for job {id} out of range ({} total)",
-                        self.manifest.total_jobs
-                    )))
-                }
-                Err(e) if torn_tail => {
-                    // The killed writer's half-written last line: chop it
-                    // off so the job re-runs and re-appends cleanly.
-                    let _ = e;
-                    OpenOptions::new().write(true).open(&path)?.set_len(good_bytes)?;
-                }
-                Err(e) => {
-                    return Err(bad_data(format!(
-                        "corrupt record line {} in {}: {e}",
-                        li + 1,
-                        path.display()
-                    )))
-                }
+            if !self.completed.insert(id) {
+                return Err(log.line_error(format!(
+                    "job {id} has more than one record — the store has been corrupted or \
+                     merged with itself"
+                )));
             }
         }
-        Ok(())
+        log.repair()
     }
 
     /// Re-scans `failures.jsonl` for contained job failures. The file
-    /// is an append-only log: a job may appear several times across
-    /// interrupted runs (the last entry wins), and entries for jobs
-    /// that have since completed are stale and dropped. Like the record
-    /// scan, an unparsable *final* line is the torn tail of a killed
-    /// writer and is truncated away; earlier corruption is an error.
+    /// is an append-only log read through [`LogReader`] like the record
+    /// scan: a job may appear several times across interrupted runs (the
+    /// last entry wins), and entries for jobs that have since completed
+    /// are stale and dropped.
     fn scan_failures(&mut self) -> io::Result<()> {
         self.failures.clear();
-        let path = self.dir.join(FAILURES_FILE);
-        if !path.exists() {
-            return Ok(());
+        let mut log = LogReader::open(self.dir.join(FAILURES_FILE))?;
+        while let Some(f) = log.next_decoded(|line| {
+            let v = parse_json(line)?;
+            Ok(JobFailure {
+                job_id: v.get("job")?.usize()?,
+                attempts: v.get("attempts")?.u64()? as u32,
+                cause: v.get("cause")?.str()?.to_owned(),
+            })
+        })? {
+            self.failures.insert(f.job_id, f);
         }
-        let text = std::fs::read_to_string(&path)?;
-        let lines: Vec<&str> = text.split('\n').collect();
-        let mut good_bytes = 0u64;
-        for (li, line) in lines.iter().enumerate() {
-            if line.trim().is_empty() {
-                good_bytes += line.len() as u64 + 1;
-                continue;
-            }
-            let torn_tail = li + 1 == lines.len();
-            let parsed = parse_json(line).and_then(|v| {
-                Ok(JobFailure {
-                    job_id: v.get("job")?.usize()?,
-                    attempts: v.get("attempts")?.u64()? as u32,
-                    cause: v.get("cause")?.str()?.to_owned(),
-                })
-            });
-            match parsed {
-                Ok(f) => {
-                    if torn_tail {
-                        // Complete entry, missing only its newline:
-                        // restore the terminator so the next append
-                        // starts on a fresh line.
-                        OpenOptions::new().append(true).open(&path)?.write_all(b"\n")?;
-                    }
-                    self.failures.insert(f.job_id, f);
-                    good_bytes += line.len() as u64 + 1;
-                }
-                Err(_) if torn_tail => {
-                    OpenOptions::new().write(true).open(&path)?.set_len(good_bytes)?;
-                }
-                Err(e) => {
-                    return Err(bad_data(format!(
-                        "corrupt failure line {} in {}: {e}",
-                        li + 1,
-                        path.display()
-                    )))
-                }
-            }
-        }
+        log.repair()?;
         let completed = &self.completed;
         self.failures.retain(|id, _| !completed.contains(id));
         Ok(())
@@ -950,18 +855,17 @@ impl ResultStore {
     /// always appended in order and never pay this.
     fn compact_records(&self) -> io::Result<()> {
         let path = self.dir.join(RECORDS_FILE);
-        let text = std::fs::read_to_string(&path)?;
-        let mut entries: Vec<(usize, &str)> = Vec::new();
-        for line in text.lines() {
-            if line.trim().is_empty() {
-                continue;
-            }
-            entries.push((parse_shallow(line)?.get("job")?.usize()?, line));
+        let mut log = LogReader::open(&path)?;
+        let mut entries: Vec<(usize, String)> = Vec::new();
+        while let Some(entry) = log
+            .next_decoded(|line| Ok((parse_shallow(line)?.get("job")?.usize()?, line.to_owned())))?
+        {
+            entries.push(entry);
         }
         entries.sort_by_key(|(id, _)| *id);
-        let mut out = String::with_capacity(text.len());
+        let mut out = String::with_capacity(entries.iter().map(|(_, l)| l.len() + 1).sum());
         for (_, line) in entries {
-            out.push_str(line);
+            out.push_str(&line);
             out.push('\n');
         }
         write_atomic(&path, out.as_bytes())
@@ -988,65 +892,40 @@ impl ResultStore {
     /// stored stack name and seed are cross-checked against the job it
     /// claims to be.
     ///
-    /// A parse failure is tolerated only on the file's final line — the
-    /// newline-less footprint of a killed writer. Corruption anywhere
-    /// else is an error naming the line: silently skipping an interior
-    /// line would drop a completed job, and a subsequent resume would
-    /// re-run it and append a duplicate. Duplicate job ids are refused
-    /// for the same reason — last-wins would silently hide whichever
-    /// record lost. On an error, records visited before it have been
-    /// handed over already; callers discard what they collected.
+    /// The file is read through [`LogReader`]: a torn final line reads as
+    /// end-of-file, and corruption anywhere else is an error naming the
+    /// line, since silently skipping an interior line would drop a
+    /// completed job, and a subsequent resume would re-run it and append
+    /// a duplicate. A record whose identity or metrics do not decode, and
+    /// a duplicate job id, are refused naming their line too: last-wins
+    /// would silently hide whichever record lost. On an error, records
+    /// visited before it have been handed over already; callers discard
+    /// what they collected.
     pub fn visit_metrics(
         &self,
         verify_against: Option<&[Job]>,
         mut visit: impl FnMut(usize, RunMetrics),
     ) -> io::Result<()> {
-        let path = self.dir.join(RECORDS_FILE);
-        if !path.exists() {
-            return Ok(());
-        }
-        let mut reader = BufReader::new(File::open(&path)?);
+        let mut log = LogReader::open(self.dir.join(RECORDS_FILE))?;
         let mut seen = BTreeSet::new();
-        let mut buf = String::new();
-        let mut line_no = 0;
-        loop {
-            buf.clear();
-            if reader.read_line(&mut buf)? == 0 {
-                return Ok(());
-            }
-            line_no += 1;
-            let line = buf.strip_suffix('\n');
-            let torn_tail = line.is_none();
-            let line = line.unwrap_or(&buf);
-            if line.trim().is_empty() {
-                continue;
-            }
-            let v = match parse_json(line) {
-                Ok(v) => v,
-                Err(_) if torn_tail => return Ok(()),
-                Err(e) => {
-                    return Err(bad_data(format!(
-                        "corrupt record line {line_no} in {}: {e}",
-                        path.display()
-                    )))
-                }
+        while let Some(record) = log.next_decoded(StoredRecord::decode)? {
+            let id = record.id;
+            let job = match verify_against {
+                None => None,
+                Some(jobs) => Some(jobs.get(id).ok_or_else(|| {
+                    log.line_error(format!(
+                        "record for job {id} out of range ({} jobs)",
+                        jobs.len()
+                    ))
+                })?),
             };
-            let id = v.get("job")?.usize()?;
-            if let Some(jobs) = verify_against {
-                let job = jobs.get(id).ok_or_else(|| {
-                    bad_data(format!("record for job {id} out of range ({} jobs)", jobs.len()))
-                })?;
-                verify_line_identity(&v, job)?;
-            }
-            let metrics = metrics_from_json(v.get("metrics")?)?;
+            let metrics = record.into_metrics(job).map_err(|e| log.line_error(e))?;
             if !seen.insert(id) {
-                return Err(bad_data(format!(
-                    "job {id} has more than one record in {} (line {line_no})",
-                    path.display()
-                )));
+                return Err(log.line_error(format!("job {id} has more than one record")));
             }
             visit(id, metrics);
         }
+        Ok(())
     }
 
     /// Reassembles this (unsharded) store into a [`CampaignResult`] —
@@ -1228,9 +1107,8 @@ pub fn merge_stores_streaming(
     // still parked at some cursor's head: an out-of-range id.
     for c in &cursors {
         if let Some(id) = c.head_id() {
-            return Err(bad_data(format!(
-                "record for job {id} in {} is outside the merged expansion ({} jobs)",
-                c.path.display(),
+            return Err(c.log.line_error(format!(
+                "record for job {id} is outside the merged expansion ({} jobs)",
                 jobs.len()
             )));
         }
@@ -1238,44 +1116,60 @@ pub fn merge_stores_streaming(
     sink.finish()
 }
 
-/// A sequential, constant-memory reader over one store's record lines:
-/// holds only the current record, decoded, enforcing strictly ascending
-/// job ids (the order [`ResultStore::run`] appends). A parse failure on
-/// the final, newline-less line is the torn tail of a killed writer and
-/// reads as end-of-file; anywhere else it is an error naming the line.
+/// A sequential, constant-memory reader over one store's record lines
+/// ([`LogReader`] under the hood): holds only the current record,
+/// decoded, enforcing strictly ascending job ids (the order
+/// [`ResultStore::run`] appends).
 struct RecordCursor {
-    reader: Option<BufReader<File>>,
-    path: PathBuf,
-    line_no: usize,
+    log: LogReader,
     last_id: Option<usize>,
-    head: Option<CursorHead>,
-    buf: String,
+    head: Option<StoredRecord>,
 }
 
-/// A record line decoded once, when the cursor reaches it. The line's
+/// A record line decoded once, when a reader reaches it. The line's
 /// identity and metrics are decoded eagerly, but their errors surface
-/// only when the merge claims the record, in the order a claim checks
-/// them.
-struct CursorHead {
+/// only when the record is claimed, in the order a claim checks them.
+struct StoredRecord {
     id: usize,
     identity: io::Result<(String, u64, String, String)>,
     metrics: io::Result<RunMetrics>,
 }
 
-impl CursorHead {
-    /// The record for `job`, whose index is this head's id.
+impl StoredRecord {
+    /// Decodes a record line; only a line that is not JSON or has no job
+    /// id fails here.
+    fn decode(line: &str) -> io::Result<StoredRecord> {
+        let v = parse_json(line)?;
+        let id = v.get("job")?.usize()?;
+        let identity = line_identity(&v)
+            .map(|(s, seed, t, r)| (s.to_owned(), seed, t.to_owned(), r.to_owned()));
+        let metrics = v.get("metrics").and_then(metrics_from_json);
+        Ok(StoredRecord { id, identity, metrics })
+    }
+
+    /// The metrics, once the stored identity has been checked against
+    /// `job` (when given).
+    fn into_metrics(self, job: Option<&Job>) -> io::Result<RunMetrics> {
+        if let Some(job) = job {
+            let (stack, seed, traffic, radio) = self.identity?;
+            check_identity((&stack, seed, &traffic, &radio), job)?;
+        }
+        self.metrics
+    }
+
+    /// The record for `job`, whose index is this record's id.
     fn claim(self, job: &Job) -> io::Result<Record> {
-        let (stack, seed, traffic, radio) = self.identity?;
-        check_identity((&stack, seed, &traffic, &radio), job)?;
-        Ok(Record { point: job.point.clone(), metrics: self.metrics? })
+        Ok(Record { point: job.point.clone(), metrics: self.into_metrics(Some(job))? })
     }
 }
 
 impl RecordCursor {
     fn open(dir: &Path) -> io::Result<RecordCursor> {
-        let path = dir.join(RECORDS_FILE);
-        let reader = if path.exists() { Some(BufReader::new(File::open(&path)?)) } else { None };
-        Ok(RecordCursor { reader, path, line_no: 0, last_id: None, head: None, buf: String::new() })
+        Ok(RecordCursor {
+            log: LogReader::open(dir.join(RECORDS_FILE))?,
+            last_id: None,
+            head: None,
+        })
     }
 
     fn head_id(&self) -> Option<usize> {
@@ -1283,51 +1177,18 @@ impl RecordCursor {
     }
 
     /// Reads the next record line into `head`, or leaves it `None` at
-    /// end-of-file (a torn final line counts as end-of-file).
+    /// end-of-file.
     fn advance(&mut self) -> io::Result<()> {
-        self.head = None;
-        let Some(reader) = self.reader.as_mut() else { return Ok(()) };
-        loop {
-            self.buf.clear();
-            if reader.read_line(&mut self.buf)? == 0 {
-                return Ok(());
-            }
-            self.line_no += 1;
-            let torn_tail = !self.buf.ends_with('\n');
-            let line = self.buf.trim();
-            if line.is_empty() {
-                continue;
-            }
-            let v = match parse_json(line) {
-                Ok(v) => v,
-                Err(_) if torn_tail => return Ok(()),
-                Err(e) => {
-                    return Err(bad_data(format!(
-                        "corrupt record line {} in {}: {e}",
-                        self.line_no,
-                        self.path.display()
-                    )))
-                }
-            };
-            let id = v.get("job")?.usize()?;
-            if let Some(last) = self.last_id {
-                if id <= last {
-                    return Err(bad_data(format!(
-                        "job {id} follows job {last} in {} (line {}) — records must \
-                         strictly ascend within a store, so this line is a duplicate \
-                         or the file has been reordered",
-                        self.path.display(),
-                        self.line_no
-                    )));
-                }
-            }
-            self.last_id = Some(id);
-            let identity = line_identity(&v)
-                .map(|(s, seed, t, r)| (s.to_owned(), seed, t.to_owned(), r.to_owned()));
-            let metrics = v.get("metrics").and_then(metrics_from_json);
-            self.head = Some(CursorHead { id, identity, metrics });
-            return Ok(());
+        self.head = self.log.next_decoded(StoredRecord::decode)?;
+        let Some(id) = self.head_id() else { return Ok(()) };
+        if let Some(last) = self.last_id.filter(|&last| id <= last) {
+            return Err(self.log.line_error(format!(
+                "job {id} follows job {last} — records must strictly ascend within a store, \
+                 so this line is a duplicate or the file has been reordered"
+            )));
         }
+        self.last_id = Some(id);
+        Ok(())
     }
 }
 
@@ -1517,12 +1378,6 @@ fn check_identity((stack, seed, traffic, radio): LineIdentity<'_>, job: &Job) ->
     Ok(())
 }
 
-/// Cross-checks a stored line's identity against the job it claims to
-/// be (used by [`ResultStore::visit_metrics`] and the store tests).
-pub(crate) fn verify_line_identity(v: &JVal, job: &Job) -> io::Result<()> {
-    check_identity(line_identity(v)?, job)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1689,9 +1544,8 @@ mod tests {
         let records = Executor::with_workers(1).run_jobs(&jobs);
         let mut line = String::new();
         record_line_into(&mut line, jobs[0].index, &records[0]);
-        let v = parse_json(line.trim_end()).unwrap();
-        verify_line_identity(&v, &jobs[0]).unwrap();
-        let back = metrics_from_json(v.get("metrics").unwrap()).unwrap();
+        let back = StoredRecord::decode(line.trim_end()).unwrap().into_metrics(Some(&jobs[0]));
+        let back = back.unwrap();
         assert_eq!(back, records[0].metrics, "full RunMetrics must round-trip bit-exactly");
     }
 
@@ -1717,6 +1571,161 @@ mod tests {
         assert!(started.elapsed().as_secs() < 5, "took {:?}", started.elapsed());
         assert_eq!(store.failures()[&1].cause, cause);
         assert_eq!(store.failures()[&1].attempts, 3);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// What a store directory loads as: completed ids, each record's
+    /// metrics, and the failure log's entries.
+    type Loaded = (BTreeSet<usize>, BTreeMap<usize, RunMetrics>, BTreeMap<usize, JobFailure>);
+
+    /// Every truncation of a small store's `records.jsonl` or
+    /// `failures.jsonl` loads exactly the lines the log policy keeps and
+    /// leaves the file at the kept length, and every single-byte flip
+    /// either fails naming the flipped line or changes that line's entry
+    /// only. Nothing panics.
+    #[test]
+    fn corruption_sweep_over_a_small_store() {
+        use crate::{BaseScenario, CampaignSpec};
+        let spec = CampaignSpec::new("sweep", BaseScenario::Small)
+            .stacks(vec![stacks::titan_pc(), stacks::dsr_active()])
+            .rates(vec![2.0, 4.0])
+            .seeds(3)
+            .secs(20);
+        let jobs = spec.expand();
+        assert_eq!(jobs.len(), 12, "every id one flip can reach is in range");
+        let dir = std::env::temp_dir().join(format!("eend-store-sweep-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        drop(ResultStore::open(&dir, Manifest::for_spec(&spec, 0, 1)).unwrap());
+
+        // Ids no flip of one digit turns into another's: records 0, 5, 6
+        // and failures 3, 9, in the order the writers append them.
+        let mut records = String::new();
+        let mut record_ends = Vec::new();
+        let mut full_metrics = BTreeMap::new();
+        for (k, id) in [0usize, 5, 6].into_iter().enumerate() {
+            let node =
+                |x: f64| EnergyReport { idle_mj: x, tx_data_mj: x / 3.0, ..Default::default() };
+            let metrics = RunMetrics {
+                data_sent: 10 + k as u64,
+                data_delivered: 7,
+                delivered_bits: 512.5 * k as f64,
+                drops_no_route: 1,
+                drops_link_failure: 0,
+                drops_buffer: 2,
+                drops_ifq: 0,
+                rreq_tx: 3,
+                rrep_tx: 4,
+                rerr_tx: 0,
+                dsdv_update_tx: 0,
+                atim_tx: 0,
+                broadcast_collisions: 5,
+                rts_collisions: 0,
+                link_failures: 0,
+                per_node_energy: vec![node(1.5 + k as f64), node(0.1)],
+                energy_total: node(1.6 + k as f64),
+                data_forwarders: 1,
+                routes: vec![Some(vec![0, 1]), None],
+                duration_s: 20.0,
+            };
+            let record = Record { point: jobs[id].point.clone(), metrics: metrics.clone() };
+            record_line_into(&mut records, id, &record);
+            record_ends.push((records.len(), id));
+            full_metrics.insert(id, metrics);
+        }
+        let mut failures = String::new();
+        let mut failure_ends = Vec::new();
+        let mut full_failures = BTreeMap::new();
+        for (id, cause) in [(3usize, "boom — x"), (9, "café")] {
+            let f = JobFailure { job_id: id, attempts: 2, cause: cause.to_owned() };
+            let _ = write!(failures, "{{\"job\":{id},\"attempts\":2,\"cause\":");
+            write_str(&mut failures, cause);
+            failures.push_str("}\n");
+            failure_ends.push((failures.len(), id));
+            full_failures.insert(id, f);
+        }
+
+        let load = |records: &[u8], failures: &[u8]| -> io::Result<Loaded> {
+            std::fs::write(dir.join(RECORDS_FILE), records).unwrap();
+            std::fs::write(dir.join(FAILURES_FILE), failures).unwrap();
+            let store = ResultStore::open_existing(&dir)?;
+            let metrics = store.load_metrics(Some(&jobs))?;
+            Ok((store.completed().clone(), metrics, store.failures().clone()))
+        };
+        let full_ids: BTreeSet<usize> = full_metrics.keys().copied().collect();
+        let full = (full_ids, full_metrics, full_failures);
+        assert_eq!(load(records.as_bytes(), failures.as_bytes()).unwrap(), full);
+
+        // Cuts: a line is kept when at most its newline is missing.
+        let kept_at = |ends: &[(usize, usize)], cut: usize| -> (usize, BTreeSet<usize>) {
+            let kept: Vec<_> = ends.iter().filter(|&&(end, _)| end <= cut + 1).collect();
+            (kept.last().map_or(0, |&&(end, _)| end), kept.iter().map(|&&(_, id)| id).collect())
+        };
+        for cut in 0..=records.len() {
+            let (len, ids) = kept_at(&record_ends, cut);
+            let got = load(&records.as_bytes()[..cut], failures.as_bytes()).unwrap();
+            let want_metrics = full.1.clone().into_iter().filter(|(id, _)| ids.contains(id));
+            assert_eq!(got, (ids.clone(), want_metrics.collect(), full.2.clone()), "cut at {cut}");
+            let on_disk = std::fs::metadata(dir.join(RECORDS_FILE)).unwrap().len();
+            assert_eq!(on_disk, len as u64, "records cut at {cut}");
+        }
+        for cut in 0..=failures.len() {
+            let (len, ids) = kept_at(&failure_ends, cut);
+            let got = load(records.as_bytes(), &failures.as_bytes()[..cut]).unwrap();
+            let want_failures = full.2.clone().into_iter().filter(|(id, _)| ids.contains(id));
+            assert_eq!(
+                got,
+                (full.0.clone(), full.1.clone(), want_failures.collect()),
+                "cut at {cut}"
+            );
+            let on_disk = std::fs::metadata(dir.join(FAILURES_FILE)).unwrap().len();
+            assert_eq!(on_disk, len as u64, "failures cut at {cut}");
+        }
+
+        // Flips: an error names the flipped line; a load differs from the
+        // full one only in the flipped line's own entry, which may vanish,
+        // change, or move to one id the file never held.
+        fn only_own_entry_changed<V: PartialEq>(
+            got: &BTreeMap<usize, V>,
+            full: &BTreeMap<usize, V>,
+            own: usize,
+        ) -> bool {
+            let changed: Vec<usize> = got
+                .keys()
+                .chain(full.keys())
+                .filter(|&&id| id != own && got.get(&id) != full.get(&id))
+                .copied()
+                .collect();
+            changed.len() <= 1 && changed.iter().all(|id| !full.contains_key(id))
+        }
+        for records_flipped in [true, false] {
+            let (text, ends) =
+                if records_flipped { (&records, &record_ends) } else { (&failures, &failure_ends) };
+            for at in 0..text.len() {
+                let line = ends.iter().position(|&(end, _)| at < end).unwrap();
+                let own = ends[line].1;
+                for flip in [0x01u8, 0x02, 0x08, 0x20, 0x80] {
+                    let mut bytes = text.clone().into_bytes();
+                    bytes[at] ^= flip;
+                    let got = if records_flipped {
+                        load(&bytes, failures.as_bytes())
+                    } else {
+                        load(records.as_bytes(), &bytes)
+                    };
+                    let ok = match &got {
+                        Err(e) => e.to_string().contains(&format!("corrupt line {} in ", line + 1)),
+                        Ok((_, metrics, fails)) if records_flipped => {
+                            fails == &full.2 && only_own_entry_changed(metrics, &full.1, own)
+                        }
+                        Ok((ids, metrics, fails)) => {
+                            ids == &full.0
+                                && metrics == &full.1
+                                && only_own_entry_changed(fails, &full.2, own)
+                        }
+                    };
+                    assert!(ok, "flip {flip:#x} at {at} (records: {records_flipped}): {got:?}");
+                }
+            }
+        }
         let _ = std::fs::remove_dir_all(&dir);
     }
 

@@ -345,3 +345,56 @@ fn run_rejects_jobs_outside_the_shard() {
     assert!(err.to_string().contains("does not belong to shard"), "got: {err}");
     let _ = std::fs::remove_dir_all(&dir);
 }
+
+#[test]
+fn a_torn_tail_inside_a_multibyte_character_is_truncated_not_fatal() {
+    // A kill can land between the bytes of one UTF-8 character. The
+    // file is then not valid UTF-8, but it is still only a torn tail:
+    // the complete lines before it are kept and the tail goes.
+    let spec = spec();
+    let jobs = spec.expand();
+    let one_shot = Executor::with_workers(1).run(&spec);
+    let dir = scratch("multibyte");
+    let manifest = Manifest::for_spec(&spec, 0, 1);
+    {
+        let mut store = ResultStore::open(&dir, manifest.clone()).unwrap();
+        store.run(&Executor::with_workers(2), &jobs, Some(3)).unwrap();
+    }
+    let records = dir.join("records.jsonl");
+    let failures = dir.join("failures.jsonl");
+    let records_len = std::fs::metadata(&records).unwrap().len();
+    let failure = "{\"job\":4,\"attempts\":1,\"cause\":\"boom — x\"}\n";
+    let tear = || {
+        use std::io::Write as _;
+        let append = |path: &PathBuf, bytes: &[u8]| {
+            let mut f = std::fs::OpenOptions::new().create(true).append(true).open(path).unwrap();
+            f.write_all(bytes).unwrap();
+        };
+        // A second failure cut after the em dash's first byte, and a
+        // record cut after the first byte of the é in "café".
+        let cut = failure.find('—').unwrap() + 1;
+        append(&failures, &failure.replace("\"job\":4", "\"job\":6").as_bytes()[..cut]);
+        append(&records, b"{\"job\":3,\"stack\":\"caf\xc3");
+    };
+    std::fs::write(&failures, failure).unwrap();
+    tear();
+    {
+        let store = ResultStore::open_existing(&dir).unwrap();
+        assert_eq!(store.completed().len(), 3);
+        assert_eq!(store.failures().keys().collect::<Vec<_>>(), [&4]);
+        assert_eq!(store.failures()[&4].cause, "boom — x");
+        assert_eq!(store.load_metrics(Some(&jobs)).unwrap().len(), 3);
+    }
+    assert_eq!(std::fs::metadata(&records).unwrap().len(), records_len, "record tail truncated");
+    assert_eq!(std::fs::read_to_string(&failures).unwrap(), failure, "failure tail truncated");
+
+    tear();
+    let mut store = ResultStore::open(&dir, manifest).unwrap();
+    assert_eq!(store.completed().len(), 3);
+    assert_eq!(std::fs::metadata(&records).unwrap().len(), records_len);
+    store.run(&Executor::with_workers(2), &jobs, None).unwrap();
+    assert_eq!(store.load_metrics(Some(&jobs)).unwrap().len(), jobs.len());
+    let merged = merge_stores(&[&store], &jobs).unwrap();
+    assert_eq!(merged.to_csv(), one_shot.to_csv());
+    let _ = std::fs::remove_dir_all(&dir);
+}

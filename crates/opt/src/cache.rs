@@ -4,19 +4,19 @@
 //! Every score's floats are stored as exact bit patterns (`f64::to_bits`
 //! hex) alongside a human-readable rendering, so a cached search replays
 //! **byte-identically**: the trace a resumed search writes is
-//! indistinguishable from the original's. Lines are read with the
-//! workspace's JSON reader (`eend_campaign::json`). Like the campaign
-//! stores, a torn final line (crash mid-append, so no newline) is
-//! tolerated; a complete line that does not parse is an error naming it.
+//! indistinguishable from the original's. The log is read through
+//! `eend_campaign::json::LogReader`, so torn tails, blank lines and
+//! damaged lines mean what they mean in the campaign stores (DESIGN.md,
+//! "Append-only logs").
 
 use std::collections::HashMap;
 use std::fs::{self, File, OpenOptions};
-use std::io::{self, BufRead, BufReader, Write};
+use std::io::{self, Write};
 use std::path::{Path, PathBuf};
 
 use crate::fingerprint::{design_fingerprint_with, ProblemFingerprints};
 use crate::oracle::{EvalOracle, Score};
-use eend_campaign::json;
+use eend_campaign::json::{self, bad_data};
 use eend_core::design::Design;
 use eend_core::problem::DesignProblem;
 
@@ -31,19 +31,15 @@ pub struct EvalCache {
     map: HashMap<u64, Score>,
 }
 
-fn invalid(msg: String) -> io::Error {
-    io::Error::new(io::ErrorKind::InvalidData, msg)
-}
-
-/// Reads one cache line (its newline included) with the workspace's
-/// JSON reader. The score comes from the hex bit patterns; the
-/// human-readable `enetwork_j` is not read back.
+/// Reads one cache line with the workspace's JSON reader. The score
+/// comes from the hex bit patterns; the human-readable `enetwork_j` is
+/// not read back.
 fn parse_line(line: &str) -> io::Result<(u64, Score)> {
     let v = json::parse_json(line)?;
     let text = |key: &str| v.get(key)?.str();
     let hex = |key: &str| {
         let s = text(key)?;
-        u64::from_str_radix(s, 16).map_err(|_| invalid(format!("{key}: bad hex {s:?}")))
+        u64::from_str_radix(s, 16).map_err(|_| bad_data(format!("{key}: bad hex {s:?}")))
     };
     let fp = hex("fp")?;
     let enetwork_j = f64::from_bits(hex("enetwork_b")?);
@@ -53,12 +49,12 @@ fn parse_line(line: &str) -> io::Result<(u64, Score)> {
         "t" => true,
         "f" => false,
         other => {
-            return Err(invalid(format!("overloaded: expected \"t\" or \"f\", got {other:?}")))
+            return Err(bad_data(format!("overloaded: expected \"t\" or \"f\", got {other:?}")))
         }
     };
     let unrouted = text("unrouted")?;
     let unrouted =
-        unrouted.parse().map_err(|_| invalid(format!("unrouted: bad count {unrouted:?}")))?;
+        unrouted.parse().map_err(|_| bad_data(format!("unrouted: bad count {unrouted:?}")))?;
     Ok((fp, Score { enetwork_j, delivered_bits, ttfd_s, overloaded, unrouted }))
 }
 
@@ -92,9 +88,8 @@ impl EvalCache {
     ///
     /// # Errors
     ///
-    /// I/O failures, a manifest mismatch, or a corrupt complete line in
-    /// the eval log, named by its number (a torn final line, one without
-    /// its newline, is tolerated and truncated away).
+    /// I/O failures, a manifest mismatch, or a corrupt line in the eval
+    /// log, named by its number (a torn final line is truncated away).
     pub fn open(dir: &Path, oracle_label: &str, problem_fp: u64) -> io::Result<EvalCache> {
         fs::create_dir_all(dir)?;
         let manifest =
@@ -103,7 +98,7 @@ impl EvalCache {
         match fs::read_to_string(&manifest_path) {
             Ok(existing) => {
                 if existing != manifest {
-                    return Err(invalid(format!(
+                    return Err(bad_data(format!(
                         "cache at {} belongs to a different oracle/problem:\n  have {}\n  want {}",
                         dir.display(),
                         existing.trim_end(),
@@ -119,41 +114,11 @@ impl EvalCache {
 
         let evals_path = dir.join(EVALS_FILE);
         let mut map = HashMap::new();
-        match File::open(&evals_path) {
-            Ok(f) => {
-                let mut reader = BufReader::new(f);
-                let mut line = Vec::new();
-                let (mut keep_bytes, mut line_no) = (0u64, 0);
-                let torn = loop {
-                    line.clear();
-                    if reader.read_until(b'\n', &mut line)? == 0 {
-                        break false;
-                    }
-                    if !line.ends_with(b"\n") {
-                        break true; // torn tail (only the last piece can lack a newline): drop it
-                    }
-                    line_no += 1;
-                    let parsed = std::str::from_utf8(&line)
-                        .map_err(|e| invalid(e.to_string()))
-                        .and_then(parse_line);
-                    let (fp, score) = parsed.map_err(|e| {
-                        invalid(format!(
-                            "corrupt eval cache {} at line {line_no}: {e}",
-                            evals_path.display()
-                        ))
-                    })?;
-                    map.insert(fp, score);
-                    keep_bytes += line.len() as u64;
-                };
-                if torn {
-                    // Truncate the torn tail so the next append starts clean.
-                    let f = OpenOptions::new().write(true).open(&evals_path)?;
-                    f.set_len(keep_bytes)?;
-                }
-            }
-            Err(e) if e.kind() == io::ErrorKind::NotFound => {}
-            Err(e) => return Err(e),
+        let mut log = json::LogReader::open(&evals_path)?;
+        while let Some((fp, score)) = log.next_decoded(parse_line)? {
+            map.insert(fp, score);
         }
+        log.repair()?;
         let file = OpenOptions::new().create(true).append(true).open(&evals_path)?;
         Ok(EvalCache { dir: dir.to_path_buf(), file, map })
     }
@@ -389,8 +354,10 @@ mod tests {
         fs::remove_dir_all(&dir).unwrap();
     }
 
-    /// Every truncation of a small log loads exactly its complete lines,
-    /// and every single-byte flip either fails naming the flipped line or
+    /// Every truncation of a small log loads exactly its complete lines
+    /// (a cut just before a newline leaves a complete line, which is kept
+    /// and gets its newline back), and every single-byte flip either
+    /// fails naming the flipped line or
     /// loads a map that differs from the original in that line's entry
     /// only. Nothing panics.
     #[test]
@@ -429,7 +396,7 @@ mod tests {
         assert_eq!(load(log.as_bytes()).unwrap(), full);
 
         for cut in 0..=log.len() {
-            let complete = line_ends.iter().filter(|&&end| end <= cut).count();
+            let complete = line_ends.iter().filter(|&&end| end <= cut + 1).count();
             let want: HashMap<_, _> =
                 entries[..complete].iter().map(|(fp, s)| (*fp, key(s))).collect();
             assert_eq!(load(&log.as_bytes()[..cut]).unwrap(), want, "cut at {cut}");
@@ -444,7 +411,7 @@ mod tests {
                 bytes[at] ^= flip;
                 match load(&bytes) {
                     Err(e) => assert!(
-                        e.to_string().contains(&format!("at line {}:", line + 1)),
+                        e.to_string().contains(&format!("corrupt line {} in ", line + 1)),
                         "flip {flip:#x} at {at}: {e}"
                     ),
                     Ok(map) => {

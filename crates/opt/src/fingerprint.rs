@@ -4,71 +4,14 @@
 //! function of everything that determines an oracle's score: node
 //! positions, the radio card's power model, the demand matrix, and the
 //! candidate's routes and awake set (one gap: the card's α₂, see
-//! `card_words`). FNV-1a over a canonical byte walk — the same
-//! construction `ResultStore` uses for campaign fingerprints.
+//! `card_words`). FNV-1a ([`eend_sim::hash::Fnv1a`]) over a canonical
+//! byte walk — the same digest `ResultStore` uses for campaign
+//! fingerprints.
 
 use eend_core::design::Design;
 use eend_core::problem::DesignProblem;
 use eend_radio::RadioCard;
-
-const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
-
-/// `PRIME_POWS[k]` = `FNV_PRIME^k`: folding `k` zero bytes.
-const PRIME_POWS: [u64; 9] = {
-    let mut pows = [1u64; 9];
-    let mut k = 1;
-    while k < 9 {
-        pows[k] = pows[k - 1].wrapping_mul(FNV_PRIME);
-        k += 1;
-    }
-    pows
-};
-
-/// Incremental FNV-1a digest.
-#[derive(Debug, Clone, Copy)]
-pub struct Fnv1a(u64);
-
-impl Default for Fnv1a {
-    fn default() -> Fnv1a {
-        Fnv1a(FNV_OFFSET)
-    }
-}
-
-impl Fnv1a {
-    /// Folds raw bytes into the digest.
-    pub fn write(&mut self, bytes: &[u8]) {
-        for &b in bytes {
-            self.0 ^= u64::from(b);
-            self.0 = self.0.wrapping_mul(FNV_PRIME);
-        }
-    }
-
-    /// Folds `count` zero bytes. XOR with zero changes nothing, so each
-    /// zero byte is one multiply by the prime, and a run of them is one
-    /// multiply by the prime's power.
-    pub(crate) fn write_zeros(&mut self, count: u32) {
-        self.0 = self.0.wrapping_mul(FNV_PRIME.wrapping_pow(count));
-    }
-
-    /// Folds a `u64` (little-endian bytes). Its high zero bytes come
-    /// last and fold in one multiply.
-    pub fn write_u64(&mut self, v: u64) {
-        let significant = 8 - (v.leading_zeros() / 8) as usize;
-        self.write(&v.to_le_bytes()[..significant]);
-        self.0 = self.0.wrapping_mul(PRIME_POWS[8 - significant]);
-    }
-
-    /// Folds an `f64` by exact bit pattern (no rounding ambiguity).
-    pub fn write_f64(&mut self, v: f64) {
-        self.write_u64(v.to_bits());
-    }
-
-    /// The digest so far.
-    pub fn finish(&self) -> u64 {
-        self.0
-    }
-}
+use eend_sim::hash::Fnv1a;
 
 /// Digest of the problem alone (positions, card power model, demands).
 /// Cache directories record this so a cache built for one instance is
@@ -217,14 +160,11 @@ mod tests {
         DesignProblem::new(inst, vec![Demand::new(0, 2, 8_000.0)])
     }
 
-    /// FNV-1a one byte at a time, as the specification states it.
+    /// FNV-1a one byte at a time.
     fn fnv_bytes(bytes: &[u8]) -> u64 {
-        let mut h = FNV_OFFSET;
-        for &b in bytes {
-            h ^= u64::from(b);
-            h = h.wrapping_mul(FNV_PRIME);
-        }
-        h
+        let mut h = Fnv1a::default();
+        h.write(bytes);
+        h.finish()
     }
 
     /// The byte walk [`problem_fingerprint`] hashes, built out in full.
@@ -285,32 +225,6 @@ mod tests {
     }
 
     #[test]
-    fn write_u64_matches_the_byte_serial_reference_at_the_edges() {
-        let values = [
-            0,
-            1,
-            0xff,
-            0x100,
-            u64::MAX,
-            1 << 63,
-            0xff00_0000_0000_0000,
-            0x00ff_0000_0000_ff00,
-            0x0100_0000_0000_0001,
-            0x1234_0000_5678_0000,
-        ];
-        let mut h = Fnv1a::default();
-        let mut bytes = Vec::new();
-        for v in values {
-            h.write_u64(v);
-            bytes.extend_from_slice(&v.to_le_bytes());
-            assert_eq!(h.finish(), fnv_bytes(&bytes), "after {v:#x}");
-        }
-        let mut zeros = Fnv1a::default();
-        zeros.write_zeros(300);
-        assert_eq!(zeros.finish(), fnv_bytes(&[0; 300]));
-    }
-
-    #[test]
     fn extreme_designs_match_the_byte_serial_reference() {
         let p = problem();
         let fp = problem_fingerprint(&p);
@@ -327,22 +241,6 @@ mod tests {
     }
 
     proptest! {
-        /// Folding high zero bytes in one multiply hashes exactly the
-        /// bytes FNV-1a would, for values with zero bytes anywhere.
-        #[test]
-        fn write_u64_matches_the_byte_serial_reference(
-            values in proptest::collection::vec((0u64..u64::MAX, 0u32..256), 0..12)
-        ) {
-            let mut h = Fnv1a::default();
-            let mut bytes = Vec::new();
-            for (v, mask) in values {
-                let v = clear_bytes(v, mask);
-                h.write_u64(v);
-                bytes.extend_from_slice(&v.to_le_bytes());
-                prop_assert_eq!(h.finish(), fnv_bytes(&bytes), "after {:#x}", v);
-            }
-        }
-
         /// Folding runs of asleep nodes in one multiply hashes exactly the
         /// design's byte walk: missing and empty routes, node ids of any
         /// width, and awake sets from all asleep to all awake.

@@ -34,6 +34,7 @@ pub mod oracle;
 pub mod search;
 
 pub use cache::{CachedOracle, EvalCache};
-pub use fingerprint::{design_fingerprint, problem_fingerprint, Fnv1a};
+pub use eend_sim::hash::Fnv1a;
+pub use fingerprint::{design_fingerprint, problem_fingerprint};
 pub use oracle::{EvalOracle, FluidOracle, Objective, Score, SimOracle};
 pub use search::{anneal, multistart, SearchOpts, SearchResult, TraceEvent};

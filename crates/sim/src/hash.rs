@@ -11,6 +11,10 @@
 //! Note hash maps are still unordered: any behaviour-relevant iteration
 //! must sort, hasher or no hasher. The determinism win is defence in
 //! depth; the throughput win is the point.
+//!
+//! [`Fnv1a`] is the workspace's one stable digest: campaign and design
+//! fingerprints, eval-cache keys and golden digests are all FNV-1a, so
+//! they must never change with a Rust release or a platform.
 
 use std::collections::{HashMap, HashSet};
 use std::hash::{BuildHasherDefault, Hasher};
@@ -75,6 +79,66 @@ impl Hasher for FxHasher {
     }
 }
 
+const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
+const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
+
+/// `PRIME_POWS[k]` = `FNV_PRIME^k`: folding `k` zero bytes.
+const PRIME_POWS: [u64; 9] = {
+    let mut pows = [1u64; 9];
+    let mut k = 1;
+    while k < 9 {
+        pows[k] = pows[k - 1].wrapping_mul(FNV_PRIME);
+        k += 1;
+    }
+    pows
+};
+
+/// Incremental 64-bit FNV-1a digest: tiny, and stable across platforms
+/// and releases (unlike `std`'s hashers), so it can pin files on disk.
+#[derive(Debug, Clone, Copy)]
+pub struct Fnv1a(u64);
+
+impl Default for Fnv1a {
+    fn default() -> Fnv1a {
+        Fnv1a(FNV_OFFSET)
+    }
+}
+
+impl Fnv1a {
+    /// Folds raw bytes into the digest.
+    pub fn write(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.0 ^= u64::from(b);
+            self.0 = self.0.wrapping_mul(FNV_PRIME);
+        }
+    }
+
+    /// Folds `count` zero bytes. XOR with zero changes nothing, so each
+    /// zero byte is one multiply by the prime, and a run of them is one
+    /// multiply by the prime's power.
+    pub fn write_zeros(&mut self, count: u32) {
+        self.0 = self.0.wrapping_mul(FNV_PRIME.wrapping_pow(count));
+    }
+
+    /// Folds a `u64` (little-endian bytes). Its high zero bytes come
+    /// last and fold in one multiply.
+    pub fn write_u64(&mut self, v: u64) {
+        let significant = 8 - (v.leading_zeros() / 8) as usize;
+        self.write(&v.to_le_bytes()[..significant]);
+        self.0 = self.0.wrapping_mul(PRIME_POWS[8 - significant]);
+    }
+
+    /// Folds an `f64` by exact bit pattern (no rounding ambiguity).
+    pub fn write_f64(&mut self, v: f64) {
+        self.write_u64(v.to_bits());
+    }
+
+    /// The digest so far.
+    pub fn finish(&self) -> u64 {
+        self.0
+    }
+}
+
 /// `HashMap` keyed by the deterministic [`FxHasher`].
 pub type FxHashMap<K, V> = HashMap<K, V, BuildHasherDefault<FxHasher>>;
 
@@ -84,6 +148,66 @@ pub type FxHashSet<T> = HashSet<T, BuildHasherDefault<FxHasher>>;
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+
+    /// FNV-1a one byte at a time, as the specification states it.
+    fn fnv_bytes(bytes: &[u8]) -> u64 {
+        let mut h = FNV_OFFSET;
+        for &b in bytes {
+            h ^= u64::from(b);
+            h = h.wrapping_mul(FNV_PRIME);
+        }
+        h
+    }
+
+    /// `v` with byte `i` cleared wherever bit `i` of `mask` is set.
+    fn clear_bytes(v: u64, mask: u32) -> u64 {
+        (0..8).filter(|i| mask >> i & 1 == 1).fold(v, |v, i| v & !(0xff << (8 * i)))
+    }
+
+    #[test]
+    fn fnv_write_u64_matches_the_byte_serial_reference_at_the_edges() {
+        let values = [
+            0,
+            1,
+            0xff,
+            0x100,
+            u64::MAX,
+            1 << 63,
+            0xff00_0000_0000_0000,
+            0x00ff_0000_0000_ff00,
+            0x0100_0000_0000_0001,
+            0x1234_0000_5678_0000,
+        ];
+        let mut h = Fnv1a::default();
+        let mut bytes = Vec::new();
+        for v in values {
+            h.write_u64(v);
+            bytes.extend_from_slice(&v.to_le_bytes());
+            assert_eq!(h.finish(), fnv_bytes(&bytes), "after {v:#x}");
+        }
+        let mut zeros = Fnv1a::default();
+        zeros.write_zeros(300);
+        assert_eq!(zeros.finish(), fnv_bytes(&[0; 300]));
+    }
+
+    proptest! {
+        /// Folding high zero bytes in one multiply hashes exactly the
+        /// bytes FNV-1a would, for values with zero bytes anywhere.
+        #[test]
+        fn fnv_write_u64_matches_the_byte_serial_reference(
+            values in proptest::collection::vec((0u64..u64::MAX, 0u32..256), 0..12)
+        ) {
+            let mut h = Fnv1a::default();
+            let mut bytes = Vec::new();
+            for (v, mask) in values {
+                let v = clear_bytes(v, mask);
+                h.write_u64(v);
+                bytes.extend_from_slice(&v.to_le_bytes());
+                prop_assert_eq!(h.finish(), fnv_bytes(&bytes), "after {:#x}", v);
+            }
+        }
+    }
 
     #[test]
     fn deterministic_across_builders() {

@@ -42,7 +42,7 @@ pub mod rng;
 pub mod time;
 pub mod timer;
 
-pub use hash::{FxHashMap, FxHashSet, FxHasher};
+pub use hash::{Fnv1a, FxHashMap, FxHashSet, FxHasher};
 pub use queue::EventQueue;
 pub use rng::{mix_seed, SimRng};
 pub use time::{SimDuration, SimTime};

@@ -2,6 +2,7 @@
 
 use crate::frame::NodeId;
 use eend_radio::{EnergyReport, RadioCard};
+use eend_sim::hash::Fnv1a;
 
 /// Everything one simulation run measures: the paper's two headline
 /// metrics (delivery ratio, energy goodput) plus the breakdowns behind
@@ -160,7 +161,7 @@ impl RunMetrics {
     /// per-node f64 still flips the digest, so the pin is as tight as the
     /// full rendering at a constant size.
     pub fn scale_digest(&self) -> String {
-        let mut h = Fnv1a::new();
+        let mut h = Fnv1a::default();
         for r in &self.per_node_energy {
             for v in [
                 r.idle_mj,
@@ -179,7 +180,7 @@ impl RunMetrics {
             h.write_u64(r.wakeups);
         }
         let energy_hash = h.finish();
-        let mut h = Fnv1a::new();
+        let mut h = Fnv1a::default();
         for route in &self.routes {
             match route {
                 None => h.write_u64(u64::MAX),
@@ -221,28 +222,6 @@ impl RunMetrics {
             routes_hash,
             self.duration_s,
         )
-    }
-}
-
-/// Minimal FNV-1a over u64 words, for [`RunMetrics::scale_digest`].
-/// (The std hasher's output is not guaranteed stable across releases;
-/// golden files need a fixed function.)
-struct Fnv1a(u64);
-
-impl Fnv1a {
-    fn new() -> Fnv1a {
-        Fnv1a(0xcbf2_9ce4_8422_2325)
-    }
-
-    fn write_u64(&mut self, v: u64) {
-        for byte in v.to_le_bytes() {
-            self.0 ^= byte as u64;
-            self.0 = self.0.wrapping_mul(0x100_0000_01b3);
-        }
-    }
-
-    fn finish(&self) -> u64 {
-        self.0
     }
 }
 
