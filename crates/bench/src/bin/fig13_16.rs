@@ -4,12 +4,13 @@
 //!
 //! Methodology (the paper's): run the packet simulator at 2 Kbit/s until
 //! routes stabilise, freeze them, then compute `Enetwork` analytically
-//! per rate and scheduling model.
+//! per rate and scheduling model — the fluid `eend_core::evaluate` over
+//! the design the frozen routes imply (`design::frozen_routes`).
 //!
 //! Both halves run on the campaign engine: route stabilisation is one
 //! declarative `CampaignSpec` (stacks × one rate × seeds on the grid
-//! preset), and the projection study fans its stack × rate cells out on
-//! the same executor, aggregating per-seed samples through
+//! preset), and the fluid study fans its stack × rate cells out on the
+//! same executor, aggregating per-seed samples through
 //! `eend_stats::grouped::StreamingAggregator`.
 //!
 //! ```text
@@ -18,10 +19,13 @@
 
 use eend_bench::{figure_spec_on, HarnessOpts};
 use eend_campaign::{BaseScenario, Executor};
+use eend_core::design::frozen_routes;
+use eend_core::evaluate::{evaluate, EvalParams, SleepScheduling};
+use eend_core::WirelessInstance;
 use eend_sim::SimRng;
 use eend_stats::grouped::StreamingAggregator;
 use eend_stats::render_figure;
-use eend_wireless::{project, stacks, Placement, ProjectionParams, Scheduling};
+use eend_wireless::{stacks, Placement};
 
 /// Routes of every flow, per stabilisation seed.
 type SeedRoutes = Vec<Vec<Option<Vec<usize>>>>;
@@ -38,7 +42,7 @@ fn main() {
     ];
     let positions = Placement::Grid { rows: 7, cols: 7, width: 300.0, height: 300.0 }
         .positions(&mut SimRng::new(0));
-    let card = eend_radio::cards::hypothetical_cabletron();
+    let grid = WirelessInstance::new(positions, eend_radio::cards::hypothetical_cabletron());
 
     // Stabilise routes at 2 Kbit/s per stack and seed: one campaign,
     // every (stack, seed) cell an independent job on the executor.
@@ -57,9 +61,9 @@ fn main() {
         })
         .collect();
 
-    let figure = |title: &str, rates: &[f64], scheduling: Scheduling, pc_for_active: bool| {
-        // The projection study's stack × rate grid, fanned out on the
-        // executor (each cell projects every stabilisation seed).
+    let figure = |title: &str, rates: &[f64], scheduling: SleepScheduling, pc_for_active: bool| {
+        // The fluid study's stack × rate grid, fanned out on the executor
+        // (each cell scores every stabilisation seed's routes).
         let cells: Vec<(usize, f64)> =
             (0..stabilised.len()).flat_map(|s| rates.iter().map(move |&r| (s, r))).collect();
         let cell_samples: Vec<Vec<(String, f64, f64)>> = executor.par_map(cells.len(), |i| {
@@ -67,24 +71,14 @@ fn main() {
             let (name, per_seed) = &stabilised[si];
             // DSR-Active runs without power control in the paper.
             let power_control = (name != "DSR-Active") || pc_for_active;
+            let params =
+                EvalParams { duration_s: 900.0, bandwidth_bps: 2e6, power_control, scheduling };
             per_seed
                 .iter()
                 .map(|routes| {
-                    let goodput = project(
-                        &positions,
-                        &card,
-                        routes,
-                        &ProjectionParams {
-                            duration_s: 900.0,
-                            bandwidth_bps: 2e6,
-                            rate_bps: rate * 1000.0,
-                            power_control,
-                            scheduling,
-                        },
-                    )
-                    .energy_goodput_bit_per_j()
-                        / 1000.0; // Kbit/J, the paper's unit
-                    (name.clone(), rate, goodput)
+                    let (problem, design) = frozen_routes(grid.clone(), routes, rate * 1000.0);
+                    let goodput = evaluate(&problem, &design, &params).energy_goodput_bit_per_j();
+                    (name.clone(), rate, goodput / 1000.0) // Kbit/J, the paper's unit
                 })
                 .collect()
         });
@@ -105,25 +99,25 @@ fn main() {
     figure(
         "Fig 13 — energy goodput (Kbit/J), low rates, perfect sleep scheduling",
         &low,
-        Scheduling::Perfect,
+        SleepScheduling::Perfect,
         false,
     );
     figure(
         "Fig 14 — energy goodput (Kbit/J), low rates, ODPM scheduling",
         &low,
-        Scheduling::odpm_paper(),
+        SleepScheduling::odpm_paper(),
         false,
     );
     figure(
         "Fig 15 — energy goodput (Kbit/J), high rates, perfect sleep scheduling",
         &high,
-        Scheduling::Perfect,
+        SleepScheduling::Perfect,
         false,
     );
     figure(
         "Fig 16 — energy goodput (Kbit/J), high rates, ODPM scheduling",
         &high,
-        Scheduling::odpm_paper(),
+        SleepScheduling::odpm_paper(),
         false,
     );
 

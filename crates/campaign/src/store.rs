@@ -670,9 +670,11 @@ impl ResultStore {
         let mut log = LogReader::open(self.dir.join(FAILURES_FILE))?;
         while let Some(f) = log.next_decoded(|line| {
             let v = parse_json(line)?;
+            let attempts = v.get("attempts")?.u64()?;
             Ok(JobFailure {
                 job_id: v.get("job")?.usize()?,
-                attempts: v.get("attempts")?.u64()? as u32,
+                attempts: u32::try_from(attempts)
+                    .map_err(|_| bad_data(format!("attempts {attempts} out of range")))?,
                 cause: v.get("cause")?.str()?.to_owned(),
             })
         })? {
@@ -1571,6 +1573,27 @@ mod tests {
         assert!(started.elapsed().as_secs() < 5, "took {:?}", started.elapsed());
         assert_eq!(store.failures()[&1].cause, cause);
         assert_eq!(store.failures()[&1].attempts, 3);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn a_failure_log_line_with_attempts_beyond_u32_is_refused() {
+        use crate::{BaseScenario, CampaignSpec};
+        use eend_wireless::stacks;
+        let spec = CampaignSpec::new("wide-attempts", BaseScenario::Small)
+            .stacks(vec![stacks::titan_pc()])
+            .rates(vec![4.0])
+            .seeds(2)
+            .secs(20);
+        let dir = std::env::temp_dir().join(format!("eend-store-attempts-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        drop(ResultStore::open(&dir, Manifest::for_spec(&spec, 0, 1)).unwrap());
+        let lines = "{\"job\":0,\"attempts\":4294967295,\"cause\":\"x\"}\n\
+                     {\"job\":1,\"attempts\":4294967298,\"cause\":\"y\"}\n";
+        std::fs::write(dir.join(FAILURES_FILE), lines).unwrap();
+        let err = ResultStore::open_existing(&dir).unwrap_err().to_string();
+        assert!(err.contains("corrupt line 2 in "), "got: {err}");
+        assert!(err.contains("attempts 4294967298 out of range"), "got: {err}");
         let _ = std::fs::remove_dir_all(&dir);
     }
 

@@ -12,7 +12,7 @@
 //! information from power control (edge costs) and power management (node
 //! wake costs), and in turn determines which nodes must stay awake.
 
-use crate::problem::DesignProblem;
+use crate::problem::{Demand, DesignProblem, WirelessInstance};
 use eend_graph::{paths, steiner, Graph};
 
 /// Link metric for the communication-energy-first heuristic.
@@ -69,6 +69,33 @@ pub struct Design {
 }
 
 impl Design {
+    /// The design carrying `routes`, awake exactly where they need it
+    /// (see [`Design::rebuild_active`]).
+    pub fn from_routes(problem: &DesignProblem, routes: Vec<Option<Vec<usize>>>) -> Design {
+        let mut design = Design { routes, active: Vec::new() };
+        design.rebuild_active(problem);
+        design
+    }
+
+    /// Rebuilds the awake set implied by the routes, in place: demand
+    /// endpoints plus every node appearing on a route (the minimal active
+    /// set — a node an earlier design woke but no surviving route uses
+    /// goes back to sleep).
+    pub fn rebuild_active(&mut self, problem: &DesignProblem) {
+        let active = &mut self.active;
+        active.clear();
+        active.resize(problem.instance.node_count(), false);
+        for d in &problem.demands {
+            active[d.source] = true;
+            active[d.sink] = true;
+        }
+        for route in self.routes.iter().flatten() {
+            for &v in route {
+                active[v] = true;
+            }
+        }
+    }
+
     /// `true` if every demand found a route.
     pub fn is_feasible(&self) -> bool {
         self.routes.iter().all(Option::is_some)
@@ -111,6 +138,32 @@ impl Design {
     pub fn max_node_load(&self, problem: &DesignProblem) -> f64 {
         self.node_loads(problem).into_iter().fold(0.0, f64::max)
     }
+}
+
+/// The problem and design a packet run's frozen routes imply — the
+/// Section 5.2.3 methodology behind Figs 13–16, which lets routes settle
+/// at a low rate and then scores them analytically at higher ones.
+///
+/// Every route of at least two nodes becomes a `rate_bps` demand from its
+/// first node to its last, carried on that route; unrouted flows are
+/// skipped. The awake set is the routes' nodes.
+///
+/// # Panics
+///
+/// Panics if a route starts and ends at the same node or names a node
+/// `instance` lacks.
+pub fn frozen_routes(
+    instance: WirelessInstance,
+    routes: &[Option<Vec<usize>>],
+    rate_bps: f64,
+) -> (DesignProblem, Design) {
+    let routes: Vec<Option<Vec<usize>>> =
+        routes.iter().flatten().filter(|r| r.len() >= 2).map(|r| Some(r.clone())).collect();
+    let demands =
+        routes.iter().flatten().map(|r| Demand::new(r[0], r[r.len() - 1], rate_bps)).collect();
+    let problem = DesignProblem::new(instance, demands);
+    let design = Design::from_routes(&problem, routes);
+    (problem, design)
 }
 
 /// Anything that can solve a [`DesignProblem`]. Implemented by
@@ -494,5 +547,15 @@ mod tests {
         dedup.sort();
         dedup.dedup();
         assert_eq!(dedup.len(), names.len());
+    }
+
+    #[test]
+    fn frozen_routes_keep_routed_flows_and_wake_their_nodes() {
+        let inst = line_problem().instance;
+        let routes = vec![Some(vec![0, 1, 3]), None, Some(vec![2]), Some(vec![4, 3])];
+        let (p, d) = frozen_routes(inst, &routes, 5_000.0);
+        assert_eq!(p.demands, vec![Demand::new(0, 3, 5_000.0), Demand::new(4, 3, 5_000.0)]);
+        assert_eq!(d.routes, vec![Some(vec![0, 1, 3]), Some(vec![4, 3])]);
+        assert_eq!(d.active, vec![true, true, false, true, true]);
     }
 }

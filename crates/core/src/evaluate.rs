@@ -3,29 +3,47 @@
 //! This is the fluid-model counterpart of the packet simulator in
 //! `eend-wireless`: traffic is treated as a constant airtime fraction
 //! `rᵢ/B` per hop (no queueing, no losses, no control overhead), exactly
-//! the simplification the paper uses in Section 3 (Eq 5) and in the
-//! fixed-route projections behind Figs 13–16. A node's energy is
+//! the simplification the paper uses in Section 3 (Eq 5). It is the one
+//! fluid model: the design search scores candidates with it, and Figs
+//! 13–16 score the routes a packet run froze (Section 5.2.3) by turning
+//! them into a design with [`crate::design::frozen_routes`]. A node's
+//! energy is
 //!
 //! - transmit: Σ over outgoing hops of `T · rᵢ/B · Ptx(d)`,
 //! - receive: Σ over incoming hops of `T · rᵢ/B · Prx`,
-//! - passive: the remaining time at `Pidle` (awake) / `Psleep` (asleep),
-//!   or at `Psleep` for everyone under *perfect sleep scheduling*.
+//! - passive: under ODPM, the remaining time at `Pidle` for awake nodes
+//!   and `T·(duty·Pidle + (1−duty)·Psleep)` for asleep ones (PSM wakes
+//!   them for the ATIM window); under *perfect sleep scheduling*, the
+//!   remaining time at `Psleep` for everyone.
 
 use crate::design::Design;
 use crate::problem::DesignProblem;
 use eend_radio::{CardPowers, EnergyReport};
 use eend_sim::SimDuration;
 
-/// How awake-but-silent time is charged (the two scheduling models of
-/// Section 5.2.3).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+/// How silent time is charged (the two scheduling models of Section
+/// 5.2.3).
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum SleepScheduling {
-    /// ODPM-style: nodes on routes are awake the whole time, idling
-    /// between packets at `Pidle`.
-    OdpmIdle,
+    /// ODPM-style: awake nodes (endpoints and relays) idle between
+    /// packets at `Pidle`; asleep nodes follow the PSM duty cycle.
+    Odpm {
+        /// Awake fraction of asleep nodes, in `[0, 1]` (ATIM window /
+        /// beacon interval). `0.0` lets them sleep the whole horizon —
+        /// the design model.
+        psm_duty: f64,
+    },
     /// Perfect sleep scheduling: nodes wake exactly when needed; silent
     /// time is charged at `Psleep` for every node.
     Perfect,
+}
+
+impl SleepScheduling {
+    /// ODPM with the paper's PSM timing: a 0.02 s ATIM window every
+    /// 0.3 s beacon interval.
+    pub fn odpm_paper() -> SleepScheduling {
+        SleepScheduling::Odpm { psm_duty: 0.02 / 0.3 }
+    }
 }
 
 /// Parameters of an evaluation run.
@@ -49,7 +67,7 @@ impl EvalParams {
             duration_s,
             bandwidth_bps: 2_000_000.0,
             power_control: true,
-            scheduling: SleepScheduling::OdpmIdle,
+            scheduling: SleepScheduling::Odpm { psm_duty: 0.0 },
         }
     }
 }
@@ -118,12 +136,16 @@ impl NetworkEnergy {
 ///
 /// # Panics
 ///
-/// Panics if the evaluation duration or bandwidth is not positive, or if
-/// `design.routes` and `problem.demands` have different lengths (a design
-/// for a different problem — silently zipping would drop trailing demands).
+/// Panics if the evaluation duration or bandwidth is not positive, if a
+/// PSM duty lies outside `[0, 1]`, or if `design.routes` and
+/// `problem.demands` have different lengths (a design for a different
+/// problem — silently zipping would drop trailing demands).
 pub fn evaluate(problem: &DesignProblem, design: &Design, params: &EvalParams) -> NetworkEnergy {
     assert!(params.duration_s > 0.0, "duration must be positive");
     assert!(params.bandwidth_bps > 0.0, "bandwidth must be positive");
+    if let SleepScheduling::Odpm { psm_duty } = params.scheduling {
+        assert!((0.0..=1.0).contains(&psm_duty), "PSM duty {psm_duty} outside [0, 1]");
+    }
     assert_eq!(
         design.routes.len(),
         problem.demands.len(),
@@ -187,17 +209,17 @@ pub fn evaluate(problem: &DesignProblem, design: &Design, params: &EvalParams) -
             ..EnergyReport::default()
         };
         let silent_s = t * silent_frac;
-        match (awake, params.scheduling) {
-            (true, SleepScheduling::OdpmIdle) => {
-                r.idle_mj = silent_s * card.p_idle_mw;
-                r.time_idle = SimDuration::from_secs_f64(silent_s);
-            }
-            (true, SleepScheduling::Perfect) | (false, _) => {
-                let span = if awake { silent_s } else { t };
-                r.sleep_mj = span * card.p_sleep_mw;
-                r.time_sleep = SimDuration::from_secs_f64(span);
-            }
-        }
+        // (idle, sleep) seconds of the node's passive time.
+        let (idle_s, sleep_s) = match (awake, params.scheduling) {
+            (true, SleepScheduling::Odpm { .. }) => (silent_s, 0.0),
+            (true, SleepScheduling::Perfect) => (0.0, silent_s),
+            (false, SleepScheduling::Odpm { psm_duty }) => (t * psm_duty, t * (1.0 - psm_duty)),
+            (false, SleepScheduling::Perfect) => (0.0, t),
+        };
+        r.idle_mj = idle_s * card.p_idle_mw;
+        r.time_idle = SimDuration::from_secs_f64(idle_s);
+        r.sleep_mj = sleep_s * card.p_sleep_mw;
+        r.time_sleep = SimDuration::from_secs_f64(sleep_s);
         total.accumulate(&r);
         per_node.push(r);
     }
@@ -214,7 +236,7 @@ pub fn evaluate(problem: &DesignProblem, design: &Design, params: &EvalParams) -
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::design::{Designer, Heuristic};
+    use crate::design::{frozen_routes, Designer, Heuristic};
     use crate::problem::{Demand, DesignProblem, WirelessInstance};
     use eend_radio::cards;
 
@@ -232,7 +254,7 @@ mod tests {
             duration_s: 100.0,
             bandwidth_bps: 2_000_000.0,
             power_control: true,
-            scheduling: SleepScheduling::OdpmIdle,
+            scheduling: SleepScheduling::Odpm { psm_duty: 0.0 },
         };
         let e = evaluate(&p, &d, &params);
         let card = cards::cabletron();
@@ -247,28 +269,54 @@ mod tests {
         assert!((e.delivered_bits - 200_000.0 * 100.0).abs() < 1e-6);
     }
 
+    /// The frozen route 0 → 1 → 2 on a 100 m-spaced line, with node 3
+    /// off the route, on the hypothetical card.
+    fn line_route(rate: f64) -> (DesignProblem, Design) {
+        let positions = vec![(0.0, 0.0), (100.0, 0.0), (200.0, 0.0), (500.0, 500.0)];
+        let inst = WirelessInstance::new(positions, cards::hypothetical_cabletron());
+        frozen_routes(inst, &[Some(vec![0, 1, 2])], rate)
+    }
+
+    fn with_scheduling(duration_s: f64, scheduling: SleepScheduling) -> EvalParams {
+        EvalParams { scheduling, ..EvalParams::standard(duration_s) }
+    }
+
     #[test]
     fn perfect_scheduling_charges_sleep() {
         let (p, d) = two_node_problem(200_000.0);
-        let mut params = EvalParams::standard(100.0);
-        params.scheduling = SleepScheduling::Perfect;
-        let e = evaluate(&p, &d, &params);
+        let e = evaluate(&p, &d, &with_scheduling(100.0, SleepScheduling::Perfect));
         assert_eq!(e.total.idle_mj, 0.0);
         assert!(e.total.sleep_mj > 0.0);
-        let mut idle_params = EvalParams::standard(100.0);
-        idle_params.scheduling = SleepScheduling::OdpmIdle;
-        let e_idle = evaluate(&p, &d, &idle_params);
+        let e_idle = evaluate(&p, &d, &EvalParams::standard(100.0));
         assert!(e.enetwork_j() < e_idle.enetwork_j(), "perfect scheduling must dominate");
     }
 
     #[test]
     fn goodput_improves_with_perfect_scheduling() {
-        let (p, d) = two_node_problem(10_000.0);
-        let idle = evaluate(&p, &d, &EvalParams::standard(900.0));
-        let mut pp = EvalParams::standard(900.0);
-        pp.scheduling = SleepScheduling::Perfect;
-        let perfect = evaluate(&p, &d, &pp);
-        assert!(perfect.energy_goodput_bit_per_j() > idle.energy_goodput_bit_per_j());
+        // With and without an off-route node paying the PSM duty.
+        let cases = [
+            (two_node_problem(10_000.0), 900.0, SleepScheduling::Odpm { psm_duty: 0.0 }),
+            (line_route(2_000.0), 100.0, SleepScheduling::odpm_paper()),
+        ];
+        for ((p, d), t, odpm) in cases {
+            let idle = evaluate(&p, &d, &with_scheduling(t, odpm));
+            let perfect = evaluate(&p, &d, &with_scheduling(t, SleepScheduling::Perfect));
+            assert!(perfect.enetwork_j() < idle.enetwork_j());
+            assert!(perfect.energy_goodput_bit_per_j() > idle.energy_goodput_bit_per_j());
+        }
+    }
+
+    #[test]
+    fn goodput_rises_with_rate_under_odpm() {
+        // With idle power dominating, delivering more bits over the same
+        // (mostly idle) energy improves goodput — the paper's Fig 14→16
+        // trend.
+        let goodput = |rate| {
+            let (p, d) = line_route(rate);
+            evaluate(&p, &d, &with_scheduling(100.0, SleepScheduling::odpm_paper()))
+                .energy_goodput_bit_per_j()
+        };
+        assert!(goodput(50_000.0) > goodput(2_000.0));
     }
 
     #[test]
@@ -287,15 +335,32 @@ mod tests {
 
     #[test]
     fn sleeping_nodes_charge_sleep_power() {
-        // Third node is off every route: it must sleep for the horizon.
+        // Third node is off every route: it sleeps for the horizon, waking
+        // for the PSM duty: T·(duty·Pidle + (1−duty)·Psleep).
         let inst =
             WirelessInstance::new(vec![(0.0, 0.0), (200.0, 0.0), (0.0, 200.0)], cards::cabletron());
         let p = DesignProblem::new(inst, vec![Demand::new(0, 1, 10_000.0)]);
         let d = Heuristic::IdleFirst.design(&p);
-        let e = evaluate(&p, &d, &EvalParams::standard(100.0));
         let card = cards::cabletron();
-        assert!((e.per_node[2].sleep_mj - 100.0 * card.p_sleep_mw).abs() < 1e-9);
-        assert_eq!(e.per_node[2].idle_mj, 0.0);
+        for duty in [0.0, 0.5, 1.0] {
+            let odpm = SleepScheduling::Odpm { psm_duty: duty };
+            let e = evaluate(&p, &d, &with_scheduling(100.0, odpm));
+            let off = &e.per_node[2];
+            assert!((off.sleep_mj - 100.0 * (1.0 - duty) * card.p_sleep_mw).abs() < 1e-9);
+            assert!((off.idle_mj - 100.0 * duty * card.p_idle_mw).abs() < 1e-9);
+            assert_eq!(off.time_idle + off.time_sleep, SimDuration::from_secs(100));
+            // On-route nodes idle whatever the duty.
+            let on = &e.per_node[0];
+            assert_eq!(on.sleep_mj, 0.0);
+            assert!(on.idle_mj > 0.0);
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "PSM duty")]
+    fn psm_duty_outside_unit_interval_rejected() {
+        let (p, d) = two_node_problem(10_000.0);
+        evaluate(&p, &d, &with_scheduling(10.0, SleepScheduling::Odpm { psm_duty: 1.5 }));
     }
 
     #[test]

@@ -150,9 +150,12 @@ impl EvalOracle for FluidOracle {
     }
 
     fn label(&self) -> String {
+        // Eval-cache manifests store this label: the design model's
+        // zero duty keeps its historical `odpm`.
         let sched = match self.params.scheduling {
-            SleepScheduling::OdpmIdle => "odpm",
-            SleepScheduling::Perfect => "perfect",
+            SleepScheduling::Odpm { psm_duty: 0.0 } => "odpm".to_owned(),
+            SleepScheduling::Odpm { psm_duty } => format!("odpm-psm{psm_duty}"),
+            SleepScheduling::Perfect => "perfect".to_owned(),
         };
         format!(
             "fluid(t={},bw={},pc={},sched={},battery={})",
@@ -282,6 +285,23 @@ mod tests {
         assert!(s.ttfd_s.is_finite());
         assert!(!s.overloaded);
         assert_eq!(s.unrouted, 0);
+    }
+
+    #[test]
+    fn fluid_label_is_stable_and_tells_psm_duties_apart() {
+        // Eval-cache manifests store this string: a change orphans every
+        // cache written before it.
+        let standard = FluidOracle::standard(900.0);
+        assert_eq!(standard.label(), "fluid(t=900,bw=2000000,pc=true,sched=odpm,battery=1000)");
+        let mut paper = FluidOracle::standard(900.0);
+        paper.params.scheduling = SleepScheduling::odpm_paper();
+        let mut perfect = FluidOracle::standard(900.0);
+        perfect.params.scheduling = SleepScheduling::Perfect;
+        assert!(perfect.label().contains("sched=perfect,"));
+        let labels = [standard.label(), paper.label(), perfect.label()];
+        for (i, a) in labels.iter().enumerate() {
+            assert!(labels[i + 1..].iter().all(|b| a != b), "{a} shared by two schedulings");
+        }
     }
 
     #[test]

@@ -165,24 +165,6 @@ pub fn standard_starts() -> Vec<Heuristic> {
     ]
 }
 
-/// Rebuilds the awake set implied by a route set, in place: demand
-/// endpoints plus every node appearing on a route (the minimal active set
-/// — a node an earlier design woke but no surviving route uses goes back
-/// to sleep).
-fn rebuild_active(problem: &DesignProblem, routes: &[Option<Vec<usize>>], active: &mut Vec<bool>) {
-    active.clear();
-    active.resize(problem.instance.node_count(), false);
-    for d in &problem.demands {
-        active[d.source] = true;
-        active[d.sink] = true;
-    }
-    for route in routes.iter().flatten() {
-        for &v in route {
-            active[v] = true;
-        }
-    }
-}
-
 /// A local move over a design.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum Move {
@@ -337,7 +319,7 @@ impl<'p> Neighbourhood<'p> {
             return false;
         }
         self.undo_active.clone_from(&design.active);
-        rebuild_active(self.problem, &design.routes, &mut design.active);
+        design.rebuild_active(self.problem);
         true
     }
 

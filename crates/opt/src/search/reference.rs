@@ -11,13 +11,6 @@ use crate::instances::random_instance;
 use eend_graph::paths::dijkstra_with;
 use proptest::prelude::*;
 
-/// The awake set implied by `routes` (see the in-place `rebuild_active`).
-fn active_for(problem: &DesignProblem, routes: &[Option<Vec<usize>>]) -> Vec<bool> {
-    let mut active = Vec::new();
-    rebuild_active(problem, routes, &mut active);
-    active
-}
-
 /// Applies `mv` to `design`, returning the neighbour design, or `None`
 /// when the move is inapplicable (no such alternative path, node not a
 /// relay, re-route impossible, …). Purely deterministic.
@@ -33,8 +26,7 @@ fn apply_move(problem: &DesignProblem, g: &Graph, design: &Design, mv: Move) -> 
             }
             let mut routes = design.routes.clone();
             routes[demand] = Some(path);
-            let active = active_for(problem, &routes);
-            Some(Design { routes, active })
+            Some(Design::from_routes(problem, routes))
         }
         Move::Sleep { node } => {
             if !design.active[node] {
@@ -58,14 +50,14 @@ fn apply_move(problem: &DesignProblem, g: &Graph, design: &Design, mv: Move) -> 
                 );
                 routes[i] = Some(sp.path_to(d.sink)?); // unroutable → move fails
             }
-            let active = active_for(problem, &routes);
-            if active[node] {
+            let next = Design::from_routes(problem, routes);
+            if next.active[node] {
                 return None; // another route still pins it awake (cannot happen, but cheap)
             }
-            if *design == (Design { routes: routes.clone(), active: active.clone() }) {
+            if *design == next {
                 return None;
             }
-            Some(Design { routes, active })
+            Some(next)
         }
         Move::Wake { node, demand } => {
             let d = problem.demands.get(demand)?;
@@ -89,8 +81,7 @@ fn apply_move(problem: &DesignProblem, g: &Graph, design: &Design, mv: Move) -> 
             }
             let mut routes = design.routes.clone();
             routes[demand] = Some(path);
-            let active = active_for(problem, &routes);
-            Some(Design { routes, active })
+            Some(Design::from_routes(problem, routes))
         }
     }
 }

@@ -20,9 +20,9 @@
 //! - **heterogeneous radios** — per-node card assignments for mixed
 //!   hardware deployments ([`scenario::CardAssignment`],
 //!   [`scenario::radio_profiles`]);
-//! - **scenario presets** for each of the paper's setups ([`presets`]),
-//!   and the fixed-route **projection** used by Figs 13–16
-//!   ([`projection`]).
+//! - **scenario presets** for each of the paper's setups ([`presets`]);
+//!   a run's frozen routes ([`RunMetrics::routes`]) feed the fluid
+//!   `eend-core::evaluate` behind Figs 13–16.
 //!
 //! # Example
 //!
@@ -47,7 +47,6 @@ pub mod metrics;
 pub mod mobility;
 pub mod power;
 pub mod presets;
-pub mod projection;
 pub mod routing;
 pub mod runner;
 pub mod scenario;
@@ -59,7 +58,6 @@ pub use frame::{Frame, NodeId, Packet, PacketKind};
 pub use metrics::RunMetrics;
 pub use mobility::Mobility;
 pub use power::{PmMode, PowerPolicy, PsmConfig, TitanConfig};
-pub use projection::{project, Projection, ProjectionParams, Scheduling};
 pub use routing::{DsdvConfig, ReactiveConfig, RouteMetric, StaticConfig, StaticRouting};
 pub use runner::{QueueStats, Simulator};
 pub use scenario::{radio_profiles, stacks, CardAssignment, ProtocolStack, RoutingKind, Scenario};

@@ -2,10 +2,10 @@
 //! source route, with no discovery, no advertisements, and no repair.
 //!
 //! This is the packet-level counterpart of the fluid evaluator's
-//! fixed-route model (`eend-core::evaluate`, `projection::project`): the
-//! design↔simulate loop injects a candidate [`Design`]'s routes here so the
-//! full MAC/PHY/power machinery scores exactly the routing the designer
-//! chose, with zero control-traffic overhead muddying the comparison.
+//! fixed-route model (`eend-core::evaluate`): the design↔simulate loop
+//! injects a candidate [`Design`]'s routes here so the full MAC/PHY/power
+//! machinery scores exactly the routing the designer chose, with zero
+//! control-traffic overhead muddying the comparison.
 //!
 //! [`Design`]: https://docs.rs/eend-core
 

@@ -11,7 +11,7 @@
 //! ```
 
 use eend::core::design::{CommMetric, Designer, Heuristic};
-use eend::core::evaluate::{evaluate, EvalParams, SleepScheduling};
+use eend::core::evaluate::{evaluate, EvalParams};
 use eend::core::{Demand, DesignProblem, WirelessInstance};
 use eend::radio::cards;
 use eend::sim::SimRng;
@@ -42,12 +42,8 @@ fn main() {
         Heuristic::MpcSteiner,
     ];
 
-    let params = EvalParams {
-        duration_s: 900.0,
-        bandwidth_bps: 2e6,
-        power_control: true,
-        scheduling: SleepScheduling::OdpmIdle,
-    };
+    // 2 Mb/s, power control, ODPM idling: the paper's main study.
+    let params = EvalParams::standard(900.0);
     let mut table = Table::new(vec![
         "designer",
         "feasible",

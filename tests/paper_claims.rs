@@ -1,11 +1,11 @@
 //! The paper's headline claims, checked across crate boundaries.
 
-use eend::core::{analysis, casestudy};
+use eend::core::design::{frozen_routes, Design};
+use eend::core::evaluate::{evaluate, EvalParams, SleepScheduling};
+use eend::core::{analysis, casestudy, Demand, DesignProblem, WirelessInstance};
 use eend::radio::cards;
 use eend::sim::{SimDuration, SimRng};
-use eend::wireless::{
-    presets, project, stacks, Placement, ProjectionParams, Scheduling, Simulator,
-};
+use eend::wireless::{presets, stacks, Placement, Simulator};
 
 /// Section 5.1 / Fig 7: no real card justifies relaying between two
 /// in-range nodes; the tuned hypothetical card does, at R/B ≥ 0.25.
@@ -61,14 +61,14 @@ fn fig9_ordering_reduced() {
     assert!(titan > 1.5 * active, "TITAN {titan} must dwarf DSR-Active {active}");
 }
 
-/// Section 5.2.3 / Figs 13–16 (projection): under perfect sleep
+/// Section 5.2.3 / Figs 13–16 (frozen routes): under perfect sleep
 /// scheduling at very high rate, power-control-first (MTPR) beats
 /// TITAN-PC; under ODPM scheduling at moderate rates, TITAN-PC wins.
 #[test]
 fn fig13_16_crossover() {
     let positions = Placement::Grid { rows: 7, cols: 7, width: 300.0, height: 300.0 }
         .positions(&mut SimRng::new(0));
-    let card = cards::hypothetical_cabletron();
+    let grid = WirelessInstance::new(positions, cards::hypothetical_cabletron());
     let routes_of = |stack| {
         let mut sc = presets::grid_hypothetical(stack, 2.0, 1);
         sc.duration = SimDuration::from_secs(60);
@@ -77,31 +77,23 @@ fn fig13_16_crossover() {
     let titan_routes = routes_of(stacks::titan_pc());
     let mtpr_routes = routes_of(stacks::mtpr(false));
     let gp = |routes: &Vec<Option<Vec<usize>>>, rate_kbps: f64, scheduling| {
-        project(
-            &positions,
-            &card,
-            routes,
-            &ProjectionParams {
-                duration_s: 900.0,
-                bandwidth_bps: 2e6,
-                rate_bps: rate_kbps * 1000.0,
-                power_control: true,
-                scheduling,
-            },
-        )
-        .energy_goodput_bit_per_j()
+        let (problem, design) = frozen_routes(grid.clone(), routes, rate_kbps * 1000.0);
+        let e =
+            evaluate(&problem, &design, &EvalParams { scheduling, ..EvalParams::standard(900.0) });
+        assert!(!e.overloaded, "no frozen route is overloaded at {rate_kbps} Kbit/s");
+        e.energy_goodput_bit_per_j()
     };
     // Perfect scheduling, 200 Kbit/s: MTPR's short hops win (Fig 15).
     assert!(
-        gp(&mtpr_routes, 200.0, Scheduling::Perfect)
-            > gp(&titan_routes, 200.0, Scheduling::Perfect),
+        gp(&mtpr_routes, 200.0, SleepScheduling::Perfect)
+            > gp(&titan_routes, 200.0, SleepScheduling::Perfect),
         "Fig 15: MTPR must lead under perfect scheduling at high rate"
     );
     // ODPM scheduling, 5–50 Kbit/s: TITAN-PC wins (Figs 14/16).
     for rate in [5.0, 50.0] {
         assert!(
-            gp(&titan_routes, rate, Scheduling::odpm_paper())
-                > gp(&mtpr_routes, rate, Scheduling::odpm_paper()),
+            gp(&titan_routes, rate, SleepScheduling::odpm_paper())
+                > gp(&mtpr_routes, rate, SleepScheduling::odpm_paper()),
             "Fig 14/16: TITAN must lead under ODPM at {rate} Kbit/s"
         );
     }
@@ -137,31 +129,21 @@ fn fig10_transmit_energy_direction() {
     );
 }
 
-/// The projection module agrees with the closed-form single-route energy
-/// of the analytical study (Eq 14) on a straight line at full power.
+/// The fluid evaluator agrees with the closed-form single-route energy of
+/// the analytical study (Eq 14) on a straight line at full power.
 #[test]
 fn projection_consistent_with_eq14() {
     // Two nodes 250 m apart, direct route, no power control (Eq 14's
-    // m = 1 with max-power hop), perfect awake accounting on both ends:
-    // Eq 14 assumes all nodes idle when silent, i.e. ODPM-like with no
-    // off-route nodes.
+    // m = 1 with max-power hop). Eq 14 assumes all nodes idle when
+    // silent: ODPM with no off-route nodes.
     let card = cards::cabletron();
-    let positions = vec![(0.0, 0.0), (250.0, 0.0)];
-    let routes = vec![Some(vec![0, 1])];
+    let instance = WirelessInstance::new(vec![(0.0, 0.0), (250.0, 0.0)], card);
     let q = 0.25;
     let t = 100.0;
-    let p = project(
-        &positions,
-        &card,
-        &routes,
-        &ProjectionParams {
-            duration_s: t,
-            bandwidth_bps: 2e6,
-            rate_bps: q * 2e6,
-            power_control: false,
-            scheduling: Scheduling::Odpm { psm_duty: 1.0 }, // everyone idles
-        },
-    );
+    let problem = DesignProblem::new(instance, vec![Demand::new(0, 1, q * 2e6)]);
+    let design = Design::from_routes(&problem, vec![Some(vec![0, 1])]);
+    let params = EvalParams { power_control: false, ..EvalParams::standard(t) };
+    let e = evaluate(&problem, &design, &params);
     let eq14 = analysis::route_energy_j(&card, 1.0, 250.0, q, t);
-    assert!((p.enetwork_j - eq14).abs() < 1e-6, "projection {} vs Eq 14 {}", p.enetwork_j, eq14);
+    assert!((e.enetwork_j() - eq14).abs() < 1e-6, "fluid {} vs Eq 14 {eq14}", e.enetwork_j());
 }
