@@ -272,9 +272,14 @@ mod tests {
     /// The frozen route 0 → 1 → 2 on a 100 m-spaced line, with node 3
     /// off the route, on the hypothetical card.
     fn line_route(rate: f64) -> (DesignProblem, Design) {
+        on_line(&[0, 1, 2], rate)
+    }
+
+    /// `route` frozen on the nodes of [`line_route`].
+    fn on_line(route: &[usize], rate: f64) -> (DesignProblem, Design) {
         let positions = vec![(0.0, 0.0), (100.0, 0.0), (200.0, 0.0), (500.0, 500.0)];
         let inst = WirelessInstance::new(positions, cards::hypothetical_cabletron());
-        frozen_routes(inst, &[Some(vec![0, 1, 2])], rate)
+        frozen_routes(inst, &[Some(route.to_vec())], rate)
     }
 
     fn with_scheduling(duration_s: f64, scheduling: SleepScheduling) -> EvalParams {
@@ -317,6 +322,19 @@ mod tests {
                 .energy_goodput_bit_per_j()
         };
         assert!(goodput(50_000.0) > goodput(2_000.0));
+    }
+
+    #[test]
+    fn relaying_beats_one_long_hop_at_high_rate_perfect() {
+        // Under perfect scheduling, relaying through 1 (two short hops)
+        // competes with one long hop purely on communication energy: for
+        // the hypothetical card Ptx(200) = 1118 + 5.2e-6·200⁴ = 9438 mW
+        // against two hops of Ptx(100) = 1638 mW plus one more Prx.
+        let enetwork = |route: &[usize]| {
+            let (p, d) = on_line(route, 200_000.0);
+            evaluate(&p, &d, &with_scheduling(100.0, SleepScheduling::Perfect)).enetwork_j()
+        };
+        assert!(enetwork(&[0, 1, 2]) < enetwork(&[0, 2]));
     }
 
     #[test]
