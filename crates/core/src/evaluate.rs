@@ -197,15 +197,17 @@ pub fn evaluate(problem: &DesignProblem, design: &Design, params: &EvalParams) -
         let busy = tx_frac[v] + rx_frac[v];
         max_utilization = max_utilization.max(busy);
         // Beyond-capacity designs (busy > 1) keep their full communication
-        // energy — matching the paper's Fig 15/16 projections — but cannot
-        // have negative passive time.
+        // energy — matching the paper's Fig 15/16 projections — but their
+        // residency fits the horizon: tx and rx time shrink by 1/busy,
+        // and passive time cannot go negative.
         let silent_frac = (1.0 - busy).max(0.0);
+        let residency = if busy > 1.0 { t / busy } else { t };
         let awake = design.active[v];
         let mut r = EnergyReport {
             tx_data_mj: tx_energy_mj[v],
             rx_data_mj: t * rx_frac[v] * card.p_rx_mw,
-            time_tx: SimDuration::from_secs_f64(t * tx_frac[v].min(1.0)),
-            time_rx: SimDuration::from_secs_f64(t * rx_frac[v].min(1.0)),
+            time_tx: SimDuration::from_secs_f64(residency * tx_frac[v]),
+            time_rx: SimDuration::from_secs_f64(residency * rx_frac[v]),
             ..EnergyReport::default()
         };
         let silent_s = t * silent_frac;
@@ -412,6 +414,14 @@ mod tests {
         // Relay node 1: tx 0.75 + rx 0.75 = 1.5 busy -> silent clamped to 0.
         assert_eq!(e.per_node[1].idle_mj, 0.0);
         assert!(e.per_node[1].comm_mj() > 0.0);
+        // No node resides longer than the horizon: the relay's 7.5 s tx
+        // and 7.5 s rx shrink by 1/1.5 to 5 s each.
+        for (v, r) in e.per_node.iter().enumerate() {
+            let resident = r.time_tx + r.time_rx + r.time_idle + r.time_sleep;
+            let gap = (resident.as_secs_f64() - 10.0).abs();
+            assert!(gap < 1e-6, "node {v} resides {resident:?} in 10 s");
+        }
+        assert!((e.per_node[1].time_tx.as_secs_f64() - 5.0).abs() < 1e-6);
     }
 
     #[test]
