@@ -23,7 +23,9 @@
 //!    [`eend_stats::Series`] (mean/stddev/95 % CI, incrementally via
 //!    [`eend_stats::grouped::StreamingAggregator`]) and exports
 //!    structured CSV/JSON — byte-identical whether batched or streamed
-//!    through [`CsvSink`]/[`JsonlSink`];
+//!    through [`CsvSink`]/[`JsonlSink`]; [`Summary`] is the one rule
+//!    that lays a campaign's cells out for a figure view (its x axis,
+//!    and one cell per combination of the other swept axes);
 //! 4. [`ResultStore`] makes a campaign durable and resumable: records
 //!    append to fingerprinted JSONL shard stores, re-runs skip completed
 //!    jobs, and [`CampaignSpec::shard`] + [`merge_stores`] spread one
@@ -70,6 +72,7 @@ pub mod serve;
 pub mod sink;
 pub mod spec;
 pub mod store;
+pub mod summary;
 
 pub use executor::{Backoff, Executor, FailurePolicy, JobFailure, JobScheduler, WorkerPool};
 pub use report::{metric_columns, CampaignResult, MetricColumn, Record};
@@ -80,3 +83,4 @@ pub use store::{
     fingerprint, merge_stores, merge_stores_streaming, write_atomic, Manifest, ResultStore,
     RunOptions, RunOutcome, SpecAxes,
 };
+pub use summary::{Axis, AxisValue, Summary};

@@ -32,7 +32,7 @@
 //! | `GET /status` | — | daemon-wide listing: `{"workers","executed","campaigns":[{"fingerprint","total","done","failed","state"},…]}` |
 //! | `GET /status/<fp>` | — | `{"fingerprint","total","done","failed","state","error","workers","executed"}` |
 //! | `GET /stream/<fp>` | `?from=N&format=jsonl\|csv` | one record per line as jobs become durable, starting at record `N` (reconnects pick up where they left off) |
-//! | `GET /aggregate/<fp>` | — | one JSONL cell per (metric, stack, x): `{"metric","stack","x","n","mean","ci95"}`, reduced from the campaign's in-memory metric rows; repeat hits are served from a cache keyed on `(fingerprint, contiguous-durable-prefix)`, so they never re-reduce |
+//! | `GET /aggregate/<fp>` | — | one JSONL line per (cell, metric, stack, x): `{"metric","stack","x",…,"n","mean","ci95"}`, where the cells and x axis follow the [`Summary`] rule `eend-cli campaign` prints its figures by, and `…` is one key per swept non-x axis, named as its CSV column (`rate_kbps`, `nodes`, `speed_mps`, `traffic`, `radio`, `failure`) and absent when only x is swept; reduced from the campaign's in-memory metric rows; repeat hits are served from a cache keyed on `(fingerprint, contiguous-durable-prefix)`, so they never re-reduce |
 //! | `GET /` | — | health probe (`eend-serve`) |
 //!
 //! `<fp>` is the 16-hex-digit campaign fingerprint returned by submit.
@@ -65,7 +65,7 @@
 //! list — a store whose record names another job is refused with a 400
 //! before any response header is sent. `/stream` renders rows through
 //! the same row writers as `eend-cli campaign --csv` / the JSONL sink,
-//! and `/aggregate` feeds them into per-metric
+//! and `/aggregate` feeds them into per-cell, per-metric
 //! [`StreamingAggregator`]s in job order — both byte-identical to the
 //! offline CLI path, pinned by integration tests. Neither endpoint reads
 //! the store's files.
@@ -96,10 +96,11 @@ use crate::report::{
     csv_header_into, csv_values_into, json_num, json_str, json_values_into, metric_columns,
     metric_row, MetricRow,
 };
-use crate::spec::{CampaignSpec, GridPoint, Job};
+use crate::spec::{CampaignSpec, Job};
 use crate::store::{
     fingerprint, read_manifest, Manifest, ResultStore, RunOptions, SpecAxes, MANIFEST_FILE,
 };
+use crate::summary::{AxisValue, Summary};
 use eend_stats::grouped::StreamingAggregator;
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
@@ -897,19 +898,6 @@ fn stream_records(
     stream.flush()
 }
 
-/// Picks the aggregate x axis the way the CLI's summary view does:
-/// node count when the node axis is swept, speed when the speed axis
-/// is, per-flow rate otherwise.
-fn aggregate_x_axis(spec: &CampaignSpec) -> fn(&GridPoint) -> f64 {
-    if spec.node_counts.len() > 1 || spec.base == crate::BaseScenario::Density {
-        |p| p.nodes as f64
-    } else if spec.speeds_mps.len() > 1 {
-        |p| p.speed_mps
-    } else {
-        |p| p.rate_kbps
-    }
-}
-
 fn aggregate_impl(state: &ServeState, entry: &CampaignEntry) -> io::Result<String> {
     let (done, rows) = {
         let p = entry.progress.lock().expect("progress lock poisoned");
@@ -933,33 +921,45 @@ fn aggregate_impl(state: &ServeState, entry: &CampaignEntry) -> io::Result<Strin
         (p.done, rows)
     };
     state.aggregates_computed.fetch_add(1, Ordering::SeqCst);
-    let x_of = aggregate_x_axis(&entry.spec);
-    let mut aggs: Vec<StreamingAggregator> =
-        metric_columns().iter().map(|_| StreamingAggregator::new()).collect();
+    let summary = Summary::new(&entry.spec, entry.jobs.iter().map(|j| &j.point));
+    let mut cells: Vec<Vec<StreamingAggregator>> = (0..summary.cells())
+        .map(|_| metric_columns().iter().map(|_| StreamingAggregator::new()).collect())
+        .collect();
     for (job, row) in entry.jobs.iter().zip(&rows) {
-        let x = x_of(&job.point);
-        for (agg, &v) in aggs.iter_mut().zip(row) {
+        let x = summary.x(&job.point);
+        for (agg, &v) in cells[summary.cell_of(&job.point)].iter_mut().zip(row) {
             agg.push(&job.point.stack.name, x, v);
         }
     }
     // Restore spec stack order, exactly like CampaignResult::series.
     let order: Vec<&str> = entry.spec.stacks.iter().map(|s| s.name.as_str()).collect();
     let mut out = String::new();
-    for ((name, _), agg) in metric_columns().iter().zip(aggs) {
-        let mut series = agg.finish();
-        series.sort_by_key(|s| order.iter().position(|n| *n == s.label).unwrap_or(usize::MAX));
-        for s in series {
-            for p in s.points {
-                let _ = writeln!(
-                    out,
-                    "{{\"metric\":{},\"stack\":{},\"x\":{},\"n\":{},\"mean\":{},\"ci95\":{}}}",
-                    json_str(name),
-                    json_str(&s.label),
-                    json_num(p.x),
-                    p.summary.n,
-                    json_num(p.summary.mean),
-                    json_num(p.summary.ci95_half_width())
-                );
+    for (cell, aggs) in cells.into_iter().enumerate() {
+        // The cell's other swept axes, keyed as their CSV columns.
+        let mut key = String::new();
+        for (axis, v) in summary.key(cell) {
+            let v = match v {
+                AxisValue::Num(v) => json_num(v),
+                AxisValue::Label(s) => json_str(s),
+            };
+            let _ = write!(key, ",\"{}\":{v}", axis.column());
+        }
+        for ((name, _), agg) in metric_columns().iter().zip(aggs) {
+            let mut series = agg.finish();
+            series.sort_by_key(|s| order.iter().position(|n| *n == s.label).unwrap_or(usize::MAX));
+            for s in series {
+                for p in s.points {
+                    let _ = writeln!(
+                        out,
+                        "{{\"metric\":{},\"stack\":{},\"x\":{}{key},\"n\":{},\"mean\":{},\"ci95\":{}}}",
+                        json_str(name),
+                        json_str(&s.label),
+                        json_num(p.x),
+                        p.summary.n,
+                        json_num(p.summary.mean),
+                        json_num(p.summary.ci95_half_width())
+                    );
+                }
             }
         }
     }

@@ -126,8 +126,9 @@ use eend::campaign::serve::{serve, ServeConfig};
 use eend::campaign::store::Manifest;
 use eend::campaign::{
     merge_stores, merge_stores_streaming, write_atomic, BaseScenario, CampaignResult, CampaignSpec,
-    CsvSink, Executor, FailurePlan, FailurePolicy, ResultStore, RunOptions,
+    CsvSink, Executor, FailurePlan, FailurePolicy, MetricColumn, ResultStore, RunOptions, Summary,
 };
+use eend::cli::{die, signals, Args, Usage};
 use eend::radio::cards;
 use eend::sim::SimDuration;
 use eend::stats::render_figure;
@@ -151,20 +152,22 @@ struct Opts {
     csv: bool,
 }
 
-fn usage() -> ! {
-    eprintln!(
-        "usage: eend-cli [--stack NAME] [--nodes N] [--area METRES] [--flows N]\n\
-         \u{20}               [--rate KBPS] [--secs S] [--seed N] [--card NAME]\n\
-         \u{20}               [--speed MPS] [--traffic MODEL] [--radio-profile NAME]\n\
-         \u{20}               [--csv] [--list-stacks]\n\
-         cards: aironet350 | cabletron | hypothetical | mica2 | leach2 | leach4\n\
-         traffic models: cbr | poisson | onoff | onoff(ON_S,OFF_S)\n\
-         radio profiles: uniform | mixed-hypo | sparse-hypo"
-    );
-    std::process::exit(2)
+const RUN_USAGE: Usage = Usage::cli(
+    "unknown argument",
+    "usage: eend-cli [--stack NAME] [--nodes N] [--area METRES] [--flows N]\n\
+     \u{20}               [--rate KBPS] [--secs S] [--seed N] [--card NAME]\n\
+     \u{20}               [--speed MPS] [--traffic MODEL] [--radio-profile NAME]\n\
+     \u{20}               [--csv] [--list-stacks]\n\
+     cards: aironet350 | cabletron | hypothetical | mica2 | leach2 | leach4\n\
+     traffic models: cbr | poisson | onoff | onoff(ON_S,OFF_S)\n\
+     radio profiles: uniform | mixed-hypo | sparse-hypo",
+);
+
+fn traffic_model(raw: &str) -> Result<TrafficModel, String> {
+    TrafficModel::parse(raw).ok_or_else(|| format!("unknown traffic model {raw:?}"))
 }
 
-fn parse() -> Opts {
+fn parse(args: impl Iterator<Item = String>) -> Opts {
     let mut o = Opts {
         stack: "TITAN-PC".into(),
         nodes: 50,
@@ -179,32 +182,20 @@ fn parse() -> Opts {
         radio_profile: None,
         csv: false,
     };
-    let mut args = std::env::args().skip(1);
-    while let Some(a) = args.next() {
-        let mut val = |what: &str| {
-            args.next().unwrap_or_else(|| {
-                eprintln!("error: {what} needs a value");
-                usage()
-            })
-        };
+    let mut args = Args::new(args, &RUN_USAGE);
+    while let Some(a) = args.next_flag() {
         match a.as_str() {
-            "--stack" => o.stack = val("--stack"),
-            "--nodes" => o.nodes = val("--nodes").parse().unwrap_or_else(|_| usage()),
-            "--area" => o.area = val("--area").parse().unwrap_or_else(|_| usage()),
-            "--flows" => o.flows = val("--flows").parse().unwrap_or_else(|_| usage()),
-            "--rate" => o.rate_kbps = val("--rate").parse().unwrap_or_else(|_| usage()),
-            "--secs" => o.secs = val("--secs").parse().unwrap_or_else(|_| usage()),
-            "--seed" => o.seed = val("--seed").parse().unwrap_or_else(|_| usage()),
-            "--card" => o.card = val("--card"),
-            "--speed" => o.speed = val("--speed").parse().unwrap_or_else(|_| usage()),
-            "--traffic" => {
-                let raw = val("--traffic");
-                o.traffic = TrafficModel::parse(&raw).unwrap_or_else(|| {
-                    eprintln!("error: unknown traffic model {raw:?}");
-                    usage()
-                })
-            }
-            "--radio-profile" => o.radio_profile = Some(val("--radio-profile")),
+            "--stack" => o.stack = args.value(&a),
+            "--nodes" => o.nodes = args.number(&a),
+            "--area" => o.area = args.number(&a),
+            "--flows" => o.flows = args.number(&a),
+            "--rate" => o.rate_kbps = args.number(&a),
+            "--secs" => o.secs = args.number(&a),
+            "--seed" => o.seed = args.number(&a),
+            "--card" => o.card = args.value(&a),
+            "--speed" => o.speed = args.number(&a),
+            "--traffic" => o.traffic = args.value_of(&a, traffic_model),
+            "--radio-profile" => o.radio_profile = Some(args.value(&a)),
             "--csv" => o.csv = true,
             "--list-stacks" => {
                 for s in stacks::all() {
@@ -212,11 +203,7 @@ fn parse() -> Opts {
                 }
                 std::process::exit(0)
             }
-            "--help" | "-h" => usage(),
-            other => {
-                eprintln!("error: unknown argument {other}");
-                usage()
-            }
+            other => args.unknown(other),
         }
     }
     o
@@ -248,97 +235,48 @@ struct CampaignOpts {
     on_failure: Option<FailurePolicy>,
 }
 
-fn campaign_usage() -> ! {
-    eprintln!(
-        "usage: eend-cli campaign [--preset small|large|density|grid]\n\
-         \u{20}                        [--stacks NAME,NAME,...] [--rates 2,4,6]\n\
-         \u{20}                        [--node-counts 300,400] [--speeds 0,5]\n\
-         \u{20}                        [--traffic cbr,poisson,onoff(5,5)]\n\
-         \u{20}                        [--radio-profile uniform,mixed-hypo,sparse-hypo]\n\
-         \u{20}                        [--failures none,NODE@SECS[+NODE@SECS...],...]\n\
-         \u{20}                        [--seeds N] [--seed-base N] [--secs S | --full-secs]\n\
-         \u{20}                        [--workers N] [--csv | --json] [--verify-serial]\n\
-         \u{20}                        [--out DIR] [--shard I/N] [--limit N]\n\
-         \u{20}                        [--on-failure abort|skip|retry=N]\n\
-         \u{20}      eend-cli campaign merge DIR1 DIR2 ... [--csv | --json]\n\
-         defaults: small preset, TITAN-PC/DSR-ODPM-PC/DSR-ODPM/DSR-Active,\n\
-         rates 2,4,6 Kbit/s, 4 seeds, 60 s — a 48-job grid.\n\
-         --traffic sweeps the arrival process (same offered rate per model);\n\
-         --radio-profile sweeps per-node card mixes; --failures sweeps kill\n\
-         \u{20} plans, e.g. --failures none,3@60,3@60+7@120 (node 3 dies at 60 s).\n\
-         --full-secs drops the duration cap (the presets' paper-scale 600/900 s).\n\
-         --out DIR streams records into a resumable on-disk store; re-running\n\
-         \u{20} the same campaign skips completed jobs. --shard I/N runs only\n\
-         \u{20} shard I of N (merge the shard stores afterwards); --limit N stops\n\
-         \u{20} after N pending jobs. --on-failure (with --out) contains job\n\
-         \u{20} failures: skip records them in failures.jsonl and keeps going,\n\
-         \u{20} retry=N re-attempts with exponential backoff first; the store\n\
-         \u{20} remembers the policy, and resuming re-attempts recorded failures."
-    );
-    std::process::exit(2)
-}
+const CAMPAIGN_USAGE: Usage = Usage::cli(
+    "unknown campaign argument",
+    "usage: eend-cli campaign [--preset small|large|density|grid]\n\
+     \u{20}                        [--stacks NAME,NAME,...] [--rates 2,4,6]\n\
+     \u{20}                        [--node-counts 300,400] [--speeds 0,5]\n\
+     \u{20}                        [--traffic cbr,poisson,onoff(5,5)]\n\
+     \u{20}                        [--radio-profile uniform,mixed-hypo,sparse-hypo]\n\
+     \u{20}                        [--failures none,NODE@SECS[+NODE@SECS...],...]\n\
+     \u{20}                        [--seeds N] [--seed-base N] [--secs S | --full-secs]\n\
+     \u{20}                        [--workers N] [--csv | --json] [--verify-serial]\n\
+     \u{20}                        [--out DIR] [--shard I/N] [--limit N]\n\
+     \u{20}                        [--on-failure abort|skip|retry=N]\n\
+     \u{20}      eend-cli campaign merge DIR1 DIR2 ... [--csv | --json]\n\
+     defaults: small preset, TITAN-PC/DSR-ODPM-PC/DSR-ODPM/DSR-Active,\n\
+     rates 2,4,6 Kbit/s, 4 seeds, 60 s — a 48-job grid.\n\
+     --traffic sweeps the arrival process (same offered rate per model);\n\
+     --radio-profile sweeps per-node card mixes; --failures sweeps kill\n\
+     \u{20} plans, e.g. --failures none,3@60,3@60+7@120 (node 3 dies at 60 s).\n\
+     --full-secs drops the duration cap (the presets' paper-scale 600/900 s).\n\
+     --out DIR streams records into a resumable on-disk store; re-running\n\
+     \u{20} the same campaign skips completed jobs. --shard I/N runs only\n\
+     \u{20} shard I of N (merge the shard stores afterwards); --limit N stops\n\
+     \u{20} after N pending jobs. --on-failure (with --out) contains job\n\
+     \u{20} failures: skip records them in failures.jsonl and keeps going,\n\
+     \u{20} retry=N re-attempts with exponential backoff first; the store\n\
+     \u{20} remembers the policy, and resuming re-attempts recorded failures.",
+);
 
 /// Parses one `--failures` element: `none`, or `+`-joined `NODE@SECS`
 /// kill events (the element's literal spelling becomes the plan label).
-fn parse_failure_plan(raw: &str) -> Option<FailurePlan> {
-    let spec = raw.trim();
+fn failure_plan(spec: &str) -> Result<FailurePlan, String> {
+    let bad = || format!("bad failure plan {spec:?} (want none or NODE@SECS[+NODE@SECS...])");
     if spec.eq_ignore_ascii_case("none") {
-        return Some(FailurePlan::none());
+        return Ok(FailurePlan::none());
     }
-    let mut kills = Vec::new();
-    for kill in spec.split('+') {
+    let kill = |kill: &str| -> Option<(f64, usize)> {
         let (node, at_s) = kill.split_once('@')?;
-        let node: usize = node.trim().parse().ok()?;
         let at_s: f64 = at_s.trim().parse().ok()?;
-        if !(at_s.is_finite() && at_s >= 0.0) {
-            return None;
-        }
-        kills.push((at_s, node));
-    }
-    (!kills.is_empty()).then(|| FailurePlan { label: spec.to_owned(), kills })
-}
-
-/// Splits a `--stacks` list on commas that sit outside parentheses, so
-/// names like `DSDVH-ODPM(5,10)-PSM` survive intact.
-fn split_stacks(raw: &str) -> Vec<String> {
-    let mut out = Vec::new();
-    let mut depth = 0usize;
-    let mut cur = String::new();
-    for c in raw.chars() {
-        match c {
-            '(' => {
-                depth += 1;
-                cur.push(c)
-            }
-            ')' => {
-                depth = depth.saturating_sub(1);
-                cur.push(c)
-            }
-            ',' if depth == 0 => {
-                if !cur.trim().is_empty() {
-                    out.push(cur.trim().to_owned());
-                }
-                cur.clear()
-            }
-            _ => cur.push(c),
-        }
-    }
-    if !cur.trim().is_empty() {
-        out.push(cur.trim().to_owned());
-    }
-    out
-}
-
-fn parse_list<T: std::str::FromStr>(what: &str, raw: &str, usage: fn() -> !) -> Vec<T> {
-    raw.split(',')
-        .filter(|s| !s.is_empty())
-        .map(|s| {
-            s.trim().parse().unwrap_or_else(|_| {
-                eprintln!("error: bad {what} element {s:?}");
-                usage()
-            })
-        })
-        .collect()
+        (at_s.is_finite() && at_s >= 0.0).then_some((at_s, node.trim().parse().ok()?))
+    };
+    let kills = spec.split('+').map(kill).collect::<Option<Vec<_>>>().ok_or_else(bad)?;
+    Ok(FailurePlan { label: spec.to_owned(), kills })
 }
 
 fn parse_campaign(args: impl Iterator<Item = String>) -> CampaignOpts {
@@ -368,146 +306,80 @@ fn parse_campaign(args: impl Iterator<Item = String>) -> CampaignOpts {
         limit: None,
         on_failure: None,
     };
-    let mut args = args.peekable();
-    while let Some(a) = args.next() {
-        let mut val = |what: &str| {
-            args.next().unwrap_or_else(|| {
-                eprintln!("error: {what} needs a value");
-                campaign_usage()
-            })
-        };
+    let mut args = Args::new(args, &CAMPAIGN_USAGE);
+    while let Some(a) = args.next_flag() {
         match a.as_str() {
             "--preset" => {
-                let raw = val("--preset");
-                o.preset = BaseScenario::parse(&raw).unwrap_or_else(|| {
-                    eprintln!("error: unknown preset {raw:?}");
-                    campaign_usage()
+                o.preset = args.value_of(&a, |raw| {
+                    BaseScenario::parse(raw).ok_or_else(|| format!("unknown preset {raw:?}"))
                 })
             }
-            "--stacks" => o.stacks = split_stacks(&val("--stacks")),
-            "--rates" => o.rates = Some(parse_list("--rates", &val("--rates"), campaign_usage)),
-            "--node-counts" => {
-                o.node_counts = parse_list("--node-counts", &val("--node-counts"), campaign_usage)
-            }
-            "--speeds" => o.speeds = parse_list("--speeds", &val("--speeds"), campaign_usage),
-            "--traffic" => {
-                // Parenthesis-aware split so onoff(5,5) survives intact.
-                o.traffic = split_stacks(&val("--traffic"))
-                    .iter()
-                    .map(|m| {
-                        TrafficModel::parse(m).unwrap_or_else(|| {
-                            eprintln!("error: unknown traffic model {m:?}");
-                            campaign_usage()
-                        })
-                    })
-                    .collect()
-            }
+            "--stacks" => o.stacks = args.list_of(&a, |s| Ok(s.to_owned())),
+            "--rates" => o.rates = Some(args.list(&a)),
+            "--node-counts" => o.node_counts = args.list(&a),
+            "--speeds" => o.speeds = args.list(&a),
+            "--traffic" => o.traffic = args.list_of(&a, traffic_model),
             "--radio-profile" => {
-                o.radio_profiles = val("--radio-profile")
-                    .split(',')
-                    .filter(|s| !s.trim().is_empty())
-                    .map(|name| {
-                        radio_profiles::by_name(name).unwrap_or_else(|| {
-                            eprintln!("error: unknown radio profile {name:?}");
-                            campaign_usage()
-                        })
-                    })
-                    .collect()
+                o.radio_profiles = args.list_of(&a, |name| {
+                    radio_profiles::by_name(name)
+                        .ok_or_else(|| format!("unknown radio profile {name:?}"))
+                })
             }
-            "--failures" => {
-                o.failures = val("--failures")
-                    .split(',')
-                    .filter(|s| !s.trim().is_empty())
-                    .map(|p| {
-                        parse_failure_plan(p).unwrap_or_else(|| {
-                            eprintln!(
-                            "error: bad failure plan {p:?} (want none or NODE@SECS[+NODE@SECS...])"
-                        );
-                            campaign_usage()
-                        })
-                    })
-                    .collect()
-            }
-            "--seeds" => o.seeds = val("--seeds").parse().unwrap_or_else(|_| campaign_usage()),
-            "--seed-base" => {
-                o.seed_base = val("--seed-base").parse().unwrap_or_else(|_| campaign_usage())
-            }
-            "--secs" => o.secs = Some(val("--secs").parse().unwrap_or_else(|_| campaign_usage())),
+            "--failures" => o.failures = args.list_of(&a, failure_plan),
+            "--seeds" => o.seeds = args.number(&a),
+            "--seed-base" => o.seed_base = args.number(&a),
+            "--secs" => o.secs = Some(args.number(&a)),
             "--full-secs" => o.secs = None,
-            "--workers" => {
-                o.workers = Some(val("--workers").parse().unwrap_or_else(|_| campaign_usage()))
-            }
+            "--workers" => o.workers = Some(args.number(&a)),
             "--csv" => o.csv = true,
             "--json" => o.json = true,
             "--verify-serial" => o.verify_serial = true,
-            "--out" => o.out = Some(val("--out")),
+            "--out" => o.out = Some(args.value(&a)),
             "--shard" => {
-                let raw = val("--shard");
-                let parsed = raw
-                    .split_once('/')
-                    .and_then(|(i, n)| Some((i.trim().parse().ok()?, n.trim().parse().ok()?)));
-                match parsed {
-                    Some((i, n)) if n > 0 && i < n => o.shard = (i, n),
-                    _ => {
-                        eprintln!("error: --shard wants I/N with I < N, got {raw:?}");
-                        campaign_usage()
-                    }
-                }
+                o.shard = args.value_of(&a, |raw| {
+                    raw.split_once('/')
+                        .and_then(|(i, n)| Some((i.trim().parse().ok()?, n.trim().parse().ok()?)))
+                        .filter(|&(i, n)| n > 0 && i < n)
+                        .ok_or_else(|| format!("--shard wants I/N with I < N, got {raw:?}"))
+                })
             }
-            "--limit" => {
-                o.limit = Some(val("--limit").parse().unwrap_or_else(|_| campaign_usage()))
-            }
+            "--limit" => o.limit = Some(args.number(&a)),
             "--on-failure" => {
-                let raw = val("--on-failure");
-                o.on_failure = Some(FailurePolicy::parse(&raw).unwrap_or_else(|| {
-                    eprintln!("error: bad --on-failure {raw:?} (want abort, skip, or retry=N)");
-                    campaign_usage()
+                o.on_failure = Some(args.value_of(&a, |raw| {
+                    FailurePolicy::parse(raw).ok_or_else(|| {
+                        format!("bad --on-failure {raw:?} (want abort, skip, or retry=N)")
+                    })
                 }))
             }
-            "--help" | "-h" => campaign_usage(),
-            other => {
-                eprintln!("error: unknown campaign argument {other}");
-                campaign_usage()
-            }
+            other => args.unknown(other),
         }
     }
+    let refuse = |msg: &str| CAMPAIGN_USAGE.fail(msg);
     if o.stacks.is_empty() || o.seeds == 0 {
-        eprintln!("error: campaign needs at least one stack and one seed");
-        campaign_usage()
+        refuse("campaign needs at least one stack and one seed")
     }
     if (o.shard != (0, 1) || o.limit.is_some()) && o.out.is_none() {
-        eprintln!("error: --shard and --limit need an on-disk store (--out DIR)");
-        campaign_usage()
+        refuse("--shard and --limit need an on-disk store (--out DIR)")
     }
     if o.on_failure.is_some() && o.out.is_none() {
-        eprintln!("error: --on-failure needs an on-disk store (--out DIR) to record failures");
-        campaign_usage()
+        refuse("--on-failure needs an on-disk store (--out DIR) to record failures")
     }
     if o.out.is_some() && o.verify_serial {
-        eprintln!("error: --verify-serial applies to in-memory runs (drop --out)");
-        campaign_usage()
+        refuse("--verify-serial applies to in-memory runs (drop --out)")
     }
     // Reject axes the chosen preset never reads: they would multiply the
     // grid with byte-identical duplicate runs and shrink the reported
     // CIs by sqrt(duplicates).
     if o.preset == BaseScenario::Density && o.rates.is_some() {
-        eprintln!("error: --rates does not apply to --preset density (it is fixed at 4 Kbit/s)");
-        campaign_usage()
+        refuse("--rates does not apply to --preset density (it is fixed at 4 Kbit/s)")
     }
     if o.preset != BaseScenario::Density && !o.node_counts.is_empty() {
-        eprintln!("error: --node-counts only applies to --preset density");
-        campaign_usage()
+        refuse("--node-counts only applies to --preset density")
     }
     if o.csv && o.json {
-        eprintln!("error: pick one of --csv and --json");
-        campaign_usage()
+        refuse("pick one of --csv and --json")
     }
     o
-}
-
-fn die(e: &dyn std::fmt::Display) -> ! {
-    eprintln!("error: {e}");
-    std::process::exit(1)
 }
 
 fn run_campaign(o: CampaignOpts) {
@@ -516,8 +388,8 @@ fn run_campaign(o: CampaignOpts) {
         .iter()
         .map(|name| {
             stacks::by_name(name).unwrap_or_else(|| {
-                eprintln!("error: unknown stack {name:?} (try eend-cli --list-stacks)");
-                std::process::exit(2)
+                CAMPAIGN_USAGE
+                    .fail(format_args!("unknown stack {name:?} (try eend-cli --list-stacks)"))
             })
         })
         .collect();
@@ -546,8 +418,7 @@ fn run_campaign(o: CampaignOpts) {
     }
     // A kill of a node the network lacks would panic in every job.
     if let Some(e) = spec.expand().iter().find_map(|j| j.check_failures().err()) {
-        eprintln!("error: {e}");
-        std::process::exit(2)
+        CAMPAIGN_USAGE.fail(e)
     }
 
     let executor = o.workers.map(Executor::with_workers).unwrap_or_else(Executor::bounded);
@@ -567,7 +438,7 @@ fn run_campaign(o: CampaignOpts) {
         let jobs = spec.expand();
         let stdout = std::io::stdout();
         let mut sink = CsvSink::new(&spec.name, stdout.lock());
-        executor.run_streaming(&jobs, &mut sink).unwrap_or_else(|e| die(&e));
+        executor.run_streaming(&jobs, &mut sink).unwrap_or_else(|e| die(e));
         eprintln!("campaign: {} records in {:.2?} (streamed)", jobs.len(), start.elapsed());
         return;
     }
@@ -584,7 +455,7 @@ fn run_campaign(o: CampaignOpts) {
         );
     }
 
-    emit_result(&result, o.csv, o.json, o.preset, o.speeds.len() > 1);
+    emit_result(&result, o.csv, o.json, &spec);
 }
 
 /// Resumable store path: stream missing jobs into `dir`, then (when the
@@ -596,7 +467,7 @@ fn run_campaign_store(o: &CampaignOpts, spec: &CampaignSpec, executor: &Executor
     // An explicit --on-failure is persisted into the manifest; without
     // the flag the store keeps whatever policy it already recorded.
     manifest.on_failure = o.on_failure.as_ref().map(|p| p.label());
-    let mut store = ResultStore::open(dir, manifest).unwrap_or_else(|e| die(&e));
+    let mut store = ResultStore::open(dir, manifest).unwrap_or_else(|e| die(e));
     let done = shard_jobs.len() - store.pending(&shard_jobs).len();
     eprintln!(
         "campaign: store {dir}: shard {si}/{sc} owns {} job(s), {done} already durable",
@@ -604,7 +475,7 @@ fn run_campaign_store(o: &CampaignOpts, spec: &CampaignSpec, executor: &Executor
     );
     let start = std::time::Instant::now();
     let opts = RunOptions { limit: o.limit, policy: store.policy(), cancel: None };
-    let outcome = store.run_with(executor, &shard_jobs, &opts, |_| {}).unwrap_or_else(|e| die(&e));
+    let outcome = store.run_with(executor, &shard_jobs, &opts, |_| {}).unwrap_or_else(|e| die(e));
     eprintln!("campaign: ran {} job(s) in {:.2?}", outcome.ran, start.elapsed());
     if outcome.failed > 0 {
         eprintln!(
@@ -625,19 +496,13 @@ fn run_campaign_store(o: &CampaignOpts, spec: &CampaignSpec, executor: &Executor
         );
         return;
     }
-    let result = store.assemble(&spec.expand()).unwrap_or_else(|e| die(&e));
-    emit_result(&result, o.csv, o.json, o.preset, o.speeds.len() > 1);
+    let result = store.assemble(&spec.expand()).unwrap_or_else(|e| die(e));
+    emit_result(&result, o.csv, o.json, spec);
 }
 
 /// Prints a finished campaign: raw CSV, raw JSON, or the aggregated
-/// per-cell figures.
-fn emit_result(
-    result: &CampaignResult,
-    csv: bool,
-    json: bool,
-    preset: BaseScenario,
-    multi_speed: bool,
-) {
+/// per-cell figures, laid out by the campaign [`Summary`] rule.
+fn emit_result(result: &CampaignResult, csv: bool, json: bool, spec: &CampaignSpec) {
     if csv {
         print!("{}", result.to_csv());
         return;
@@ -646,113 +511,29 @@ fn emit_result(
         println!("{}", result.to_json());
         return;
     }
-    // Aggregated per-cell view: pick the x axis that was actually swept,
-    // then partition the records on every *other* swept axis — numeric
-    // (rate, nodes, speed) and categorical (traffic model, radio
-    // profile, failure plan) alike — so no cell pools samples from
-    // different grid coordinates (a CI over mixed rates or mixed
-    // workload shapes would measure axis spread, not seed noise).
-    type Axis = (&'static str, fn(&eend::campaign::GridPoint) -> f64);
-    type CatAxis = (&'static str, fn(&eend::campaign::GridPoint) -> &str);
-    let axes: [Axis; 3] = [
-        ("rate Kbit/s", |p| p.rate_kbps),
-        ("node count", |p| p.nodes as f64),
-        ("speed m/s", |p| p.speed_mps),
+    let summary = Summary::new(spec, result.records.iter().map(|r| &r.point));
+    let figures: [MetricColumn; 3] = [
+        ("delivery ratio", |m| m.delivery_ratio()),
+        ("energy goodput bit/J", |m| m.energy_goodput_bit_per_j()),
+        ("Enetwork J", |m| m.enetwork_j()),
     ];
-    let cat_axes: [CatAxis; 3] =
-        [("traffic", |p| &p.traffic), ("radio", |p| &p.radio), ("failure", |p| &p.failure)];
-    let swept = |ax: &Axis| -> Vec<f64> {
-        let mut vals: Vec<f64> = Vec::new();
-        for r in &result.records {
-            let v = ax.1(&r.point);
-            if !vals.contains(&v) {
-                vals.push(v);
-            }
-        }
-        vals
-    };
-    let x_idx = if preset == BaseScenario::Density {
-        1
-    } else if multi_speed {
-        2
-    } else {
-        0
-    };
-    let (x_name, x) = axes[x_idx];
-    // Cartesian product of the other axes' distinct values (almost
-    // always a single empty combination).
-    let mut num_partitions: Vec<Vec<(Axis, f64)>> = vec![Vec::new()];
-    for (i, ax) in axes.iter().enumerate() {
-        if i == x_idx {
-            continue;
-        }
-        let vals = swept(ax);
-        if vals.len() > 1 {
-            num_partitions = num_partitions
-                .into_iter()
-                .flat_map(|combo| {
-                    vals.iter().map(move |&v| {
-                        let mut c = combo.clone();
-                        c.push((*ax, v));
-                        c
-                    })
-                })
-                .collect();
-        }
-    }
-    type Partition = (Vec<(Axis, f64)>, Vec<(CatAxis, String)>);
-    let mut partitions: Vec<Partition> =
-        num_partitions.into_iter().map(|n| (n, Vec::new())).collect();
-    for ax in &cat_axes {
-        let mut vals: Vec<&str> = Vec::new();
-        for r in &result.records {
-            let v = ax.1(&r.point);
-            if !vals.contains(&v) {
-                vals.push(v);
-            }
-        }
-        if vals.len() > 1 {
-            partitions = partitions
-                .into_iter()
-                .flat_map(|(num, cat)| {
-                    vals.iter()
-                        .map(|v| {
-                            let mut c = cat.clone();
-                            c.push((*ax, (*v).to_owned()));
-                            (num.clone(), c)
-                        })
-                        .collect::<Vec<_>>()
-                })
-                .collect();
-        }
-    }
-    for (num, cat) in &partitions {
-        let subset = eend::campaign::CampaignResult {
+    for cell in 0..summary.cells() {
+        let subset = CampaignResult {
             campaign: result.campaign.clone(),
             records: result
                 .records
                 .iter()
-                .filter(|r| {
-                    num.iter().all(|(ax, v)| ax.1(&r.point) == *v)
-                        && cat.iter().all(|(ax, v)| ax.1(&r.point) == v)
-                })
+                .filter(|r| summary.cell_of(&r.point) == cell)
                 .cloned()
                 .collect(),
         };
-        let suffix: String = num
-            .iter()
-            .map(|((name, _), v)| format!(", {name} = {v}"))
-            .chain(cat.iter().map(|((name, _), v)| format!(", {name} = {v}")))
-            .collect();
-        let delivery = subset.series(x, |m| m.delivery_ratio());
-        println!("{}", render_figure(&format!("delivery ratio (x = {x_name}{suffix})"), &delivery));
-        let goodput = subset.series(x, |m| m.energy_goodput_bit_per_j());
-        println!(
-            "{}",
-            render_figure(&format!("energy goodput bit/J (x = {x_name}{suffix})"), &goodput)
-        );
-        let energy = subset.series(x, |m| m.enetwork_j());
-        println!("{}", render_figure(&format!("Enetwork J (x = {x_name}{suffix})"), &energy));
+        let suffix: String =
+            summary.key(cell).iter().map(|(axis, v)| format!(", {} = {v}", axis.title())).collect();
+        for (name, metric) in figures {
+            let series = subset.series(|p| summary.x(p), metric);
+            let title = format!("{name} (x = {}{suffix})", summary.x_axis().title());
+            println!("{}", render_figure(&title, &series));
+        }
     }
 }
 
@@ -763,32 +544,27 @@ struct MergeOpts {
     json: bool,
 }
 
-fn merge_usage() -> ! {
-    eprintln!("usage: eend-cli campaign merge DIR1 DIR2 ... [--csv | --json]");
-    std::process::exit(2)
-}
+const MERGE_USAGE: Usage = Usage::cli(
+    "unknown merge argument",
+    "usage: eend-cli campaign merge DIR1 DIR2 ... [--csv | --json]",
+);
 
 fn parse_merge(args: impl Iterator<Item = String>) -> MergeOpts {
     let mut o = MergeOpts { dirs: Vec::new(), csv: false, json: false };
-    for a in args {
+    let mut args = Args::new(args, &MERGE_USAGE);
+    while let Some(a) = args.next_flag() {
         match a.as_str() {
             "--csv" => o.csv = true,
             "--json" => o.json = true,
-            "--help" | "-h" => merge_usage(),
-            flag if flag.starts_with("--") => {
-                eprintln!("error: unknown merge argument {flag}");
-                merge_usage()
-            }
-            dir => o.dirs.push(dir.to_owned()),
+            flag if flag.starts_with("--") => args.unknown(flag),
+            _ => o.dirs.push(a),
         }
     }
     if o.dirs.is_empty() {
-        eprintln!("error: merge needs at least one store directory");
-        merge_usage()
+        MERGE_USAGE.fail("merge needs at least one store directory")
     }
     if o.csv && o.json {
-        eprintln!("error: pick one of --csv and --json");
-        merge_usage()
+        MERGE_USAGE.fail("pick one of --csv and --json")
     }
     o
 }
@@ -799,17 +575,16 @@ fn parse_merge(args: impl Iterator<Item = String>) -> MergeOpts {
 /// stores of different campaigns.
 fn run_merge(o: MergeOpts) {
     let stores: Vec<ResultStore> =
-        o.dirs.iter().map(|d| ResultStore::open_existing(d).unwrap_or_else(|e| die(&e))).collect();
+        o.dirs.iter().map(|d| ResultStore::open_existing(d).unwrap_or_else(|e| die(e))).collect();
     let first = stores[0].manifest().clone();
     let Some(axes) = first.axes.clone() else {
-        eprintln!(
-            "error: store {} records no spec axes (not CLI-launched); \
+        MERGE_USAGE.fail(format_args!(
+            "store {} records no spec axes (not CLI-launched); \
              merge it through the library API instead",
             o.dirs[0]
-        );
-        std::process::exit(2)
+        ))
     };
-    let spec = axes.to_spec(&first.campaign).unwrap_or_else(|e| die(&e));
+    let spec = axes.to_spec(&first.campaign).unwrap_or_else(|e| die(e));
     let jobs = spec.expand();
     let refs: Vec<&ResultStore> = stores.iter().collect();
     if o.csv {
@@ -818,17 +593,17 @@ fn run_merge(o: MergeOpts) {
         // never the whole grid in memory.
         let stdout = std::io::stdout();
         let mut sink = CsvSink::new(&first.campaign, stdout.lock());
-        merge_stores_streaming(&refs, &jobs, &mut sink).unwrap_or_else(|e| die(&e));
+        merge_stores_streaming(&refs, &jobs, &mut sink).unwrap_or_else(|e| die(e));
         eprintln!("merge: {} record(s) streamed from {} store(s)", jobs.len(), stores.len());
         return;
     }
-    let result = merge_stores(&refs, &jobs).unwrap_or_else(|e| die(&e));
+    let result = merge_stores(&refs, &jobs).unwrap_or_else(|e| die(e));
     eprintln!(
         "merge: {} record(s) reassembled from {} store(s)",
         result.records.len(),
         stores.len()
     );
-    emit_result(&result, o.csv, o.json, spec.base, spec.speeds_mps.len() > 1);
+    emit_result(&result, o.csv, o.json, &spec);
 }
 
 /// Options of the `bench` subcommand.
@@ -841,32 +616,27 @@ struct BenchOpts {
     json_out: Option<String>,
 }
 
-fn bench_usage() -> ! {
-    eprintln!(
-        "usage: eend-cli bench [--runs N] [--workers W] [--nodes 50,100,200]\n\
-         \u{20}                     [--scale 1k,10k,100k] [--json] [--json-out FILE]\n\
-         \u{20}  --json-out writes the --json record to FILE atomically (temp file\n\
-         \u{20}  + rename), so a killed bench never leaves a torn record behind\n\
-         \u{20}  --scale runs the mobility_scale grid presets (1k/10k/100k, or a\n\
-         \u{20}  bare grid side length); passing it alone skips the default --nodes set"
-    );
-    std::process::exit(2)
-}
+const BENCH_USAGE: Usage = Usage::cli(
+    "unknown bench argument",
+    "usage: eend-cli bench [--runs N] [--workers W] [--nodes 50,100,200]\n\
+     \u{20}                     [--scale 1k,10k,100k] [--json] [--json-out FILE]\n\
+     \u{20}  --json-out writes the --json record to FILE atomically (temp file\n\
+     \u{20}  + rename), so a killed bench never leaves a torn record behind\n\
+     \u{20}  --scale runs the mobility_scale grid presets (1k/10k/100k, or a\n\
+     \u{20}  bare grid side length); passing it alone skips the default --nodes set",
+);
 
-/// Parses a `--scale` list entry to a grid side length: the named sizes
+/// Reads a `--scale` list entry as a grid side length: the named sizes
 /// `1k`/`10k`/`100k`, or a bare side (e.g. `64` for a 64×64 grid).
-fn parse_scale_list(raw: &str) -> Vec<usize> {
-    raw.split(',')
-        .map(|tok| match tok.trim() {
-            "1k" => 32,
-            "10k" => 100,
-            "100k" => 316,
-            other => other.parse().unwrap_or_else(|_| {
-                eprintln!("error: --scale entry {other:?} is not 1k/10k/100k or a grid side");
-                bench_usage()
-            }),
-        })
-        .collect()
+fn scale_side(tok: &str) -> Result<usize, String> {
+    match tok {
+        "1k" => Ok(32),
+        "10k" => Ok(100),
+        "100k" => Ok(316),
+        other => other
+            .parse()
+            .map_err(|_| format!("--scale entry {other:?} is not 1k/10k/100k or a grid side")),
+    }
 }
 
 /// The preset name `mobility_scale(side)` runs under — the named family
@@ -890,31 +660,19 @@ fn parse_bench(args: impl Iterator<Item = String>) -> BenchOpts {
         json_out: None,
     };
     let mut nodes_given = false;
-    let mut args = args.peekable();
-    while let Some(a) = args.next() {
-        let mut val = |what: &str| {
-            args.next().unwrap_or_else(|| {
-                eprintln!("error: {what} needs a value");
-                bench_usage()
-            })
-        };
+    let mut args = Args::new(args, &BENCH_USAGE);
+    while let Some(a) = args.next_flag() {
         match a.as_str() {
-            "--runs" => o.runs = val("--runs").parse().unwrap_or_else(|_| bench_usage()),
-            "--workers" => {
-                o.workers = Some(val("--workers").parse().unwrap_or_else(|_| bench_usage()))
-            }
+            "--runs" => o.runs = args.number(&a),
+            "--workers" => o.workers = Some(args.number(&a)),
             "--nodes" => {
-                o.nodes = parse_list("--nodes", &val("--nodes"), bench_usage);
+                o.nodes = args.list(&a);
                 nodes_given = true;
             }
-            "--scale" => o.scale = parse_scale_list(&val("--scale")),
+            "--scale" => o.scale = args.list_of(&a, scale_side),
             "--json" => o.json = true,
-            "--json-out" => o.json_out = Some(val("--json-out")),
-            "--help" | "-h" => bench_usage(),
-            other => {
-                eprintln!("error: unknown bench argument {other}");
-                bench_usage()
-            }
+            "--json-out" => o.json_out = Some(args.value(&a)),
+            other => args.unknown(other),
         }
     }
     // The default preset set applies only when neither axis was chosen:
@@ -923,7 +681,7 @@ fn parse_bench(args: impl Iterator<Item = String>) -> BenchOpts {
         o.nodes = vec![50, 100, 200];
     }
     if o.runs == 0 || (o.nodes.is_empty() && o.scale.is_empty()) {
-        bench_usage()
+        BENCH_USAGE.exit()
     }
     o
 }
@@ -1016,7 +774,7 @@ fn run_bench(o: BenchOpts) {
             print!("{record}");
         }
         if let Some(path) = &o.json_out {
-            write_atomic(std::path::Path::new(path), record.as_bytes()).unwrap_or_else(|e| die(&e));
+            write_atomic(std::path::Path::new(path), record.as_bytes()).unwrap_or_else(|e| die(e));
             eprintln!("bench: wrote {path}");
         }
     }
@@ -1075,45 +833,6 @@ fn render_bench_json(o: &BenchOpts, executor: &Executor, results: &[PresetResult
 // ---------------------------------------------------------------------
 // Loadgen mode: multi-tenant load against an in-process daemon.
 
-/// SIGTERM/SIGINT handling for loadgen without any dependency — the
-/// same flag-polling pattern as the `eend-serve` binary, so the CI
-/// smoke job can assert a clean drain under SIGTERM.
-#[cfg(unix)]
-mod loadgen_signals {
-    use std::sync::atomic::{AtomicBool, Ordering};
-
-    static TERMINATED: AtomicBool = AtomicBool::new(false);
-
-    extern "C" fn on_signal(_signum: i32) {
-        TERMINATED.store(true, Ordering::SeqCst);
-    }
-
-    extern "C" {
-        fn signal(signum: i32, handler: extern "C" fn(i32)) -> usize;
-    }
-
-    pub fn install() {
-        const SIGINT: i32 = 2;
-        const SIGTERM: i32 = 15;
-        unsafe {
-            signal(SIGINT, on_signal);
-            signal(SIGTERM, on_signal);
-        }
-    }
-
-    pub fn requested() -> bool {
-        TERMINATED.load(Ordering::SeqCst)
-    }
-}
-
-#[cfg(not(unix))]
-mod loadgen_signals {
-    pub fn install() {}
-    pub fn requested() -> bool {
-        false
-    }
-}
-
 struct LoadgenOpts {
     campaigns: usize,
     subscribers: usize,
@@ -1126,21 +845,19 @@ struct LoadgenOpts {
     json_out: Option<String>,
 }
 
-fn loadgen_usage() -> ! {
-    eprintln!(
-        "usage: eend-cli loadgen [--campaigns N] [--subscribers M] [--seeds K]\n\
-         \u{20}                       [--secs S] [--workers W] [--serial]\n\
-         \u{20}                       [--curve 1,2,4,8] [--json] [--json-out FILE]\n\
-         \u{20}  Submits N campaigns (distinct fingerprints) to an in-process\n\
-         \u{20}  eend-serve daemon over TCP, with M /stream subscribers each, and\n\
-         \u{20}  reports submits/s, campaigns-completed/s, time-to-first-record\n\
-         \u{20}  and p50/p99 subscriber fan-out latency.\n\
-         \u{20}  --serial waits for each campaign before submitting the next (the\n\
-         \u{20}  single-runner baseline); --curve runs a serial + concurrent pair\n\
-         \u{20}  per level and emits the eend-loadgen/1 scaling record."
-    );
-    std::process::exit(2)
-}
+const LOADGEN_USAGE: Usage = Usage::cli(
+    "unknown loadgen argument",
+    "usage: eend-cli loadgen [--campaigns N] [--subscribers M] [--seeds K]\n\
+     \u{20}                       [--secs S] [--workers W] [--serial]\n\
+     \u{20}                       [--curve 1,2,4,8] [--json] [--json-out FILE]\n\
+     \u{20}  Submits N campaigns (distinct fingerprints) to an in-process\n\
+     \u{20}  eend-serve daemon over TCP, with M /stream subscribers each, and\n\
+     \u{20}  reports submits/s, campaigns-completed/s, time-to-first-record\n\
+     \u{20}  and p50/p99 subscriber fan-out latency.\n\
+     \u{20}  --serial waits for each campaign before submitting the next (the\n\
+     \u{20}  single-runner baseline); --curve runs a serial + concurrent pair\n\
+     \u{20}  per level and emits the eend-loadgen/1 scaling record.",
+);
 
 fn parse_loadgen(args: impl Iterator<Item = String>) -> LoadgenOpts {
     let mut o = LoadgenOpts {
@@ -1154,39 +871,23 @@ fn parse_loadgen(args: impl Iterator<Item = String>) -> LoadgenOpts {
         json: false,
         json_out: None,
     };
-    let mut args = args.peekable();
-    while let Some(a) = args.next() {
-        let mut val = |what: &str| {
-            args.next().unwrap_or_else(|| {
-                eprintln!("error: {what} needs a value");
-                loadgen_usage()
-            })
-        };
+    let mut args = Args::new(args, &LOADGEN_USAGE);
+    while let Some(a) = args.next_flag() {
         match a.as_str() {
-            "--campaigns" => {
-                o.campaigns = val("--campaigns").parse().unwrap_or_else(|_| loadgen_usage())
-            }
-            "--subscribers" => {
-                o.subscribers = val("--subscribers").parse().unwrap_or_else(|_| loadgen_usage())
-            }
-            "--seeds" => o.seeds = val("--seeds").parse().unwrap_or_else(|_| loadgen_usage()),
-            "--secs" => o.secs = val("--secs").parse().unwrap_or_else(|_| loadgen_usage()),
-            "--workers" => {
-                o.workers = Some(val("--workers").parse().unwrap_or_else(|_| loadgen_usage()))
-            }
+            "--campaigns" => o.campaigns = args.number(&a),
+            "--subscribers" => o.subscribers = args.number(&a),
+            "--seeds" => o.seeds = args.number(&a),
+            "--secs" => o.secs = args.number(&a),
+            "--workers" => o.workers = Some(args.number(&a)),
             "--serial" => o.serial = true,
-            "--curve" => o.curve = Some(parse_list("--curve", &val("--curve"), loadgen_usage)),
+            "--curve" => o.curve = Some(args.list(&a)),
             "--json" => o.json = true,
-            "--json-out" => o.json_out = Some(val("--json-out")),
-            "--help" | "-h" => loadgen_usage(),
-            other => {
-                eprintln!("error: unknown loadgen argument {other}");
-                loadgen_usage()
-            }
+            "--json-out" => o.json_out = Some(args.value(&a)),
+            other => args.unknown(other),
         }
     }
     if o.campaigns == 0 || o.seeds == 0 || o.curve.as_deref().is_some_and(|c| c.contains(&0)) {
-        loadgen_usage()
+        LOADGEN_USAGE.exit()
     }
     o
 }
@@ -1271,7 +972,7 @@ fn loadgen_round(
         "127.0.0.1:0",
         ServeConfig { data_dir: data.clone(), executor: Executor::with_workers(workers) },
     )
-    .unwrap_or_else(|e| die(&e));
+    .unwrap_or_else(|e| die(e));
     let addr = handle.addr();
 
     let specs: Vec<CampaignSpec> =
@@ -1342,9 +1043,9 @@ fn loadgen_round(
                 return;
             }
             if b.contains("\"state\":\"failed\"") {
-                die(&format!("loadgen campaign {fp} failed: {b}"));
+                die(format_args!("loadgen campaign {fp} failed: {b}"));
             }
-            if loadgen_signals::requested() {
+            if signals::requested() {
                 *interrupted = true;
                 return;
             }
@@ -1481,7 +1182,7 @@ fn print_loadgen_round(r: &LoadgenRound) {
 }
 
 fn run_loadgen(o: LoadgenOpts) {
-    loadgen_signals::install();
+    signals::install();
     let workers = o.workers.map(|w| w.max(1)).unwrap_or_else(|| Executor::bounded().workers());
     let host_cores = std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1);
 
@@ -1499,40 +1200,19 @@ fn run_loadgen(o: LoadgenOpts) {
     // level; a plain run measures exactly the mode asked for.
     let mut rounds: Vec<LoadgenRound> = Vec::new();
     for (i, &level) in levels.iter().enumerate() {
-        if loadgen_signals::requested() {
-            break;
-        }
-        if o.curve.is_some() || o.serial {
-            let r = loadgen_round(
-                &format!("s{i}"),
-                workers,
-                level,
-                o.subscribers,
-                o.seeds,
-                o.secs,
-                true,
-            );
-            print_loadgen_round(&r);
-            rounds.push(r);
-        }
-        if loadgen_signals::requested() {
-            break;
-        }
-        if o.curve.is_some() || !o.serial {
-            let r = loadgen_round(
-                &format!("c{i}"),
-                workers,
-                level,
-                o.subscribers,
-                o.seeds,
-                o.secs,
-                false,
-            );
-            print_loadgen_round(&r);
-            rounds.push(r);
+        for (tag, serial) in [("s", true), ("c", false)] {
+            if signals::requested() {
+                break;
+            }
+            if o.curve.is_some() || o.serial == serial {
+                let tag = format!("{tag}{i}");
+                let r = loadgen_round(&tag, workers, level, o.subscribers, o.seeds, o.secs, serial);
+                print_loadgen_round(&r);
+                rounds.push(r);
+            }
         }
     }
-    let interrupted = loadgen_signals::requested() || rounds.iter().any(|r| r.interrupted);
+    let interrupted = signals::requested() || rounds.iter().any(|r| r.interrupted);
 
     if o.json || o.json_out.is_some() {
         use std::fmt::Write as _;
@@ -1561,7 +1241,7 @@ fn run_loadgen(o: LoadgenOpts) {
             print!("{out}");
         }
         if let Some(path) = &o.json_out {
-            write_atomic(std::path::Path::new(path), out.as_bytes()).unwrap_or_else(|e| die(&e));
+            write_atomic(std::path::Path::new(path), out.as_bytes()).unwrap_or_else(|e| die(e));
             eprintln!("loadgen: wrote {path}");
         }
     }
@@ -1625,23 +1305,21 @@ struct DesignOpts {
     check_improves: bool,
 }
 
-fn design_usage() -> ! {
-    eprintln!(
-        "usage: eend-cli design [--instance grid7|random30|random50]\n\
-         \u{20}                      [--heuristic all|mtpr|mtpr+|joint|idlefirst|mpc|lifetime]\n\
-         \u{20}                      [--search multistart|anneal] [--seed N] [--budget K]\n\
-         \u{20}                      [--objective energy|goodput|lifetime]\n\
-         \u{20}                      [--oracle fluid|sim] [--secs S] [--sim-seeds N]\n\
-         \u{20}                      [--workers W] [--out DIR] [--check-improves]\n\
-         \u{20}                      [--list-instances]\n\
-         \u{20}  trace JSONL streams to stdout; the summary goes to stderr\n\
-         \u{20}  --out DIR persists trace.jsonl + winner.json and caches every\n\
-         \u{20}  score under DIR/cache — an identical re-run executes 0 evaluations\n\
-         \u{20}  --heuristic NAME scores that single constructive design instead\n\
-         \u{20}  --check-improves exits 1 if the winner is worse than every-start best"
-    );
-    std::process::exit(2)
-}
+const DESIGN_USAGE: Usage = Usage::cli(
+    "unknown design argument",
+    "usage: eend-cli design [--instance grid7|random30|random50]\n\
+     \u{20}                      [--heuristic all|mtpr|mtpr+|joint|idlefirst|mpc|lifetime]\n\
+     \u{20}                      [--search multistart|anneal] [--seed N] [--budget K]\n\
+     \u{20}                      [--objective energy|goodput|lifetime]\n\
+     \u{20}                      [--oracle fluid|sim] [--secs S] [--sim-seeds N]\n\
+     \u{20}                      [--workers W] [--out DIR] [--check-improves]\n\
+     \u{20}                      [--list-instances]\n\
+     \u{20}  trace JSONL streams to stdout; the summary goes to stderr\n\
+     \u{20}  --out DIR persists trace.jsonl + winner.json and caches every\n\
+     \u{20}  score under DIR/cache — an identical re-run executes 0 evaluations\n\
+     \u{20}  --heuristic NAME scores that single constructive design instead\n\
+     \u{20}  --check-improves exits 1 if the winner is worse than every-start best",
+);
 
 fn parse_design(args: impl Iterator<Item = String>) -> DesignOpts {
     let mut o = DesignOpts {
@@ -1658,30 +1336,20 @@ fn parse_design(args: impl Iterator<Item = String>) -> DesignOpts {
         out: None,
         check_improves: false,
     };
-    let mut args = args.peekable();
-    while let Some(a) = args.next() {
-        let mut val = |what: &str| {
-            args.next().unwrap_or_else(|| {
-                eprintln!("error: {what} needs a value");
-                design_usage()
-            })
-        };
+    let mut args = Args::new(args, &DESIGN_USAGE);
+    while let Some(a) = args.next_flag() {
         match a.as_str() {
-            "--instance" => o.instance = val("--instance"),
-            "--heuristic" => o.heuristic = val("--heuristic").to_ascii_lowercase(),
-            "--search" => o.search = val("--search"),
-            "--seed" => o.seed = val("--seed").parse().unwrap_or_else(|_| design_usage()),
-            "--budget" => o.budget = val("--budget").parse().unwrap_or_else(|_| design_usage()),
-            "--objective" => o.objective = val("--objective"),
-            "--oracle" => o.oracle = val("--oracle"),
-            "--secs" => o.secs = val("--secs").parse().unwrap_or_else(|_| design_usage()),
-            "--sim-seeds" => {
-                o.sim_seeds = val("--sim-seeds").parse().unwrap_or_else(|_| design_usage())
-            }
-            "--workers" => {
-                o.workers = Some(val("--workers").parse().unwrap_or_else(|_| design_usage()))
-            }
-            "--out" => o.out = Some(val("--out")),
+            "--instance" => o.instance = args.value(&a),
+            "--heuristic" => o.heuristic = args.value(&a).to_ascii_lowercase(),
+            "--search" => o.search = args.value(&a),
+            "--seed" => o.seed = args.number(&a),
+            "--budget" => o.budget = args.number(&a),
+            "--objective" => o.objective = args.value(&a),
+            "--oracle" => o.oracle = args.value(&a),
+            "--secs" => o.secs = args.number(&a),
+            "--sim-seeds" => o.sim_seeds = args.number(&a),
+            "--workers" => o.workers = Some(args.number(&a)),
+            "--out" => o.out = Some(args.value(&a)),
             "--check-improves" => o.check_improves = true,
             "--list-instances" => {
                 for name in eend::opt::instances::NAMES {
@@ -1689,15 +1357,11 @@ fn parse_design(args: impl Iterator<Item = String>) -> DesignOpts {
                 }
                 std::process::exit(0)
             }
-            "--help" | "-h" => design_usage(),
-            other => {
-                eprintln!("error: unknown design argument {other}");
-                design_usage()
-            }
+            other => args.unknown(other),
         }
     }
     if o.budget == 0 || o.secs <= 0.0 || o.sim_seeds == 0 {
-        design_usage()
+        DESIGN_USAGE.exit()
     }
     o
 }
@@ -1715,10 +1379,7 @@ fn design_heuristic(name: &str) -> Option<eend::core::design::Heuristic> {
         "lifetime" | "lifetimeaware" => {
             Some(Heuristic::LifetimeAware { bandwidth_bps: 2_000_000.0 })
         }
-        other => {
-            eprintln!("error: unknown heuristic {other:?}");
-            design_usage()
-        }
+        other => DESIGN_USAGE.fail(format_args!("unknown heuristic {other:?}")),
     }
 }
 
@@ -1776,22 +1437,18 @@ fn drive_design<O: eend::opt::EvalOracle>(o: &DesignOpts, inner: O) {
     };
 
     let Some(problem) = eend::opt::instances::by_name(&o.instance) else {
-        eprintln!("error: unknown instance {:?} (try --list-instances)", o.instance);
-        design_usage()
+        DESIGN_USAGE.fail(format_args!("unknown instance {:?} (try --list-instances)", o.instance))
     };
     let Some(objective) = Objective::parse(&o.objective) else {
-        eprintln!("error: unknown objective {:?}", o.objective);
-        design_usage()
+        DESIGN_USAGE.fail(format_args!("unknown objective {:?}", o.objective))
     };
     let problem_fp = problem_fingerprint(&problem);
     let label = inner.label();
     let mut oracle = match &o.out {
         Some(dir) => {
             let cache_dir = std::path::Path::new(dir).join("cache");
-            CachedOracle::on_disk(inner, &cache_dir, problem_fp).unwrap_or_else(|e| {
-                eprintln!("error: cannot open eval cache: {e}");
-                std::process::exit(1)
-            })
+            CachedOracle::on_disk(inner, &cache_dir, problem_fp)
+                .unwrap_or_else(|e| die(format_args!("cannot open eval cache: {e}")))
         }
         None => CachedOracle::in_memory(inner),
     };
@@ -1825,10 +1482,7 @@ fn drive_design<O: eend::opt::EvalOracle>(o: &DesignOpts, inner: O) {
         None => match o.search.as_str() {
             "multistart" => multistart(&problem, &mut oracle, &opts),
             "anneal" => anneal(&problem, &mut oracle, &opts),
-            other => {
-                eprintln!("error: unknown search strategy {other:?}");
-                design_usage()
-            }
+            other => DESIGN_USAGE.fail(format_args!("unknown search strategy {other:?}")),
         },
     };
     let search_s = started.elapsed().as_secs_f64();
@@ -1840,10 +1494,8 @@ fn drive_design<O: eend::opt::EvalOracle>(o: &DesignOpts, inner: O) {
         render_winner(o, winner_fp, &result.best_score, result.best_objective, &result.best_design);
     if let Some(dir) = &o.out {
         let dir = std::path::Path::new(dir);
-        std::fs::create_dir_all(dir).unwrap_or_else(|e| {
-            eprintln!("error: cannot create {}: {e}", dir.display());
-            std::process::exit(1)
-        });
+        std::fs::create_dir_all(dir)
+            .unwrap_or_else(|e| die(format_args!("cannot create {}: {e}", dir.display())));
         write_atomic(&dir.join("trace.jsonl"), trace.as_bytes()).expect("write trace");
         write_atomic(&dir.join("winner.json"), winner.as_bytes()).expect("write winner");
     }
@@ -1882,11 +1534,10 @@ fn drive_design<O: eend::opt::EvalOracle>(o: &DesignOpts, inner: O) {
         requests as f64 / search_s
     );
     if o.check_improves && result.best_objective > best_baseline {
-        eprintln!(
-            "error: winner objective {} is worse than the best single-shot heuristic {}",
+        die(format_args!(
+            "winner objective {} is worse than the best single-shot heuristic {}",
             result.best_objective, best_baseline
-        );
-        std::process::exit(1)
+        ))
     }
 }
 
@@ -1919,39 +1570,27 @@ fn run_design(o: DesignOpts) {
             let seeds: Vec<u64> = (1..=o.sim_seeds).collect();
             drive_design(&o, eend::opt::SimOracle::new(o.secs, seeds, executor))
         }
-        other => {
-            eprintln!("error: unknown oracle {other:?}");
-            design_usage()
-        }
+        other => DESIGN_USAGE.fail(format_args!("unknown oracle {other:?}")),
     }
 }
 
 fn main() {
     let mut args = std::env::args().skip(1).peekable();
-    if args.peek().map(String::as_str) == Some("campaign") {
-        args.next();
-        if args.peek().map(String::as_str) == Some("merge") {
-            args.next();
-            return run_merge(parse_merge(args));
-        }
-        return run_campaign(parse_campaign(args));
+    let sub = args.next_if(|a| ["campaign", "bench", "loadgen", "design"].contains(&a.as_str()));
+    match sub.as_deref() {
+        Some("campaign") if args.next_if_eq("merge").is_some() => run_merge(parse_merge(args)),
+        Some("campaign") => run_campaign(parse_campaign(args)),
+        Some("bench") => run_bench(parse_bench(args)),
+        Some("loadgen") => run_loadgen(parse_loadgen(args)),
+        Some("design") => run_design(parse_design(args)),
+        _ => run_single(parse(args)),
     }
-    if args.peek().map(String::as_str) == Some("bench") {
-        args.next();
-        return run_bench(parse_bench(args));
-    }
-    if args.peek().map(String::as_str) == Some("loadgen") {
-        args.next();
-        return run_loadgen(parse_loadgen(args));
-    }
-    if args.peek().map(String::as_str) == Some("design") {
-        args.next();
-        return run_design(parse_design(args));
-    }
-    let o = parse();
+}
+
+/// The default mode: one simulation run.
+fn run_single(o: Opts) {
     let Some(stack) = stacks::by_name(&o.stack) else {
-        eprintln!("error: unknown stack {:?} (try --list-stacks)", o.stack);
-        std::process::exit(2)
+        RUN_USAGE.fail(format_args!("unknown stack {:?} (try --list-stacks)", o.stack))
     };
     let card = match o.card.to_ascii_lowercase().as_str() {
         "aironet350" | "aironet" => cards::aironet_350(),
@@ -1960,10 +1599,7 @@ fn main() {
         "mica2" => cards::mica2(),
         "leach2" => cards::leach_n2(1.0),
         "leach4" => cards::leach_n4(1.0),
-        other => {
-            eprintln!("error: unknown card {other:?}");
-            usage()
-        }
+        other => RUN_USAGE.fail(format_args!("unknown card {other:?}")),
     };
     let name = stack.name.clone();
     let mut scenario = Scenario::new(
@@ -1983,20 +1619,17 @@ fn main() {
     }
     scenario.flows = scenario.flows.with_model(o.traffic.clone());
     if let Some(name) = &o.radio_profile {
-        let profile = radio_profiles::by_name(name).unwrap_or_else(|| {
-            eprintln!("error: unknown radio profile {name:?}");
-            usage()
-        });
+        let profile = radio_profiles::by_name(name)
+            .unwrap_or_else(|| RUN_USAGE.fail(format_args!("unknown radio profile {name:?}")));
         if let eend::wireless::CardAssignment::Alternating(cards) = &profile.assignment {
             // PHY range always comes from --card; a profile mixing cards
             // of a different range would be billed unphysically.
             if let Some(c) = cards.iter().find(|c| c.nominal_range_m != card.nominal_range_m) {
-                eprintln!(
-                    "error: radio profile {name:?} mixes {} ({} m range) but --card {} has a \
+                RUN_USAGE.fail(format_args!(
+                    "radio profile {name:?} mixes {} ({} m range) but --card {} has a \
                      {} m range — profiles only apply over a range-matched base card",
                     c.name, c.nominal_range_m, card.name, card.nominal_range_m
-                );
-                std::process::exit(2)
+                ))
             }
         }
         scenario = scenario.with_card_assignment(profile.assignment);

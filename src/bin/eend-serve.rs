@@ -25,89 +25,38 @@
 
 use eend::campaign::serve::serve;
 use eend::campaign::{Executor, ServeConfig};
+use eend::cli::{die, Args, Usage};
 use std::path::PathBuf;
-use std::process::exit;
 
-/// SIGTERM/SIGINT handling without any dependency: a C signal handler
-/// flips one flag; the main thread polls it and runs the graceful
-/// shutdown sequence (stop accepting, let the in-flight record land
-/// durably, flush stores, exit 0).
-#[cfg(unix)]
-mod signals {
-    use std::sync::atomic::{AtomicBool, Ordering};
-
-    static TERMINATED: AtomicBool = AtomicBool::new(false);
-
-    extern "C" fn on_signal(_signum: i32) {
-        TERMINATED.store(true, Ordering::SeqCst);
-    }
-
-    extern "C" {
-        fn signal(signum: i32, handler: extern "C" fn(i32)) -> usize;
-    }
-
-    pub fn install() {
-        const SIGINT: i32 = 2;
-        const SIGTERM: i32 = 15;
-        unsafe {
-            signal(SIGINT, on_signal);
-            signal(SIGTERM, on_signal);
-        }
-    }
-
-    pub fn requested() -> bool {
-        TERMINATED.load(Ordering::SeqCst)
-    }
-}
-
-fn usage() -> ! {
-    eprintln!(
-        "usage: eend-serve [--addr HOST:PORT] [--data DIR] [--workers N]\n\
-         \n\
-         Campaign-as-a-service daemon: POST /submit a campaign spec,\n\
-         GET /status/<fp>, /stream/<fp>?from=N&format=csv|jsonl,\n\
-         /aggregate/<fp>. Identical re-submissions answer from cache."
-    );
-    exit(2)
-}
+const USAGE: Usage = Usage {
+    prefix: "eend-serve: ",
+    unknown: "unknown argument",
+    text: "usage: eend-serve [--addr HOST:PORT] [--data DIR] [--workers N]\n\
+           \n\
+           Campaign-as-a-service daemon: POST /submit a campaign spec,\n\
+           GET /status/<fp>, /stream/<fp>?from=N&format=csv|jsonl,\n\
+           /aggregate/<fp>. Identical re-submissions answer from cache.",
+};
 
 fn main() {
     let mut addr = "127.0.0.1:7878".to_owned();
     let mut data = PathBuf::from("eend-serve-data");
     let mut workers: Option<usize> = None;
-    let mut args = std::env::args().skip(1);
-    while let Some(arg) = args.next() {
-        let mut value = |flag: &str| {
-            args.next().unwrap_or_else(|| {
-                eprintln!("eend-serve: {flag} needs a value");
-                usage()
-            })
-        };
+    let mut args = Args::new(std::env::args().skip(1), &USAGE);
+    while let Some(arg) = args.next_flag() {
         match arg.as_str() {
-            "--addr" => addr = value("--addr"),
-            "--data" => data = PathBuf::from(value("--data")),
-            "--workers" => {
-                workers = Some(value("--workers").parse().unwrap_or_else(|_| {
-                    eprintln!("eend-serve: --workers needs a number");
-                    usage()
-                }))
-            }
-            "--help" | "-h" => usage(),
-            other => {
-                eprintln!("eend-serve: unknown argument {other:?}");
-                usage()
-            }
+            "--addr" => addr = args.value(&arg),
+            "--data" => data = PathBuf::from(args.value(&arg)),
+            "--workers" => workers = Some(args.number(&arg)),
+            other => args.unknown(other),
         }
     }
     let executor = match workers {
         Some(n) => Executor::with_workers(n),
         None => Executor::bounded(),
     };
-    let handle =
-        serve(&addr, ServeConfig { data_dir: data.clone(), executor }).unwrap_or_else(|e| {
-            eprintln!("eend-serve: cannot listen on {addr}: {e}");
-            exit(1)
-        });
+    let handle = serve(&addr, ServeConfig { data_dir: data.clone(), executor })
+        .unwrap_or_else(|e| die(format_args!("cannot listen on {addr}: {e}")));
     eprintln!(
         "eend-serve: listening on {} (data {}, {} workers)",
         handle.addr(),
@@ -116,6 +65,7 @@ fn main() {
     );
     #[cfg(unix)]
     {
+        use eend::cli::signals;
         signals::install();
         while !signals::requested() {
             std::thread::sleep(std::time::Duration::from_millis(100));

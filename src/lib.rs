@@ -40,6 +40,9 @@
 
 #![warn(missing_docs)]
 
+#[doc(hidden)]
+pub mod cli;
+
 pub use eend_campaign as campaign;
 pub use eend_core as core;
 pub use eend_fail as fail;

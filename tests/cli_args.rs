@@ -41,7 +41,7 @@ const CASES: &[Case] = &[
     // Single run (no subcommand).
     case(CLI, &["--bogus"], 2, Some("error: unknown argument --bogus"), Some(RUN_USAGE)),
     case(CLI, &["--nodes"], 2, Some("error: --nodes needs a value"), Some(RUN_USAGE)),
-    case(CLI, &["--nodes", "x"], 2, None, Some(RUN_USAGE)),
+    case(CLI, &["--nodes", "x"], 2, Some("error: --nodes needs a number"), Some(RUN_USAGE)),
     case(CLI, &["--csv", "--json"], 2, Some("error: unknown argument --json"), Some(RUN_USAGE)),
     case(CLI, &["--help"], 2, None, Some(RUN_USAGE)),
     case(
@@ -57,7 +57,7 @@ const CASES: &[Case] = &[
         &["--stack", "nope"],
         2,
         Some("error: unknown stack \"nope\" (try --list-stacks)"),
-        None,
+        Some(RUN_USAGE),
     ),
     // campaign
     case(
@@ -74,7 +74,13 @@ const CASES: &[Case] = &[
         Some("error: --seeds needs a value"),
         Some(CAMPAIGN_USAGE),
     ),
-    case(CLI, &["campaign", "--seeds", "x"], 2, None, Some(CAMPAIGN_USAGE)),
+    case(
+        CLI,
+        &["campaign", "--seeds", "x"],
+        2,
+        Some("error: --seeds needs a number"),
+        Some(CAMPAIGN_USAGE),
+    ),
     case(
         CLI,
         &["campaign", "--rates", "2,x"],
@@ -109,7 +115,7 @@ const CASES: &[Case] = &[
         &["campaign", "--stacks", "NOPE", "--seeds", "1"],
         2,
         Some("error: unknown stack \"NOPE\" (try eend-cli --list-stacks)"),
-        None,
+        Some(CAMPAIGN_USAGE),
     ),
     // campaign merge
     case(
@@ -143,7 +149,13 @@ const CASES: &[Case] = &[
         Some(BENCH_USAGE),
     ),
     case(CLI, &["bench", "--runs"], 2, Some("error: --runs needs a value"), Some(BENCH_USAGE)),
-    case(CLI, &["bench", "--runs", "x"], 2, None, Some(BENCH_USAGE)),
+    case(
+        CLI,
+        &["bench", "--runs", "x"],
+        2,
+        Some("error: --runs needs a number"),
+        Some(BENCH_USAGE),
+    ),
     case(
         CLI,
         &["bench", "--nodes", "5,x"],
@@ -174,7 +186,13 @@ const CASES: &[Case] = &[
         Some("error: --campaigns needs a value"),
         Some(LOADGEN_USAGE),
     ),
-    case(CLI, &["loadgen", "--campaigns", "x"], 2, None, Some(LOADGEN_USAGE)),
+    case(
+        CLI,
+        &["loadgen", "--campaigns", "x"],
+        2,
+        Some("error: --campaigns needs a number"),
+        Some(LOADGEN_USAGE),
+    ),
     case(CLI, &["loadgen", "--help"], 2, None, Some(LOADGEN_USAGE)),
     // design
     case(
@@ -185,7 +203,13 @@ const CASES: &[Case] = &[
         Some(DESIGN_USAGE),
     ),
     case(CLI, &["design", "--seed"], 2, Some("error: --seed needs a value"), Some(DESIGN_USAGE)),
-    case(CLI, &["design", "--budget", "x"], 2, None, Some(DESIGN_USAGE)),
+    case(
+        CLI,
+        &["design", "--budget", "x"],
+        2,
+        Some("error: --budget needs a number"),
+        Some(DESIGN_USAGE),
+    ),
     case(
         CLI,
         &["design", "--instance", "nope"],
@@ -195,13 +219,7 @@ const CASES: &[Case] = &[
     ),
     case(CLI, &["design", "--help"], 2, None, Some(DESIGN_USAGE)),
     // eend-serve
-    case(
-        SERVE,
-        &["--bogus"],
-        2,
-        Some("eend-serve: unknown argument \"--bogus\""),
-        Some(SERVE_USAGE),
-    ),
+    case(SERVE, &["--bogus"], 2, Some("eend-serve: unknown argument --bogus"), Some(SERVE_USAGE)),
     case(SERVE, &["--addr"], 2, Some("eend-serve: --addr needs a value"), Some(SERVE_USAGE)),
     case(
         SERVE,

@@ -31,7 +31,10 @@
 //!     refused with a 4xx naming the job, before any header is sent;
 //! 13. a submit whose failure plan kills a node beyond the network, or
 //!     at a negative time, is refused with a 400 naming the plan and the
-//!     kill, creating no store and running no job.
+//!     kill, creating no store and running no job;
+//! 14. a campaign sweeping traffic models beside its x axis aggregates
+//!     one cell per model, as the CLI's summary does, each line keyed
+//!     with its `"traffic"`.
 //!
 //! Failpoint-driven daemon tests (poisoned campaigns, injected
 //! disconnects) live in `tests/serve_chaos.rs` — a separate process,
@@ -738,6 +741,53 @@ fn failure_plans_outside_the_network_are_refused_before_a_store_exists() {
     assert_eq!(handle.jobs_executed(), 0, "refused submits must not run jobs");
     let stores = std::fs::read_dir(&data).map_or(0, |d| d.count());
     assert_eq!(stores, 0, "refused submits must not create a store directory");
+    handle.shutdown();
+    let _ = std::fs::remove_dir_all(&data);
+}
+
+#[test]
+fn a_mixed_traffic_aggregate_keeps_one_cell_per_traffic_model() {
+    use eend::wireless::TrafficModel;
+    let spec = CampaignSpec::new("cli", BaseScenario::Small)
+        .stacks(vec![stacks::titan_pc()])
+        .rates(vec![4.0])
+        .traffic(vec![TrafficModel::Cbr, TrafficModel::Poisson])
+        .seeds(2)
+        .secs(15);
+    let expected = Executor::with_workers(1).run(&spec);
+    let data = scratch("aggmixed");
+    let handle = serve(
+        "127.0.0.1:0",
+        ServeConfig { data_dir: data.clone(), executor: Executor::with_workers(2) },
+    )
+    .unwrap();
+    let addr = handle.addr();
+    let fp = fp_of(body(&post(addr, "/submit", &submit_body(&spec))));
+    wait_done(addr, &fp);
+
+    // One cell per traffic model, as the CLI's summary prints them: the
+    // cell's records alone, aggregated over x = rate, with the traffic
+    // key right after "x".
+    let mut want = String::new();
+    for traffic in ["cbr", "poisson"] {
+        let cell = CampaignResult {
+            campaign: expected.campaign.clone(),
+            records: expected
+                .records
+                .iter()
+                .filter(|r| r.point.traffic == traffic)
+                .cloned()
+                .collect(),
+        };
+        assert_eq!(cell.records.len(), 2);
+        let keyed = expected_aggregate(&cell)
+            .replace(",\"n\":", &format!(",\"traffic\":\"{traffic}\",\"n\":"));
+        want.push_str(&keyed);
+    }
+    let got = get(addr, &format!("/aggregate/{fp}"));
+    assert_eq!(body(&got), want);
+    assert!(body(&got).lines().all(|l| l.contains(",\"n\":2,")), "{}", body(&got));
+
     handle.shutdown();
     let _ = std::fs::remove_dir_all(&data);
 }
