@@ -61,7 +61,7 @@ impl Axis {
     }
 
     /// The axis's value at `p`.
-    pub fn value(self, p: &GridPoint) -> AxisValue<'_> {
+    fn value(self, p: &GridPoint) -> AxisValue<'_> {
         match self {
             Axis::Rate => AxisValue::Num(p.rate_kbps),
             Axis::Nodes => AxisValue::Num(p.nodes as f64),
@@ -159,19 +159,14 @@ impl<'a> Summary<'a> {
     /// The axis values that fix cell `cell`, in split order (empty when
     /// only x is swept).
     pub fn key(&self, cell: usize) -> Vec<(Axis, AxisValue<'a>)> {
-        let mut rest = cell;
-        let mut key: Vec<_> = self
-            .split
+        let mut stride = self.cells();
+        self.split
             .iter()
-            .rev()
             .map(|(axis, values)| {
-                let v = values[rest % values.len()];
-                rest /= values.len();
-                (*axis, v)
+                stride /= values.len();
+                (*axis, values[cell / stride % values.len()])
             })
-            .collect();
-        key.reverse();
-        key
+            .collect()
     }
 }
 

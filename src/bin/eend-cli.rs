@@ -354,30 +354,29 @@ fn parse_campaign(args: impl Iterator<Item = String>) -> CampaignOpts {
             other => args.unknown(other),
         }
     }
-    let refuse = |msg: &str| CAMPAIGN_USAGE.fail(msg);
     if o.stacks.is_empty() || o.seeds == 0 {
-        refuse("campaign needs at least one stack and one seed")
+        CAMPAIGN_USAGE.fail("campaign needs at least one stack and one seed")
     }
     if (o.shard != (0, 1) || o.limit.is_some()) && o.out.is_none() {
-        refuse("--shard and --limit need an on-disk store (--out DIR)")
+        CAMPAIGN_USAGE.fail("--shard and --limit need an on-disk store (--out DIR)")
     }
     if o.on_failure.is_some() && o.out.is_none() {
-        refuse("--on-failure needs an on-disk store (--out DIR) to record failures")
+        CAMPAIGN_USAGE.fail("--on-failure needs an on-disk store (--out DIR) to record failures")
     }
     if o.out.is_some() && o.verify_serial {
-        refuse("--verify-serial applies to in-memory runs (drop --out)")
+        CAMPAIGN_USAGE.fail("--verify-serial applies to in-memory runs (drop --out)")
     }
     // Reject axes the chosen preset never reads: they would multiply the
     // grid with byte-identical duplicate runs and shrink the reported
     // CIs by sqrt(duplicates).
     if o.preset == BaseScenario::Density && o.rates.is_some() {
-        refuse("--rates does not apply to --preset density (it is fixed at 4 Kbit/s)")
+        CAMPAIGN_USAGE.fail("--rates does not apply to --preset density (it is fixed at 4 Kbit/s)")
     }
     if o.preset != BaseScenario::Density && !o.node_counts.is_empty() {
-        refuse("--node-counts only applies to --preset density")
+        CAMPAIGN_USAGE.fail("--node-counts only applies to --preset density")
     }
     if o.csv && o.json {
-        refuse("pick one of --csv and --json")
+        CAMPAIGN_USAGE.fail("pick one of --csv and --json")
     }
     o
 }

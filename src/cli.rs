@@ -147,6 +147,9 @@ pub mod signals {
     pub fn install() {
         const SIGINT: i32 = 2;
         const SIGTERM: i32 = 15;
+        // SAFETY: `signal` is the C library's, given valid signal numbers
+        // and a handler that only stores to an atomic, which is
+        // async-signal-safe.
         unsafe {
             signal(SIGINT, on_signal);
             signal(SIGTERM, on_signal);
