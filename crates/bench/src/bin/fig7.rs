@@ -23,12 +23,11 @@ fn main() {
         print!("  {:>22}", format!("{} (D={}m)", c.name, c.nominal_range_m));
     }
     println!();
-    let steps = 17;
-    for i in 0..steps {
-        let q = 0.1 + 0.4 * i as f64 / (steps - 1) as f64;
+    let curves: Vec<_> = cards.iter().map(|c| analysis::fig7_series(c, 0.1, 0.5, 17)).collect();
+    for (i, &(q, _)) in curves[0].iter().enumerate() {
         print!("{q:>6.3}");
-        for c in &cards {
-            print!("  {:>22.3}", analysis::optimal_hop_count(c, c.nominal_range_m, q));
+        for curve in &curves {
+            print!("  {:>22.3}", curve[i].1);
         }
         println!();
     }
@@ -38,11 +37,9 @@ fn main() {
          Cabletron crosses 2, at R/B ≈ 0.25."
     );
     for c in &cards {
-        let crossing = (0..=400)
-            .map(|i| 0.1 + 0.4 * i as f64 / 400.0)
-            .find(|&q| analysis::optimal_hop_count(c, c.nominal_range_m, q) >= 2.0);
+        let crossing = analysis::fig7_series(c, 0.1, 0.5, 401).into_iter().find(|&(_, m)| m >= 2.0);
         match crossing {
-            Some(q) => println!("  {:<24} crosses m_opt = 2 at R/B ≈ {q:.3}", c.name),
+            Some((q, _)) => println!("  {:<24} crosses m_opt = 2 at R/B ≈ {q:.3}", c.name),
             None => println!("  {:<24} never reaches m_opt = 2", c.name),
         }
     }

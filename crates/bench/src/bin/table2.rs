@@ -41,7 +41,7 @@ fn main() {
          because mostly-backbone nodes answer route discovery.\n\
          This reproduction shows the overhead growing and energy goodput\n\
          falling, more for DSR-ODPM-PC, but not the delivery collapse; see\n\
-         \"Divergences from the paper\" in crates/bench/DESIGN.md. ({} seeds{})",
+         \"Divergences from the paper\" in DESIGN.md. ({} seeds{})",
         opts.seeds,
         if opts.full { ", full scale" } else { ", quick mode" }
     );

@@ -1,7 +1,8 @@
 //! Shared harness for regenerating the paper's tables and figures.
 //!
 //! Every `eend-bench` binary reproduces one table or figure of
-//! Sengul & Kravets (ICDCS 2007); see DESIGN.md for the full index. Each
+//! Sengul & Kravets (ICDCS 2007); the repository's DESIGN.md ("Paper
+//! artifacts") has the full index. Each
 //! accepts:
 //!
 //! - `--quick` (default): reduced horizons/seed counts — minutes, same
@@ -11,9 +12,9 @@
 
 #![warn(missing_docs)]
 
-use eend_campaign::{CampaignSpec, Executor, GridPoint};
-use eend_stats::Series;
-use eend_wireless::{ProtocolStack, RunMetrics, Scenario};
+use eend::cli::{Args, Usage};
+use eend_campaign::CampaignSpec;
+use eend_wireless::{ProtocolStack, Scenario};
 
 /// Command-line options shared by the figure binaries.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -26,45 +27,35 @@ pub struct HarnessOpts {
     pub secs_override: Option<u64>,
 }
 
+/// The figure binaries' usage text and error lines.
+static USAGE: Usage =
+    Usage::cli("unknown argument", "usage: [--quick|--full] [--seeds N] [--secs S]");
+
 impl HarnessOpts {
-    /// Parses `std::env::args`. Unknown arguments abort with usage help.
+    /// Parses `std::env::args`. Bad input prints an error line and the
+    /// usage text and exits 2.
     ///
     /// `quick_seeds`/`full_seeds` are the defaults for the two modes;
     /// `quick_secs` trims each run in quick mode.
     pub fn from_args(quick_seeds: u64, full_seeds: u64, quick_secs: u64) -> HarnessOpts {
-        let mut opts = HarnessOpts { full: false, seeds: 0, secs_override: Some(quick_secs) };
-        let mut seeds_arg = None;
-        let mut secs_arg = None;
-        let mut args = std::env::args().skip(1);
-        while let Some(a) = args.next() {
+        let mut full = false;
+        let mut seeds = None;
+        let mut secs = None;
+        let mut args = Args::new(std::env::args().skip(1), &USAGE);
+        while let Some(a) = args.next_flag() {
             match a.as_str() {
-                "--full" => opts.full = true,
-                "--quick" => opts.full = false,
-                "--seeds" => {
-                    seeds_arg = Some(
-                        args.next()
-                            .and_then(|v| v.parse().ok())
-                            .unwrap_or_else(|| usage("--seeds needs a number")),
-                    )
-                }
-                "--secs" => {
-                    secs_arg = Some(
-                        args.next()
-                            .and_then(|v| v.parse().ok())
-                            .unwrap_or_else(|| usage("--secs needs a number")),
-                    )
-                }
-                other => usage(&format!("unknown argument {other}")),
+                "--full" => full = true,
+                "--quick" => full = false,
+                "--seeds" => seeds = Some(args.number("--seeds")),
+                "--secs" => secs = Some(args.number("--secs")),
+                other => args.unknown(other),
             }
         }
-        if opts.full {
-            opts.secs_override = None;
+        HarnessOpts {
+            full,
+            seeds: seeds.unwrap_or(if full { full_seeds } else { quick_seeds }),
+            secs_override: secs.or(if full { None } else { Some(quick_secs) }),
         }
-        opts.seeds = seeds_arg.unwrap_or(if opts.full { full_seeds } else { quick_seeds });
-        if let Some(s) = secs_arg {
-            opts.secs_override = Some(s);
-        }
-        opts
     }
 
     /// Applies the duration override to a preset scenario.
@@ -74,12 +65,6 @@ impl HarnessOpts {
         }
         scenario
     }
-}
-
-fn usage(msg: &str) -> ! {
-    eprintln!("error: {msg}");
-    eprintln!("usage: [--quick|--full] [--seeds N] [--secs S]");
-    std::process::exit(2)
 }
 
 /// Builds the campaign grid a figure sweep runs on: `stacks` × `rates` ×
@@ -117,46 +102,6 @@ pub fn figure_spec_on(
     spec
 }
 
-/// Runs `make_scenario(stack, rate, seed)` for every seed on the bounded
-/// campaign executor (runs are independent and deterministic, so
-/// parallelism cannot change results) and returns the per-run metrics in
-/// seed order. Thin wrapper over [`eend_campaign::Executor`]; the worker
-/// pool is capped at the machine's available parallelism no matter how
-/// many seeds are requested.
-pub fn runs(
-    opts: &HarnessOpts,
-    stack: &ProtocolStack,
-    rate_kbps: f64,
-    make_scenario: impl Fn(ProtocolStack, f64, u64) -> Scenario + Sync,
-) -> Vec<RunMetrics> {
-    let spec = figure_spec("runs", opts, std::slice::from_ref(stack), &[rate_kbps]);
-    // No opts.tune here: the spec's secs override already rewrites every
-    // scenario's duration after the builder runs.
-    let jobs =
-        spec.expand_with(|p: &GridPoint| make_scenario(p.stack.clone(), p.rate_kbps, p.seed));
-    Executor::bounded().run_jobs(&jobs).into_iter().map(|r| r.metrics).collect()
-}
-
-/// Sweeps `rates` for each stack on the campaign engine, extracting
-/// `metric` per run, and returns one [`Series`] per stack — exactly one
-/// figure's line set, in `stacks` order.
-pub fn sweep_figure(
-    opts: &HarnessOpts,
-    stacks: &[ProtocolStack],
-    rates: &[f64],
-    make_scenario: impl Fn(ProtocolStack, f64, u64) -> Scenario + Copy + Sync,
-    metric: impl Fn(&RunMetrics) -> f64,
-) -> Vec<Series> {
-    let spec = figure_spec("sweep", opts, stacks, rates);
-    let jobs =
-        spec.expand_with(|p: &GridPoint| make_scenario(p.stack.clone(), p.rate_kbps, p.seed));
-    let result = eend_campaign::CampaignResult {
-        campaign: spec.name.clone(),
-        records: Executor::bounded().run_jobs(&jobs),
-    };
-    result.series(|p| p.rate_kbps, metric)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -170,22 +115,5 @@ mod tests {
         let full = HarnessOpts { full: true, seeds: 1, secs_override: None };
         let sc = full.tune(presets::small_network(stacks::dsr_active(), 2.0, 1));
         assert_eq!(sc.duration, eend_sim::SimDuration::from_secs(900));
-    }
-
-    #[test]
-    fn sweep_produces_one_series_per_stack() {
-        let opts = HarnessOpts { full: false, seeds: 1, secs_override: Some(30) };
-        let stacks = vec![stacks::dsr_active(), stacks::dsr_odpm()];
-        let series = sweep_figure(&opts, &stacks, &[2.0, 4.0], presets::small_network, |m| {
-            m.delivery_ratio()
-        });
-        assert_eq!(series.len(), 2);
-        assert_eq!(series[0].points.len(), 2);
-        assert_eq!(series[0].label, "DSR-Active");
-        for s in &series {
-            for p in &s.points {
-                assert!((0.0..=1.0).contains(&p.summary.mean));
-            }
-        }
     }
 }

@@ -23,7 +23,7 @@
 //!    [`eend_stats::Series`] (mean/stddev/95 % CI, incrementally via
 //!    [`eend_stats::grouped::StreamingAggregator`]) and exports
 //!    structured CSV/JSON — byte-identical whether batched or streamed
-//!    through [`CsvSink`]/[`JsonlSink`]; [`Summary`] is the one rule
+//!    through [`CsvSink`]; [`Summary`] is the one rule
 //!    that lays a campaign's cells out for a figure view (its x axis,
 //!    and one cell per combination of the other swept axes);
 //! 4. [`ResultStore`] makes a campaign durable and resumable: records
@@ -77,7 +77,7 @@ pub mod summary;
 pub use executor::{Backoff, Executor, FailurePolicy, JobFailure, JobScheduler, WorkerPool};
 pub use report::{metric_columns, CampaignResult, MetricColumn, Record};
 pub use serve::{ServeConfig, ServerHandle};
-pub use sink::{CsvSink, JsonlSink, MemorySink, RecordSink};
+pub use sink::{CsvSink, MemorySink, RecordSink};
 pub use spec::{BaseScenario, CampaignSpec, FailurePlan, GridPoint, Job};
 pub use store::{
     fingerprint, merge_stores, merge_stores_streaming, write_atomic, Manifest, ResultStore,

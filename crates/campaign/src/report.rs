@@ -65,22 +65,21 @@ impl CampaignResult {
     /// x-position of each point drawn by `x` from the grid coordinates
     /// (e.g. `|p| p.rate_kbps` for a rate sweep, `|p| p.nodes as f64`
     /// for the density study). Cells collapse to mean/stddev/95 % CI via
-    /// [`eend_stats::grouped::aggregate_series`]; series come back in
+    /// [`eend_stats::grouped::StreamingAggregator`]; series come back in
     /// first-appearance (spec) stack order.
     pub fn series(
         &self,
         x: impl Fn(&GridPoint) -> f64,
         metric: impl Fn(&RunMetrics) -> f64,
     ) -> Vec<Series> {
-        // Incremental aggregation (provably equal to the batch
-        // aggregate_series): only the scalar samples are held, never a
-        // second copy of the records.
+        // Only the scalar samples are held, never a second copy of the
+        // records.
         let mut agg = eend_stats::grouped::StreamingAggregator::new();
         for r in &self.records {
             agg.push(&r.point.stack.name, x(&r.point), metric(&r.metrics));
         }
         let mut series = agg.finish();
-        // aggregate_series sorts labels for permutation independence;
+        // The aggregator sorts labels for permutation independence;
         // restore the order the campaign listed its stacks in.
         let mut order: Vec<&str> = Vec::new();
         for r in &self.records {
@@ -109,8 +108,8 @@ impl CampaignResult {
     /// Renders every record as a JSON array of flat objects (the same
     /// fields as [`CampaignResult::to_csv`], machine-readable without a
     /// serde dependency). Each object is rendered by the shared
-    /// [`json_row_into`] writer, which also backs the streaming JSONL
-    /// sink.
+    /// [`json_row_into`] writer, whose [`json_values_into`] core also
+    /// writes the daemon's JSONL stream lines.
     pub fn to_json(&self) -> String {
         let mut out = String::from("[\n");
         for (i, r) in self.records.iter().enumerate() {
@@ -166,7 +165,7 @@ pub fn csv_values_into(out: &mut String, campaign: &str, p: &GridPoint, row: &Me
 
 /// Appends one record as a flat JSON object (no trailing newline or
 /// separator) to `out` — the element type of [`CampaignResult::to_json`]
-/// and the line type of the JSONL streaming sink.
+/// and the line type of the daemon's JSONL stream.
 pub fn json_row_into(out: &mut String, campaign: &str, r: &Record) {
     json_values_into(out, campaign, &r.point, &metric_row(&r.metrics));
 }

@@ -3,18 +3,16 @@
 //! The streaming executor ([`crate::Executor::run_streaming`]) pushes
 //! one [`Record`] at a time, in deterministic job order, into a
 //! [`RecordSink`]. Sinks decide what to keep: everything
-//! ([`MemorySink`] — the old collect-in-RAM behaviour), a CSV or JSONL
-//! byte stream ([`CsvSink`], [`JsonlSink`] — O(1) memory however large
-//! the grid), or an append-only on-disk store
-//! ([`crate::store::ResultStore`]).
+//! ([`MemorySink`] — the old collect-in-RAM behaviour), a CSV byte
+//! stream ([`CsvSink`] — O(1) memory however large the grid), or an
+//! append-only on-disk store ([`crate::store::ResultStore`]).
 //!
-//! The CSV/JSONL writers render rows through the exact same functions
-//! as the batch exports ([`crate::CampaignResult::to_csv`] /
-//! [`to_json`](crate::CampaignResult::to_json)), so streaming a
+//! The CSV writer renders rows through the exact same functions as the
+//! batch export ([`crate::CampaignResult::to_csv`]), so streaming a
 //! campaign produces byte-identical output to collecting it first —
 //! the property the streaming tests pin.
 
-use crate::report::{csv_header_into, csv_row_into, json_row_into, Record};
+use crate::report::{csv_header_into, csv_row_into, Record};
 use std::io::{self, Write};
 
 /// A consumer of finished campaign records.
@@ -112,42 +110,6 @@ impl<W: Write> RecordSink for CsvSink<W> {
     }
 }
 
-/// Streams records as JSON Lines: one flat object per line, each
-/// rendered by the same row writer as the elements of
-/// [`crate::CampaignResult::to_json`].
-#[derive(Debug)]
-pub struct JsonlSink<W: Write> {
-    campaign: String,
-    w: W,
-}
-
-impl<W: Write> JsonlSink<W> {
-    /// A JSONL sink labelling every object with `campaign`.
-    pub fn new(campaign: &str, w: W) -> JsonlSink<W> {
-        JsonlSink { campaign: campaign.to_owned(), w }
-    }
-
-    /// Consumes the sink, returning the writer.
-    pub fn into_inner(self) -> W {
-        self.w
-    }
-}
-
-impl<W: Write> RecordSink for JsonlSink<W> {
-    fn accept(&mut self, record: &Record) -> io::Result<()> {
-        eend_fail::io_guard("sink.emit")?;
-        let mut line = String::new();
-        json_row_into(&mut line, &self.campaign, record);
-        line.push('\n');
-        self.w.write_all(line.as_bytes())
-    }
-
-    fn finish(&mut self) -> io::Result<()> {
-        eend_fail::io_guard("sink.finish")?;
-        self.w.flush()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -181,21 +143,5 @@ mod tests {
         let out = String::from_utf8(sink.into_inner()).unwrap();
         assert!(out.starts_with("campaign,stack,"));
         assert_eq!(out.lines().count(), 1);
-    }
-
-    #[test]
-    fn jsonl_lines_are_the_json_array_elements() {
-        let res = tiny();
-        let mut sink = JsonlSink::new(&res.campaign, Vec::new());
-        for r in &res.records {
-            sink.accept(r).unwrap();
-        }
-        sink.finish().unwrap();
-        let jsonl = String::from_utf8(sink.into_inner()).unwrap();
-        let array = res.to_json();
-        for (i, line) in jsonl.lines().enumerate() {
-            assert!(array.contains(line), "line {i} must appear in to_json()");
-        }
-        assert_eq!(jsonl.lines().count(), res.records.len());
     }
 }

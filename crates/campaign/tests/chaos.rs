@@ -50,12 +50,14 @@ fn spec() -> CampaignSpec {
         .stacks(vec![stacks::titan_pc()])
         .rates(vec![2.0, 4.0])
         .seeds(2)
-        .secs(20)
+        .secs(30)
 }
 
 /// The fault-free reference output every chaos run must reproduce.
 fn fault_free_csv(spec: &CampaignSpec) -> String {
-    Executor::with_workers(1).run(spec).to_csv()
+    let result = Executor::with_workers(1).run(spec);
+    assert!(result.records.iter().any(|r| r.metrics.data_sent > 0), "the grid carries traffic");
+    result.to_csv()
 }
 
 /// Retry with no backoff sleep — chaos tests must not wait on the clock.
@@ -232,7 +234,7 @@ fn bookkeep_panic_unwinds_at_two_workers() {
         .stacks(vec![stacks::titan_pc(), stacks::dsr_active()])
         .rates(vec![2.0, 4.0])
         .seeds(4)
-        .secs(20);
+        .secs(30);
     let jobs = spec.expand();
     assert!(jobs.len() >= 16);
     let reference = fault_free_csv(&spec);

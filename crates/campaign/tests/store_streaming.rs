@@ -33,7 +33,7 @@ fn spec() -> CampaignSpec {
         .stacks(vec![stacks::titan_pc(), stacks::dsr_active()])
         .rates(vec![2.0, 4.0])
         .seeds(2)
-        .secs(20)
+        .secs(30)
 }
 
 #[test]
@@ -42,6 +42,7 @@ fn interrupted_then_resumed_equals_one_shot() {
     let jobs = spec.expand();
     assert_eq!(jobs.len(), 8);
     let one_shot = Executor::with_workers(1).run(&spec);
+    assert!(one_shot.records.iter().any(|r| r.metrics.data_sent > 0), "the grid carries traffic");
 
     let dir = scratch("resume");
     let manifest = Manifest::for_spec(&spec, 0, 1);
@@ -158,7 +159,7 @@ fn mixed_axis_spec() -> CampaignSpec {
         .radio_profiles(vec![radio_profiles::mixed_hypo()])
         .failures(vec![FailurePlan::none(), FailurePlan::kill("kill-3", 10.0, 3)])
         .seeds(2)
-        .secs(20)
+        .secs(30)
 }
 
 #[test]

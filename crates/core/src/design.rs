@@ -101,11 +101,6 @@ impl Design {
         self.routes.iter().all(Option::is_some)
     }
 
-    /// Number of awake nodes.
-    pub fn active_count(&self) -> usize {
-        self.active.iter().filter(|&&a| a).count()
-    }
-
     /// Number of awake nodes that are not demand endpoints (the relays
     /// whose idle energy Section 3 argues about).
     pub fn relay_count(&self, problem: &DesignProblem) -> usize {

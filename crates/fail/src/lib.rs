@@ -33,7 +33,8 @@
 //! `disconnect`; `@N` is the 1-based trigger point (default 1); a trailing
 //! `+` makes the site sticky. Whether `N` counts hits or matches a value is
 //! a property of the *site* (each call site picks [`hit`] or [`hit_at`]),
-//! documented alongside the site in `crates/bench/DESIGN.md`.
+//! documented alongside the site in `DESIGN.md` ("Failure containment and
+//! fault injection").
 
 #![warn(missing_docs)]
 

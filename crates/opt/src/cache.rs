@@ -7,7 +7,7 @@
 //! indistinguishable from the original's. The log is read through
 //! `eend_campaign::json::LogReader`, so torn tails, blank lines and
 //! damaged lines mean what they mean in the campaign stores (DESIGN.md,
-//! "Append-only logs").
+//! "Append-only logs" under "Store codec").
 
 use std::collections::HashMap;
 use std::fs::{self, File, OpenOptions};

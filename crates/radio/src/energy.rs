@@ -241,11 +241,6 @@ impl EnergyMeter {
         self.charge_until(card, end);
         self.report
     }
-
-    /// The report as of the last charged instant, without advancing time.
-    pub fn report_so_far(&self) -> &EnergyReport {
-        &self.report
-    }
 }
 
 #[cfg(test)]

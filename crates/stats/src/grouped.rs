@@ -10,79 +10,34 @@
 use crate::series::Series;
 use crate::summary::Summary;
 
-/// One labelled sample: a point of one cell of a sweep grid.
-#[derive(Debug, Clone, PartialEq)]
-pub struct SampleRow {
-    /// Curve label (protocol stack name in the campaign engine).
-    pub label: String,
-    /// Swept-axis position (rate, node count, speed, …).
-    pub x: f64,
-    /// The measured metric value.
-    pub value: f64,
-}
-
-/// Collapses rows into one [`Series`] per label, one point per distinct
-/// `x`, summarising each cell's values with [`Summary::from_samples`]
-/// (mean, unbiased stddev, 95 % CI).
-///
-/// The output is independent of row order: labels are sorted
-/// lexicographically, x positions ascend (`f64::total_cmp`), and each
-/// cell's samples are sorted by value before summarising, so any
-/// permutation of `rows` produces an identical result. NaN x positions
-/// sort last and form their own cell.
-///
-/// # Example
-///
-/// ```
-/// use eend_stats::grouped::{aggregate_series, SampleRow};
-///
-/// let row = |label: &str, x: f64, value: f64| SampleRow { label: label.into(), x, value };
-/// let series = aggregate_series(&[
-///     row("TITAN-PC", 4.0, 0.96),
-///     row("DSR-Active", 2.0, 0.99),
-///     row("TITAN-PC", 2.0, 0.98),
-///     row("TITAN-PC", 2.0, 0.94),
-/// ]);
-/// assert_eq!(series.len(), 2);
-/// assert_eq!(series[0].label, "DSR-Active");
-/// assert_eq!(series[1].points[0].summary.n, 2); // TITAN-PC cell at x = 2
-/// ```
-pub fn aggregate_series(rows: &[SampleRow]) -> Vec<Series> {
-    let mut agg = StreamingAggregator::new();
-    for r in rows {
-        agg.push(&r.label, r.x, r.value);
-    }
-    agg.finish()
-}
-
-/// Incremental version of [`aggregate_series`]: push one `(label, x,
-/// value)` sample at a time — in any order — and call
+/// Collapses `(label, x, value)` samples into one [`Series`] per label,
+/// one point per distinct `x`, summarising each cell's values with
+/// [`Summary::from_samples`] (mean, unbiased stddev, 95 % CI). Push the
+/// samples one at a time, in any order, and call
 /// [`StreamingAggregator::finish`] once at the end.
 ///
 /// The streaming campaign executor feeds this as records complete, so
 /// aggregation holds only the scalar samples (three words per run), not
-/// the full per-run metrics. The result is *identical* to collecting
-/// every row and calling the batch function — in fact
-/// [`aggregate_series`] is implemented over this type, and a property
-/// test pins the permutation independence both inherit: `finish` sorts
-/// labels, x positions, and each cell's samples before summarising, so
-/// arrival order can never leak into the output.
+/// the full per-run metrics. The output is independent of push order:
+/// `finish` sorts labels lexicographically, x positions ascending
+/// (`f64::total_cmp`, NaN last in its own cell) and each cell's samples
+/// by value before summarising, so any permutation of the samples
+/// produces an identical result. Property tests pin that invariant.
 ///
 /// # Example
 ///
 /// ```
-/// use eend_stats::grouped::{aggregate_series, SampleRow, StreamingAggregator};
+/// use eend_stats::grouped::StreamingAggregator;
 ///
-/// let rows = vec![
-///     SampleRow { label: "TITAN-PC".into(), x: 2.0, value: 0.98 },
-///     SampleRow { label: "TITAN-PC".into(), x: 2.0, value: 0.94 },
-///     SampleRow { label: "DSR-Active".into(), x: 2.0, value: 0.99 },
-/// ];
 /// let mut agg = StreamingAggregator::new();
-/// for r in rows.iter().rev() {
-///     agg.push(&r.label, r.x, r.value); // any order
-/// }
-/// assert_eq!(agg.finish(), aggregate_series(&rows));
+/// agg.push("TITAN-PC", 4.0, 0.96);
+/// agg.push("DSR-Active", 2.0, 0.99);
+/// agg.push("TITAN-PC", 2.0, 0.98);
+/// agg.push("TITAN-PC", 2.0, 0.94);
+/// let series = agg.finish();
+/// assert_eq!(series.len(), 2);
+/// assert_eq!(series[0].label, "DSR-Active");
+/// assert_eq!(series[1].points[0].summary.n, 2); // TITAN-PC cell at x = 2
 /// ```
 #[derive(Debug, Clone, Default)]
 pub struct StreamingAggregator {
@@ -105,11 +60,6 @@ impl StreamingAggregator {
         }
     }
 
-    /// Adds one [`SampleRow`].
-    pub fn push_row(&mut self, row: &SampleRow) {
-        self.push(&row.label, row.x, row.value);
-    }
-
     /// Total samples pushed so far.
     pub fn len(&self) -> usize {
         self.groups.iter().map(|(_, cells)| cells.len()).sum()
@@ -120,10 +70,9 @@ impl StreamingAggregator {
         self.groups.is_empty()
     }
 
-    /// Collapses the accumulated samples exactly as [`aggregate_series`]
-    /// does: labels sorted lexicographically, x ascending
-    /// (`f64::total_cmp`, NaN last in its own cell), cell samples sorted
-    /// by value before summarising.
+    /// Collapses the accumulated samples: labels sorted
+    /// lexicographically, x ascending (`f64::total_cmp`, NaN last in its
+    /// own cell), cell samples sorted by value before summarising.
     pub fn finish(mut self) -> Vec<Series> {
         self.groups.sort_by(|a, b| a.0.cmp(&b.0));
         self.groups
@@ -153,18 +102,22 @@ mod tests {
     use super::*;
     use proptest::prelude::*;
 
-    fn row(label: &str, x: f64, value: f64) -> SampleRow {
-        SampleRow { label: label.to_owned(), x, value }
+    /// One `(label, x, value)` sample.
+    type Row = (&'static str, f64, f64);
+
+    /// Pushes `rows` in order into a fresh aggregator and finishes it.
+    fn aggregate(rows: &[Row]) -> Vec<Series> {
+        let mut agg = StreamingAggregator::new();
+        for &(label, x, value) in rows {
+            agg.push(label, x, value);
+        }
+        agg.finish()
     }
 
     #[test]
     fn groups_by_label_then_x() {
-        let series = aggregate_series(&[
-            row("b", 2.0, 1.0),
-            row("a", 1.0, 5.0),
-            row("b", 1.0, 3.0),
-            row("b", 2.0, 3.0),
-        ]);
+        let series =
+            aggregate(&[("b", 2.0, 1.0), ("a", 1.0, 5.0), ("b", 1.0, 3.0), ("b", 2.0, 3.0)]);
         assert_eq!(series.len(), 2);
         assert_eq!(series[0].label, "a");
         assert_eq!(series[0].points.len(), 1);
@@ -176,16 +129,18 @@ mod tests {
 
     #[test]
     fn empty_input_gives_no_series() {
-        assert!(aggregate_series(&[]).is_empty());
+        let agg = StreamingAggregator::new();
+        assert!(agg.is_empty());
+        assert!(agg.finish().is_empty());
     }
 
     /// Build a deterministic row set from proptest-drawn raw parts:
     /// labels cycle over a tiny alphabet and x snaps to a small grid so
     /// cells actually collide.
-    fn rows_from(parts: &[(usize, usize, f64)]) -> Vec<SampleRow> {
+    fn rows_from(parts: &[(usize, usize, f64)]) -> Vec<Row> {
         const LABELS: [&str; 3] = ["alpha", "beta", "gamma"];
         const XS: [f64; 4] = [1.0, 2.0, 4.0, 8.0];
-        parts.iter().map(|&(l, x, v)| row(LABELS[l % LABELS.len()], XS[x % XS.len()], v)).collect()
+        parts.iter().map(|&(l, x, v)| (LABELS[l % LABELS.len()], XS[x % XS.len()], v)).collect()
     }
 
     /// Deterministic in-place permutation driven by a seed.
@@ -204,29 +159,16 @@ mod tests {
             parts in proptest::collection::vec((0usize..3, 0usize..4, -1e3f64..1e3), 0..40),
             seed in 0u64..1_000_000,
         ) {
-            let rows = rows_from(&parts);
-            let mut shuffled = rows.clone();
-            permute(&mut shuffled, seed);
-            prop_assert_eq!(aggregate_series(&rows), aggregate_series(&shuffled));
-        }
-
-        #[test]
-        fn streaming_equals_batch_on_permuted_streams(
-            parts in proptest::collection::vec((0usize..3, 0usize..4, -1e3f64..1e3), 0..40),
-            seed in 0u64..1_000_000,
-        ) {
-            // The batch result over the original order must equal the
-            // streaming result over any permutation of the same rows:
-            // the aggregator is a pure function of the sample multiset.
+            // The aggregator is a pure function of the sample multiset.
             let rows = rows_from(&parts);
             let mut shuffled = rows.clone();
             permute(&mut shuffled, seed);
             let mut agg = StreamingAggregator::new();
-            for r in &shuffled {
-                agg.push_row(r);
+            for &(label, x, value) in &shuffled {
+                agg.push(label, x, value);
             }
             prop_assert_eq!(agg.len(), rows.len());
-            prop_assert_eq!(agg.finish(), aggregate_series(&rows));
+            prop_assert_eq!(agg.finish(), aggregate(&rows));
         }
 
         #[test]
@@ -239,13 +181,13 @@ mod tests {
             let rows = rows_from(&parts);
             let split = split % rows.len();
             let mut agg = StreamingAggregator::new();
-            for r in &rows[..split] {
-                agg.push(&r.label, r.x, r.value);
+            for &(label, x, value) in &rows[..split] {
+                agg.push(label, x, value);
             }
-            for r in &rows[split..] {
-                agg.push(&r.label, r.x, r.value);
+            for &(label, x, value) in &rows[split..] {
+                agg.push(label, x, value);
             }
-            prop_assert_eq!(agg.finish(), aggregate_series(&rows));
+            prop_assert_eq!(agg.finish(), aggregate(&rows));
         }
 
         #[test]
@@ -253,7 +195,7 @@ mod tests {
             parts in proptest::collection::vec((0usize..3, 0usize..4, -1e3f64..1e3), 0..40),
         ) {
             let rows = rows_from(&parts);
-            let series = aggregate_series(&rows);
+            let series = aggregate(&rows);
             let total: usize = series.iter().flat_map(|s| &s.points).map(|p| p.summary.n).sum();
             prop_assert_eq!(total, rows.len());
             // Labels are unique and sorted; x ascends strictly within a series.
@@ -271,7 +213,7 @@ mod tests {
         fn singleton_cells_are_degenerate(
             l in 0usize..3, x in 0usize..4, v in -1e3f64..1e3,
         ) {
-            let series = aggregate_series(&rows_from(&[(l, x, v)]));
+            let series = aggregate(&rows_from(&[(l, x, v)]));
             prop_assert_eq!(series.len(), 1);
             let p = &series[0].points[0];
             prop_assert_eq!(p.summary.n, 1);
@@ -284,7 +226,7 @@ mod tests {
         fn every_cell_ci_contains_its_mean_and_bounds(
             parts in proptest::collection::vec((0usize..3, 0usize..4, -1e3f64..1e3), 1..40),
         ) {
-            let series = aggregate_series(&rows_from(&parts));
+            let series = aggregate(&rows_from(&parts));
             for s in &series {
                 for p in &s.points {
                     let (lo, hi) = p.summary.ci95();

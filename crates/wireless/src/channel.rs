@@ -392,24 +392,13 @@ impl Channel {
         u != v && dist_sq(self.positions[u], self.positions[v]) <= self.range_sq
     }
 
-    /// Carrier sense at a prospective sender: `true` if any live
-    /// transmission that has been on the air for at least [`SENSE_DELAY`]
-    /// has a participant within carrier-sense range of `u`. Younger
-    /// transmissions are not yet detectable — the vulnerable window.
-    pub fn busy_near(&self, u: NodeId, now: SimTime) -> bool {
-        let cu = self.grid.cell_of[u];
-        self.live.iter().any(|t| {
-            t.start + SENSE_DELAY <= now
-                && (self.within_cs_cell(t.sender, u, cu)
-                    || t.receiver.is_some_and(|r| self.within_cs_cell(r, u, cu)))
-        })
-    }
-
-    /// Fused carrier sense: [`Channel::busy_near`] and, when the medium
-    /// is sensed busy, [`Channel::busy_until`] — in a single pass over
-    /// the live set. `None` = medium free; `Some(until)` = sensed busy
-    /// until `until` (which, matching `busy_until`, also counts
-    /// conflicting transmissions still inside their vulnerable window).
+    /// Carrier sense at a prospective sender, in one pass over the live
+    /// set. The medium reads busy when a live transmission that has been
+    /// on the air for at least [`SENSE_DELAY`] has a participant within
+    /// carrier-sense range of `u`; younger transmissions are not yet
+    /// detectable (the vulnerable window). `None` = medium free;
+    /// `Some(until)` = sensed busy until the latest end among the live
+    /// transmissions conflicting with `u`, young ones included.
     pub fn sense_busy_until(&self, u: NodeId, now: SimTime) -> Option<SimTime> {
         let cu = self.grid.cell_of[u];
         let mut sensed = false;
@@ -427,20 +416,6 @@ impl Channel {
         } else {
             None
         }
-    }
-
-    /// The latest end time among live transmissions conflicting with `u`'s
-    /// carrier sense, if any — when the medium frees up from `u`'s view.
-    pub fn busy_until(&self, u: NodeId) -> Option<SimTime> {
-        let cu = self.grid.cell_of[u];
-        self.live
-            .iter()
-            .filter(|t| {
-                self.within_cs_cell(t.sender, u, cu)
-                    || t.receiver.is_some_and(|r| self.within_cs_cell(r, u, cu))
-            })
-            .map(|t| t.end)
-            .max()
     }
 
     /// `true` if a live transmission's *sender* covers node `r` — starting
@@ -636,12 +611,11 @@ mod tests {
         // (264 m) even though outside decode range. Sense after the
         // detection delay has elapsed.
         c.begin_tx(0, Some(1), t(0), t(10));
-        assert!(c.busy_near(2, t(1)));
-        assert!(c.busy_near(1, t(1)));
+        assert_eq!(c.sense_busy_until(2, t(1)), Some(t(10)));
+        assert_eq!(c.sense_busy_until(1, t(1)), Some(t(10)));
         // Node 3 is 300 m from sender 0, but 200 m from receiver 1 → the
         // receiver's CTS reserves its neighborhood too.
-        assert!(c.busy_near(3, t(1)));
-        assert_eq!(c.busy_until(2), Some(t(10)));
+        assert_eq!(c.sense_busy_until(3, t(1)), Some(t(10)));
     }
 
     #[test]
@@ -649,9 +623,9 @@ mod tests {
         let mut c = line();
         c.begin_tx(0, Some(1), t(0), t(10));
         // Within SENSE_DELAY of the start, the medium still reads free...
-        assert!(!c.busy_near(2, SimTime::from_micros(5)));
+        assert_eq!(c.sense_busy_until(2, SimTime::from_micros(5)), None);
         // ...and is detected once the slot has elapsed.
-        assert!(c.busy_near(2, SimTime::from_micros(20)));
+        assert_eq!(c.sense_busy_until(2, SimTime::from_micros(20)), Some(t(10)));
     }
 
     #[test]
@@ -659,8 +633,7 @@ mod tests {
         let mut c = line();
         c.begin_tx(0, Some(1), t(0), t(10));
         c.end_tx(0, t(10));
-        assert!(!c.busy_near(2, t(11)));
-        assert_eq!(c.busy_until(2), None);
+        assert_eq!(c.sense_busy_until(2, t(11)), None);
     }
 
     #[test]

@@ -149,16 +149,6 @@ pub fn mobility100k(stack: ProtocolStack, seed: u64) -> Scenario {
     mobility_scale(stack, 316, seed)
 }
 
-/// Heterogeneous variant of [`small_network`]: the same 50-node field
-/// with the [`crate::scenario::radio_profiles::mixed_hypo`] card
-/// assignment — Cabletron and Hypothetical Cabletron interleaved, so
-/// half the relays pay the hypothetical card's amplifier premium while
-/// PHY connectivity stays identical (the cards are range-matched).
-pub fn small_network_hetero(stack: ProtocolStack, rate_kbps: f64, seed: u64) -> Scenario {
-    small_network(stack, rate_kbps, seed)
-        .with_card_assignment(crate::scenario::radio_profiles::mixed_hypo().assignment)
-}
-
 /// Draws `k` distinct-endpoint pairs among `0..limit` from a seed that
 /// does not depend on network size.
 fn fixed_pairs(k: usize, limit: usize, seed: u64) -> Vec<(NodeId, NodeId)> {
@@ -222,7 +212,8 @@ mod tests {
     #[test]
     fn hetero_small_network_differs_only_in_cards() {
         let homo = small_network(stacks::titan_pc(), 4.0, 1);
-        let hetero = small_network_hetero(stacks::titan_pc(), 4.0, 1);
+        let hetero = small_network(stacks::titan_pc(), 4.0, 1)
+            .with_card_assignment(crate::scenario::radio_profiles::mixed_hypo().assignment);
         assert_eq!(hetero.placement, homo.placement);
         assert_eq!(hetero.flows, homo.flows);
         assert_eq!(hetero.card, homo.card, "base PHY card unchanged");

@@ -221,7 +221,7 @@ impl DsdvRouting {
 
     /// Handles a freshly generated application packet. Allocation-free
     /// entry point (see [`DsdvRouting::on_app_packet`]).
-    pub fn on_app_packet_into(
+    pub fn on_app_packet(
         &mut self,
         ctx: &mut RoutingCtx<'_>,
         mut packet: Packet,
@@ -248,11 +248,11 @@ impl DsdvRouting {
     /// borrow — the (potentially whole-table) entry list is never cloned
     /// just to dispatch on the packet kind. Allocation-free entry point
     /// (see [`DsdvRouting::on_frame`]).
-    pub fn on_frame_into(&mut self, ctx: &mut RoutingCtx<'_>, frame: Frame, out: &mut Vec<Action>) {
+    pub fn on_frame(&mut self, ctx: &mut RoutingCtx<'_>, frame: Frame, out: &mut Vec<Action>) {
         let from = frame.tx;
         let mut packet = frame.packet;
         if let PacketKind::DsdvUpdate { entries } = &packet.kind {
-            return self.on_update_into(ctx, from, entries, out);
+            return self.on_update(ctx, from, entries, out);
         }
         if !packet.kind.is_data() {
             // Reactive control traffic is foreign to DSDV nodes.
@@ -284,19 +284,14 @@ impl DsdvRouting {
     /// the only broadcast DSDV traffic — are merged straight from the
     /// shared frame. Allocation-free entry point (see
     /// [`DsdvRouting::on_broadcast`]).
-    pub fn on_broadcast_into(
-        &mut self,
-        ctx: &mut RoutingCtx<'_>,
-        frame: &Frame,
-        out: &mut Vec<Action>,
-    ) {
+    pub fn on_broadcast(&mut self, ctx: &mut RoutingCtx<'_>, frame: &Frame, out: &mut Vec<Action>) {
         if let PacketKind::DsdvUpdate { entries } = &frame.packet.kind {
-            return self.on_update_into(ctx, frame.tx, entries, out);
+            return self.on_update(ctx, frame.tx, entries, out);
         }
-        self.on_frame_into(ctx, frame.clone(), out)
+        self.on_frame(ctx, frame.clone(), out)
     }
 
-    fn on_update_into(
+    fn on_update(
         &mut self,
         ctx: &mut RoutingCtx<'_>,
         from: NodeId,
@@ -405,12 +400,7 @@ impl DsdvRouting {
 
     /// Handles a fired timer (periodic advertisement). Allocation-free
     /// entry point (see [`DsdvRouting::on_timer`]).
-    pub fn on_timer_into(
-        &mut self,
-        ctx: &mut RoutingCtx<'_>,
-        kind: TimerKind,
-        out: &mut Vec<Action>,
-    ) {
+    pub fn on_timer(&mut self, ctx: &mut RoutingCtx<'_>, kind: TimerKind, out: &mut Vec<Action>) {
         if kind != TimerKind::DsdvPeriodic {
             return;
         }
@@ -422,7 +412,7 @@ impl DsdvRouting {
     /// Handles a dead link reported by the MAC: mark routes through the
     /// failed neighbour broken (odd sequence, the DSDV convention).
     /// Allocation-free entry point (see [`DsdvRouting::on_link_failure`]).
-    pub fn on_link_failure_into(
+    pub fn on_link_failure(
         &mut self,
         _ctx: &mut RoutingCtx<'_>,
         frame: Frame,
@@ -454,7 +444,7 @@ impl DsdvRouting {
     /// DSDVH's trigger: the node's own PM state changed, so every route
     /// through it changed cost — advertise (rate-limited).
     /// Allocation-free entry point (see [`DsdvRouting::on_pm_changed`]).
-    pub fn on_pm_changed_into(
+    pub fn on_pm_changed(
         &mut self,
         ctx: &mut RoutingCtx<'_>,
         _mode: PmMode,
@@ -471,52 +461,6 @@ impl DsdvRouting {
         self.last_trigger = Some(ctx.now);
         let update = self.build_update(ctx, false);
         out.push(Action::Send(update));
-    }
-
-    // Vec-returning conveniences over the `_into` entry points, for
-    // unit tests and standalone use. The event loop always goes through
-    // the `_into` variants with a pooled buffer.
-
-    /// [`DsdvRouting::on_app_packet_into`], collecting into a fresh `Vec`.
-    pub fn on_app_packet(&mut self, ctx: &mut RoutingCtx<'_>, packet: Packet) -> Vec<Action> {
-        let mut out = Vec::new();
-        self.on_app_packet_into(ctx, packet, &mut out);
-        out
-    }
-
-    /// [`DsdvRouting::on_frame_into`], collecting into a fresh `Vec`.
-    pub fn on_frame(&mut self, ctx: &mut RoutingCtx<'_>, frame: Frame) -> Vec<Action> {
-        let mut out = Vec::new();
-        self.on_frame_into(ctx, frame, &mut out);
-        out
-    }
-
-    /// [`DsdvRouting::on_broadcast_into`], collecting into a fresh `Vec`.
-    pub fn on_broadcast(&mut self, ctx: &mut RoutingCtx<'_>, frame: &Frame) -> Vec<Action> {
-        let mut out = Vec::new();
-        self.on_broadcast_into(ctx, frame, &mut out);
-        out
-    }
-
-    /// [`DsdvRouting::on_timer_into`], collecting into a fresh `Vec`.
-    pub fn on_timer(&mut self, ctx: &mut RoutingCtx<'_>, kind: TimerKind) -> Vec<Action> {
-        let mut out = Vec::new();
-        self.on_timer_into(ctx, kind, &mut out);
-        out
-    }
-
-    /// [`DsdvRouting::on_link_failure_into`], collecting into a fresh `Vec`.
-    pub fn on_link_failure(&mut self, ctx: &mut RoutingCtx<'_>, frame: Frame) -> Vec<Action> {
-        let mut out = Vec::new();
-        self.on_link_failure_into(ctx, frame, &mut out);
-        out
-    }
-
-    /// [`DsdvRouting::on_pm_changed_into`], collecting into a fresh `Vec`.
-    pub fn on_pm_changed(&mut self, ctx: &mut RoutingCtx<'_>, mode: PmMode) -> Vec<Action> {
-        let mut out = Vec::new();
-        self.on_pm_changed_into(ctx, mode, &mut out);
-        out
     }
 }
 
@@ -594,6 +538,13 @@ mod tests {
         }
     }
 
+    /// Runs one entry point into a fresh buffer and returns what it emitted.
+    fn collect(event: impl FnOnce(&mut Vec<Action>)) -> Vec<Action> {
+        let mut out = Vec::new();
+        event(&mut out);
+        out
+    }
+
     /// Propagates periodic updates until tables converge on the line.
     fn converge(w: &mut World, nodes: &mut [DsdvRouting]) {
         for round in 0..4 {
@@ -601,7 +552,7 @@ mod tests {
             let frames: Vec<Frame> = (0..nodes.len())
                 .map(|i| {
                     let mut ctx = w.ctx(i, 100 * (round + 1));
-                    let acts = nodes[i].on_timer(&mut ctx, TimerKind::DsdvPeriodic);
+                    let acts = collect(|o| nodes[i].on_timer(&mut ctx, TimerKind::DsdvPeriodic, o));
                     let Action::Send(f) = &acts[0] else { panic!() };
                     f.clone()
                 })
@@ -611,7 +562,7 @@ mod tests {
                     w.channel.neighbors(f.tx).iter().map(|&r| r as NodeId).collect();
                 for r in neighbors {
                     let mut ctx = w.ctx(r, 100 * (round + 1) + 1);
-                    nodes[r].on_frame(&mut ctx, f.clone());
+                    collect(|o| nodes[r].on_frame(&mut ctx, f.clone(), o));
                 }
             }
         }
@@ -634,17 +585,17 @@ mod tests {
         let mut w = World::new(vec![PmMode::ActiveMode; 4]);
         let mut nodes: Vec<DsdvRouting> = (0..4).map(|_| DsdvRouting::new()).collect();
         converge(&mut w, &mut nodes);
-        let a = nodes[0].on_app_packet(&mut w.ctx(0, 500), data(0, 3));
+        let a = collect(|o| nodes[0].on_app_packet(&mut w.ctx(0, 500), data(0, 3), o));
         let Action::Send(f) = &a[0] else { panic!() };
         assert_eq!(f.rx, Some(1));
         // Forward at node 1, then 2, deliver at 3.
-        let a = nodes[1].on_frame(&mut w.ctx(1, 501), f.clone());
+        let a = collect(|o| nodes[1].on_frame(&mut w.ctx(1, 501), f.clone(), o));
         let Action::Send(f1) = &a[0] else { panic!() };
         assert_eq!(f1.rx, Some(2));
-        let a = nodes[2].on_frame(&mut w.ctx(2, 502), f1.clone());
+        let a = collect(|o| nodes[2].on_frame(&mut w.ctx(2, 502), f1.clone(), o));
         let Action::Send(f2) = &a[0] else { panic!() };
         assert_eq!(f2.rx, Some(3));
-        let a = nodes[3].on_frame(&mut w.ctx(3, 503), f2.clone());
+        let a = collect(|o| nodes[3].on_frame(&mut w.ctx(3, 503), f2.clone(), o));
         let Action::Deliver(p) = &a[0] else { panic!() };
         assert_eq!(p.route, vec![0, 1, 2, 3], "trace records the path");
     }
@@ -654,12 +605,12 @@ mod tests {
         let mut w = World::new(vec![PmMode::ActiveMode; 4]);
         let mut n0 = DsdvRouting::new();
         // No routes yet: buffered.
-        assert!(n0.on_app_packet(&mut w.ctx(0, 0), data(0, 1)).is_empty());
+        assert!(collect(|o| n0.on_app_packet(&mut w.ctx(0, 0), data(0, 1), o)).is_empty());
         // Node 1 advertises itself; node 0 learns and flushes.
         let mut n1 = DsdvRouting::new();
-        let a = n1.on_timer(&mut w.ctx(1, 10), TimerKind::DsdvPeriodic);
+        let a = collect(|o| n1.on_timer(&mut w.ctx(1, 10), TimerKind::DsdvPeriodic, o));
         let Action::Send(update) = &a[0] else { panic!() };
-        let a = n0.on_frame(&mut w.ctx(0, 11), update.clone());
+        let a = collect(|o| n0.on_frame(&mut w.ctx(0, 11), update.clone(), o));
         // Two actions: the adoption-triggered advertisement plus the
         // flushed data packet.
         let flushed: Vec<&Frame> = a
@@ -697,7 +648,7 @@ mod tests {
                 salvage: 0,
             },
         };
-        let a = n1.on_frame(&mut w.ctx(1, 0), update(2));
+        let a = collect(|o| n1.on_frame(&mut w.ctx(1, 0), update(2), o));
         assert_eq!(a.len(), 1, "first adoption triggers");
         let Action::Send(f) = &a[0] else { panic!() };
         let PacketKind::DsdvUpdate { entries } = &f.packet.kind else { panic!() };
@@ -705,10 +656,10 @@ mod tests {
         // or the cascade would never converge.
         assert_eq!(entries[0].seq, 0, "own seq stays 0 on a triggered update");
         // Within the gap: adoption of an even newer seq stays silent.
-        let a = n1.on_frame(&mut w.ctx(1, 500), update(4));
+        let a = collect(|o| n1.on_frame(&mut w.ctx(1, 500), update(4), o));
         assert!(a.is_empty(), "rate limit must hold: {a:?}");
         // After the gap it may trigger again.
-        let a = n1.on_frame(&mut w.ctx(1, 1500), update(6));
+        let a = collect(|o| n1.on_frame(&mut w.ctx(1, 1500), update(6), o));
         assert_eq!(a.len(), 1);
     }
 
@@ -717,9 +668,9 @@ mod tests {
         let mut w = World::new(vec![PmMode::ActiveMode; 4]);
         let mut n0 = DsdvRouting::new();
         for _ in 0..5 {
-            assert!(n0.on_app_packet(&mut w.ctx(0, 0), data(0, 3)).is_empty());
+            assert!(collect(|o| n0.on_app_packet(&mut w.ctx(0, 0), data(0, 3), o)).is_empty());
         }
-        let a = n0.on_app_packet(&mut w.ctx(0, 0), data(0, 3));
+        let a = collect(|o| n0.on_app_packet(&mut w.ctx(0, 0), data(0, 3), o));
         assert!(matches!(a[0], Action::Drop(_, DropReason::BufferOverflow)));
     }
 
@@ -741,19 +692,19 @@ mod tests {
                 salvage: 0,
             },
         };
-        n1.on_frame(&mut w.ctx(1, 0), update(2, 5.0));
+        collect(|o| n1.on_frame(&mut w.ctx(1, 0), update(2, 5.0), o));
         assert_eq!(n1.next_hop(3), Some(0));
         // Same seq, worse metric via node 2: rejected.
         let update2 = Frame { tx: 2, ..update(2, 7.0) };
-        n1.on_frame(&mut w.ctx(1, 1), update2);
+        collect(|o| n1.on_frame(&mut w.ctx(1, 1), update2, o));
         assert_eq!(n1.next_hop(3), Some(0));
         // Same seq, better metric via node 2: adopted.
         let update3 = Frame { tx: 2, ..update(2, 1.0) };
-        n1.on_frame(&mut w.ctx(1, 2), update3);
+        collect(|o| n1.on_frame(&mut w.ctx(1, 2), update3, o));
         assert_eq!(n1.next_hop(3), Some(2));
         // Newer seq wins regardless.
         let update4 = Frame { tx: 0, ..update(4, 50.0) };
-        n1.on_frame(&mut w.ctx(1, 3), update4);
+        collect(|o| n1.on_frame(&mut w.ctx(1, 3), update4, o));
         assert_eq!(n1.next_hop(3), Some(0));
     }
 
@@ -765,8 +716,9 @@ mod tests {
         assert_eq!(nodes[0].next_hop(3), Some(1));
         let mut p = data(0, 3);
         p.route = vec![0];
-        let a =
-            nodes[0].on_link_failure(&mut w.ctx(0, 600), Frame { tx: 0, rx: Some(1), packet: p });
+        let a = collect(|o| {
+            nodes[0].on_link_failure(&mut w.ctx(0, 600), Frame { tx: 0, rx: Some(1), packet: p }, o)
+        });
         assert!(matches!(a[0], Action::Drop(_, DropReason::LinkFailure)));
         assert_eq!(nodes[0].next_hop(3), None, "routes via 1 must be broken");
         assert_eq!(nodes[0].next_hop(1), None);
@@ -776,29 +728,31 @@ mod tests {
     fn pm_change_triggers_update_for_dsdvh_only() {
         let mut w = World::new(vec![PmMode::ActiveMode; 4]).with_config(DsdvConfig::dsdvh());
         let mut dsdvh = DsdvRouting::new();
-        let a = dsdvh.on_pm_changed(&mut w.ctx(1, 1000), PmMode::PowerSave);
+        let a = collect(|o| dsdvh.on_pm_changed(&mut w.ctx(1, 1000), PmMode::PowerSave, o));
         assert_eq!(a.len(), 1, "DSDVH must advertise on PM change");
         assert!(matches!(&a[0], Action::Send(f) if f.is_broadcast()));
         // Rate limited within the gap.
-        let a = dsdvh.on_pm_changed(&mut w.ctx(1, 1200), PmMode::ActiveMode);
+        let a = collect(|o| dsdvh.on_pm_changed(&mut w.ctx(1, 1200), PmMode::ActiveMode, o));
         assert!(a.is_empty(), "inside min_trigger_gap");
-        let a = dsdvh.on_pm_changed(&mut w.ctx(1, 2500), PmMode::ActiveMode);
+        let a = collect(|o| dsdvh.on_pm_changed(&mut w.ctx(1, 2500), PmMode::ActiveMode, o));
         assert_eq!(a.len(), 1, "after the gap");
         // Plain DSDV never triggers.
         let mut w = w.with_config(DsdvConfig::dsdv());
         let mut dsdv = DsdvRouting::new();
-        assert!(dsdv.on_pm_changed(&mut w.ctx(1, 5000), PmMode::PowerSave).is_empty());
+        assert!(
+            collect(|o| dsdv.on_pm_changed(&mut w.ctx(1, 5000), PmMode::PowerSave, o)).is_empty()
+        );
     }
 
     #[test]
     fn update_size_grows_with_table() {
         let mut w = World::new(vec![PmMode::ActiveMode; 4]);
         let mut nodes: Vec<DsdvRouting> = (0..4).map(|_| DsdvRouting::new()).collect();
-        let a = nodes[0].on_timer(&mut w.ctx(0, 1), TimerKind::DsdvPeriodic);
+        let a = collect(|o| nodes[0].on_timer(&mut w.ctx(0, 1), TimerKind::DsdvPeriodic, o));
         let Action::Send(f) = &a[0] else { panic!() };
         let empty_size = f.packet.size_bytes;
         converge(&mut w, &mut nodes);
-        let a = nodes[0].on_timer(&mut w.ctx(0, 999), TimerKind::DsdvPeriodic);
+        let a = collect(|o| nodes[0].on_timer(&mut w.ctx(0, 999), TimerKind::DsdvPeriodic, o));
         let Action::Send(f) = &a[0] else { panic!() };
         assert!(f.packet.size_bytes > empty_size, "full table costs more airtime");
         assert_eq!(f.packet.size_bytes, 12 * 4, "self + 3 destinations");
@@ -810,7 +764,7 @@ mod tests {
         let mut n0 = DsdvRouting::new();
         let dsts = [9, 4, 12, 7, 5, 11, 6, 10];
         for dst in dsts {
-            assert!(n0.on_app_packet(&mut w.ctx(0, 0), data(0, dst)).is_empty());
+            assert!(collect(|o| n0.on_app_packet(&mut w.ctx(0, 0), data(0, dst), o)).is_empty());
         }
         // One advertisement from node 1 makes all eight reachable at once.
         let entries = dsts.iter().map(|&dst| DsdvEntry { dst, metric: 1.0, seq: 2 }).collect();
@@ -828,7 +782,7 @@ mod tests {
                 salvage: 0,
             },
         };
-        let a = n0.on_frame(&mut w.ctx(0, 10), update);
+        let a = collect(|o| n0.on_frame(&mut w.ctx(0, 10), update, o));
         let flushed: Vec<NodeId> = a
             .iter()
             .filter_map(|x| match x {
@@ -863,10 +817,11 @@ mod tests {
                 salvage: 0,
             },
         };
-        n1.on_frame(&mut w.ctx(1, 0), update);
+        collect(|o| n1.on_frame(&mut w.ctx(1, 0), update, o));
         let mut p = data(0, 3);
         p.route = vec![0, 1, 2];
-        let a = n1.on_frame(&mut w.ctx(1, 1), Frame { tx: 2, rx: Some(1), packet: p });
+        let a =
+            collect(|o| n1.on_frame(&mut w.ctx(1, 1), Frame { tx: 2, rx: Some(1), packet: p }, o));
         assert!(matches!(a[0], Action::Drop(_, DropReason::NoRoute)));
     }
 

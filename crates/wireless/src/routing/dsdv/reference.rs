@@ -2,9 +2,7 @@
 //! kept verbatim as a test reference: three `HashMap`s for the table, the
 //! packet buffer and the reverse next-hop index. Its one change is the
 //! flush of buffered packets, which now runs in ascending destination
-//! order instead of the hash map's per-instance key order; the
-//! Vec-returning conveniences are left out, as the test drives the
-//! `_into` entry points the event loop uses. The property
+//! order instead of the hash map's per-instance key order. The property
 //! test below feeds the live agent and this one the same random event
 //! sequences and requires the same emitted actions, routes, counters and
 //! reverse-index contents after every step. Between steps the nodes may
@@ -117,7 +115,7 @@ impl DsdvRouting {
 
     /// Handles a freshly generated application packet. Allocation-free
     /// entry point (see [`DsdvRouting::on_app_packet`]).
-    pub fn on_app_packet_into(
+    pub fn on_app_packet(
         &mut self,
         ctx: &mut RoutingCtx<'_>,
         mut packet: Packet,
@@ -144,11 +142,11 @@ impl DsdvRouting {
     /// borrow — the (potentially whole-table) entry list is never cloned
     /// just to dispatch on the packet kind. Allocation-free entry point
     /// (see [`DsdvRouting::on_frame`]).
-    pub fn on_frame_into(&mut self, ctx: &mut RoutingCtx<'_>, frame: Frame, out: &mut Vec<Action>) {
+    pub fn on_frame(&mut self, ctx: &mut RoutingCtx<'_>, frame: Frame, out: &mut Vec<Action>) {
         let from = frame.tx;
         let mut packet = frame.packet;
         if let PacketKind::DsdvUpdate { entries } = &packet.kind {
-            return self.on_update_into(ctx, from, entries, out);
+            return self.on_update(ctx, from, entries, out);
         }
         if !packet.kind.is_data() {
             // Reactive control traffic is foreign to DSDV nodes.
@@ -180,19 +178,14 @@ impl DsdvRouting {
     /// the only broadcast DSDV traffic — are merged straight from the
     /// shared frame. Allocation-free entry point (see
     /// [`DsdvRouting::on_broadcast`]).
-    pub fn on_broadcast_into(
-        &mut self,
-        ctx: &mut RoutingCtx<'_>,
-        frame: &Frame,
-        out: &mut Vec<Action>,
-    ) {
+    pub fn on_broadcast(&mut self, ctx: &mut RoutingCtx<'_>, frame: &Frame, out: &mut Vec<Action>) {
         if let PacketKind::DsdvUpdate { entries } = &frame.packet.kind {
-            return self.on_update_into(ctx, frame.tx, entries, out);
+            return self.on_update(ctx, frame.tx, entries, out);
         }
-        self.on_frame_into(ctx, frame.clone(), out)
+        self.on_frame(ctx, frame.clone(), out)
     }
 
-    fn on_update_into(
+    fn on_update(
         &mut self,
         ctx: &mut RoutingCtx<'_>,
         from: NodeId,
@@ -275,12 +268,7 @@ impl DsdvRouting {
 
     /// Handles a fired timer (periodic advertisement). Allocation-free
     /// entry point (see [`DsdvRouting::on_timer`]).
-    pub fn on_timer_into(
-        &mut self,
-        ctx: &mut RoutingCtx<'_>,
-        kind: TimerKind,
-        out: &mut Vec<Action>,
-    ) {
+    pub fn on_timer(&mut self, ctx: &mut RoutingCtx<'_>, kind: TimerKind, out: &mut Vec<Action>) {
         if kind != TimerKind::DsdvPeriodic {
             return;
         }
@@ -292,7 +280,7 @@ impl DsdvRouting {
     /// Handles a dead link reported by the MAC: mark routes through the
     /// failed neighbour broken (odd sequence, the DSDV convention).
     /// Allocation-free entry point (see [`DsdvRouting::on_link_failure`]).
-    pub fn on_link_failure_into(
+    pub fn on_link_failure(
         &mut self,
         _ctx: &mut RoutingCtx<'_>,
         frame: Frame,
@@ -324,7 +312,7 @@ impl DsdvRouting {
     /// DSDVH's trigger: the node's own PM state changed, so every route
     /// through it changed cost — advertise (rate-limited).
     /// Allocation-free entry point (see [`DsdvRouting::on_pm_changed`]).
-    pub fn on_pm_changed_into(
+    pub fn on_pm_changed(
         &mut self,
         ctx: &mut RoutingCtx<'_>,
         _mode: PmMode,
@@ -365,12 +353,12 @@ enum Op {
 macro_rules! apply {
     ($agent:expr, $op:expr, $ctx:expr, $out:expr) => {
         match $op.clone() {
-            Op::Broadcast(f) => $agent.on_broadcast_into($ctx, &f, $out),
-            Op::Frame(f) => $agent.on_frame_into($ctx, f, $out),
-            Op::App(p) => $agent.on_app_packet_into($ctx, p, $out),
-            Op::LinkFailure(f) => $agent.on_link_failure_into($ctx, f, $out),
-            Op::PmChange(m) => $agent.on_pm_changed_into($ctx, m, $out),
-            Op::Timer(k) => $agent.on_timer_into($ctx, k, $out),
+            Op::Broadcast(f) => $agent.on_broadcast($ctx, &f, $out),
+            Op::Frame(f) => $agent.on_frame($ctx, f, $out),
+            Op::App(p) => $agent.on_app_packet($ctx, p, $out),
+            Op::LinkFailure(f) => $agent.on_link_failure($ctx, f, $out),
+            Op::PmChange(m) => $agent.on_pm_changed($ctx, m, $out),
+            Op::Timer(k) => $agent.on_timer($ctx, k, $out),
         }
     };
 }

@@ -45,7 +45,7 @@ impl StaticRouting {
 
     /// Handles a freshly generated application packet: stamp the flow's
     /// fixed route and send to the first hop.
-    pub fn on_app_packet_into(
+    pub fn on_app_packet(
         &mut self,
         ctx: &mut RoutingCtx<'_>,
         mut packet: Packet,
@@ -69,7 +69,7 @@ impl StaticRouting {
 
     /// Handles a received frame: deliver at the destination, otherwise
     /// forward along the stamped source route.
-    pub fn on_frame_into(&mut self, ctx: &mut RoutingCtx<'_>, frame: Frame, out: &mut Vec<Action>) {
+    pub fn on_frame(&mut self, ctx: &mut RoutingCtx<'_>, frame: Frame, out: &mut Vec<Action>) {
         let mut packet = frame.packet;
         if !packet.kind.is_data() {
             return; // no control plane: foreign control traffic is ignored
@@ -88,7 +88,7 @@ impl StaticRouting {
 
     /// Broadcast reception: the static agent floods nothing and expects no
     /// floods; data never arrives by broadcast.
-    pub fn on_broadcast_into(
+    pub fn on_broadcast(
         &mut self,
         _ctx: &mut RoutingCtx<'_>,
         _frame: &Frame,
@@ -97,7 +97,7 @@ impl StaticRouting {
     }
 
     /// No timers are ever armed.
-    pub fn on_timer_into(
+    pub fn on_timer(
         &mut self,
         _ctx: &mut RoutingCtx<'_>,
         _kind: TimerKind,
@@ -106,7 +106,7 @@ impl StaticRouting {
     }
 
     /// A fixed route has no repair path: data on a dead link drops.
-    pub fn on_link_failure_into(
+    pub fn on_link_failure(
         &mut self,
         _ctx: &mut RoutingCtx<'_>,
         frame: Frame,
@@ -184,7 +184,7 @@ mod tests {
         let mut out = Vec::new();
         let mut disc = Discoveries::default();
         let mut c = ctx(0, &channel, &pm, &card, &config, &mut rng, &mut disc);
-        agent.on_app_packet_into(&mut c, data_packet(0, 0, 2), &mut out);
+        agent.on_app_packet(&mut c, data_packet(0, 0, 2), &mut out);
         assert_eq!(out.len(), 1);
         let Action::Send(frame) = &out[0] else { panic!("expected Send, got {out:?}") };
         assert_eq!(frame.rx, Some(1));
@@ -203,7 +203,7 @@ mod tests {
         let mut out = Vec::new();
         let mut disc = Discoveries::default();
         let mut c = ctx(1, &channel, &pm, &card, &config, &mut rng, &mut disc);
-        agent.on_frame_into(&mut c, Frame { tx: 0, rx: Some(1), packet: pkt.clone() }, &mut out);
+        agent.on_frame(&mut c, Frame { tx: 0, rx: Some(1), packet: pkt.clone() }, &mut out);
         let Action::Send(frame) = &out[0] else { panic!("expected Send, got {out:?}") };
         assert_eq!(frame.rx, Some(2));
         let mut out = Vec::new();
@@ -211,7 +211,7 @@ mod tests {
         let mut c = ctx(2, &channel, &pm, &card, &config, &mut rng, &mut disc);
         let mut at_sink = pkt;
         at_sink.hop_idx = 1;
-        agent.on_frame_into(&mut c, Frame { tx: 1, rx: Some(2), packet: at_sink }, &mut out);
+        agent.on_frame(&mut c, Frame { tx: 1, rx: Some(2), packet: at_sink }, &mut out);
         assert!(matches!(out[0], Action::Deliver(_)));
     }
 
@@ -224,7 +224,7 @@ mod tests {
         let mut out = Vec::new();
         let mut disc = Discoveries::default();
         let mut c = ctx(0, &channel, &pm, &card, &config, &mut rng, &mut disc);
-        agent.on_app_packet_into(&mut c, data_packet(0, 0, 2), &mut out);
+        agent.on_app_packet(&mut c, data_packet(0, 0, 2), &mut out);
         assert!(matches!(out[0], Action::Drop(_, DropReason::NoRoute)));
     }
 
@@ -239,7 +239,7 @@ mod tests {
         let mut out = Vec::new();
         let mut disc = Discoveries::default();
         let mut c = ctx(0, &channel, &pm, &card, &config, &mut rng, &mut disc);
-        agent.on_link_failure_into(&mut c, Frame { tx: 0, rx: Some(1), packet: pkt }, &mut out);
+        agent.on_link_failure(&mut c, Frame { tx: 0, rx: Some(1), packet: pkt }, &mut out);
         assert!(matches!(out[0], Action::Drop(_, DropReason::LinkFailure)));
     }
 }

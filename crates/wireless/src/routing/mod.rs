@@ -178,11 +178,10 @@ impl RoutingAgent {
 
     /// The application hands over a freshly generated data packet.
     ///
-    /// Every entry point takes the caller's reusable `out` buffer
-    /// instead of returning a fresh `Vec`: the event loop pools these
-    /// buffers, so steady-state routing emits **no per-event
-    /// allocations** (the `ReactiveRouting`/`DsdvRouting` inner types
-    /// keep Vec-returning conveniences for tests and standalone use).
+    /// Every entry point, here and on each agent family, takes the
+    /// caller's reusable `out` buffer instead of returning a fresh `Vec`:
+    /// the event loop pools these buffers, so steady-state routing emits
+    /// **no per-event allocations**.
     pub fn on_app_packet(
         &mut self,
         ctx: &mut RoutingCtx<'_>,
@@ -190,18 +189,18 @@ impl RoutingAgent {
         out: &mut Vec<Action>,
     ) {
         match self {
-            RoutingAgent::Reactive(r) => r.on_app_packet_into(ctx, packet, out),
-            RoutingAgent::Dsdv(d) => d.on_app_packet_into(ctx, packet, out),
-            RoutingAgent::Static(s) => s.on_app_packet_into(ctx, packet, out),
+            RoutingAgent::Reactive(r) => r.on_app_packet(ctx, packet, out),
+            RoutingAgent::Dsdv(d) => d.on_app_packet(ctx, packet, out),
+            RoutingAgent::Static(s) => s.on_app_packet(ctx, packet, out),
         }
     }
 
     /// A frame addressed to (or broadcast at) this node arrived.
     pub fn on_frame(&mut self, ctx: &mut RoutingCtx<'_>, frame: Frame, out: &mut Vec<Action>) {
         match self {
-            RoutingAgent::Reactive(r) => r.on_frame_into(ctx, frame, out),
-            RoutingAgent::Dsdv(d) => d.on_frame_into(ctx, frame, out),
-            RoutingAgent::Static(s) => s.on_frame_into(ctx, frame, out),
+            RoutingAgent::Reactive(r) => r.on_frame(ctx, frame, out),
+            RoutingAgent::Dsdv(d) => d.on_frame(ctx, frame, out),
+            RoutingAgent::Static(s) => s.on_frame(ctx, frame, out),
         }
     }
 
@@ -212,18 +211,18 @@ impl RoutingAgent {
     /// payloads for receivers that actually emit something.
     pub fn on_broadcast(&mut self, ctx: &mut RoutingCtx<'_>, frame: &Frame, out: &mut Vec<Action>) {
         match self {
-            RoutingAgent::Reactive(r) => r.on_broadcast_into(ctx, frame, out),
-            RoutingAgent::Dsdv(d) => d.on_broadcast_into(ctx, frame, out),
-            RoutingAgent::Static(s) => s.on_broadcast_into(ctx, frame, out),
+            RoutingAgent::Reactive(r) => r.on_broadcast(ctx, frame, out),
+            RoutingAgent::Dsdv(d) => d.on_broadcast(ctx, frame, out),
+            RoutingAgent::Static(s) => s.on_broadcast(ctx, frame, out),
         }
     }
 
     /// A previously armed timer fired.
     pub fn on_timer(&mut self, ctx: &mut RoutingCtx<'_>, kind: TimerKind, out: &mut Vec<Action>) {
         match self {
-            RoutingAgent::Reactive(r) => r.on_timer_into(ctx, kind, out),
-            RoutingAgent::Dsdv(d) => d.on_timer_into(ctx, kind, out),
-            RoutingAgent::Static(s) => s.on_timer_into(ctx, kind, out),
+            RoutingAgent::Reactive(r) => r.on_timer(ctx, kind, out),
+            RoutingAgent::Dsdv(d) => d.on_timer(ctx, kind, out),
+            RoutingAgent::Static(s) => s.on_timer(ctx, kind, out),
         }
     }
 
@@ -235,9 +234,9 @@ impl RoutingAgent {
         out: &mut Vec<Action>,
     ) {
         match self {
-            RoutingAgent::Reactive(r) => r.on_link_failure_into(ctx, frame, out),
-            RoutingAgent::Dsdv(d) => d.on_link_failure_into(ctx, frame, out),
-            RoutingAgent::Static(s) => s.on_link_failure_into(ctx, frame, out),
+            RoutingAgent::Reactive(r) => r.on_link_failure(ctx, frame, out),
+            RoutingAgent::Dsdv(d) => d.on_link_failure(ctx, frame, out),
+            RoutingAgent::Static(s) => s.on_link_failure(ctx, frame, out),
         }
     }
 
@@ -245,7 +244,7 @@ impl RoutingAgent {
     pub fn on_pm_changed(&mut self, ctx: &mut RoutingCtx<'_>, mode: PmMode, out: &mut Vec<Action>) {
         match self {
             RoutingAgent::Reactive(_) | RoutingAgent::Static(_) => {}
-            RoutingAgent::Dsdv(d) => d.on_pm_changed_into(ctx, mode, out),
+            RoutingAgent::Dsdv(d) => d.on_pm_changed(ctx, mode, out),
         }
     }
 }

@@ -189,7 +189,7 @@ impl ReactiveRouting {
     /// Handles a freshly generated application packet.
     /// Allocation-free entry point (see [`ReactiveRouting::on_app_packet`]):
     /// actions are pushed into the caller's reusable buffer.
-    pub fn on_app_packet_into(
+    pub fn on_app_packet(
         &mut self,
         ctx: &mut RoutingCtx<'_>,
         mut packet: Packet,
@@ -213,11 +213,11 @@ impl ReactiveRouting {
         pend.packets.push_back(packet);
         if pend.attempt == 0 {
             pend.attempt = 1;
-            self.emit_discovery_into(ctx, target, rate, 1, out);
+            self.emit_discovery(ctx, target, rate, 1, out);
         }
     }
 
-    fn emit_discovery_into(
+    fn emit_discovery(
         &mut self,
         ctx: &mut RoutingCtx<'_>,
         target: NodeId,
@@ -256,23 +256,24 @@ impl ReactiveRouting {
     /// restored where a branch forwards it), so reception never clones
     /// the RREQ/RREP path vectors just to dispatch. Allocation-free
     /// entry point (see [`ReactiveRouting::on_frame`]).
-    pub fn on_frame_into(&mut self, ctx: &mut RoutingCtx<'_>, frame: Frame, out: &mut Vec<Action>) {
+    pub fn on_frame(&mut self, ctx: &mut RoutingCtx<'_>, frame: Frame, out: &mut Vec<Action>) {
         let from = frame.tx;
         let mut packet = frame.packet;
         let kind = std::mem::replace(&mut packet.kind, PacketKind::Rerr { from: 0, to: 0 });
         match kind {
-            PacketKind::Rreq { id, origin, target, cost, path, rate_bps } => self
-                .on_rreq_into(ctx, from, &packet, id, origin, target, cost, &path, rate_bps, out),
+            PacketKind::Rreq { id, origin, target, cost, path, rate_bps } => {
+                self.on_rreq(ctx, from, &packet, id, origin, target, cost, &path, rate_bps, out)
+            }
             PacketKind::Rrep { id, origin, target, path, cost } => {
-                self.on_rrep_into(ctx, packet, id, origin, target, path, cost, out)
+                self.on_rrep(ctx, packet, id, origin, target, path, cost, out)
             }
             PacketKind::Rerr { from: bad_from, to: bad_to } => {
                 packet.kind = PacketKind::Rerr { from: bad_from, to: bad_to };
-                self.on_rerr_into(ctx, packet, bad_from, bad_to, out)
+                self.on_rerr(ctx, packet, bad_from, bad_to, out)
             }
             PacketKind::Data { flow, seq, rate_bps } => {
                 packet.kind = PacketKind::Data { flow, seq, rate_bps };
-                self.on_data_into(ctx, packet, out)
+                self.on_data(ctx, packet, out)
             }
             PacketKind::DsdvUpdate { .. } => {} // not ours; ignore
         }
@@ -283,14 +284,9 @@ impl ReactiveRouting {
     /// logic only allocates (path copy, forwarded packet) for the
     /// minority of receivers that actually reply or rebroadcast.
     /// Allocation-free entry point (see [`ReactiveRouting::on_broadcast`]).
-    pub fn on_broadcast_into(
-        &mut self,
-        ctx: &mut RoutingCtx<'_>,
-        frame: &Frame,
-        out: &mut Vec<Action>,
-    ) {
+    pub fn on_broadcast(&mut self, ctx: &mut RoutingCtx<'_>, frame: &Frame, out: &mut Vec<Action>) {
         match &frame.packet.kind {
-            PacketKind::Rreq { id, origin, target, cost, path, rate_bps } => self.on_rreq_into(
+            PacketKind::Rreq { id, origin, target, cost, path, rate_bps } => self.on_rreq(
                 ctx,
                 frame.tx,
                 &frame.packet,
@@ -304,12 +300,12 @@ impl ReactiveRouting {
             ),
             // Unicast-only kinds never arrive by broadcast in this stack;
             // fall back to the owning path for API completeness.
-            _ => self.on_frame_into(ctx, frame.clone(), out),
+            _ => self.on_frame(ctx, frame.clone(), out),
         }
     }
 
     #[allow(clippy::too_many_arguments)]
-    fn on_rreq_into(
+    fn on_rreq(
         &mut self,
         ctx: &mut RoutingCtx<'_>,
         from: NodeId,
@@ -410,7 +406,7 @@ impl ReactiveRouting {
     }
 
     #[allow(clippy::too_many_arguments)]
-    fn on_rrep_into(
+    fn on_rrep(
         &mut self,
         ctx: &mut RoutingCtx<'_>,
         mut packet: Packet,
@@ -448,7 +444,7 @@ impl ReactiveRouting {
         }
     }
 
-    fn on_rerr_into(
+    fn on_rerr(
         &mut self,
         ctx: &mut RoutingCtx<'_>,
         mut packet: Packet,
@@ -467,12 +463,7 @@ impl ReactiveRouting {
         }
     }
 
-    fn on_data_into(
-        &mut self,
-        ctx: &mut RoutingCtx<'_>,
-        mut packet: Packet,
-        out: &mut Vec<Action>,
-    ) {
+    fn on_data(&mut self, ctx: &mut RoutingCtx<'_>, mut packet: Packet, out: &mut Vec<Action>) {
         let me = ctx.node;
         if me == packet.dst {
             out.push(Action::Deliver(packet));
@@ -487,12 +478,7 @@ impl ReactiveRouting {
 
     /// Handles a fired timer. Allocation-free entry point (see
     /// [`ReactiveRouting::on_timer`]).
-    pub fn on_timer_into(
-        &mut self,
-        ctx: &mut RoutingCtx<'_>,
-        kind: TimerKind,
-        out: &mut Vec<Action>,
-    ) {
+    pub fn on_timer(&mut self, ctx: &mut RoutingCtx<'_>, kind: TimerKind, out: &mut Vec<Action>) {
         let TimerKind::Discovery { target, attempt } = kind else {
             return;
         };
@@ -514,12 +500,12 @@ impl ReactiveRouting {
         }
         pend.attempt = attempt + 1;
         let rate = pend.packets.front().map(data_rate).unwrap_or(0.0);
-        self.emit_discovery_into(ctx, target, rate, attempt + 1, out)
+        self.emit_discovery(ctx, target, rate, attempt + 1, out)
     }
 
     /// Handles the MAC reporting a dead link for `frame`. Allocation-free
     /// entry point (see [`ReactiveRouting::on_link_failure`]).
-    pub fn on_link_failure_into(
+    pub fn on_link_failure(
         &mut self,
         ctx: &mut RoutingCtx<'_>,
         frame: Frame,
@@ -541,7 +527,7 @@ impl ReactiveRouting {
             // Re-discover and retry locally.
             packet.route.clear();
             packet.hop_idx = 0;
-            self.on_app_packet_into(ctx, packet, out);
+            self.on_app_packet(ctx, packet, out);
             return;
         }
         // Report the break to the source and drop the packet here.
@@ -562,45 +548,6 @@ impl ReactiveRouting {
             out.push(Action::Send(Frame { tx: me, rx: Some(back_route[1]), packet: rerr }));
         }
         out.push(Action::Drop(packet, DropReason::LinkFailure));
-    }
-
-    // Vec-returning conveniences over the `_into` entry points, for
-    // unit tests and standalone use. The event loop always goes through
-    // the `_into` variants with a pooled buffer.
-
-    /// [`ReactiveRouting::on_app_packet_into`], collecting into a fresh `Vec`.
-    pub fn on_app_packet(&mut self, ctx: &mut RoutingCtx<'_>, packet: Packet) -> Vec<Action> {
-        let mut out = Vec::new();
-        self.on_app_packet_into(ctx, packet, &mut out);
-        out
-    }
-
-    /// [`ReactiveRouting::on_frame_into`], collecting into a fresh `Vec`.
-    pub fn on_frame(&mut self, ctx: &mut RoutingCtx<'_>, frame: Frame) -> Vec<Action> {
-        let mut out = Vec::new();
-        self.on_frame_into(ctx, frame, &mut out);
-        out
-    }
-
-    /// [`ReactiveRouting::on_broadcast_into`], collecting into a fresh `Vec`.
-    pub fn on_broadcast(&mut self, ctx: &mut RoutingCtx<'_>, frame: &Frame) -> Vec<Action> {
-        let mut out = Vec::new();
-        self.on_broadcast_into(ctx, frame, &mut out);
-        out
-    }
-
-    /// [`ReactiveRouting::on_timer_into`], collecting into a fresh `Vec`.
-    pub fn on_timer(&mut self, ctx: &mut RoutingCtx<'_>, kind: TimerKind) -> Vec<Action> {
-        let mut out = Vec::new();
-        self.on_timer_into(ctx, kind, &mut out);
-        out
-    }
-
-    /// [`ReactiveRouting::on_link_failure_into`], collecting into a fresh `Vec`.
-    pub fn on_link_failure(&mut self, ctx: &mut RoutingCtx<'_>, frame: Frame) -> Vec<Action> {
-        let mut out = Vec::new();
-        self.on_link_failure_into(ctx, frame, &mut out);
-        out
     }
 
     fn invalidate_link(&mut self, a: NodeId, b: NodeId) {
@@ -687,6 +634,13 @@ mod tests {
         }
     }
 
+    /// Runs one entry point into a fresh buffer and returns what it emitted.
+    fn collect(event: impl FnOnce(&mut Vec<Action>)) -> Vec<Action> {
+        let mut out = Vec::new();
+        event(&mut out);
+        out
+    }
+
     fn all_active() -> Vec<PmMode> {
         vec![PmMode::ActiveMode; 4]
     }
@@ -695,7 +649,7 @@ mod tests {
     fn first_packet_triggers_discovery() {
         let mut w = World::new(all_active());
         let mut r = ReactiveRouting::new();
-        let actions = r.on_app_packet(&mut w.ctx(0, 0), data(0, 3));
+        let actions = collect(|o| r.on_app_packet(&mut w.ctx(0, 0), data(0, 3), o));
         assert_eq!(actions.len(), 2, "broadcast RREQ + timeout timer");
         let Action::Send(f) = &actions[0] else { panic!("want Send, got {actions:?}") };
         assert!(f.is_broadcast());
@@ -705,7 +659,7 @@ mod tests {
             Action::Timer(TimerKind::Discovery { target: 3, attempt: 1 }, _)
         ));
         // Second packet to same target: buffered, no second flood.
-        let actions = r.on_app_packet(&mut w.ctx(0, 1), data(0, 3));
+        let actions = collect(|o| r.on_app_packet(&mut w.ctx(0, 1), data(0, 3), o));
         assert!(actions.is_empty());
     }
 
@@ -715,30 +669,30 @@ mod tests {
         let mut w = World::new(all_active()).with_config(ReactiveConfig::new(metric));
         let mut nodes: Vec<ReactiveRouting> = (0..4).map(|_| ReactiveRouting::new()).collect();
         // Source floods.
-        let mut actions0 = nodes[0].on_app_packet(&mut w.ctx(0, 0), data(0, 3));
+        let mut actions0 = collect(|o| nodes[0].on_app_packet(&mut w.ctx(0, 0), data(0, 3), o));
         let Action::Send(rreq0) = actions0.remove(0) else { panic!() };
         // Node 1 hears it (node 0's only in-range neighbor is 1).
-        let fwd1 = nodes[1].on_frame(&mut w.ctx(1, 1), rreq0.clone());
+        let fwd1 = collect(|o| nodes[1].on_frame(&mut w.ctx(1, 1), rreq0.clone(), o));
         let Action::Send(rreq1) = &fwd1[0] else { panic!("1 must forward") };
         // Node 2 hears node 1's copy.
-        let fwd2 = nodes[2].on_frame(&mut w.ctx(2, 2), rreq1.clone());
+        let fwd2 = collect(|o| nodes[2].on_frame(&mut w.ctx(2, 2), rreq1.clone(), o));
         let Action::Send(rreq2) = &fwd2[0] else { panic!("2 must forward") };
         // Node 0 also hears node 1's copy — must not bounce it back.
-        assert!(nodes[0].on_frame(&mut w.ctx(0, 2), rreq1.clone()).is_empty());
+        assert!(collect(|o| nodes[0].on_frame(&mut w.ctx(0, 2), rreq1.clone(), o)).is_empty());
         // Target 3 hears node 2's copy and replies.
-        let rep = nodes[3].on_frame(&mut w.ctx(3, 3), rreq2.clone());
+        let rep = collect(|o| nodes[3].on_frame(&mut w.ctx(3, 3), rreq2.clone(), o));
         let Action::Send(rrep) = &rep[0] else { panic!("target must reply") };
         assert_eq!(rrep.rx, Some(2));
         assert!(matches!(rrep.packet.kind, PacketKind::Rrep { .. }));
         // RREP walks back 2 → 1 → 0.
-        let back2 = nodes[2].on_frame(&mut w.ctx(2, 4), rrep.clone());
+        let back2 = collect(|o| nodes[2].on_frame(&mut w.ctx(2, 4), rrep.clone(), o));
         let Action::Send(rrep2) = &back2[0] else { panic!() };
         assert_eq!(rrep2.rx, Some(1));
-        let back1 = nodes[1].on_frame(&mut w.ctx(1, 5), rrep2.clone());
+        let back1 = collect(|o| nodes[1].on_frame(&mut w.ctx(1, 5), rrep2.clone(), o));
         let Action::Send(rrep1) = &back1[0] else { panic!() };
         assert_eq!(rrep1.rx, Some(0));
         // Origin installs the route and flushes the pending packet.
-        let flushed = nodes[0].on_frame(&mut w.ctx(0, 6), rrep1.clone());
+        let flushed = collect(|o| nodes[0].on_frame(&mut w.ctx(0, 6), rrep1.clone(), o));
         assert_eq!(flushed.len(), 1);
         let Action::Send(dataf) = &flushed[0] else { panic!("pending data must flush") };
         assert_eq!(dataf.rx, Some(1));
@@ -765,15 +719,18 @@ mod tests {
         p.route = vec![0, 1, 2, 3];
         p.hop_idx = 0;
         // At node 1.
-        let a =
-            nodes[1].on_frame(&mut w.ctx(1, 10), Frame { tx: 0, rx: Some(1), packet: p.clone() });
+        let a = collect(|o| {
+            nodes[1].on_frame(&mut w.ctx(1, 10), Frame { tx: 0, rx: Some(1), packet: p.clone() }, o)
+        });
         let Action::Send(f1) = &a[0] else { panic!() };
         assert_eq!(f1.rx, Some(2));
         assert_eq!(f1.packet.hop_idx, 1);
         // At destination.
         let mut at_dst = f1.packet.clone();
         at_dst.hop_idx = 2;
-        let a = nodes[3].on_frame(&mut w.ctx(3, 11), Frame { tx: 2, rx: Some(3), packet: at_dst });
+        let a = collect(|o| {
+            nodes[3].on_frame(&mut w.ctx(3, 11), Frame { tx: 2, rx: Some(3), packet: at_dst }, o)
+        });
         assert!(matches!(a[0], Action::Deliver(_)));
     }
 
@@ -792,35 +749,50 @@ mod tests {
         };
         // Hop metric: second copy with equal cost is dropped.
         let mut r = ReactiveRouting::new();
-        let first = r.on_frame(
-            &mut w.ctx(2, 0),
-            Frame { tx: 1, rx: None, packet: mk_rreq(1.0, vec![0, 1]) },
-        );
+        let first = collect(|o| {
+            r.on_frame(
+                &mut w.ctx(2, 0),
+                Frame { tx: 1, rx: None, packet: mk_rreq(1.0, vec![0, 1]) },
+                o,
+            )
+        });
         assert_eq!(first.len(), 1);
-        let dup = r.on_frame(
-            &mut w.ctx(2, 1),
-            Frame { tx: 1, rx: None, packet: mk_rreq(1.0, vec![0, 1]) },
-        );
+        let dup = collect(|o| {
+            r.on_frame(
+                &mut w.ctx(2, 1),
+                Frame { tx: 1, rx: None, packet: mk_rreq(1.0, vec![0, 1]) },
+                o,
+            )
+        });
         assert!(dup.is_empty());
         // Cost metric: a strictly cheaper copy is re-broadcast.
         // (A fresh world: the first world's discovery table saw this RREQ.)
         let mut w =
             World::new(all_active()).with_config(ReactiveConfig::new(RouteMetric::RadiatedPower));
         let mut r = ReactiveRouting::new();
-        let first = r.on_frame(
-            &mut w.ctx(2, 0),
-            Frame { tx: 1, rx: None, packet: mk_rreq(500.0, vec![0, 1]) },
-        );
+        let first = collect(|o| {
+            r.on_frame(
+                &mut w.ctx(2, 0),
+                Frame { tx: 1, rx: None, packet: mk_rreq(500.0, vec![0, 1]) },
+                o,
+            )
+        });
         assert_eq!(first.len(), 1);
-        let cheaper = r.on_frame(
-            &mut w.ctx(2, 1),
-            Frame { tx: 1, rx: None, packet: mk_rreq(1.0, vec![0, 1]) },
-        );
+        let cheaper = collect(|o| {
+            r.on_frame(
+                &mut w.ctx(2, 1),
+                Frame { tx: 1, rx: None, packet: mk_rreq(1.0, vec![0, 1]) },
+                o,
+            )
+        });
         assert_eq!(cheaper.len(), 1, "cheaper duplicate must be re-broadcast");
-        let dearer = r.on_frame(
-            &mut w.ctx(2, 2),
-            Frame { tx: 1, rx: None, packet: mk_rreq(900.0, vec![0, 1]) },
-        );
+        let dearer = collect(|o| {
+            r.on_frame(
+                &mut w.ctx(2, 2),
+                Frame { tx: 1, rx: None, packet: mk_rreq(900.0, vec![0, 1]) },
+                o,
+            )
+        });
         assert!(dearer.is_empty());
     }
 
@@ -851,9 +823,16 @@ mod tests {
         w.discoveries.copy_born(&copy);
         w.discoveries.copy_born(&copy);
         let mut r = ReactiveRouting::new();
-        assert_eq!(r.on_broadcast(&mut w.ctx(2, 0), &copy).len(), 1, "first copy forwards");
+        assert_eq!(
+            collect(|o| r.on_broadcast(&mut w.ctx(2, 0), &copy, o)).len(),
+            1,
+            "first copy forwards"
+        );
         w.discoveries.copy_died(&copy);
-        assert!(r.on_broadcast(&mut w.ctx(2, 1), &copy).is_empty(), "a live record suppresses");
+        assert!(
+            collect(|o| r.on_broadcast(&mut w.ctx(2, 1), &copy, o)).is_empty(),
+            "a live record suppresses"
+        );
         w.discoveries.copy_died(&copy);
         assert!(w.discoveries.is_empty(), "the last copy frees the record");
         // Copies of other kinds are not counted.
@@ -872,19 +851,28 @@ mod tests {
     fn discovery_timeout_retries_then_drops() {
         let mut w = World::new(all_active());
         let mut r = ReactiveRouting::new();
-        let _ = r.on_app_packet(&mut w.ctx(0, 0), data(0, 3));
+        let _ = collect(|o| r.on_app_packet(&mut w.ctx(0, 0), data(0, 3), o));
         // Attempt 1 times out → attempt 2 flood.
-        let a = r.on_timer(&mut w.ctx(0, 1000), TimerKind::Discovery { target: 3, attempt: 1 });
+        let a = collect(|o| {
+            r.on_timer(&mut w.ctx(0, 1000), TimerKind::Discovery { target: 3, attempt: 1 }, o)
+        });
         assert!(matches!(&a[0], Action::Send(f) if f.is_broadcast()));
         assert!(matches!(a[1], Action::Timer(TimerKind::Discovery { attempt: 2, .. }, _)));
         // Stale timer for attempt 1 is ignored now.
-        assert!(r
-            .on_timer(&mut w.ctx(0, 1500), TimerKind::Discovery { target: 3, attempt: 1 })
-            .is_empty());
-        let a = r.on_timer(&mut w.ctx(0, 3000), TimerKind::Discovery { target: 3, attempt: 2 });
+        assert!(collect(|o| r.on_timer(
+            &mut w.ctx(0, 1500),
+            TimerKind::Discovery { target: 3, attempt: 1 },
+            o
+        ))
+        .is_empty());
+        let a = collect(|o| {
+            r.on_timer(&mut w.ctx(0, 3000), TimerKind::Discovery { target: 3, attempt: 2 }, o)
+        });
         assert!(matches!(a[1], Action::Timer(TimerKind::Discovery { attempt: 3, .. }, _)));
         // Final attempt times out → pending packet dropped with NoRoute.
-        let a = r.on_timer(&mut w.ctx(0, 7000), TimerKind::Discovery { target: 3, attempt: 3 });
+        let a = collect(|o| {
+            r.on_timer(&mut w.ctx(0, 7000), TimerKind::Discovery { target: 3, attempt: 3 }, o)
+        });
         assert_eq!(a.len(), 1);
         assert!(matches!(a[0], Action::Drop(_, DropReason::NoRoute)));
     }
@@ -896,13 +884,13 @@ mod tests {
         p.route = vec![0, 1, 2, 3];
         let f = Frame { tx: 0, rx: Some(1), packet: p };
         // First failure: salvage — cache invalidated, rediscovery starts.
-        let a = nodes[0].on_link_failure(&mut w.ctx(0, 20), f.clone());
+        let a = collect(|o| nodes[0].on_link_failure(&mut w.ctx(0, 20), f.clone(), o));
         assert!(nodes[0].cached_route(3).is_none(), "cache must drop the dead link");
         assert!(a.iter().any(|x| matches!(x, Action::Send(fr) if fr.is_broadcast())));
         // Second failure of the salvaged packet: dropped.
         let mut salvaged = f;
         salvaged.packet.salvage = 1;
-        let a = nodes[0].on_link_failure(&mut w.ctx(0, 21), salvaged);
+        let a = collect(|o| nodes[0].on_link_failure(&mut w.ctx(0, 21), salvaged, o));
         assert!(matches!(a[0], Action::Drop(_, DropReason::LinkFailure)));
     }
 
@@ -912,8 +900,9 @@ mod tests {
         let mut p = data(0, 3);
         p.route = vec![0, 1, 2, 3];
         p.hop_idx = 1; // held by node 1, failing towards 2
-        let a =
-            nodes[1].on_link_failure(&mut w.ctx(1, 20), Frame { tx: 1, rx: Some(2), packet: p });
+        let a = collect(|o| {
+            nodes[1].on_link_failure(&mut w.ctx(1, 20), Frame { tx: 1, rx: Some(2), packet: p }, o)
+        });
         let Action::Send(rerr) = &a[0] else { panic!("want RERR, got {a:?}") };
         assert_eq!(rerr.rx, Some(0));
         assert!(matches!(rerr.packet.kind, PacketKind::Rerr { from: 1, to: 2 }));
@@ -934,7 +923,9 @@ mod tests {
             hop_idx: 0,
             salvage: 0,
         };
-        let a = nodes[0].on_frame(&mut w.ctx(0, 30), Frame { tx: 1, rx: Some(0), packet: rerr });
+        let a = collect(|o| {
+            nodes[0].on_frame(&mut w.ctx(0, 30), Frame { tx: 1, rx: Some(0), packet: rerr }, o)
+        });
         assert!(a.is_empty());
         assert!(nodes[0].cached_route(3).is_none());
     }
@@ -963,7 +954,9 @@ mod tests {
             hop_idx: 0,
             salvage: 0,
         };
-        let a = r.on_frame(&mut w.ctx(1, 100), Frame { tx: 0, rx: None, packet: rreq.clone() });
+        let a = collect(|o| {
+            r.on_frame(&mut w.ctx(1, 100), Frame { tx: 0, rx: None, packet: rreq.clone() }, o)
+        });
         assert_eq!(a.len(), 1);
         let Action::SendAt(f, at) = &a[0] else { panic!("PSM node must delay, got {a:?}") };
         assert!(f.is_broadcast());
@@ -981,7 +974,9 @@ mod tests {
             if let PacketKind::Rreq { id, .. } = &mut rq.kind {
                 *id = trial;
             }
-            let a = r.on_frame(&mut w.ctx(2, 100), Frame { tx: 1, rx: None, packet: rq });
+            let a = collect(|o| {
+                r.on_frame(&mut w.ctx(2, 100), Frame { tx: 1, rx: None, packet: rq }, o)
+            });
             if a.is_empty() {
                 suppressed += 1;
             }
@@ -1016,7 +1011,8 @@ mod tests {
             hop_idx: 0,
             salvage: 0,
         };
-        let a = r.on_frame(&mut w.ctx(1, 100), Frame { tx: 0, rx: None, packet: rreq });
+        let a =
+            collect(|o| r.on_frame(&mut w.ctx(1, 100), Frame { tx: 0, rx: None, packet: rreq }, o));
         assert!(matches!(a[0], Action::Send(_)), "AM nodes are not delayed");
     }
 
@@ -1035,16 +1031,25 @@ mod tests {
             hop_idx: 0,
             salvage: 0,
         };
-        let a = r.on_frame(
-            &mut w.ctx(3, 0),
-            Frame { tx: 2, rx: None, packet: mk(100.0, vec![0, 1, 2]) },
-        );
+        let a = collect(|o| {
+            r.on_frame(
+                &mut w.ctx(3, 0),
+                Frame { tx: 2, rx: None, packet: mk(100.0, vec![0, 1, 2]) },
+                o,
+            )
+        });
         assert_eq!(a.len(), 1, "first arrival replies");
-        let a =
-            r.on_frame(&mut w.ctx(3, 1), Frame { tx: 2, rx: None, packet: mk(500.0, vec![0, 2]) });
+        let a = collect(|o| {
+            r.on_frame(
+                &mut w.ctx(3, 1),
+                Frame { tx: 2, rx: None, packet: mk(500.0, vec![0, 2]) },
+                o,
+            )
+        });
         assert!(a.is_empty(), "costlier duplicate is ignored");
-        let a =
-            r.on_frame(&mut w.ctx(3, 2), Frame { tx: 2, rx: None, packet: mk(50.0, vec![0, 2]) });
+        let a = collect(|o| {
+            r.on_frame(&mut w.ctx(3, 2), Frame { tx: 2, rx: None, packet: mk(50.0, vec![0, 2]) }, o)
+        });
         assert_eq!(a.len(), 1, "cheaper duplicate re-replies");
     }
 }

@@ -122,6 +122,7 @@
 //! `--check-improves` exits non-zero if the search winner is worse than
 //! the best single-shot heuristic — the loop-closing guarantee CI holds.
 
+use eend::campaign::json::parse_json;
 use eend::campaign::serve::{serve, ServeConfig};
 use eend::campaign::store::Manifest;
 use eend::campaign::{
@@ -863,7 +864,7 @@ fn parse_loadgen(args: impl Iterator<Item = String>) -> LoadgenOpts {
         campaigns: 4,
         subscribers: 2,
         seeds: 2,
-        secs: 15,
+        secs: 30,
         workers: None,
         serial: false,
         curve: None,
@@ -908,6 +909,30 @@ fn lg_get(addr: std::net::SocketAddr, path: &str) -> String {
 
 fn lg_body(resp: &str) -> &str {
     resp.split_once("\r\n\r\n").map(|(_, b)| b).unwrap_or("")
+}
+
+/// Reads `field` of a loadgen response body as JSON with `read`; an
+/// unreadable body ends the run.
+fn lg_field<T>(
+    body: &str,
+    field: &str,
+    read: impl Fn(&eend::campaign::json::JVal<'_>) -> std::io::Result<T>,
+) -> T {
+    parse_json(body)
+        .and_then(|v| read(v.get(field)?))
+        .unwrap_or_else(|e| die(format_args!("loadgen: bad {field} in {body:?}: {e}")))
+}
+
+/// A campaign's state and finished-job count from its `/status/<fp>`;
+/// a failed campaign ends the run.
+fn lg_status(addr: std::net::SocketAddr, fp: &str) -> (String, usize) {
+    let resp = lg_get(addr, &format!("/status/{fp}"));
+    let b = lg_body(&resp);
+    let state = lg_field(b, "state", |v| v.str().map(str::to_owned));
+    if state == "failed" {
+        die(format_args!("loadgen campaign {fp} failed: {b}"));
+    }
+    (state, lg_field(b, "done", |v| v.usize()))
 }
 
 /// The `k`-th loadgen campaign: distinct name, same shape, so the
@@ -995,9 +1020,7 @@ fn loadgen_round(
                 body.len()
             ),
         );
-        let b = lg_body(&resp);
-        let at = b.find("\"fingerprint\":\"").expect("submit accepted") + 15;
-        b[at..at + 16].to_owned()
+        lg_field(lg_body(&resp), "fingerprint", |v| v.str().map(str::to_owned))
     };
     let spawn_tails =
         |k: usize, fp: &str, tails: &mut Vec<(usize, std::thread::JoinHandle<SubscriberTrace>)>| {
@@ -1036,13 +1059,8 @@ fn loadgen_round(
         };
     let wait_campaign_done = |fp: &str, interrupted: &mut bool| {
         while !*interrupted {
-            let status = lg_get(addr, &format!("/status/{fp}"));
-            let b = lg_body(&status);
-            if b.contains("\"state\":\"done\"") {
+            if lg_status(addr, fp).0 == "done" {
                 return;
-            }
-            if b.contains("\"state\":\"failed\"") {
-                die(format_args!("loadgen campaign {fp} failed: {b}"));
             }
             if signals::requested() {
                 *interrupted = true;
@@ -1084,7 +1102,11 @@ fn loadgen_round(
         }
     }
     let wall_s = start.elapsed().as_secs_f64();
-    let completed = fps.len().min(if interrupted { 0 } else { fps.len() });
+    // Rates count what finished: an interrupted round's unrun jobs and
+    // unfinished campaigns do not.
+    let statuses: Vec<(String, usize)> = fps.iter().map(|fp| lg_status(addr, fp)).collect();
+    let completed = statuses.iter().filter(|(state, _)| state == "done").count();
+    let jobs_done: usize = statuses.iter().map(|&(_, done)| done).sum();
 
     // Draining the daemon closes every live stream, so the subscriber
     // threads all come home — interrupted or not.
@@ -1133,7 +1155,7 @@ fn loadgen_round(
         submit_wall_s,
         wall_s,
         completed_per_s: completed as f64 / wall_s,
-        jobs_per_s: jobs_total as f64 / wall_s,
+        jobs_per_s: jobs_done as f64 / wall_s,
         ttfr_p50_ms: percentile(&ttfr_ms, 50.0),
         ttfr_max_ms: ttfr_ms.last().copied().unwrap_or(0.0),
         fanout_p50_ms: percentile(&fanout_ms, 50.0),

@@ -1,6 +1,7 @@
 //! Argument reading, exits and signal handling shared by the `eend-cli`
-//! and `eend-serve` binaries. Support code for those two binaries, not
-//! an API.
+//! and `eend-serve` binaries and by the figure binaries of `eend-bench`
+//! (through `eend_bench::HarnessOpts`). Support code for those binaries,
+//! not an API.
 //!
 //! Bad input has one exit: [`Usage::fail`] prints an error line and the
 //! subcommand's usage text and exits 2. A failure after the input was

@@ -41,11 +41,12 @@
 //! because the failpoint registry is process-global and the campaigns
 //! here must run fault-free in parallel.
 
+use eend::campaign::report::json_row_into;
 use eend::campaign::serve::{serve, ServeConfig};
 use eend::campaign::store::Manifest;
 use eend::campaign::{
     fingerprint, metric_columns, BaseScenario, CampaignResult, CampaignSpec, Executor, FailurePlan,
-    JsonlSink, RecordSink, ResultStore, SpecAxes,
+    ResultStore, SpecAxes,
 };
 use eend::wireless::stacks;
 use std::io::{BufRead, BufReader, Read, Write};
@@ -71,7 +72,7 @@ fn spec() -> CampaignSpec {
         .stacks(vec![stacks::titan_pc(), stacks::dsr_active()])
         .rates(vec![2.0, 4.0])
         .seeds(1)
-        .secs(15)
+        .secs(30)
 }
 
 fn submit_body(spec: &CampaignSpec) -> String {
@@ -183,6 +184,7 @@ fn expected_aggregate(result: &CampaignResult) -> String {
 fn submit_streams_byte_identically_and_resubmit_hits_the_cache() {
     let spec = spec();
     let expected = Executor::with_workers(1).run(&spec);
+    assert!(expected.records.iter().any(|r| r.metrics.data_sent > 0), "the grid carries traffic");
     let data = scratch("cache");
     let handle = serve(
         "127.0.0.1:0",
@@ -205,14 +207,8 @@ fn submit_streams_byte_identically_and_resubmit_hits_the_cache() {
     let csv = get(addr, &format!("/stream/{fp}?format=csv"));
     assert_eq!(body(&csv), expected.to_csv());
 
-    // The JSONL stream matches the JSONL sink over the same records.
-    let mut sink = JsonlSink::new(&expected.campaign, Vec::new());
-    for r in &expected.records {
-        sink.accept(r).unwrap();
-    }
-    sink.finish().unwrap();
-    let jsonl = String::from_utf8(sink.into_inner()).unwrap();
-    assert_eq!(body(&get(addr, &format!("/stream/{fp}"))), jsonl);
+    // The JSONL stream holds the same records' JSON rows.
+    assert_eq!(body(&get(addr, &format!("/stream/{fp}"))), expected_jsonl(&expected));
 
     // THE cache contract: an identical re-submission answers "done"
     // from cache and the daemon does not run a single job for it.
@@ -279,12 +275,7 @@ fn daemon_resumes_a_killed_campaign_running_only_missing_jobs() {
 fn dropped_stream_reconnects_with_from_and_loses_nothing() {
     let spec = spec();
     let expected = Executor::with_workers(1).run(&spec);
-    let mut sink = JsonlSink::new(&expected.campaign, Vec::new());
-    for r in &expected.records {
-        sink.accept(r).unwrap();
-    }
-    sink.finish().unwrap();
-    let full = String::from_utf8(sink.into_inner()).unwrap();
+    let full = expected_jsonl(&expected);
 
     let data = scratch("reconnect");
     let handle = serve(
@@ -337,7 +328,7 @@ fn graceful_shutdown_mid_campaign_resumes_without_rerunning_jobs() {
         .stacks(vec![stacks::titan_pc(), stacks::dsr_active()])
         .rates(vec![2.0, 4.0, 8.0])
         .seeds(2)
-        .secs(15);
+        .secs(30);
     let total = spec.job_count();
     let expected = Executor::with_workers(1).run(&spec);
     let data = scratch("shutdown");
@@ -392,12 +383,12 @@ fn graceful_shutdown_mid_campaign_resumes_without_rerunning_jobs() {
 
 /// The full JSONL stream body this campaign must produce.
 fn expected_jsonl(result: &CampaignResult) -> String {
-    let mut sink = JsonlSink::new(&result.campaign, Vec::new());
+    let mut out = String::new();
     for r in &result.records {
-        sink.accept(r).unwrap();
+        json_row_into(&mut out, &result.campaign, r);
+        out.push('\n');
     }
-    sink.finish().unwrap();
-    String::from_utf8(sink.into_inner()).unwrap()
+    out
 }
 
 /// Connects a live `/stream/<fp>` subscriber and returns everything it
@@ -422,7 +413,7 @@ fn concurrent_campaigns_fan_out_to_all_subscribers_byte_identically() {
         .stacks(vec![stacks::titan_pc(), stacks::dsr_active()])
         .rates(vec![2.0, 4.0, 8.0])
         .seeds(1)
-        .secs(15);
+        .secs(30);
     let full_a = expected_jsonl(&Executor::with_workers(1).run(&spec_a));
     let full_b = expected_jsonl(&Executor::with_workers(1).run(&spec_b));
 
@@ -753,7 +744,7 @@ fn a_mixed_traffic_aggregate_keeps_one_cell_per_traffic_model() {
         .rates(vec![4.0])
         .traffic(vec![TrafficModel::Cbr, TrafficModel::Poisson])
         .seeds(2)
-        .secs(15);
+        .secs(30);
     let expected = Executor::with_workers(1).run(&spec);
     let data = scratch("aggmixed");
     let handle = serve(

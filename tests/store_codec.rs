@@ -20,7 +20,7 @@ fn spec() -> CampaignSpec {
         .stacks(vec![stacks::titan_pc(), stacks::dsdvh_odpm()])
         .rates(vec![2.0, 6.0])
         .seeds(1)
-        .secs(15)
+        .secs(30)
 }
 
 fn report_bits(r: &EnergyReport, out: &mut Vec<u64>) {
@@ -53,6 +53,7 @@ fn stored_records_reload_bit_identically() {
     let jobs = spec.expand();
     let direct = Executor::with_workers(1).run(&spec);
     assert_eq!(direct.records.len(), 4);
+    assert!(direct.records.iter().any(|r| r.metrics.data_sent > 0), "the grid carries traffic");
 
     let dir = scratch("whole");
     let mut store = ResultStore::open(&dir, Manifest::for_spec(&spec, 0, 1)).unwrap();
