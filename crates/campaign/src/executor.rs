@@ -317,7 +317,7 @@ impl Executor {
     /// Simulates every job, pushing one [`Record`] per job into `sink`
     /// **in job order** as workers complete. Peak memory is
     /// O([`Executor::default_window`]) records plus whatever the sink
-    /// retains — a streaming sink (CSV/JSONL/store) keeps a grid of any
+    /// retains — a streaming sink (CSV or store) keeps a grid of any
     /// size out of RAM. A panicking job re-raises on the caller.
     pub fn run_streaming(&self, jobs: &[Job], sink: &mut dyn RecordSink) -> std::io::Result<()> {
         self.run_jobs_streaming(

@@ -64,7 +64,7 @@
 //! registration, with their identity cross-checked against the job
 //! list — a store whose record names another job is refused with a 400
 //! before any response header is sent. `/stream` renders rows through
-//! the same row writers as `eend-cli campaign --csv` / the JSONL sink,
+//! the same row writers as `eend-cli campaign --csv` and `--json`,
 //! and `/aggregate` feeds them into per-cell, per-metric
 //! [`StreamingAggregator`]s in job order — both byte-identical to the
 //! offline CLI path, pinned by integration tests. Neither endpoint reads
